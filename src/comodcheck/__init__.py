@@ -8,14 +8,12 @@ forall, and the LNL hyperdoctrine over tensor powers, and machine-checks
 every law (coherence, adjunctions, Beck-Chevalley, Frobenius, strong
 monoidal closure, hyperdoctrine conditions) on concrete instances.
 
-The hot elimination kernels run from a compiled extension when available
-(``comodcheck._backend.BACKEND`` reports which); the pure-Python fallback
-is semantically identical.
+All arithmetic is exact and pure Python: elimination and products run
+from one set of kernels in ``comodcheck._core_py``.
 """
 
-from ._backend import BACKEND
 from .fields import GF, QQ, Field
 
 __version__ = "0.1.0"
 
-__all__ = ["BACKEND", "Field", "QQ", "GF", "__version__"]
+__all__ = ["Field", "QQ", "GF", "__version__"]

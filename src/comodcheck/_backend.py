@@ -1,17 +1,4 @@
-"""Backend selection: compiled extension when available, else pure Python.
+"""The kernel module ``exactlin`` calls, bound in one place so that a
+tracer can wrap its functions for every caller at once."""
 
-Set ``COMODCHECK_PURE=1`` to force the pure backend (used by the benchmark
-and by CI to exercise the fallback path).
-"""
-
-import os
-
-if os.environ.get("COMODCHECK_PURE"):
-    from . import _core_py as core
-else:
-    try:
-        from . import _core as core  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _core_py as core
-
-BACKEND = core.BACKEND
+from . import _core_py as core

@@ -1,11 +1,7 @@
-"""Hot elimination/multiplication kernels, pure-Python reference backend.
+"""Hot elimination/multiplication kernels of ``exactlin``.
 
-The compiled backend in ``_core.pyx`` implements the same four functions
-with identical semantics; ``_backend`` picks whichever imports.  All
-matrices are flat row-major Python lists.
+All matrices are flat row-major Python lists of exact scalars.
 """
-
-BACKEND = "python"
 
 
 def mul_obj(a, b, m, k, n):

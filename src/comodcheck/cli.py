@@ -1,7 +1,6 @@
 """Command line interface.
 
     comodcheck check <file> [--json] [--seed K] [--max-dim D] [--verbose]
-    comodcheck bench [--size N] [--repeats R]
 
 Exit codes for ``check``: 0 when every law check passed, 1 when some
 check failed (or could not run), 2 on parse or construction errors.
@@ -52,6 +51,17 @@ def _cmd_check(args) -> int:
     return 0 if all(r.verdict == "pass" for r in reports) else 1
 
 
+def _non_negative(text: str) -> int:
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"expected a non-negative integer, got {text!r}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="comodcheck",
@@ -64,57 +74,14 @@ def main(argv=None) -> int:
                          help="emit a machine-readable report array")
     p_check.add_argument("--seed", type=int, default=0,
                          help="seed for generated instances (default 0)")
-    p_check.add_argument("--max-dim", type=int, default=4,
+    p_check.add_argument("--max-dim", type=_non_negative, default=4,
                          help="cap per graded component for generated "
                               "instances (default 4)")
     p_check.add_argument("--verbose", action="store_true")
     p_check.set_defaults(func=_cmd_check)
 
-    p_bench = sub.add_parser("bench",
-                             help="compare compiled and pure backends")
-    p_bench.add_argument("--size", type=int, default=48)
-    p_bench.add_argument("--repeats", type=int, default=5)
-    p_bench.set_defaults(func=_bench_inline)
-
     args = parser.parse_args(argv)
     return args.func(args)
-
-
-def _bench_inline(args) -> int:
-    import random
-    import time
-
-    from . import _core_py
-    try:
-        from . import _core
-        backends = [_core, _core_py]
-    except ImportError:
-        backends = [_core_py]
-    rng = random.Random(0)
-    n = args.size
-    mat = [rng.randint(-3, 3) for _ in range(n * 2 * n)]
-    sq = [rng.randint(-3, 3) for _ in range(n * n)]
-    sparse = [x if rng.random() < 0.2 else 0 for x in sq]
-    print(f"workload: {n}x{2 * n} elimination, {n}x{n} products, "
-          f"{args.repeats} repeats")
-    for mod in backends:
-        t0 = time.perf_counter()
-        for _ in range(args.repeats):
-            mod.bareiss_echelon(mat, n, 2 * n)
-        t1 = time.perf_counter()
-        for _ in range(args.repeats):
-            mod.mul_obj(sq, sq, n, n, n)
-        t2 = time.perf_counter()
-        for _ in range(args.repeats):
-            mod.mul_obj(sparse, sparse, n, n, n)
-        t3 = time.perf_counter()
-        for _ in range(args.repeats):
-            mod.rref_mod([x % 10007 for x in mat], n, 2 * n, 10007)
-        t4 = time.perf_counter()
-        print(f"{mod.BACKEND:>9}: bareiss {t1 - t0:7.3f}s   "
-              f"mul {t2 - t1:7.3f}s   sparse-mul {t3 - t2:7.3f}s   "
-              f"rref_mod {t4 - t3:7.3f}s")
-    return 0
 
 
 if __name__ == "__main__":

@@ -33,13 +33,6 @@ __all__ = [
 ]
 
 
-def _first_diff(a: Matrix, b: Matrix):
-    for idx, (x, y) in enumerate(zip(a.data, b.data)):
-        if x != y:
-            return divmod(idx, a.cols)
-    return None
-
-
 def _column_dicts(m: Matrix):
     """Sparse view: one {row: value} dict per column, in one data pass."""
     cols = [dict() for _ in range(m.cols)]
@@ -50,12 +43,16 @@ def _column_dicts(m: Matrix):
     return cols
 
 
-def _add_into(acc: dict, key, value):
+def _add_into(acc: dict, key, value, p: int):
+    """Add a nonzero ``value`` at ``key``, reducing mod ``p`` when ``p`` is
+    nonzero and dropping zero sums, so equal maps give equal dicts."""
     cur = acc.get(key)
     if cur is None:
         acc[key] = value
     else:
         cur = cur + value
+        if p:
+            cur %= p
         if cur:
             acc[key] = cur
         else:
@@ -84,6 +81,7 @@ class Coalgebra:
             raise ShapeError("label count must match the dimension")
         dcols = _column_dicts(delta)
         eps = epsilon.data
+        p = field.char
         for j in range(n):
             col = dcols[j]
             # cocommutativity: the column is symmetric under (a,b) -> (b,a)
@@ -98,9 +96,9 @@ class Coalgebra:
             for idx, v in col.items():
                 a, b = divmod(idx, n)
                 if eps[a]:
-                    _add_into(left, b, field.mul(eps[a], v))
+                    _add_into(left, b, field.mul(eps[a], v), p)
                 if eps[b]:
-                    _add_into(right, a, field.mul(v, eps[b]))
+                    _add_into(right, a, field.mul(v, eps[b]), p)
             if left != {j: field.one} or right != {j: field.one}:
                 raise AxiomError(
                     "counit",
@@ -113,10 +111,10 @@ class Coalgebra:
                 a, b = divmod(idx, n)
                 for idx2, v2 in dcols[a].items():
                     x, y = divmod(idx2, n)
-                    _add_into(lhs, (x, y, b), field.mul(v2, v))
+                    _add_into(lhs, (x, y, b), field.mul(v2, v), p)
                 for idx2, v2 in dcols[b].items():
                     x, y = divmod(idx2, n)
-                    _add_into(rhs, (a, x, y), field.mul(v, v2))
+                    _add_into(rhs, (a, x, y), field.mul(v, v2), p)
             if lhs != rhs:
                 key = min(set(lhs) ^ set(rhs)
                           | {k for k in lhs if rhs.get(k) != lhs[k]})
@@ -170,6 +168,7 @@ class CoalgebraMorphism:
             raise ShapeError(
                 f"matrix must be {target.dim}x{source.dim}")
         field = source.field
+        p = field.char
         nt = target.dim
         fcols = _column_dicts(matrix)
         tcols = target._delta_cols
@@ -178,14 +177,14 @@ class CoalgebraMorphism:
             lhs = {}
             for r, v in fcols[j].items():
                 for idx, v2 in tcols[r].items():
-                    _add_into(lhs, idx, field.mul(v2, v))
+                    _add_into(lhs, idx, field.mul(v2, v), p)
             rhs = {}
             for idx, v in scols[j].items():
                 a, b = divmod(idx, source.dim)
                 for x, va in fcols[a].items():
                     coef = field.mul(va, v)
                     for y, vb in fcols[b].items():
-                        _add_into(rhs, x * nt + y, field.mul(coef, vb))
+                        _add_into(rhs, x * nt + y, field.mul(coef, vb), p)
             if lhs != rhs:
                 key = min(set(lhs) ^ set(rhs)
                           | {k for k in lhs if rhs.get(k) != lhs[k]})

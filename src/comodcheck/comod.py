@@ -21,7 +21,7 @@ graded vector spaces and hom is computed componentwise.
 
 from __future__ import annotations
 
-from .coalg import Coalgebra, grouplike_labels
+from .coalg import Coalgebra, _add_into, _column_dicts, grouplike_labels
 from .errors import AxiomError, BaseMismatchError, UnsupportedBaseError
 from .exactlin import (Chart, LinearSystem, Matrix, ShapeError, Subspace,
                        swap_matrix)
@@ -37,34 +37,6 @@ __all__ = [
 ]
 
 
-def _first_diff(a: Matrix, b: Matrix):
-    for idx, (x, y) in enumerate(zip(a.data, b.data)):
-        if x != y:
-            return divmod(idx, a.cols)
-    return None
-
-
-def _column_dicts(m: Matrix):
-    cols = [dict() for _ in range(m.cols)]
-    c = m.cols
-    for idx, v in enumerate(m.data):
-        if v:
-            cols[idx % c][idx // c] = v
-    return cols
-
-
-def _add_into(acc: dict, key, value):
-    cur = acc.get(key)
-    if cur is None:
-        acc[key] = value
-    else:
-        cur = cur + value
-        if cur:
-            acc[key] = cur
-        else:
-            del acc[key]
-
-
 class Comodule:
     """Finite-dimensional comodule (V, rho) over a fixed base coalgebra.
 
@@ -78,6 +50,7 @@ class Comodule:
         if rho.rows != m * n or rho.cols != m:
             raise ShapeError(f"rho must be {m * n}x{m}")
         f = base.field
+        p = f.char
         eps = base.epsilon.data
         rcols = _column_dicts(rho)
         dcols = base._delta_cols
@@ -87,7 +60,7 @@ class Comodule:
             for idx, v in col.items():
                 a, c = divmod(idx, n)
                 if eps[c]:
-                    _add_into(counit, a, f.mul(v, eps[c]))
+                    _add_into(counit, a, f.mul(v, eps[c]), p)
             if counit != {j: f.one}:
                 raise AxiomError("comodule-counit",
                                  "(id x eps) rho != id", witness=(j, j))
@@ -97,10 +70,10 @@ class Comodule:
                 a, c = divmod(idx, n)
                 for idx2, v2 in dcols[c].items():
                     c1, c2 = divmod(idx2, n)
-                    _add_into(lhs, (a, c1, c2), f.mul(v, v2))
+                    _add_into(lhs, (a, c1, c2), f.mul(v, v2), p)
                 for idx2, v2 in rcols[a].items():
                     w, c1 = divmod(idx2, n)
-                    _add_into(rhs, (w, c1, c), f.mul(v2, v))
+                    _add_into(rhs, (w, c1, c), f.mul(v2, v), p)
             if lhs != rhs:
                 key = min(set(lhs) ^ set(rhs)
                           | {k for k in lhs if rhs.get(k) != lhs[k]})
@@ -140,6 +113,7 @@ class ComoduleMorphism:
             raise ShapeError(f"matrix must be {target.dim}x{source.dim}")
         n = source.base.dim
         f = source.field
+        p = f.char
         fcols = _column_dicts(matrix)
         scols = source._rho_cols
         tcols = target._rho_cols
@@ -148,11 +122,11 @@ class ComoduleMorphism:
             for idx, v in scols[j].items():
                 a, c = divmod(idx, n)
                 for w, vf in fcols[a].items():
-                    _add_into(lhs, w * n + c, f.mul(vf, v))
+                    _add_into(lhs, w * n + c, f.mul(vf, v), p)
             rhs = {}
             for w, vf in fcols[j].items():
                 for idx, v in tcols[w].items():
-                    _add_into(rhs, idx, f.mul(v, vf))
+                    _add_into(rhs, idx, f.mul(v, vf), p)
             if lhs != rhs:
                 key = min(set(lhs) ^ set(rhs)
                           | {k for k in lhs if rhs.get(k) != lhs[k]})

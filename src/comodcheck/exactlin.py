@@ -4,7 +4,7 @@ Matrices are immutable flat row-major arrays of exact scalars (see
 ``fields``).  Over Q, elimination clears denominators row-wise and runs
 fraction-free Bareiss on integers, so intermediate entries stay
 minor-sized; over F_p it is Gauss-Jordan with modular inverses.  The inner
-loops live in the selected backend (``_backend.core``).
+loops live in the kernel module ``_backend.core``.
 
 Tensor bookkeeping fixes one global convention used by every module
 downstream: the basis vector e_i (x) e_j of a tensor product of spaces of

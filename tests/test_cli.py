@@ -86,7 +86,9 @@ def test_max_dim_flag_respected():
     assert gen_report["verdict"] == "pass"
 
 
-def test_bench_subcommand_runs():
-    out = run_cli("bench", "--size", "12", "--repeats", "1")
-    assert out.returncode == 0
-    assert "bareiss" in out.stdout
+def test_negative_max_dim_is_a_usage_error():
+    out = run_cli("check", corpus_path("06_adjunction.cd"),
+                  "--max-dim", "-1")
+    assert out.returncode == 2
+    assert "--max-dim" in out.stderr
+    assert "line " not in out.stderr

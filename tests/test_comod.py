@@ -58,6 +58,19 @@ def test_comodule_coassociativity_rejected():
         cm.Comodule(gx, 1, Matrix.from_rows(F, [[0], [1]]))
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
+def test_axioms_accepted_in_a_changed_basis(field):
+    # over F_7 the axiom sums run past 7 and must be reduced to compare
+    g = ca.grouplike_coalgebra(field, ["a", "b"])
+    p = Matrix.from_rows(field, [[1, 3], [2, 1]])
+    p_inv = p.inverse()
+    moved = ca.Coalgebra(field, 2, p_inv.kron(p_inv) @ g.delta @ p,
+                         g.epsilon @ p)
+    assert ca.CoalgebraMorphism(moved, g, p).matrix == p
+    assert cm.regular_comodule(moved).rho == moved.delta
+    assert cm.conjugate(cm.regular_comodule(g), p_inv).dim == 2
+
+
 # -- hom spaces -------------------------------------------------------------------
 
 def test_hom_contains_identity(g2):

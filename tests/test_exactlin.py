@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from comodcheck import _core_py
-from comodcheck._backend import core
 from comodcheck.exactlin import (Chart, LinearSystem, Matrix, ShapeError,
                                  Subspace, solve_constrained, swap_matrix)
 from comodcheck.fields import GF, QQ
@@ -229,26 +228,66 @@ def test_chart_rejects_outside_vectors():
     assert k.coords(outside) is None
 
 
-# -- backend parity ---------------------------------------------------------------
+# -- sympy reference ---------------------------------------------------------------
 
-def test_backends_agree():
-    rng = random.Random(1)
+def rnd_sparse(rng, field):
+    rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+    density = rng.uniform(0.1, 0.4)
+    p = field.char
+    data = []
+    for _ in range(rows * cols):
+        if rng.random() >= density:
+            data.append(0)
+        elif p:
+            data.append(rng.randint(1, p - 1))
+        else:
+            data.append(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                 rng.randint(1, 4)))
+    return Matrix(field, rows, cols, data)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7), GF(101)],
+                         ids=["Q", "GF2", "GF7", "GF101"])
+def test_rank_rref_kernel_match_sympy(field):
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import GF as SymGF, QQ as SymQQ
+    from sympy.polys.matrices import DomainMatrix
+
+    p = field.char
+    dom = SymGF(p) if p else SymQQ
+
+    def to_sympy(m):
+        if p:
+            entries = [dom(x) for x in m.data]
+        else:
+            entries = [dom(x.numerator, x.denominator)
+                       for x in map(Fraction, m.data)]
+        return DomainMatrix([entries[i * m.cols:(i + 1) * m.cols]
+                             for i in range(m.rows)], (m.rows, m.cols), dom)
+
+    def from_sympy(dm):
+        if p:
+            return [int(x) % p for row in dm.to_list() for x in row]
+        return [Fraction(int(x.numerator), int(x.denominator))
+                for row in dm.to_list() for x in row]
+
+    rng = random.Random(p)
     for _ in range(40):
-        r, c = rng.randint(0, 6), rng.randint(0, 6)
-        data = [rng.randint(-9, 9) for _ in range(r * c)]
-        assert core.bareiss_echelon(data, r, c) \
-            == _core_py.bareiss_echelon(data, r, c)
-        dmod = [x % 101 for x in data]
-        assert core.rref_mod(dmod, r, c, 101) \
-            == _core_py.rref_mod(dmod, r, c, 101)
-        k = rng.randint(0, 5)
-        a = [rng.randint(-5, 5) for _ in range(r * k)]
-        b = [rng.randint(-5, 5) for _ in range(k * c)]
-        assert core.mul_obj(a, b, r, k, c) == _core_py.mul_obj(a, b, r, k, c)
-        am = [x % 101 for x in a]
-        bm = [x % 101 for x in b]
-        assert core.mul_mod(am, bm, r, k, c, 101) \
-            == _core_py.mul_mod(am, bm, r, k, c, 101)
+        m = rnd_sparse(rng, field)
+        ref = to_sympy(m)
+        assert m.rank() == ref.rank()
+        rref, pivots = m.rref()
+        ref_rref, ref_pivots = ref.rref()
+        assert tuple(pivots) == tuple(ref_pivots)
+        assert list(rref.data) == from_sympy(ref_rref)
+        # the kernel basis is canonical: its transpose is the rref of
+        # any spanning set, here sympy's own null space basis
+        ker = m.kernel()
+        null = ref.nullspace()
+        assert ker.dim == null.shape[0] == m.cols - ref.rank()
+        if ker.dim:
+            null_rref, _ = null.rref()
+            assert list(ker.basis.transpose().data) == from_sympy(null_rref)
 
 
 def test_bareiss_agrees_with_fraction_elimination():
@@ -275,5 +314,5 @@ def test_bareiss_agrees_with_fraction_elimination():
             piv_cols.append(c)
             r += 1
         rank = r
-        _, pivots = core.bareiss_echelon(list(m.data), rows, cols)
+        _, pivots = _core_py.bareiss_echelon(list(m.data), rows, cols)
         assert pivots == piv_cols and len(pivots) == rank
