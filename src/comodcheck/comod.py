@@ -284,12 +284,6 @@ def cotensor(v: Comodule, w: Comodule):
     return Comodule(v.base, k, rho), e
 
 
-def cotensor_ambient(v: Comodule, w: Comodule) -> Comodule:
-    """V (x) W with coaction id_V (x) rho_W (the ambient of the equalizer)."""
-    return Comodule(v.base, v.dim * w.dim,
-                    Matrix.identity(v.field, v.dim).kron(w.rho))
-
-
 class _Obj:
     """A comodule presented inside a flat tensor product of atoms.
 

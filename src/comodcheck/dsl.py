@@ -24,6 +24,7 @@ violated axiom named.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .coalg import (Coalgebra, CoalgebraMorphism, direct_sum,
@@ -203,13 +204,25 @@ def _register(doc, names, name, line_no):
     names.add(name)
 
 
+@contextmanager
+def _at_line(line_no):
+    """Report a construction error raised inside the block as a ParseError
+    at ``line_no``; a ParseError passes through unchanged."""
+    try:
+        yield
+    except ParseError:
+        raise
+    except (ComodcheckError, ValueError) as exc:
+        raise ParseError(str(exc), line_no) from exc
+
+
 def _parse_coalg(doc, line, line_no, names):
     m = _RE_COALG.match(line)
     if not m:
         raise ParseError("bad coalgebra definition", line_no)
     name, body = m.group(1), m.group(2).strip()
     _register(doc, names, name, line_no)
-    try:
+    with _at_line(line_no):
         if (g := _RE_GROUPLIKE.match(body)):
             labels = tuple(x.strip() for x in g.group(1).split(","))
             doc.coalgebras[name] = grouplike_coalgebra(doc.field, labels)
@@ -236,12 +249,6 @@ def _parse_coalg(doc, line, line_no, names):
         else:
             raise ParseError("bad coalgebra body", line_no,
                              col=line.index("=") + 2)
-    except ComodcheckError as exc:
-        if isinstance(exc, ParseError):
-            raise
-        raise ParseError(str(exc), line_no) from exc
-    except ValueError as exc:
-        raise ParseError(str(exc), line_no) from exc
 
 
 def _parse_morph(doc, line, line_no, names):
@@ -255,7 +262,7 @@ def _parse_morph(doc, line, line_no, names):
     if src is None or tgt is None:
         raise ParseError("unresolved coalgebra name", line_no)
     body = body.strip()
-    try:
+    with _at_line(line_no):
         if (g := _RE_MATRIX_BODY.match(body)):
             entries = _entries(g.group(1), doc.field, line_no)
             doc.morphisms[name] = CoalgebraMorphism(
@@ -275,12 +282,6 @@ def _parse_morph(doc, line, line_no, names):
             doc.morphisms[name] = grouplike_morphism(src, tgt, dict(pairs))
             doc.defs.append(("morph", name, src_name, tgt_name,
                              ("labelmap", tuple(pairs))))
-    except ComodcheckError as exc:
-        if isinstance(exc, ParseError):
-            raise
-        raise ParseError(str(exc), line_no) from exc
-    except ValueError as exc:
-        raise ParseError(str(exc), line_no) from exc
 
 
 def _parse_comod(doc, line, line_no, names):
@@ -293,7 +294,7 @@ def _parse_comod(doc, line, line_no, names):
     if base is None:
         raise ParseError(f"unresolved coalgebra name {base_name!r}", line_no)
     body = body.strip()
-    try:
+    with _at_line(line_no):
         if (g := _RE_GRADED.match(body)):
             pairs = []
             if g.group(1).strip():
@@ -323,12 +324,6 @@ def _parse_comod(doc, line, line_no, names):
                               _entry_strings(g.group(2), line_no))))
         else:
             raise ParseError("bad comodule body", line_no)
-    except ComodcheckError as exc:
-        if isinstance(exc, ParseError):
-            raise
-        raise ParseError(str(exc), line_no) from exc
-    except ValueError as exc:
-        raise ParseError(str(exc), line_no) from exc
 
 
 def print_document(doc: Document) -> str:

@@ -420,9 +420,6 @@ class Subspace:
         cand = vectors.take_rows(self.pivots)
         return cand if (self.basis @ cand) == vectors else None
 
-    def contains_matrix(self, vectors: Matrix) -> bool:
-        return self.coords(vectors) is not None
-
     def contains(self, other: "Subspace") -> bool:
         return self.coords(other.basis) is not None
 

@@ -382,11 +382,10 @@ def forall_map(src: ForallData, tgt: ForallData,
     return ComoduleMorphism(src.module, tgt.module, mat)
 
 
-def forall_unit(phi: CoalgebraMorphism, w: Comodule, pw) -> ComoduleMorphism:
-    """eta_W: W -> forall phi^* W (forward transpose of the identity)."""
-    pw_mod, _ = pw
-    data = forall_data(phi, pw_mod)
-    return forall_transpose_fwd(data, w, pw, pw_mod.identity_morphism())
+def forall_unit(data: ForallData, w: Comodule, pw) -> ComoduleMorphism:
+    """eta_W: W -> forall phi^* W (forward transpose of the identity),
+    where ``data`` is the forall data of phi^* W."""
+    return forall_transpose_fwd(data, w, pw, pw[0].identity_morphism())
 
 
 def forall_counit(data: ForallData, pfv) -> ComoduleMorphism:
@@ -425,17 +424,18 @@ def forall_triangle_identities(phi: CoalgebraMorphism, v: Comodule,
     data = forall_data(phi, v)
     pw = pullback_functor(phi, w)
     pfv = pullback_functor(phi, data.module)
+    data_pw = forall_data(phi, pw[0])
+    data2 = forall_data(phi, pfv[0])
     # triangle 1: eps_{phi^* W} o phi^*(eta_W) = id on phi^* W
-    eta_w = forall_unit(phi, w, pw)
-    pae = pullback_functor(phi, forall(phi, pw[0]))
+    eta_w = forall_unit(data_pw, w, pw)
+    pae = pullback_functor(phi, data_pw.module)
     lifted = pullback_map(phi, eta_w, src=pw, tgt=pae)
-    eps_pw = forall_counit(forall_data(phi, pw[0]), pae)
+    eps_pw = forall_counit(data_pw, pae)
     t1 = eps_pw.matrix @ lifted.matrix \
         == Matrix.identity(v.field, pw[0].dim)
     # triangle 2: forall(eps_V) o eta_{forall V} = id on forall V
     eps_v = forall_counit(data, pfv)
-    data2 = forall_data(phi, pfv[0])
-    eta2 = forall_unit(phi, data.module, pfv)
+    eta2 = forall_unit(data2, data.module, pfv)
     t2 = forall_map(data2, data, eps_v).matrix @ eta2.matrix \
         == Matrix.identity(v.field, data.module.dim)
     return t1 and t2
@@ -449,10 +449,11 @@ class PullbackSquare:
     delta: D -> D1, gamma: D -> D2, beta: D1 -> C, alpha: D2 -> C.
     Construction verifies beta delta = alpha gamma and that the mediating
     morphism into the canonical pullback of (beta, alpha) is an
-    isomorphism.
+    isomorphism.  It keeps the canonical pullback (D', u, v) and the
+    inverse t: D' -> D of that isomorphism for the Beck maps.
     """
 
-    __slots__ = ("delta", "gamma", "beta", "alpha")
+    __slots__ = ("delta", "gamma", "beta", "alpha", "canonical", "t")
 
     def __init__(self, delta: CoalgebraMorphism, gamma: CoalgebraMorphism,
                  beta: CoalgebraMorphism, alpha: CoalgebraMorphism):
@@ -466,13 +467,16 @@ class PullbackSquare:
             raise AxiomError("pullback-square", "square does not commute")
         canon, u, v = coalg_pullback(beta, alpha)
         m = pullback_mediate(u, v, delta, gamma)
-        if not m.is_isomorphism():
+        t = m.matrix.inverse()
+        if t is None:
             raise AxiomError("pullback-square",
                              "apex is not the pullback of the cospan")
         self.delta = delta
         self.gamma = gamma
         self.beta = beta
         self.alpha = alpha
+        self.canonical = (canon, u, v)
+        self.t = t
 
     @classmethod
     def from_cospan(cls, beta: CoalgebraMorphism,
@@ -484,25 +488,21 @@ class PullbackSquare:
 def _mediating_t(square: PullbackSquare):
     """t: D' -> D where D' is the canonical equalizer inside D1 (x) D2.
 
-    t is the unique map with p t = incl, where p = <delta, gamma> is the
-    (injective) canonical morphism D -> D1 (x) D2 and incl the inclusion
-    of the equalizer; the legs delta t = pi1 incl, gamma t = pi2 incl then
-    follow by projecting.  Returns (t, the subspace spanned by D').
+    t is the inverse of the mediating isomorphism m: D -> D', so it is the
+    unique map with p t = incl, where p = <delta, gamma> = incl m is the
+    canonical morphism D -> D1 (x) D2 and incl the inclusion of D'.  The
+    legs delta t = u and gamma t = v are checked exactly, and t is checked
+    to be a coalgebra morphism.  Returns (t, the subspace spanned by D').
     """
-    dprime, u, v = coalg_pullback(square.beta, square.alpha)
+    dprime, u, v = square.canonical
     d = square.delta.source
-    f = d.field
-    p = square.delta.matrix.kron(square.gamma.matrix) @ d.delta
-    incl = u.matrix.kron(v.matrix) @ dprime.delta
-    t = p.solve_right(incl)
-    if t is None:
-        raise AxiomError("beck-chevalley", "no mediating morphism t")
-    t_mor = CoalgebraMorphism(dprime, d, t)
-    if square.delta.matrix @ t != u.matrix \
-            or square.gamma.matrix @ t != v.matrix:
+    t_mor = CoalgebraMorphism(dprime, d, square.t)
+    if square.delta.matrix @ square.t != u.matrix \
+            or square.gamma.matrix @ square.t != v.matrix:
         raise AxiomError("beck-chevalley", "t does not mediate the legs")
+    incl = u.matrix.kron(v.matrix) @ dprime.delta
     n1, n2 = square.beta.source.dim, square.alpha.source.dim
-    esub = Subspace(f, n1 * n2, incl, _canonical=False)
+    esub = Subspace(d.field, n1 * n2, incl, _canonical=False)
     return t_mor, esub
 
 

@@ -205,6 +205,29 @@ def test_forall_triangles(phi, g_xyz, g_ab):
     assert ix.forall_triangle_identities(phi, v, w)
 
 
+def count_calls(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper; returns its list of calls."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_forall_triangles_build_each_forall_data_once(monkeypatch, phi,
+                                                      g_xyz, g_ab):
+    # one ForallData each for V, phi^* W and phi^* forall V
+    calls = count_calls(monkeypatch, ix, "forall_data")
+    v = cm.graded_comodule(g_xyz, [1, 2, 1])
+    w = cm.graded_comodule(g_ab, [2, 1])
+    assert ix.forall_triangle_identities(phi, v, w)
+    assert len(calls) == 3
+
+
 # -- Beck-Chevalley ----------------------------------------------------------------------
 
 def cospan(g_ab):
@@ -236,6 +259,16 @@ def test_beck_chevalley_grouplike_square(g_ab):
     rep = ix.beck_chevalley_check(square, v)
     assert rep.passed
     assert rep.dims["push_then_pull"] == rep.dims["pull_then_push"]
+
+
+def test_beck_check_reuses_the_square_pullback(monkeypatch, g_ab):
+    beta, alpha = cospan(g_ab)
+    square = ix.PullbackSquare.from_cospan(beta, alpha)
+    calls = count_calls(monkeypatch, ix, "coalg_pullback")
+    rep = ix.beck_chevalley_check(square, cm.graded_comodule(alpha.source,
+                                                             [1, 2]))
+    assert rep.passed
+    assert calls == []
 
 
 def test_beck_phi_naturality(g_ab):

@@ -1,7 +1,9 @@
 import pytest
 
-from comodcheck import dsl, runner
+from comodcheck import comod, dsl, runner
 from comodcheck.report import CheckReport, failure
+
+from test_indexed import count_calls
 
 
 FP_DOCUMENT = """field Fp 7
@@ -50,3 +52,13 @@ def test_millis_recorded_per_report():
     doc = dsl.parse("field Q\ncoalg C = grouplike {a}\ncheck axioms C\n")
     rep = runner.run(doc)[0]
     assert rep.millis >= 0.0
+
+
+def test_injective_check_solves_once(monkeypatch):
+    doc = dsl.parse("field Q\ncoalg C = grouplike {a, b}\n"
+                    "comod V over C {graded {a: 1, b: 2}}\n"
+                    "check injective V\n")
+    calls = count_calls(monkeypatch, comod, "is_injective")
+    rep = runner.run(doc)[0]
+    assert rep.verdict == "pass" and rep.value is True
+    assert len(calls) == 1
