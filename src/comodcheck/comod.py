@@ -29,7 +29,7 @@ from .exactlin import (Chart, LinearSystem, Matrix, ShapeError, Subspace,
 __all__ = [
     "Comodule", "ComoduleMorphism", "regular_comodule", "cofree_comodule",
     "zero_comodule", "graded_comodule", "graded_dims", "graded_components",
-    "hom_space", "cotensor", "cotensor_chart", "tensor_morphism",
+    "hom_space", "cotensor", "tensor_morphism",
     "associator", "left_unitor", "right_unitor", "braiding",
     "structural_isos", "pentagon_holds", "triangle_holds", "symmetry_holds",
     "internal_hom", "is_injective", "is_coflat", "direct_sum",
@@ -260,36 +260,42 @@ def _cotensor_kernel(v: Comodule, w: Comodule) -> Subspace:
     return (lhs - rhs).kernel()
 
 
-def cotensor(v: Comodule, w: Comodule):
-    """The comodule V (x)_C W with its embedding into V (x) W.
+def _restricted_coaction(base: Coalgebra, coaction: Matrix, sub: Subspace,
+                         name: str) -> Comodule:
+    """The comodule on ``sub`` whose coaction restricts the ambient one:
+    coordinates in kron(basis, I_n) are read off the pivot rows p*n + c of
+    the canonical basis, then checked exactly."""
+    n = base.dim
+    e = sub.basis
+    big = coaction @ e
+    rho = big.take_rows([p * n + c for p in sub.pivots for c in range(n)])
+    if e.kron(Matrix.identity(base.field, n)) @ rho != big:
+        raise AxiomError(name, "induced coaction does not restrict")
+    return Comodule(base, sub.dim, rho)
 
-    Underlying space: kernel of (rho_V x id_W) - (id_V x tau rho_W); the
-    coaction is the restriction of id_V x rho_W, solved exactly through
-    the pivot structure of the canonical kernel basis.
+
+def cotensor(v: Comodule, w: Comodule):
+    """The comodule V (x)_C W with its subspace of V (x) W.
+
+    Underlying space: kernel of (rho_V x id_W) - (id_V x tau rho_W), as a
+    canonical subspace; the coaction is the restriction of id_V x rho_W.
+    Returns (comodule, subspace), the shape of ``pullback_functor``.
     """
     if v.base != w.base:
         raise BaseMismatchError("cotensor needs a common base")
-    f, n = v.field, v.base.dim
-    mv, mw = v.dim, w.dim
     sub = _cotensor_kernel(v, w)
-    e = sub.basis
-    k = sub.dim
-    big = Matrix.identity(f, mv).kron(w.rho) @ e
-    # coords of big in kron(e, I_n): pivot rows are (p*n + c)
-    rows = [p * n + c for p in sub.pivots for c in range(n)]
-    rho = big.take_rows(rows)
-    if e.kron(Matrix.identity(f, n)) @ rho != big:
-        raise AxiomError("cotensor-coaction",
-                         "induced coaction does not restrict")
-    return Comodule(v.base, k, rho), e
+    coaction = Matrix.identity(v.field, v.dim).kron(w.rho)
+    return _restricted_coaction(v.base, coaction, sub,
+                                "cotensor-coaction"), sub
 
 
 class _Obj:
     """A comodule presented inside a flat tensor product of atoms.
 
-    ``parts`` is None for atoms and (left, right, pair_subspace) for
-    cotensor objects, where the subspace lives in the tensor product of the
-    two factor modules (not the flat ambient).
+    ``parts`` is None for atoms and pullbacks and (left, right,
+    pair_subspace) for cotensor objects, where the subspace lives in the
+    tensor product of the two factor modules (not the flat ambient).  A
+    check builds each presentation once and reads its structure maps off it.
     """
 
     __slots__ = ("module", "chart", "parts")
@@ -306,14 +312,9 @@ def atom(v: Comodule) -> _Obj:
 
 def ct(a: _Obj, b: _Obj) -> _Obj:
     """Cotensor of two presented comodules, presented in the joint ambient."""
-    module, e = cotensor(a.module, b.module)
-    sub = Subspace(module.field, e.rows, e, _canonical=False)
+    module, sub = cotensor(a.module, b.module)
     return _Obj(module, Chart.restrict(Chart.kron(a.chart, b.chart), sub),
                 parts=(a, b, sub))
-
-
-def cotensor_chart(v: Comodule, w: Comodule) -> _Obj:
-    return ct(atom(v), atom(w))
 
 
 def _structure_map(src: _Obj, tgt: _Obj, name: str) -> ComoduleMorphism:
@@ -321,6 +322,17 @@ def _structure_map(src: _Obj, tgt: _Obj, name: str) -> ComoduleMorphism:
     mat = tgt.chart.coords(src.chart.embedding)
     if mat is None:
         raise AxiomError(name, "presentations span different subspaces")
+    return ComoduleMorphism(src.module, tgt.module, mat)
+
+
+def _transposition(src: _Obj, tgt: _Obj) -> ComoduleMorphism:
+    """sigma: A (x) B -> B (x) A from src = ct(a, b) to tgt = ct(b, a)."""
+    a, b, ssub = src.parts
+    _, _, tsub = tgt.parts
+    mat = tsub.coords(swap_matrix(a.module.field, a.module.dim,
+                                  b.module.dim) @ ssub.basis)
+    if mat is None:
+        raise AxiomError("braiding", "tau does not map between equalizers")
     return ComoduleMorphism(src.module, tgt.module, mat)
 
 
@@ -356,53 +368,58 @@ def braiding(a: _Obj, b: _Obj):
     """sigma: A (x) B -> B (x) A induced by the transposition."""
     src = ct(a, b)
     tgt = ct(b, a)
-    _, _, ssub = src.parts
-    _, _, tsub = tgt.parts
-    image = swap_matrix(a.module.field, a.module.dim,
-                        b.module.dim) @ ssub.basis
-    mat = tsub.coords(image)
-    if mat is None:
-        raise AxiomError("braiding", "tau does not map between equalizers")
-    return ComoduleMorphism(src.module, tgt.module, mat), src, tgt
+    return _transposition(src, tgt), src, tgt
+
+
+def _right_unitor(vc: _Obj):
+    """rho: V (x)_C C -> V on the presentation vc = ct(V, C), with inverse
+    the coaction."""
+    av, _, sub = vc.parts
+    v = av.module
+    f = v.field
+    fwd = Matrix.identity(f, v.dim).kron(v.base.epsilon) @ sub.basis
+    mor = ComoduleMorphism(vc.module, v, fwd)
+    back = sub.coords(v.rho)
+    if back is None or fwd @ back != Matrix.identity(f, v.dim) \
+            or back @ fwd != Matrix.identity(f, vc.module.dim):
+        raise AxiomError("right-unitor", "coaction fails to invert id x eps")
+    return mor, ComoduleMorphism(v, vc.module, back)
+
+
+def _left_unitor(cv: _Obj):
+    """lambda: C (x)_C V -> V on the presentation cv = ct(C, V), with
+    inverse the swapped coaction."""
+    _, av, sub = cv.parts
+    v = av.module
+    f, n = v.field, v.base.dim
+    fwd = v.base.epsilon.kron(Matrix.identity(f, v.dim)) @ sub.basis
+    mor = ComoduleMorphism(cv.module, v, fwd)
+    back = sub.coords(swap_matrix(f, v.dim, n) @ v.rho)
+    if back is None or fwd @ back != Matrix.identity(f, v.dim) \
+            or back @ fwd != Matrix.identity(f, cv.module.dim):
+        raise AxiomError("left-unitor", "coaction fails to invert eps x id")
+    return mor, ComoduleMorphism(v, cv.module, back)
 
 
 def right_unitor(v: Comodule):
     """rho: V (x)_C C -> V, x (x) c -> x eps(c), with inverse the coaction."""
-    unit = regular_comodule(v.base)
-    module, e = cotensor(v, unit)
-    f = v.field
-    fwd = Matrix.identity(f, v.dim).kron(v.base.epsilon) @ e
-    mor = ComoduleMorphism(module, v, fwd)
-    sub = Subspace(f, e.rows, e, _canonical=False)
-    back = sub.coords(v.rho)
-    if back is None or fwd @ back != Matrix.identity(f, v.dim) \
-            or back @ fwd != Matrix.identity(f, module.dim):
-        raise AxiomError("right-unitor", "coaction fails to invert id x eps")
-    return mor, ComoduleMorphism(v, module, back)
+    return _right_unitor(ct(atom(v), atom(regular_comodule(v.base))))
 
 
 def left_unitor(v: Comodule):
     """lambda: C (x)_C V -> V with inverse the swapped coaction."""
-    unit = regular_comodule(v.base)
-    module, e = cotensor(unit, v)
-    f, n = v.field, v.base.dim
-    fwd = v.base.epsilon.kron(Matrix.identity(f, v.dim)) @ e
-    mor = ComoduleMorphism(module, v, fwd)
-    sub = Subspace(f, e.rows, e, _canonical=False)
-    back = sub.coords(swap_matrix(f, v.dim, n) @ v.rho)
-    if back is None or fwd @ back != Matrix.identity(f, v.dim) \
-            or back @ fwd != Matrix.identity(f, module.dim):
-        raise AxiomError("left-unitor", "coaction fails to invert eps x id")
-    return mor, ComoduleMorphism(v, module, back)
+    return _left_unitor(ct(atom(regular_comodule(v.base)), atom(v)))
 
 
 def structural_isos(u: Comodule, v: Comodule, w: Comodule) -> dict:
     """Associator, unitors and braiding for (u, v, w), all verified isos."""
     a, b, c = atom(u), atom(v), atom(w)
-    alpha, _, _ = associator(a, b, c)
-    sigma, _, _ = braiding(a, b)
-    lam, lam_inv = left_unitor(u)
-    rho, rho_inv = right_unitor(u)
+    i = atom(regular_comodule(u.base))
+    ab = ct(a, b)
+    alpha = _structure_map(ct(a, ct(b, c)), ct(ab, c), "associator")
+    sigma = _transposition(ab, ct(b, a))
+    lam, lam_inv = _left_unitor(ct(i, a))
+    rho, rho_inv = _right_unitor(ct(a, i))
     out = {"associator": alpha, "left_unitor": lam, "right_unitor": rho,
            "braiding": sigma}
     for name, mor in out.items():
@@ -417,37 +434,36 @@ def pentagon_holds(u: Comodule, v: Comodule, w: Comodule,
                    x: Comodule) -> bool:
     """Exact pentagon identity for the associators of (u, v, w, x)."""
     a, b, c, d = atom(u), atom(v), atom(w), atom(x)
-    cd = ct(c, d)
-    bc = ct(b, c)
-    ab = ct(a, b)
+    ab, bc, cd = ct(a, b), ct(b, c), ct(c, d)
+    a_bc, ab_c = ct(a, bc), ct(ab, c)
+    b_cd, bc_d = ct(b, cd), ct(bc, d)
+    a_b_cd, a_bc_d = ct(a, b_cd), ct(a, bc_d)          # a(b(cd)), a((bc)d)
+    abc_d, ab_c_d = ct(a_bc, d), ct(ab_c, d)           # (a(bc))d, ((ab)c)d
+    ab_cd = ct(ab, cd)
     # path 1: (1 x alpha) then alpha then (alpha x 1)
-    alpha_bcd, s_bcd, t_bcd = associator(b, c, d)
-    src1 = ct(a, s_bcd)
-    tgt1 = ct(a, t_bcd)
-    e1 = tensor_morphism(a.module.identity_morphism(), alpha_bcd, src1, tgt1)
-    alpha2, s2, _ = associator(a, bc, d)
-    if s2.module != tgt1.module:
-        raise AxiomError("pentagon", "object mismatch on path 1")
-    alpha_abc, s_abc, t_abc = associator(a, b, c)
-    src3 = ct(s_abc, d)
-    tgt3 = ct(t_abc, d)
-    e3 = tensor_morphism(alpha_abc, x.identity_morphism(), src3, tgt3)
+    e1 = tensor_morphism(u.identity_morphism(),
+                         _structure_map(b_cd, bc_d, "associator"),
+                         a_b_cd, a_bc_d)
+    alpha2 = _structure_map(a_bc_d, abc_d, "associator")
+    e3 = tensor_morphism(_structure_map(a_bc, ab_c, "associator"),
+                         x.identity_morphism(), abc_d, ab_c_d)
     path1 = e3.matrix @ alpha2.matrix @ e1.matrix
     # path 2: alpha then alpha
-    f1, _, _ = associator(a, b, cd)
-    f2, _, _ = associator(ab, c, d)
+    f1 = _structure_map(a_b_cd, ab_cd, "associator")
+    f2 = _structure_map(ab_cd, ab_c_d, "associator")
     path2 = f2.matrix @ f1.matrix
     return path1 == path2
 
 
 def triangle_holds(u: Comodule, v: Comodule) -> bool:
     """(rho_u x 1) alpha = 1 x lambda_v on u (x) (C (x) v)."""
-    unit = regular_comodule(u.base)
-    a, i, b = atom(u), atom(unit), atom(v)
-    alpha, src, tgt = associator(a, i, b)
-    rho, _ = right_unitor(u)
-    lam, _ = left_unitor(v)
-    ab = ct(a, b)
+    a, b = atom(u), atom(v)
+    i = atom(regular_comodule(u.base))
+    ai, ib = ct(a, i), ct(i, b)
+    src, tgt, ab = ct(a, ib), ct(ai, b), ct(a, b)
+    alpha = _structure_map(src, tgt, "associator")
+    rho, _ = _right_unitor(ai)
+    lam, _ = _left_unitor(ib)
     left = tensor_morphism(rho, v.identity_morphism(), tgt, ab)
     right = tensor_morphism(u.identity_morphism(), lam, src, ab)
     return left.matrix @ alpha.matrix == right.matrix
@@ -456,31 +472,30 @@ def triangle_holds(u: Comodule, v: Comodule) -> bool:
 def symmetry_holds(u: Comodule, v: Comodule, w: Comodule) -> bool:
     """Braiding involution, unitor compatibility and the hexagon."""
     a, b, c = atom(u), atom(v), atom(w)
-    s_ab, src_ab, tgt_ab = braiding(a, b)
-    s_ba, _, _ = braiding(b, a)
-    if s_ba.matrix @ s_ab.matrix != Matrix.identity(u.field,
-                                                    src_ab.module.dim):
+    ab, ba = ct(a, b), ct(b, a)
+    if _transposition(ba, ab).matrix @ _transposition(ab, ba).matrix \
+            != Matrix.identity(u.field, ab.module.dim):
         return False
     # rho = lambda . sigma on u (x) C
-    unit = regular_comodule(u.base)
-    i = atom(unit)
-    s_ui, _, _ = braiding(a, i)
-    rho, _ = right_unitor(u)
-    lam, _ = left_unitor(u)
-    if lam.matrix @ s_ui.matrix != rho.matrix:
+    i = atom(regular_comodule(u.base))
+    ai, ia = ct(a, i), ct(i, a)
+    rho, _ = _right_unitor(ai)
+    lam, _ = _left_unitor(ia)
+    if lam.matrix @ _transposition(ai, ia).matrix != rho.matrix:
         return False
     # hexagon
-    alpha1, src1, tgt1 = associator(a, b, c)          # a(bc) -> (ab)c
-    s_abc, _, _ = braiding(ct(a, b), c)               # (ab)c -> c(ab)
-    alpha2, _, _ = associator(c, a, b)                # c(ab) -> (ca)b
+    bc, cb, ac, ca = ct(b, c), ct(c, b), ct(a, c), ct(c, a)
+    a_bc, ab_c, c_ab = ct(a, bc), ct(ab, c), ct(c, ab)
+    a_cb, ac_b, ca_b = ct(a, cb), ct(ac, b), ct(ca, b)
+    alpha1 = _structure_map(a_bc, ab_c, "associator")   # a(bc) -> (ab)c
+    s_abc = _transposition(ab_c, c_ab)                  # (ab)c -> c(ab)
+    alpha2 = _structure_map(c_ab, ca_b, "associator")   # c(ab) -> (ca)b
     lhs = alpha2.matrix @ s_abc.matrix @ alpha1.matrix
-    s_bc, _, _ = braiding(b, c)
-    e1 = tensor_morphism(u.identity_morphism(), s_bc,
-                         src1, ct(a, ct(c, b)))       # a(bc) -> a(cb)
-    alpha3, _, _ = associator(a, c, b)                # a(cb) -> (ac)b
-    s_ac, _, _ = braiding(a, c)
-    e2 = tensor_morphism(s_ac, v.identity_morphism(),
-                         ct(ct(a, c), b), ct(ct(c, a), b))
+    e1 = tensor_morphism(u.identity_morphism(), _transposition(bc, cb),
+                         a_bc, a_cb)                    # a(bc) -> a(cb)
+    alpha3 = _structure_map(a_cb, ac_b, "associator")   # a(cb) -> (ac)b
+    e2 = tensor_morphism(_transposition(ac, ca), v.identity_morphism(),
+                         ac_b, ca_b)                    # (ac)b -> (ca)b
     rhs = e2.matrix @ alpha3.matrix @ e1.matrix
     return lhs == rhs
 

@@ -73,12 +73,6 @@ class Matrix:
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
         return cls(field, rows, cols, [0] * (rows * cols))
 
-    @classmethod
-    def basis_column(cls, field: Field, n: int, i: int) -> "Matrix":
-        data = [0] * n
-        data[i] = 1
-        return cls(field, n, 1, data)
-
     # -- access ----------------------------------------------------------
 
     def __getitem__(self, ij):
@@ -109,12 +103,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.field!r}, {self.rows}x{self.cols})"
-
-    def pretty(self) -> str:
-        c = self.cols
-        return "\n".join(
-            "[" + " ".join(str(self.data[i * c + j]) for j in range(c)) + "]"
-            for i in range(self.rows))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -257,9 +245,6 @@ class Matrix:
         basis = Matrix(f, c, len(free),
                        [col[i] for i in range(c) for col in basis_cols])
         return Subspace(f, c, basis, _canonical=False)
-
-    def image(self) -> "Subspace":
-        return Subspace(self.field, self.rows, self, _canonical=False)
 
     def solve_right(self, b: "Matrix"):
         """One exact solution X of A X = B, or None if inconsistent."""

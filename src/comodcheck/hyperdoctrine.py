@@ -30,7 +30,7 @@ from .coalg import (Coalgebra, CoalgebraMorphism, counit_morphism,
                     trivial_coalgebra)
 from .comod import Comodule, ComoduleMorphism, cotensor, regular_comodule
 from .errors import (AxiomError, BaseMismatchError, UnsupportedBaseError)
-from .exactlin import Matrix, ShapeError, Subspace, swap_matrix
+from .exactlin import Matrix, ShapeError, swap_matrix
 from .indexed import (PullbackSquare, beck_chevalley_check,
                       beck_for_forall_check, coaction_comodule, forall,
                       pullback_functor, sigma, ssmc_check)
@@ -97,11 +97,10 @@ def strong_monoidality_check(o1: CoalgCObject,
     d = obj.domain
     f = d.field
     left = U_C(obj)
-    k_mod, k_emb = cotensor(U_C(o1), U_C(o2))
+    k_mod, k_sub = cotensor(U_C(o1), U_C(o2))
     dims = {"product_side": left.dim, "cotensor_side": k_mod.dim}
     pair = u.matrix.kron(v.matrix) @ d.delta
-    sub = Subspace(f, k_emb.rows, k_emb, _canonical=False)
-    coords = sub.coords(pair)
+    coords = k_sub.coords(pair)
     if coords is None:
         return failure("strong-monoidality",
                        "(u x v) delta misses the cotensor equalizer",
@@ -137,15 +136,16 @@ def L_f(f: CoalgebraMorphism, obj: CoalgCObject):
     return CoalgCObject(to_cprime), to_d
 
 
-def L_f_map(f: CoalgebraMorphism, src_obj: CoalgCObject,
-            tgt_obj: CoalgCObject, g: CoalgebraMorphism):
-    """L_f on a slice morphism g: (src) -> (tgt), via pullback universality."""
+def L_f_map(src_obj: CoalgCObject, tgt_obj: CoalgCObject,
+            g: CoalgebraMorphism, l_src, l_tgt):
+    """L_f on a slice morphism g: (src) -> (tgt), via pullback universality
+    into the legs of l_tgt; l_src, l_tgt are the ``L_f`` results of src, tgt.
+    """
     if tgt_obj.phi @ g != src_obj.phi:
         raise BaseMismatchError("g is not a morphism of slice objects")
-    ls, ls_tilde = L_f(f, src_obj)
-    lt, lt_tilde = L_f(f, tgt_obj)
-    apex_t, u_t, v_t = coalg_pullback(tgt_obj.phi, f)
-    med = pullback_mediate(u_t, v_t, g @ ls_tilde, ls.phi)
+    ls, ls_tilde = l_src
+    lt, lt_tilde = l_tgt
+    med = pullback_mediate(lt_tilde, lt.phi, g @ ls_tilde, ls.phi)
     return med, ls, lt
 
 
@@ -191,9 +191,9 @@ def lnl_morphism_check(f: CoalgebraMorphism,
     details.append("terminal")
     # binary product preservation on (obj, obj)
     prod_c, pi1, pi2 = coalgC_product(obj, obj)
-    l_of_prod, _ = L_f(f, prod_c)
-    lp1, _, _ = L_f_map(f, prod_c, obj, pi1)
-    lp2, _, _ = L_f_map(f, prod_c, obj, pi2)
+    l_prod = L_f(f, prod_c)
+    lp1, _, _ = L_f_map(prod_c, obj, pi1, l_prod, (lf_obj, x_tilde))
+    lp2, _, _ = L_f_map(prod_c, obj, pi2, l_prod, (lf_obj, x_tilde))
     _, qu, qv = coalg_pullback(lf_obj.phi, lf_obj.phi)
     med = pullback_mediate(qu, qv, lp1, lp2)
     if not med.is_isomorphism():

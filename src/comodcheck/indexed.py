@@ -24,7 +24,8 @@ import random
 
 from .coalg import (CoalgebraMorphism, grouplike_labels, is_cosemisimple,
                     pullback as coalg_pullback, pullback_mediate)
-from .comod import (Comodule, ComoduleMorphism, atom, braiding, cotensor,
+from .comod import (Comodule, ComoduleMorphism, _cotensor_kernel, _Obj,
+                    _restricted_coaction, _transposition, atom, ct,
                     find_isomorphism, graded_comodule, graded_components,
                     hom_space, internal_hom, is_coflat, regular_comodule)
 from .errors import (AxiomError, BaseMismatchError, HypothesisViolatedError,
@@ -72,26 +73,25 @@ def coaction_comodule(phi: CoalgebraMorphism) -> Comodule:
 def pullback_functor(phi: CoalgebraMorphism, w: Comodule):
     """phi^*(W) for W over target(phi), as a comodule over D = source(phi).
 
-    The space is the kernel in W (x) D of
-    (rho_W (x) id_D) - (id_W (x) (phi (x) id_D) delta_D); the coaction is
-    the restriction of id_W (x) delta_D.  Returns (comodule, subspace).
+    phi^*(W) = W (x)_C U(phi): the cotensor kernel in W (x) D, i.e. of
+    (rho_W (x) id_D) - (id_W (x) (phi (x) id_D) delta_D) as D is
+    cocommutative; the coaction is the restriction of id_W (x) delta_D.
+    Returns (comodule, subspace).
     """
     if w.base != phi.target:
         raise BaseMismatchError("comodule is not based on the target of phi")
     d = phi.source
-    f, mw, nd = w.field, w.dim, d.dim
-    iw = Matrix.identity(f, mw)
-    ind = Matrix.identity(f, nd)
-    lhs = w.rho.kron(ind)
-    rhs = iw.kron(phi.matrix.kron(ind) @ d.delta)
-    sub = (lhs - rhs).kernel()
-    big = iw.kron(d.delta) @ sub.basis
-    rows = [p * nd + c for p in sub.pivots for c in range(nd)]
-    rho = big.take_rows(rows)
-    if sub.basis.kron(ind) @ rho != big:
-        raise AxiomError("pullback-coaction",
-                         "induced coaction does not restrict")
-    return Comodule(d, sub.dim, rho), sub
+    sub = _cotensor_kernel(w, coaction_comodule(phi))
+    coaction = Matrix.identity(w.field, w.dim).kron(d.delta)
+    return _restricted_coaction(d, coaction, sub, "pullback-coaction"), sub
+
+
+def _pullback_obj(phi: CoalgebraMorphism, x: _Obj, px) -> _Obj:
+    """phi^* X presented inside X (x) D; px = pullback_functor(phi, X)."""
+    module, sub = px
+    nd = phi.source.dim
+    chart = Chart.kron(x.chart, Chart.identity(module.field, nd))
+    return _Obj(module, Chart.restrict(chart, sub))
 
 
 def pullback_map(phi: CoalgebraMorphism, f: ComoduleMorphism,
@@ -481,8 +481,15 @@ class PullbackSquare:
     @classmethod
     def from_cospan(cls, beta: CoalgebraMorphism,
                     alpha: CoalgebraMorphism) -> "PullbackSquare":
-        _, u, v = coalg_pullback(beta, alpha)
-        return cls(u, v, beta, alpha)
+        """The canonical pullback square; its legs are the canonical ones,
+        so t is the identity and no mediating morphism is solved for."""
+        canon, u, v = coalg_pullback(beta, alpha)
+        square = cls.__new__(cls)
+        square.delta, square.gamma, square.beta, square.alpha = \
+            u, v, beta, alpha
+        square.canonical = (canon, u, v)
+        square.t = Matrix.identity(canon.field, canon.dim)
+        return square
 
 
 def _mediating_t(square: PullbackSquare):
@@ -601,37 +608,30 @@ def frobenius_check(phi: CoalgebraMorphism, v: Comodule,
         raise BaseMismatchError("W must be based on the target of phi")
     f = v.field
     nc = phi.source.dim
-    pw_mod, pw_sub = pullback_functor(phi, w)
-    inner, inner_emb = cotensor(v, pw_mod)
-    lhs = sigma(phi, inner)
-    chart_pw = Chart.restrict(
-        Chart.kron(Chart.identity(f, w.dim), Chart.identity(f, nc)), pw_sub)
-    chart_lhs = Chart.restrict(
-        Chart.kron(Chart.identity(f, v.dim), chart_pw),
-        Subspace(f, v.dim * pw_mod.dim, inner_emb, _canonical=False))
-    sv = sigma(phi, v)
-    rhs, rhs_emb = cotensor(sv, w)
-    rhs_sub = Subspace(f, v.dim * w.dim, rhs_emb, _canonical=False)
-    dims = {"sigma_of_cotensor": lhs.dim, "cotensor_of_sigma": rhs.dim}
+    pw = _pullback_obj(phi, atom(w), pullback_functor(phi, w))
+    inner = ct(atom(v), pw)
+    lhs = sigma(phi, inner.module)
+    rhs = ct(atom(sigma(phi, v)), atom(w))
+    dims = {"sigma_of_cotensor": lhs.dim, "cotensor_of_sigma": rhs.module.dim}
     # forward: drop c through the counit
     fwd_flat = Matrix.identity(f, v.dim * w.dim).kron(phi.source.epsilon)
-    fwd_mat = rhs_sub.coords(fwd_flat @ chart_lhs.embedding)
+    fwd_mat = rhs.chart.coords(fwd_flat @ inner.chart.embedding)
     if fwd_mat is None:
         return failure("frobenius", "phi map misses the target equalizer",
                        dims=dims)
     # backward: v (x) w -> v0 (x) w (x) v1
     bwd_flat = Matrix.identity(f, v.dim).kron(swap_matrix(f, nc, w.dim)) \
         @ v.rho.kron(Matrix.identity(f, w.dim))
-    bwd_mat = chart_lhs.coords(bwd_flat @ rhs_emb)
+    bwd_mat = inner.chart.coords(bwd_flat @ rhs.chart.embedding)
     if bwd_mat is None:
         return failure("frobenius", "psi map misses the target equalizer",
                        dims=dims)
     try:
-        fwd = ComoduleMorphism(lhs, rhs, fwd_mat)
-        bwd = ComoduleMorphism(rhs, lhs, bwd_mat)
+        fwd = ComoduleMorphism(lhs, rhs.module, fwd_mat)
+        bwd = ComoduleMorphism(rhs.module, lhs, bwd_mat)
     except AxiomError as exc:
         return failure("frobenius", str(exc), dims=dims)
-    if fwd.matrix @ bwd.matrix != Matrix.identity(f, rhs.dim):
+    if fwd.matrix @ bwd.matrix != Matrix.identity(f, rhs.module.dim):
         return failure("frobenius", "phi psi != id", dims=dims)
     if bwd.matrix @ fwd.matrix != Matrix.identity(f, lhs.dim):
         return failure("frobenius", "psi phi != id", dims=dims)
@@ -640,46 +640,31 @@ def frobenius_check(phi: CoalgebraMorphism, v: Comodule,
 
 # -- strong symmetric monoidal closure of phi^* -------------------------------
 
-def _tensor_iso(phi: CoalgebraMorphism, v: Comodule, w: Comodule):
+def _tensor_iso(phi: CoalgebraMorphism, v: Comodule, w: Comodule,
+                lhs: _Obj, rhs: _Obj):
     """The mutually inverse maps phi^*(V (x) W) <-> phi^* V (x) phi^* W.
 
-    Forward: v (x) w (x) c -> sum v (x) c1 (x) w (x) c2; backward:
+    ``lhs`` presents phi^*(V (x) W) in V x W x D and ``rhs`` presents
+    phi^* V (x) phi^* W in V x D x W x D.  Forward:
+    v (x) w (x) c -> sum v (x) c1 (x) w (x) c2; backward:
     v (x) c (x) w (x) c~ -> v (x) w (x) eps(c) c~.  Returns the pair of
-    morphisms and the two modules.
+    morphisms, None where a map misses its target.
     """
     f = v.field
     nc = phi.source.dim
-    vw, vw_emb = cotensor(v, w)
-    chart_vw = Chart.restrict(
-        Chart.kron(Chart.identity(f, v.dim), Chart.identity(f, w.dim)),
-        Subspace(f, v.dim * w.dim, vw_emb, _canonical=False))
-    p_vw_mod, p_vw_sub = pullback_functor(phi, vw)
-    chart_lhs = Chart.restrict(Chart.kron(chart_vw,
-                                          Chart.identity(f, nc)), p_vw_sub)
-    pv = pullback_functor(phi, v)
-    pw = pullback_functor(phi, w)
-    chart_pv = Chart.restrict(
-        Chart.kron(Chart.identity(f, v.dim), Chart.identity(f, nc)), pv[1])
-    chart_pw = Chart.restrict(
-        Chart.kron(Chart.identity(f, w.dim), Chart.identity(f, nc)), pw[1])
-    pvw, pvw_emb = cotensor(pv[0], pw[0])
-    chart_rhs = Chart.restrict(
-        Chart.kron(chart_pv, chart_pw),
-        Subspace(f, pv[0].dim * pw[0].dim, pvw_emb, _canonical=False))
     # forward on the flat ambient V x W x C -> V x C x W x C
     fwd_flat = Matrix.identity(f, v.dim).kron(
         swap_matrix(f, w.dim, nc).kron(Matrix.identity(f, nc))) \
         @ Matrix.identity(f, v.dim * w.dim).kron(phi.source.delta)
-    fwd_mat = chart_rhs.coords(fwd_flat @ chart_lhs.embedding)
+    fwd_mat = rhs.chart.coords(fwd_flat @ lhs.chart.embedding)
     # backward on the flat ambient
     bwd_flat = Matrix.identity(f, v.dim).kron(
         phi.source.epsilon.kron(Matrix.identity(f, w.dim * nc)))
-    bwd_mat = chart_lhs.coords(bwd_flat @ chart_rhs.embedding)
+    bwd_mat = lhs.chart.coords(bwd_flat @ rhs.chart.embedding)
     if fwd_mat is None or bwd_mat is None:
-        return None, None, p_vw_mod, pvw
-    fwd = ComoduleMorphism(p_vw_mod, pvw, fwd_mat)
-    bwd = ComoduleMorphism(pvw, p_vw_mod, bwd_mat)
-    return fwd, bwd, p_vw_mod, pvw
+        return None, None
+    return (ComoduleMorphism(lhs.module, rhs.module, fwd_mat),
+            ComoduleMorphism(rhs.module, lhs.module, bwd_mat))
 
 
 def ssmc_check(phi: CoalgebraMorphism, v: Comodule,
@@ -695,15 +680,25 @@ def ssmc_check(phi: CoalgebraMorphism, v: Comodule,
     nc = phi.source.dim
     details = []
     dims = {}
+    # phi^* V, phi^* W, phi^*(V (x) W) and (in (iii)) phi^*(W (x) V) are
+    # each built once and shared by the steps below
+    av, aw = atom(v), atom(w)
+    vw = ct(av, aw)
+    p_vw_pair = pullback_functor(phi, vw.module)
+    p_vw = _pullback_obj(phi, vw, p_vw_pair)
+    pv = _pullback_obj(phi, av, pullback_functor(phi, v))
+    pw = _pullback_obj(phi, aw, pullback_functor(phi, w))
+    pv_pw = ct(pv, pw)
     # (i) tensor isomorphism with the displayed maps
-    fwd, bwd, lhs_mod, rhs_mod = _tensor_iso(phi, v, w)
-    dims["pull_of_tensor"] = lhs_mod.dim
-    dims["tensor_of_pulls"] = rhs_mod.dim
+    fwd, bwd = _tensor_iso(phi, v, w, p_vw, pv_pw)
+    dims["pull_of_tensor"] = p_vw.module.dim
+    dims["tensor_of_pulls"] = pv_pw.module.dim
     if fwd is None or bwd is None:
         return failure("ssmc", "tensor comparison misses the equalizer",
                        dims=dims)
-    if fwd.matrix @ bwd.matrix != Matrix.identity(f, rhs_mod.dim) \
-            or bwd.matrix @ fwd.matrix != Matrix.identity(f, lhs_mod.dim):
+    if fwd.matrix @ bwd.matrix != Matrix.identity(f, pv_pw.module.dim) \
+            or bwd.matrix @ fwd.matrix != Matrix.identity(f,
+                                                          p_vw.module.dim):
         return failure("ssmc", "tensor comparison maps are not inverse",
                        dims=dims)
     details.append("tensor-iso")
@@ -730,19 +725,21 @@ def ssmc_check(phi: CoalgebraMorphism, v: Comodule,
                        dims=dims)
     details.append("unit-iso")
     # (iii) braiding compatibility: the tensor isos intertwine the braidings
-    br_vw, src_vw, tgt_wv = _braiding_morphism(v, w)
-    fwd_wv, _, lhs_wv, rhs_wv = _tensor_iso(phi, w, v)
-    pull_br = pullback_map(phi, br_vw)
-    rhs_br = _braiding_morphism(
-        pullback_functor(phi, v)[0], pullback_functor(phi, w)[0])[0]
+    wv = ct(aw, av)
+    p_wv_pair = pullback_functor(phi, wv.module)
+    pw_pv = ct(pw, pv)
+    fwd_wv, _ = _tensor_iso(phi, w, v, _pullback_obj(phi, wv, p_wv_pair),
+                            pw_pv)
+    pull_br = pullback_map(phi, _transposition(vw, wv), src=p_vw_pair,
+                           tgt=p_wv_pair)
+    rhs_br = _transposition(pv_pw, pw_pv)
     if fwd_wv.matrix @ pull_br.matrix != rhs_br.matrix @ fwd.matrix:
         return failure("ssmc", "braiding is not preserved", dims=dims)
     details.append("braiding")
     # (iv) closedness dimensions on group-like bases
     if grouplike_labels(phi.source) is not None \
             and grouplike_labels(phi.target) is not None:
-        lhs_hom = internal_hom(pullback_functor(phi, v)[0],
-                               pullback_functor(phi, w)[0])
+        lhs_hom = internal_hom(pv.module, pw.module)
         rhs_hom, _ = pullback_functor(phi, internal_hom(v, w))
         dims["hom_of_pulls"] = lhs_hom.dim
         dims["pull_of_hom"] = rhs_hom.dim
@@ -750,11 +747,6 @@ def ssmc_check(phi: CoalgebraMorphism, v: Comodule,
             return failure("ssmc", "closedness dimensions differ", dims=dims)
         details.append("closedness-dims")
     return CheckReport("ssmc", dims=dims, details=details)
-
-
-def _braiding_morphism(v: Comodule, w: Comodule):
-    mor, src, tgt = braiding(atom(v), atom(w))
-    return mor, src, tgt
 
 
 # -- composition isomorphisms --------------------------------------------------

@@ -10,6 +10,7 @@ from comodcheck.fields import GF, QQ
 from comodcheck.gen import random_comodule, random_invertible
 
 from test_coalg import gx_coalgebra, sqrt2_dual
+from test_indexed import count_calls
 
 F = QQ
 
@@ -164,6 +165,23 @@ def test_pentagon_triangle_symmetry(g3):
     assert cm.pentagon_holds(u, v, w, u)
     assert cm.triangle_holds(u, v)
     assert cm.symmetry_holds(u, v, w)
+
+
+@pytest.mark.parametrize("check", [
+    lambda u, v, w, x: cm.structural_isos(u, v, w),
+    lambda u, v, w, x: cm.pentagon_holds(u, v, w, x),
+    lambda u, v, w, x: cm.symmetry_holds(u, v, w),
+], ids=["structural_isos", "pentagon_holds", "symmetry_holds"])
+def test_coherence_checks_build_each_cotensor_once(monkeypatch, g3, check):
+    # every presented cotensor is built once and shared by the maps on it
+    u = cm.graded_comodule(g3, [1, 1, 0])
+    v = cm.graded_comodule(g3, [2, 0, 1])
+    w = cm.graded_comodule(g3, [1, 2, 1])
+    x = cm.graded_comodule(g3, [0, 1, 2])
+    calls = count_calls(monkeypatch, cm, "cotensor")
+    assert check(u, v, w, x)
+    pairs = [(id(a), id(b)) for a, b in calls]
+    assert len(pairs) == len(set(pairs))
 
 
 def test_coherence_over_fp():

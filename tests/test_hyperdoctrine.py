@@ -1,4 +1,5 @@
 import random
+from importlib import resources
 
 import pytest
 
@@ -6,6 +7,7 @@ from comodcheck import coalg as ca
 from comodcheck import comod as cm
 from comodcheck import hyperdoctrine as hd
 from comodcheck import indexed as ix
+from comodcheck import dsl, runner
 from comodcheck import oracle as orc
 from comodcheck.errors import UnsupportedBaseError
 from comodcheck.exactlin import Matrix
@@ -13,6 +15,7 @@ from comodcheck.fields import QQ
 from comodcheck.gen import random_comodule
 
 from test_coalg import gx_coalgebra
+from test_indexed import count_calls
 
 F = QQ
 
@@ -139,6 +142,19 @@ def test_lnl_identity_base_change(g_ab):
         ca.grouplike_morphism(g_xy, g_ab, {"x": "a", "y": "a"}))
     rep = hd.lnl_morphism_check(g_ab.identity_morphism(), o)
     assert rep.passed
+
+
+def test_lnl_check_builds_each_pullback_once(monkeypatch):
+    # L_f of obj, of the terminal object and of obj x obj, the slice
+    # products obj x obj and L_f obj x L_f obj, and the product in the
+    # strong-monoidality check
+    doc = dsl.parse((resources.files("comodcheck") / "corpus"
+                     / "11_lnl.cd").read_text())
+    calls = [count_calls(monkeypatch, module, name) for module, name in
+             ((ca, "pullback"), (ix, "coalg_pullback"),
+              (hd, "coalg_pullback"))]
+    assert all(rep.passed for rep in runner.run(doc))
+    assert sum(map(len, calls)) == 6
 
 
 def test_lnl_requires_cosemisimple():

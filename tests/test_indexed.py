@@ -271,6 +271,17 @@ def test_beck_check_reuses_the_square_pullback(monkeypatch, g_ab):
     assert calls == []
 
 
+def test_from_cospan_builds_one_canonical_pullback(monkeypatch, g_ab):
+    beta, alpha = cospan(g_ab)
+    calls = count_calls(monkeypatch, ix, "coalg_pullback")
+    square = ix.PullbackSquare.from_cospan(beta, alpha)
+    assert len(calls) == 1
+    dprime = square.canonical[0]
+    assert square.t == Matrix.identity(F, dprime.dim)
+    assert ix.beck_chevalley_check(
+        square, cm.graded_comodule(alpha.source, [1, 2])).passed
+
+
 def test_beck_phi_naturality(g_ab):
     beta, alpha = cospan(g_ab)
     square = ix.PullbackSquare.from_cospan(beta, alpha)
@@ -365,6 +376,17 @@ def test_ssmc_grouplike(phi, g_ab):
                         cm.graded_comodule(g_ab, [1, 1]))
     assert rep.passed
     assert "closedness-dims" in rep.details
+
+
+def test_ssmc_pulls_back_each_comodule_once(monkeypatch, phi, g_ab):
+    # phi^* V, phi^* W, phi^*(V (x) W) and phi^*(W (x) V) are shared by
+    # the tensor, braiding and closedness steps
+    calls = count_calls(monkeypatch, ix, "pullback_functor")
+    rep = ix.ssmc_check(phi, cm.graded_comodule(g_ab, [2, 1]),
+                        cm.graded_comodule(g_ab, [1, 2]))
+    assert rep.passed
+    pairs = [(id(f), id(w)) for f, w in calls]
+    assert len(pairs) == len(set(pairs))
 
 
 def test_ssmc_unit_preservation(phi, g_ab):
