@@ -157,9 +157,14 @@ class Coalgebra:
 
 
 class CoalgebraMorphism:
-    """Linear map preserving comultiplication and counit."""
+    """Linear map preserving comultiplication and counit.
 
-    __slots__ = ("source", "target", "matrix")
+    ``u_coflat`` holds whether U(phi) is coflat: None until
+    ``indexed.forall_data`` first decides it, so each morphism object runs
+    the splitting solve at most once.
+    """
+
+    __slots__ = ("source", "target", "matrix", "u_coflat")
 
     def __init__(self, source: Coalgebra, target: Coalgebra, matrix: Matrix):
         if source.field != target.field:
@@ -197,6 +202,7 @@ class CoalgebraMorphism:
         self.source = source
         self.target = target
         self.matrix = matrix
+        self.u_coflat = None
 
     def __matmul__(self, other: "CoalgebraMorphism") -> "CoalgebraMorphism":
         if other.target != self.source:

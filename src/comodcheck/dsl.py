@@ -14,11 +14,13 @@ physical lines (they are joined before parsing).  ``#`` starts a comment.
     comod W over C { dim 2 rho=[...] }
     check <kind> <args...>
 
-Matrix literals are comma separated rationals in row-major order (column
-i of a structure matrix is the image of the i-th basis vector).  Parse
-errors carry line and column; invariant violations discovered while
-constructing a definition are reported at the definition's line with the
-violated axiom named.
+``CHECK_ARGS`` lists the arguments of each check kind; a check directive
+is validated against it (argument count, exponent literals, what each name
+refers to) when it is parsed.  Matrix literals are comma separated
+rationals in row-major order (column i of a structure matrix is the image
+of the i-th basis vector).  Parse errors carry line and column; invariant
+violations discovered while constructing a definition are reported at the
+definition's line with the violated axiom named.
 """
 
 from __future__ import annotations
@@ -36,10 +38,25 @@ from .fields import GF, QQ, Field, FieldError
 
 __all__ = ["ParseError", "Document", "parse", "print_document"]
 
-CHECK_KINDS = (
-    "axioms", "cosemisimple", "injective", "cotensor", "hom", "adjunction",
-    "beck", "forall-beck", "frobenius", "ssmc", "lnl", "hyperdoctrine",
-)
+# The arguments of each check kind, in order: what an argument names
+# ("definition" for any named object) or "exponent" for a nonnegative
+# integer literal.  A trailing "?" marks an argument that may be omitted,
+# in which case the check generates a seeded instance.
+CHECK_ARGS = {
+    "axioms": ("definition",),
+    "cosemisimple": ("coalgebra",),
+    "injective": ("comodule",),
+    "cotensor": ("comodule", "comodule"),
+    "hom": ("comodule", "comodule"),
+    "adjunction": ("morphism", "comodule?", "comodule?"),
+    "beck": ("morphism", "morphism", "comodule?"),
+    "forall-beck": ("morphism", "morphism", "comodule?"),
+    "frobenius": ("morphism", "comodule?", "comodule?"),
+    "ssmc": ("morphism", "comodule?", "comodule?"),
+    "lnl": ("morphism", "morphism"),
+    "hyperdoctrine": ("coalgebra", "exponent"),
+}
+CHECK_KINDS = tuple(CHECK_ARGS)
 
 _NAME = r"[A-Za-z_][A-Za-z0-9_]*"
 _RE_FIELD = re.compile(rf"^field\s+(Q|Fp\s+\d+)\s*$")
@@ -183,19 +200,63 @@ def parse(text: str) -> Document:
             if kind not in CHECK_KINDS:
                 raise ParseError(f"unknown check kind {kind!r}", line_no,
                                  col=line.index(kind) + 1)
-            args = tuple(m.group(2).split())
-            for arg in args:
-                if arg.isdigit():
-                    continue
-                if arg not in names:
-                    raise ParseError(f"unresolved name {arg!r}", line_no,
-                                     col=line.index(arg) + 1)
-            doc.checks.append((kind, args, line_no))
+            doc.checks.append((kind, _check_args(doc, m, line_no), line_no))
         else:
             raise ParseError(f"unknown statement {head!r}", line_no)
     if doc is None:
         raise ParseError("empty document (missing field declaration)", 1)
     return doc
+
+
+def _usage(kind: str) -> str:
+    parts = [f"[<{role[:-1]}>]" if role.endswith("?") else f"<{role}>"
+             for role in CHECK_ARGS[kind]]
+    return " ".join(["check", kind, *parts])
+
+
+def _defined_as(doc: Document, name: str):
+    for role, table in (("coalgebra", doc.coalgebras),
+                        ("morphism", doc.morphisms),
+                        ("comodule", doc.comodules)):
+        if name in table:
+            return role
+    return None
+
+
+def _check_args(doc: Document, m, line_no: int) -> tuple:
+    """The arguments of a matched check directive, validated against
+    ``CHECK_ARGS``: their count, the exponent literals and the kind of
+    definition each name refers to.  Errors point at the argument."""
+    kind = m.group(1)
+    roles = CHECK_ARGS[kind]
+    tokens = [(t.group(), m.start(2) + t.start() + 1)
+              for t in re.finditer(r"\S+", m.group(2))]
+    usage = _usage(kind)
+    least = sum(not role.endswith("?") for role in roles)
+    if not least <= len(tokens) <= len(roles):
+        want = str(least) if least == len(roles) \
+            else f"{least} to {len(roles)}"
+        noun = "argument" if want == "1" else "arguments"
+        col = tokens[len(roles)][1] if len(tokens) > len(roles) \
+            else m.start(1) + 1
+        raise ParseError(f"{usage}: expected {want} {noun}, "
+                         f"got {len(tokens)}", line_no, col=col)
+    for pos, ((arg, col), role) in enumerate(zip(tokens, roles), start=1):
+        role = role.rstrip("?")
+        if role == "exponent":
+            if not arg.isdigit():
+                raise ParseError(f"{usage}: argument {pos} must be a "
+                                 f"nonnegative integer, got {arg!r}",
+                                 line_no, col=col)
+            continue
+        defined = _defined_as(doc, arg)
+        if defined is None and re.fullmatch(_NAME, arg):
+            raise ParseError(f"unresolved name {arg!r}", line_no, col=col)
+        if defined is None or role not in ("definition", defined):
+            got = f"{arg!r}" if defined is None else f"{defined} {arg!r}"
+            raise ParseError(f"{usage}: argument {pos} must name a {role}, "
+                             f"got {got}", line_no, col=col)
+    return tuple(arg for arg, _ in tokens)
 
 
 def _register(doc, names, name, line_no):

@@ -38,8 +38,9 @@ from .report import CheckReport, failure
 
 __all__ = [
     "CoalgCObject", "U_C", "coalgC_product", "strong_monoidality_check",
-    "L_f", "L_f_map", "lnl_morphism_check", "BasePower", "base_power",
-    "power_morphism", "exists_along_projection", "forall_along_projection",
+    "L_f", "L_f_map", "lnl_morphism_check", "BasePower", "base_powers",
+    "base_power", "power_morphism", "exists_along_projection",
+    "forall_along_projection",
     "hyperdoctrine_condition2_check", "condition3_symmetry_check",
 ]
 
@@ -214,9 +215,17 @@ def lnl_morphism_check(f: CoalgebraMorphism,
 # -- the base of tensor powers -------------------------------------------------
 
 class BasePower:
-    """C^(x)n realized by iterated binary products, with projections."""
+    """C^(x)n realized by iterated binary products, with projections.
 
-    __slots__ = ("base", "exponent", "coalgebra", "projections", "chain")
+    ``step`` is I (x) C with its projections (p_I, p_C), where I is this
+    power: the base of the comodules the quantifiers along p_I act on, and
+    the next power of the tower.  ``swapped`` is C (x) I with (q_C, q_I),
+    the base of condition (3).  Every check reads these shared objects, so
+    the coflatness of U(p_I) is decided once per power.
+    """
+
+    __slots__ = ("base", "exponent", "coalgebra", "projections", "chain",
+                 "step", "swapped")
 
     def __init__(self, base, exponent, coalgebra, projections, chain):
         self.base = base
@@ -224,30 +233,37 @@ class BasePower:
         self.coalgebra = coalgebra
         self.projections = projections
         self.chain = chain
+        self.step = coalg_product(coalgebra, base)
+        self.swapped = coalg_product(base, coalgebra)
 
     def __repr__(self):
         return f"BasePower({self.base.dim}^({self.exponent}))"
 
 
-def base_power(c: Coalgebra, n: int) -> BasePower:
-    """The n-fold product of C, with all factor projections.
+def base_powers(c: Coalgebra, n: int) -> list[BasePower]:
+    """The tower C^(x)0, ..., C^(x)n, with all factor projections.
 
-    Power 0 is the trivial coalgebra; power k+1 is product(power k, C).
+    Power 0 is the trivial coalgebra; power k+1 is the step
+    product(power k, C) of power k, so the tower builds each product once.
     """
     if n < 0:
         raise ShapeError("exponent must be nonnegative")
     if not is_cosemisimple(c):
         raise UnsupportedBaseError("base powers need a cosemisimple base")
-    chain = []
-    current = trivial_coalgebra(c.field)
-    projections: list[CoalgebraMorphism] = []
+    power = BasePower(c, 0, trivial_coalgebra(c.field), [], [])
+    tower = [power]
     for k in range(n):
-        prod, p1, p2 = coalg_product(current, c)
-        chain.append((prod, p1, p2))
-        projections = [q @ p1 for q in projections]
-        projections.append(p2)
-        current = prod
-    return BasePower(c, n, current, projections, chain)
+        prod, p_i, p_c = power.step
+        projections = [q @ p_i for q in power.projections] + [p_c]
+        power = BasePower(c, k + 1, prod, projections,
+                          power.chain + [power.step])
+        tower.append(power)
+    return tower
+
+
+def base_power(c: Coalgebra, n: int) -> BasePower:
+    """The n-fold product of C, the top of ``base_powers(c, n)``."""
+    return base_powers(c, n)[-1]
 
 
 def power_morphism(src: BasePower, tgt: BasePower,
@@ -277,14 +293,9 @@ def power_morphism(src: BasePower, tgt: BasePower,
     return current
 
 
-def _product_with_generator(i: BasePower):
-    """I x C with its two projections (the next power in the chain)."""
-    return coalg_product(i.coalgebra, i.base)
-
-
 def exists_along_projection(i: BasePower, v: Comodule) -> Comodule:
     """Sigma along the projection I x C -> I."""
-    prod, p1, _ = _product_with_generator(i)
+    prod, p1, _ = i.step
     if v.base != prod:
         raise BaseMismatchError("comodule is not based on I x C")
     return sigma(p1, v)
@@ -292,7 +303,7 @@ def exists_along_projection(i: BasePower, v: Comodule) -> Comodule:
 
 def forall_along_projection(i: BasePower, v: Comodule) -> Comodule:
     """forall along the projection I x C -> I (group-like bases)."""
-    prod, p1, _ = _product_with_generator(i)
+    prod, p1, _ = i.step
     if v.base != prod:
         raise BaseMismatchError("comodule is not based on I x C")
     return forall(p1, v)
@@ -307,9 +318,10 @@ def hyperdoctrine_condition2_check(f: CoalgebraMorphism, src: BasePower,
     the square J x C -> I x C over J -> I is a pullback, and the check
     verifies f^* forall_I ~ forall_J (f x id)^* by exhibiting the
     isomorphism, together with the companion exists-square instance.
+    Both squares share the pullback of V along f x id.
     """
-    prod_i, pi_i, _ = _product_with_generator(tgt)
-    prod_j, pi_j, _ = _product_with_generator(src)
+    prod_i, pi_i, _ = tgt.step
+    prod_j, pi_j, _ = src.step
     if f.source != src.coalgebra or f.target != tgt.coalgebra:
         raise BaseMismatchError("f is not a morphism src -> tgt")
     if v.base != prod_i:
@@ -319,12 +331,12 @@ def hyperdoctrine_condition2_check(f: CoalgebraMorphism, src: BasePower,
                                                       tgt.base.dim)))
     square = PullbackSquare(delta=f_times_id, gamma=pi_j, beta=pi_i,
                             alpha=f)
-    rep = beck_for_forall_check(square, v)
+    pv = pullback_functor(f_times_id, v)
+    rep = beck_for_forall_check(square, v, pv)
     if not rep.passed:
         return CheckReport("hyperdoctrine-2", verdict="fail",
                            dims=rep.dims, witness=rep.witness)
-    companion = beck_chevalley_check(
-        square, sigma(pi_j, pullback_functor(f_times_id, v)[0]))
+    companion = beck_chevalley_check(square, sigma(pi_j, pv[0]))
     if not companion.passed:
         return CheckReport("hyperdoctrine-2", verdict="fail",
                            dims=companion.dims, witness=companion.witness)
@@ -337,8 +349,8 @@ def hyperdoctrine_condition2_check(f: CoalgebraMorphism, src: BasePower,
 def condition3_symmetry_check(i: BasePower, v: Comodule) -> CheckReport:
     """Condition (3): the swapped projection C x I -> I behaves like
     I x C -> I through the transposition isomorphism."""
-    prod_ic, p_i, _ = _product_with_generator(i)
-    prod_ci, q_c, q_i = coalg_product(i.base, i.coalgebra)
+    prod_ic, p_i, _ = i.step
+    prod_ci, q_c, q_i = i.swapped
     field = i.base.field
     swap = swap_matrix(field, i.base.dim, i.coalgebra.dim)
     try:

@@ -7,7 +7,10 @@ equalizer condition, with coaction the restriction of id (x) delta_D.  The
 adjunction Sigma_phi -| phi^* is witnessed by the explicit transposes
 hat(f) = (f (x) id) rho  and  tilde(g) = (id (x) eps_D) g; for group-like
 bases phi^* also has a right adjoint "forall", computed fiberwise on
-gradings and guarded by the coflatness hypothesis on U(phi).
+gradings and guarded by the coflatness hypothesis on U(phi).  That
+hypothesis is decided once per morphism object, by an exact splitting
+solve on first use, and kept on the morphism (``u_coflat``); callers that
+share one morphism object therefore share the decision.
 
 The law checks verify, per instance and in exact arithmetic, the canonical
 isomorphisms of the calculus: Beck-Chevalley along pullback squares (with
@@ -260,16 +263,27 @@ def forall(phi: CoalgebraMorphism, v: Comodule) -> Comodule:
     """Right adjoint to phi^* on objects: fiberwise products of components.
 
     The coflatness of U(phi) (the theorem hypothesis) is checked first, for
-    arbitrary coalgebras; the fiberwise construction then requires both
-    bases group-like.
+    arbitrary coalgebras, and decided once per morphism object (see
+    ``forall_data``); the fiberwise construction then requires both bases
+    group-like.
     """
     return forall_data(phi, v).module
 
 
 def forall_data(phi: CoalgebraMorphism, v: Comodule) -> ForallData:
+    """forall_phi(V) with the bookkeeping for its adjunction.
+
+    The first call on a morphism object solves the splitting system of
+    U(phi) exactly and stores the answer in ``phi.u_coflat``; later calls
+    on the same object read it, so a non-coflat U(phi) raises
+    ``HypothesisViolatedError`` every time.  The group-like test comes
+    after the coflatness decision.
+    """
     if v.base != phi.source:
         raise BaseMismatchError("comodule is not based on the source of phi")
-    if not is_coflat(coaction_comodule(phi)):
+    if phi.u_coflat is None:
+        phi.u_coflat = is_coflat(coaction_comodule(phi))
+    if not phi.u_coflat:
         raise HypothesisViolatedError(
             "U(phi) is not coflat; phi^* has no right adjoint")
     src = grouplike_labels(phi.source)
@@ -576,14 +590,19 @@ def beck_chevalley_check(square: PullbackSquare,
     return CheckReport("beck", refs=refs, dims=dims)
 
 
-def beck_for_forall_check(square: PullbackSquare,
-                          v: Comodule) -> CheckReport:
+def beck_for_forall_check(square: PullbackSquare, v: Comodule,
+                          pv=None) -> CheckReport:
     """Beck condition for the right adjoints:
-    forall_gamma(delta^* V) ~ alpha^*(forall_beta V) for V over D1."""
+    forall_gamma(delta^* V) ~ alpha^*(forall_beta V) for V over D1.
+
+    ``pv`` is delta^* V as returned by ``pullback_functor``, for a caller
+    that needs it too; it is built here when omitted.
+    """
     if v.base != square.beta.source:
         raise BaseMismatchError("comodule must be based on source(beta)")
-    lhs_data = forall_data(square.gamma,
-                           pullback_functor(square.delta, v)[0])
+    if pv is None:
+        pv = pullback_functor(square.delta, v)
+    lhs_data = forall_data(square.gamma, pv[0])
     rhs_mod, _ = pullback_functor(square.alpha,
                                   forall(square.beta, v))
     dims = {"forall_then_pull": rhs_mod.dim,

@@ -268,9 +268,9 @@ def _check_hyperdoctrine(ctx, index, cname, n):
     rng = gen.rng_for(ctx.seed, "hyperdoctrine", index)
     details = []
     dims = {}
-    powers = [hd.base_power(c, k) for k in range(n + 1)]
+    powers = hd.base_powers(c, n)
     for k, bp in enumerate(powers):
-        prod_ic, p_i, _ = coalg.product(bp.coalgebra, c)
+        prod_ic, p_i, _ = bp.step
         v = gen.random_comodule(rng, prod_ic, max_dim=ctx.max_dim,
                                 max_total=8)
         w = gen.random_comodule(rng, bp.coalgebra, max_dim=ctx.max_dim,
@@ -286,8 +286,7 @@ def _check_hyperdoctrine(ctx, index, cname, n):
         dims[f"power_{k}"] = {"comodule": v.dim, "exists": ex.dim,
                               "forall": fa.dim}
         details.append(f"adjoint-triple-power-{k}")
-        prod_ci = coalg.product(c, bp.coalgebra)[0]
-        v3 = gen.random_comodule(rng, prod_ci, max_dim=ctx.max_dim,
+        v3 = gen.random_comodule(rng, bp.swapped[0], max_dim=ctx.max_dim,
                                  max_total=8)
         rep3 = hd.condition3_symmetry_check(bp, v3)
         if not rep3.passed:
@@ -303,8 +302,7 @@ def _check_hyperdoctrine(ctx, index, cname, n):
                 if count >= 10:
                     break
                 f = hd.power_morphism(powers[m], powers[nn], assignment)
-                prod_ic = coalg.product(powers[nn].coalgebra, c)[0]
-                v = gen.random_comodule(rng, prod_ic, max_dim=2,
+                v = gen.random_comodule(rng, powers[nn].step[0], max_dim=2,
                                         max_total=6)
                 rep = hd.hyperdoctrine_condition2_check(
                     f, powers[m], powers[nn], v)

@@ -1,3 +1,4 @@
+import inspect
 import json
 from importlib import resources
 
@@ -166,3 +167,39 @@ def test_corpus_documents_parse_and_round_trip():
         assert print_document(doc) == text
         kinds |= {k for k, _, _ in doc.checks}
     assert kinds == set(dsl.CHECK_KINDS)
+
+
+def test_check_args_table_matches_the_executors():
+    assert set(dsl.CHECK_ARGS) == set(runner._EXECUTORS)
+    for kind, roles in dsl.CHECK_ARGS.items():
+        params = list(inspect.signature(runner._EXECUTORS[kind])
+                      .parameters.values())[2:]
+        assert len(params) == len(roles), kind
+        optional = [p.default is not inspect.Parameter.empty for p in params]
+        assert optional == [r.endswith("?") for r in roles], kind
+
+
+ARGS_DOCUMENT = ("field Q\ncoalg C = grouplike {a, b}\n"
+                 "comod V over C {graded {a: 1, b: 1}}\n")
+
+
+@pytest.mark.parametrize("directive, col, expected", [
+    ("check hyperdoctrine C", 7,
+     "check hyperdoctrine <coalgebra> <exponent>: expected 2 arguments, "
+     "got 1"),
+    ("check injective V V", 19,
+     "check injective <comodule>: expected 1 argument, got 2"),
+    ("check hyperdoctrine C C", 23,
+     "check hyperdoctrine <coalgebra> <exponent>: argument 2 must be a "
+     "nonnegative integer, got 'C'"),
+    ("check cotensor V 2", 18,
+     "check cotensor <comodule> <comodule>: argument 2 must name a "
+     "comodule, got '2'"),
+], ids=["missing-exponent", "extra-argument", "exponent-not-integer",
+        "integer-as-comodule"])
+def test_check_arguments_are_validated_at_parse_time(directive, col,
+                                                     expected):
+    with pytest.raises(ParseError) as err:
+        parse(ARGS_DOCUMENT + directive + "\n")
+    assert (err.value.line, err.value.col) == (4, col)
+    assert str(err.value) == f"line 4, col {col}: {expected}"

@@ -296,3 +296,49 @@ def test_everything_degenerates_over_trivial_base():
     ident = hd.power_morphism(bp, bp, (0, 1))
     rep = hd.hyperdoctrine_condition2_check(ident, bp, bp, v)
     assert rep.passed
+
+
+# -- one tower per hyperdoctrine check ------------------------------------------------------------
+
+HYPERDOCTRINE_C1 = ("field Q\ncoalg C = grouplike {a, b}\n"
+                    "check hyperdoctrine C 1\n")
+
+
+def run_hyperdoctrine_c1():
+    reports = runner.run(dsl.parse(HYPERDOCTRINE_C1), seed=0)
+    assert [rep.verdict for rep in reports] == ["pass"]
+    return reports[0]
+
+
+def test_hyperdoctrine_decides_each_projection_coflat_once(monkeypatch):
+    # one splitting solve for U(p_I) at each of the powers 0 and 1
+    calls = count_calls(monkeypatch, cm, "is_injective")
+    run_hyperdoctrine_c1()
+    assert len(calls) == 2
+
+
+def test_hyperdoctrine_builds_each_product_once(monkeypatch):
+    # I x C and C x I at the powers 0 and 1, and the product inside the
+    # canonical pullback of each of the 3 condition-2 squares
+    calls = [count_calls(monkeypatch, ca, "product"),
+             count_calls(monkeypatch, hd, "coalg_product")]
+    run_hyperdoctrine_c1()
+    assert sum(map(len, calls)) == 7
+
+
+def test_condition2_pulls_v_back_once_per_square(monkeypatch):
+    squares = []
+    real_square = hd.PullbackSquare
+
+    def square(*args, **kwargs):
+        squares.append(real_square(*args, **kwargs))
+        return squares[-1]
+
+    monkeypatch.setattr(hd, "PullbackSquare", square)
+    calls = [count_calls(monkeypatch, ix, "pullback_functor"),
+             count_calls(monkeypatch, hd, "pullback_functor")]
+    rep = run_hyperdoctrine_c1()
+    assert len(squares) == rep.dims["condition2_squares"] == 3
+    for sq in squares:
+        along = [args for args in calls[0] + calls[1] if args[0] is sq.delta]
+        assert len(along) == 1

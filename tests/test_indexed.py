@@ -228,6 +228,28 @@ def test_forall_triangles_build_each_forall_data_once(monkeypatch, phi,
     assert len(calls) == 3
 
 
+def test_forall_triangles_decide_coflatness_once(monkeypatch, phi, g_xyz,
+                                                 g_ab):
+    # the three ForallData share phi, so U(phi) is split once
+    calls = count_calls(monkeypatch, cm, "is_injective")
+    v = cm.graded_comodule(g_xyz, [1, 2, 1])
+    w = cm.graded_comodule(g_ab, [2, 1])
+    assert ix.forall_triangle_identities(phi, v, w)
+    assert len(calls) == 1
+
+
+def test_non_coflat_decision_is_kept_on_the_morphism(monkeypatch):
+    gx = gx_coalgebra()
+    triv = ca.trivial_coalgebra(F)
+    phi_bad = ca.CoalgebraMorphism(triv, gx, Matrix.from_rows(F, [[1], [0]]))
+    calls = count_calls(monkeypatch, cm, "is_injective")
+    for _ in range(2):
+        with pytest.raises(HypothesisViolatedError):
+            ix.forall(phi_bad, cm.regular_comodule(triv))
+    assert len(calls) == 1
+    assert phi_bad.u_coflat is False
+
+
 # -- Beck-Chevalley ----------------------------------------------------------------------
 
 def cospan(g_ab):
