@@ -12,10 +12,11 @@ product of cocommutative coalgebras lives on the tensor product with
 comultiplication (id (x) swap (x) id)(delta1 (x) delta2); equalizers are
 the largest subcoalgebra inside ker(f - g), computed by iterating the
 refinement W -> {x in W : delta(x) in W (x) W} to its fixpoint; pullbacks
-are equalizers out of products.  Cosemisimplicity is decided through the
-dual algebra: in characteristic zero its Jacobson radical is the kernel of
-the trace form of left multiplication, so the coalgebra is cosemisimple
-exactly when that Gram matrix has full rank.
+are equalizers out of products.  A coseparability form gamma: C (x) C -> k
+(``coseparability_form``) is built directly on a group-like basis and
+solved for on any other; it exists exactly when C is cosemisimple, which
+decides cosemisimplicity over Q and lets ``comod.is_injective`` certify
+injectivity with an explicit retraction.
 """
 
 from __future__ import annotations
@@ -28,9 +29,12 @@ __all__ = [
     "Coalgebra", "CoalgebraMorphism", "trivial_coalgebra",
     "grouplike_coalgebra", "grouplike_morphism", "direct_sum", "product",
     "pairing", "counit_morphism", "largest_subcoalgebra_in", "equalizer",
-    "equalizer_factor", "pullback", "pullback_mediate", "is_cosemisimple",
-    "grouplike_labels",
+    "equalizer_factor", "pullback", "pullback_mediate",
+    "coseparability_form", "is_cosemisimple", "grouplike_labels",
 ]
+
+# Value of ``Coalgebra._cosep`` until ``coseparability_form`` decides it.
+_UNDECIDED = object()
 
 
 def _column_dicts(m: Matrix):
@@ -65,10 +69,12 @@ class Coalgebra:
     The defining axioms are verified sparsely at construction (structure
     matrices of the coalgebras arising here are overwhelmingly zero, and
     the dense triple products would be cubic in the dimension).
+    ``_cosep`` holds the coseparability form once ``coseparability_form``
+    has decided it, so each coalgebra object solves for it at most once.
     """
 
     __slots__ = ("field", "dim", "delta", "epsilon", "labels",
-                 "cosemisimple_hint", "_delta_cols")
+                 "cosemisimple_hint", "_delta_cols", "_cosep")
 
     def __init__(self, field: Field, dim: int, delta: Matrix,
                  epsilon: Matrix, labels=None, cosemisimple_hint=None):
@@ -128,6 +134,7 @@ class Coalgebra:
         self.labels = tuple(labels) if labels is not None else None
         self.cosemisimple_hint = cosemisimple_hint
         self._delta_cols = dcols
+        self._cosep = _UNDECIDED
 
     def is_grouplike(self) -> bool:
         """True when every standard basis vector is group-like."""
@@ -160,8 +167,8 @@ class CoalgebraMorphism:
     """Linear map preserving comultiplication and counit.
 
     ``u_coflat`` holds whether U(phi) is coflat: None until
-    ``indexed.forall_data`` first decides it, so each morphism object runs
-    the splitting solve at most once.
+    ``indexed.forall_data`` first decides it, so each morphism object
+    decides it at most once.
     """
 
     __slots__ = ("source", "target", "matrix", "u_coflat")
@@ -457,14 +464,72 @@ def pullback_mediate(u: CoalgebraMorphism, v: CoalgebraMorphism,
     return CoalgebraMorphism(q1.source, u.source, coords)
 
 
-# -- cosemisimplicity --------------------------------------------------------
+# -- coseparability and cosemisimplicity ------------------------------------
+
+def coseparability_form(c: Coalgebra):
+    """A coseparability form gamma: C (x) C -> k as a 1 x n^2 row, or None
+    when C has none.
+
+    gamma satisfies gamma delta = eps and
+    (id (x) gamma)(delta (x) id) = (gamma (x) id)(id (x) delta) (Larson,
+    "Coseparable Hopf algebras"; Doi, "Homological coalgebra").  It exists
+    iff the dual algebra is separable; C is cocommutative and Q and F_p are
+    perfect, so iff C is cosemisimple.  A group-like basis has
+    gamma(g (x) h) = [g = h]; any other basis solves the defining
+    equations once.  The answer is kept on the coalgebra object.
+    """
+    if c._cosep is _UNDECIDED:
+        n = c.dim
+        if c.is_grouplike():
+            data = [0] * (n * n)
+            for g in range(n):
+                data[g * n + g] = 1
+            c._cosep = Matrix(c.field, 1, n * n, data)
+        else:
+            c._cosep = _solve_coseparability_form(c)
+    return c._cosep
+
+
+def _solve_coseparability_form(c: Coalgebra):
+    """Solve the defining equations of gamma, unknown gamma[x*n + y].
+
+    gamma delta = eps gives one row per basis vector a; the bicomodule
+    condition on e_a (x) e_b, read at e_c, gives
+    sum_y delta[c*n+y, a] gamma[y*n+b] = sum_x delta[x*n+c, b] gamma[a*n+x].
+    Zero rows are dropped.
+    """
+    f, n = c.field, c.dim
+    p = f.char
+    dcols = c._delta_cols
+    rows = [dict(dcols[a]) for a in range(n)]
+    rhs = list(c.epsilon.data)
+    for a in range(n):
+        for b in range(n):
+            at_c = {}
+            for idx, v in dcols[a].items():
+                cc, y = divmod(idx, n)
+                _add_into(at_c.setdefault(cc, {}), y * n + b, v, p)
+            for idx, v in dcols[b].items():
+                x, cc = divmod(idx, n)
+                _add_into(at_c.setdefault(cc, {}), a * n + x, f.neg(v), p)
+            for row in at_c.values():
+                if row:
+                    rows.append(row)
+                    rhs.append(0)
+    data = [0] * (len(rows) * n * n)
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            data[i * n * n + j] = v
+    x = Matrix(f, len(rows), n * n, data).solve_right(
+        Matrix(f, len(rows), 1, rhs))
+    return None if x is None else Matrix(f, 1, n * n, x.data)
+
 
 def is_cosemisimple(c: Coalgebra) -> bool:
     """Decide cosemisimplicity.
 
-    Characteristic zero: the dual algebra C* (multiplication delta^T, unit
-    eps^T) is semisimple iff the trace form of left multiplication is
-    nondegenerate, and its radical is the kernel of that form.
+    Group-like bases are cosemisimple.  Over Q, C is cosemisimple iff it
+    has a coseparability form (see ``coseparability_form``).
     Characteristic p: decided structurally, for group-like coalgebras and
     sums/products built from them; anything else is out of scope.
     """
@@ -476,23 +541,7 @@ def is_cosemisimple(c: Coalgebra) -> bool:
         raise UnsupportedBaseError(
             "cosemisimplicity over F_p is only decided for structures "
             "built from group-likes, sums and products")
-    n = c.dim
-    if n == 0:
-        return True
-    mult = c.delta.transpose()  # n x n^2, the dual multiplication
-    left = []  # left multiplication operators L_i
-    for i in range(n):
-        cols = [mult.column(i * n + k) for k in range(n)]
-        data = [col[r, 0] for r in range(n) for col in cols]
-        left.append(Matrix(c.field, n, n, data))
-    gram = Matrix(c.field, n, n,
-                  [_trace(left[i] @ left[j]) for i in range(n)
-                   for j in range(n)])
-    return gram.rank() == n
-
-
-def _trace(m: Matrix):
-    return sum(m[i, i] for i in range(m.rows))
+    return coseparability_form(c) is not None
 
 
 def grouplike_labels(c: Coalgebra):

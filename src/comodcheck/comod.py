@@ -12,8 +12,10 @@ identities.
 Hom spaces are solved as the null space of the intertwiner condition
 (f (x) id) rho_V = rho_W f.  Injectivity is decided by a splitting: rho_V
 embeds V into the cofree comodule V (x) C, which is injective, so V is
-injective iff that embedding splits, iff the retraction system has a
-solution; coflatness agrees with injectivity at finite dimension.
+injective iff that embedding splits.  Over a base with a coseparability
+form gamma the splitting is read off from gamma and checked by two exact
+products; otherwise the retraction system is solved.  Coflatness agrees
+with injectivity at finite dimension.
 
 The internal hom is provided for group-like bases, where comodules are
 graded vector spaces and hom is computed componentwise.
@@ -21,7 +23,8 @@ graded vector spaces and hom is computed componentwise.
 
 from __future__ import annotations
 
-from .coalg import Coalgebra, _add_into, _column_dicts, grouplike_labels
+from .coalg import (Coalgebra, _add_into, _column_dicts,
+                    coseparability_form, grouplike_labels)
 from .errors import AxiomError, BaseMismatchError, UnsupportedBaseError
 from .exactlin import (Chart, LinearSystem, Matrix, ShapeError, Subspace,
                        swap_matrix)
@@ -537,11 +540,33 @@ def internal_hom(v: Comodule, w: Comodule) -> Comodule:
 # -- injectivity --------------------------------------------------------------
 
 def is_injective(v: Comodule) -> bool:
-    """Split test: V is injective iff rho_V: V -> V (x) C splits."""
-    cofree = cofree_comodule(v.base, v.dim)
-    sys = _intertwiner_system(cofree, v)
-    sys.add([(None, v.rho)], Matrix.identity(v.field, v.dim))
-    return sys.solve() is not None
+    """Decide injectivity: rho_V embeds V into the cofree comodule V (x) C,
+    which is injective, so V is injective iff that embedding splits.
+
+    When the base has a coseparability form gamma
+    (``coalg.coseparability_form``), r = (id_V (x) gamma)(rho_V (x) id_C)
+    is a splitting, certified by two exact products: r rho_V = id and
+    (r (x) id)(id_V (x) delta) = rho_V r.  Either failing is an internal
+    fault and raises ``AxiomError``.  Without gamma (N, for one) the
+    retraction system is solved exactly.
+    """
+    gamma = coseparability_form(v.base)
+    if gamma is None:
+        cofree = cofree_comodule(v.base, v.dim)
+        sys = _intertwiner_system(cofree, v)
+        sys.add([(None, v.rho)], Matrix.identity(v.field, v.dim))
+        return sys.solve() is not None
+    ident_v = Matrix.identity(v.field, v.dim)
+    ident_c = Matrix.identity(v.field, v.base.dim)
+    r = ident_v.kron(gamma) @ v.rho.kron(ident_c)
+    if r @ v.rho != ident_v:
+        raise AxiomError("coseparability",
+                         "r rho != id for r = (id x gamma)(rho x id)")
+    if r.kron(ident_c) @ ident_v.kron(v.base.delta) != v.rho @ r:
+        raise AxiomError("coseparability",
+                         "(r x id)(id x delta) != rho r: r is not a "
+                         "comodule map")
+    return True
 
 
 def is_coflat(v: Comodule) -> bool:

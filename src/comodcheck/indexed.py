@@ -8,9 +8,12 @@ adjunction Sigma_phi -| phi^* is witnessed by the explicit transposes
 hat(f) = (f (x) id) rho  and  tilde(g) = (id (x) eps_D) g; for group-like
 bases phi^* also has a right adjoint "forall", computed fiberwise on
 gradings and guarded by the coflatness hypothesis on U(phi).  That
-hypothesis is decided once per morphism object, by an exact splitting
-solve on first use, and kept on the morphism (``u_coflat``); callers that
-share one morphism object therefore share the decision.
+hypothesis is decided once per morphism object, on first use, and kept on
+the morphism (``u_coflat``); callers that share one morphism object
+therefore share the decision.  When the base is coseparable, as every
+power of a group-like base is, the decision is the retraction certificate
+of ``comod.is_injective`` built from the coseparability form; otherwise it
+is an exact splitting solve.
 
 The law checks verify, per instance and in exact arithmetic, the canonical
 isomorphisms of the calculus: Beck-Chevalley along pullback squares (with
@@ -273,11 +276,12 @@ def forall(phi: CoalgebraMorphism, v: Comodule) -> Comodule:
 def forall_data(phi: CoalgebraMorphism, v: Comodule) -> ForallData:
     """forall_phi(V) with the bookkeeping for its adjunction.
 
-    The first call on a morphism object solves the splitting system of
-    U(phi) exactly and stores the answer in ``phi.u_coflat``; later calls
-    on the same object read it, so a non-coflat U(phi) raises
-    ``HypothesisViolatedError`` every time.  The group-like test comes
-    after the coflatness decision.
+    The first call on a morphism object decides the coflatness of U(phi)
+    with ``is_coflat`` (the coseparability retraction when the target has
+    a coseparability form, else an exact splitting solve) and stores the
+    answer in ``phi.u_coflat``; later calls on the same object read it, so
+    a non-coflat U(phi) raises ``HypothesisViolatedError`` every time.
+    The group-like test comes after the coflatness decision.
     """
     if v.base != phi.source:
         raise BaseMismatchError("comodule is not based on the source of phi")
@@ -409,12 +413,17 @@ def forall_counit(data: ForallData, pfv) -> ComoduleMorphism:
 
 
 def sigma_triangle_identities(phi: CoalgebraMorphism, v: Comodule,
-                              w: Comodule) -> bool:
-    """Unit/counit triangle identities of Sigma_phi -| phi^* on (V, W)."""
-    sv = sigma(phi, v)
+                              w: Comodule, pw=None, sv=None) -> bool:
+    """Unit/counit triangle identities of Sigma_phi -| phi^* on (V, W).
+
+    ``pw`` = pullback_functor(phi, W) and ``sv`` = sigma(phi, V), when the
+    caller has them."""
+    if sv is None:
+        sv = sigma(phi, v)
     psv = pullback_functor(phi, sv)
     eta_v = transpose_hat(phi, v, sv.identity_morphism(), psv)
-    pw = pullback_functor(phi, w)
+    if pw is None:
+        pw = pullback_functor(phi, w)
     pw_mod, _ = pw
     eps_w = transpose_tilde(phi, pw_mod, w, pw_mod.identity_morphism(), pw)
     # triangle 1: eps_{Sigma V} o Sigma(eta_V) = id
@@ -433,10 +442,15 @@ def sigma_triangle_identities(phi: CoalgebraMorphism, v: Comodule,
 
 
 def forall_triangle_identities(phi: CoalgebraMorphism, v: Comodule,
-                               w: Comodule) -> bool:
-    """Unit/counit triangle identities of phi^* -| forall_phi on (V, W)."""
-    data = forall_data(phi, v)
-    pw = pullback_functor(phi, w)
+                               w: Comodule, pw=None, data=None) -> bool:
+    """Unit/counit triangle identities of phi^* -| forall_phi on (V, W).
+
+    ``pw`` = pullback_functor(phi, W) and ``data`` = forall_data(phi, V),
+    when the caller has them."""
+    if data is None:
+        data = forall_data(phi, v)
+    if pw is None:
+        pw = pullback_functor(phi, w)
     pfv = pullback_functor(phi, data.module)
     data_pw = forall_data(phi, pw[0])
     data2 = forall_data(phi, pfv[0])

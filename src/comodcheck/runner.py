@@ -275,14 +275,17 @@ def _check_hyperdoctrine(ctx, index, cname, n):
                                 max_total=8)
         w = gen.random_comodule(rng, bp.coalgebra, max_dim=ctx.max_dim,
                                 max_total=6)
-        if not indexed.sigma_triangle_identities(p_i, v, w):
+        ex = hd.exists_along_projection(bp, v)
+        pw = indexed.pullback_functor(p_i, w)
+        if not indexed.sigma_triangle_identities(p_i, v, w, pw=pw, sv=ex):
             return failure("hyperdoctrine",
                            f"exists adjunction fails at power {k}")
-        if not indexed.forall_triangle_identities(p_i, v, w):
+        data = indexed.forall_data(p_i, v)
+        if not indexed.forall_triangle_identities(p_i, v, w, pw=pw,
+                                                  data=data):
             return failure("hyperdoctrine",
                            f"forall adjunction fails at power {k}")
-        ex = hd.exists_along_projection(bp, v)
-        fa = hd.forall_along_projection(bp, v)
+        fa = hd.forall_along_projection(bp, v, data)
         dims[f"power_{k}"] = {"comodule": v.dim, "exists": ex.dim,
                               "forall": fa.dim}
         details.append(f"adjoint-triple-power-{k}")

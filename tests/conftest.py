@@ -1,8 +1,10 @@
-"""Run the suite from a checkout without installing the package.
+"""Run the suite from a checkout without installing the package, and
+hold the helpers that several test modules share.
 
 ``pythonpath`` in ``pyproject.toml`` puts ``src/`` on this process's
 ``sys.path``; the CLI tests start ``python -m comodcheck.cli`` in child
-processes, which find the package through ``PYTHONPATH`` set here.
+processes, which find the package through ``PYTHONPATH`` set here.  Test
+modules import the helpers below with ``from conftest import ...``.
 """
 
 import os
@@ -10,7 +12,42 @@ from pathlib import Path
 
 import pytest
 
+from comodcheck.coalg import Coalgebra
+from comodcheck.exactlin import Matrix
+from comodcheck.fields import QQ
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# delta g = g x g, delta x = g x x + x x g: valid but not cosemisimple
+GX_DELTA = [[1, 0], [0, 1], [0, 1], [0, 0]]
+GX_EPS = [[1, 0]]
+
+# structure constants of the dual of Q(sqrt 2): cosemisimple, no group-likes
+SQRT2_DELTA = [[1, 0], [0, 1], [0, 1], [2, 0]]
+SQRT2_EPS = [[1, 0]]
+
+
+def gx_coalgebra(field=QQ):
+    return Coalgebra(field, 2, Matrix.from_rows(field, GX_DELTA),
+                     Matrix.from_rows(field, GX_EPS))
+
+
+def sqrt2_dual(field=QQ):
+    return Coalgebra(field, 2, Matrix.from_rows(field, SQRT2_DELTA),
+                     Matrix.from_rows(field, SQRT2_EPS))
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper; returns its list of calls."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
 
 
 @pytest.fixture(autouse=True)

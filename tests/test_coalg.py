@@ -8,25 +8,9 @@ from comodcheck.exactlin import Matrix, Subspace
 from comodcheck.fields import GF, QQ
 from comodcheck.gen import corrupt_coalgebra, random_coalgebra
 
+from conftest import count_calls, gx_coalgebra, sqrt2_dual
+
 F = QQ
-
-# delta g = g x g, delta x = g x x + x x g: valid but not cosemisimple
-GX_DELTA = [[1, 0], [0, 1], [0, 1], [0, 0]]
-GX_EPS = [[1, 0]]
-
-# structure constants of the dual of Q(sqrt 2): cosemisimple, no group-likes
-SQRT2_DELTA = [[1, 0], [0, 1], [0, 1], [2, 0]]
-SQRT2_EPS = [[1, 0]]
-
-
-def gx_coalgebra(field=F):
-    return ca.Coalgebra(field, 2, Matrix.from_rows(field, GX_DELTA),
-                        Matrix.from_rows(field, GX_EPS))
-
-
-def sqrt2_dual(field=F):
-    return ca.Coalgebra(field, 2, Matrix.from_rows(field, SQRT2_DELTA),
-                        Matrix.from_rows(field, SQRT2_EPS))
 
 
 # -- constructors ---------------------------------------------------------------
@@ -277,6 +261,100 @@ def test_cosemisimple_char_p_structural():
     assert ca.is_cosemisimple(ca.product(g, g)[0])
     with pytest.raises(UnsupportedBaseError):
         ca.is_cosemisimple(gx_coalgebra(p))
+
+
+# -- coseparability forms ---------------------------------------------------------------
+
+def cyclic_dual(field, n):
+    """(k[x]/(x^n - 1))*: delta d_k = sum over i + j = k mod n of d_i x d_j."""
+    delta = [0] * (n ** 3)
+    for i in range(n):
+        for j in range(n):
+            delta[(i * n + j) * n + (i + j) % n] = 1
+    return ca.Coalgebra(field, n, Matrix(field, n * n, n, delta),
+                        Matrix(field, 1, n, [1] + [0] * (n - 1)))
+
+
+def moved(c, rows):
+    """c carried to the basis given by the columns of ``rows``."""
+    p = Matrix.from_rows(c.field, rows)
+    p_inv = p.inverse()
+    return ca.Coalgebra(c.field, c.dim, p_inv.kron(p_inv) @ c.delta @ p,
+                        c.epsilon @ p)
+
+
+def moved_grouplike_sum(field):
+    """{a} + {b, c} carried to a basis with no group-like vector."""
+    g = ca.direct_sum(ca.grouplike_coalgebra(field, "a"),
+                      ca.grouplike_coalgebra(field, "bc"))
+    return moved(g, [[1, 2, 0], [0, 1, 3], [1, 0, 1]])
+
+
+def trace_form_nondegenerate(c):
+    """Reference decision: the dual algebra C* is commutative, so over a
+    perfect field it is semisimple iff its trace form tr(L_i L_j) is
+    nondegenerate, L_i being multiplication by the dual basis vector e_i*.
+    """
+    f, n = c.field, c.dim
+    left = [Matrix(f, n, n, [c.delta[i * n + j, k] for k in range(n)
+                             for j in range(n)]) for i in range(n)]
+    gram = Matrix(f, n, n, [f.of(sum((left[i] @ left[j])[k, k]
+                                     for k in range(n)))
+                            for i in range(n) for j in range(n)])
+    return gram.rank() == n
+
+
+COSEPARABILITY_CASES = {
+    "K-Q": (lambda: sqrt2_dual(QQ), True),
+    "N-Q": (lambda: gx_coalgebra(QQ), False),
+    "K-F7": (lambda: sqrt2_dual(GF(7)), True),
+    "N-F7": (lambda: gx_coalgebra(GF(7)), False),
+    "K-F2": (lambda: sqrt2_dual(GF(2)), False),
+    "K-F3": (lambda: sqrt2_dual(GF(3)), True),
+    "KxK-Q": (lambda: ca.product(sqrt2_dual(), sqrt2_dual())[0], True),
+    "K+N-Q": (lambda: ca.direct_sum(sqrt2_dual(), gx_coalgebra()), False),
+    "ab-moved-F7": (lambda: moved(ca.grouplike_coalgebra(GF(7), "ab"),
+                                  [[1, 3], [2, 1]]), True),
+    "ab-moved-Q": (lambda: moved(ca.grouplike_coalgebra(QQ, "ab"),
+                                 [[1, 3], [2, 1]]), True),
+    "a+bc-moved-F5": (lambda: moved_grouplike_sum(GF(5)), True),
+    "cyclic3-F2": (lambda: cyclic_dual(GF(2), 3), True),
+    "cyclic3-F5": (lambda: cyclic_dual(GF(5), 3), True),
+    "cyclic3-F3": (lambda: cyclic_dual(GF(3), 3), False),
+    "cyclic7-F7": (lambda: cyclic_dual(GF(7), 7), False),
+    "cyclic3-Q": (lambda: cyclic_dual(QQ, 3), True),
+    "cyclic5-Q": (lambda: cyclic_dual(QQ, 5), True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COSEPARABILITY_CASES))
+def test_coseparability_form_exists_iff_trace_form_nondegenerate(case):
+    build, cosemisimple = COSEPARABILITY_CASES[case]
+    c = build()
+    gamma = ca.coseparability_form(c)
+    assert trace_form_nondegenerate(c) == cosemisimple
+    assert (gamma is not None) == cosemisimple
+    if gamma is not None:
+        # the defining equations, as dense products of the structure maps
+        ident = Matrix.identity(c.field, c.dim)
+        assert gamma @ c.delta == c.epsilon
+        assert ident.kron(gamma) @ c.delta.kron(ident) \
+            == gamma.kron(ident) @ ident.kron(c.delta)
+    if not c.field.char:
+        assert ca.is_cosemisimple(c) == cosemisimple
+
+
+def test_grouplike_coseparability_form_is_the_diagonal():
+    g = ca.grouplike_coalgebra(GF(7), "abc")
+    assert ca.coseparability_form(g).data == [1, 0, 0, 0, 1, 0, 0, 0, 1]
+
+
+def test_coseparability_form_is_decided_once(monkeypatch):
+    calls = count_calls(monkeypatch, ca, "_solve_coseparability_form")
+    for c in (sqrt2_dual(), gx_coalgebra()):
+        first = ca.coseparability_form(c)
+        assert ca.coseparability_form(c) is first
+    assert len(calls) == 2
 
 
 # -- constructor rejections -------------------------------------------------------------

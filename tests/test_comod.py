@@ -4,13 +4,13 @@ import pytest
 
 from comodcheck import coalg as ca
 from comodcheck import comod as cm
+from comodcheck import dsl, runner
 from comodcheck.errors import AxiomError, UnsupportedBaseError
-from comodcheck.exactlin import Matrix
+from comodcheck.exactlin import LinearSystem, Matrix
 from comodcheck.fields import GF, QQ
 from comodcheck.gen import random_comodule, random_invertible
 
-from test_coalg import gx_coalgebra, sqrt2_dual
-from test_indexed import count_calls
+from conftest import count_calls, gx_coalgebra, sqrt2_dual
 
 F = QQ
 
@@ -276,6 +276,64 @@ def test_direct_sum_of_noninjective_stays_noninjective():
     gx = gx_coalgebra()
     one = cm.Comodule(gx, 1, Matrix.from_rows(F, [[1], [0]]))
     assert not cm.is_injective(cm.direct_sum(one, one))
+
+
+def regular_sums(rng, c, count, max_copies):
+    """Sums of up to ``max_copies`` copies of the regular comodule of c,
+    each moved to a random basis."""
+    reg = cm.regular_comodule(c)
+    out = []
+    for _ in range(count):
+        v = reg
+        for _ in range(rng.randrange(max_copies)):
+            v = cm.direct_sum(v, reg)
+        out.append(cm.conjugate(v, random_invertible(rng, c.field, v.dim)))
+    return out
+
+
+def test_certificate_agrees_with_the_splitting_solve(monkeypatch):
+    # every base here has a coseparability form; with it switched off,
+    # is_injective falls back to solving the retraction system
+    rng = random.Random(5)
+    comodules = regular_sums(rng, sqrt2_dual(), 3, 2) \
+        + regular_sums(rng, sqrt2_dual(GF(7)), 3, 2) \
+        + regular_sums(rng, sqrt2_dual(GF(3)), 3, 2) \
+        + regular_sums(rng, ca.product(sqrt2_dual(), sqrt2_dual())[0], 2, 1)
+    g = ca.product(ca.grouplike_coalgebra(GF(5), "ab"),
+                   ca.grouplike_coalgebra(GF(5), "xyz"))[0]
+    comodules += [random_comodule(rng, g, max_dim=2, conjugated=True)
+                  for _ in range(3)]
+    solves = count_calls(monkeypatch, LinearSystem, "solve")
+    certified = [cm.is_injective(v) for v in comodules]
+    assert not solves
+    monkeypatch.setattr(cm, "coseparability_form", lambda c: None)
+    assert [cm.is_injective(v) for v in comodules] == certified
+    assert len(solves) == len(comodules) and all(certified)
+
+
+PLANTED_FORMS = {
+    # r rho = 2 id
+    "scaled": (lambda gamma: gamma.scale(2), "r rho != id"),
+    # r rho = id still holds, but r is not a comodule map
+    "off-diagonal": (lambda gamma: gamma + Matrix(gamma.field, 1, 4,
+                                                  [0, 1, 0, 0]),
+                     "not a comodule map"),
+}
+
+
+@pytest.mark.parametrize("plant", sorted(PLANTED_FORMS))
+def test_wrong_coseparability_form_fails_the_check(monkeypatch, plant):
+    wrong, message = PLANTED_FORMS[plant]
+    real = ca.coseparability_form
+    monkeypatch.setattr(cm, "coseparability_form",
+                        lambda c: wrong(real(c)))
+    doc = dsl.parse("field Q\ncoalg C = grouplike {a, b}\n"
+                    "comod V over C {graded {a: 1, b: 2}}\n"
+                    "check injective V\n")
+    rep = runner.run(doc)[0]
+    assert rep.verdict == "fail" and rep.value is None
+    assert rep.witness["equation"].startswith("coseparability: ")
+    assert message in rep.witness["equation"]
 
 
 # -- grading and isomorphism search -------------------------------------------------------

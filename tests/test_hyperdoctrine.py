@@ -10,12 +10,11 @@ from comodcheck import indexed as ix
 from comodcheck import dsl, runner
 from comodcheck import oracle as orc
 from comodcheck.errors import UnsupportedBaseError
-from comodcheck.exactlin import Matrix
+from comodcheck.exactlin import LinearSystem, Matrix
 from comodcheck.fields import QQ
 from comodcheck.gen import random_comodule
 
-from test_coalg import gx_coalgebra
-from test_indexed import count_calls
+from conftest import count_calls, gx_coalgebra
 
 F = QQ
 
@@ -300,18 +299,20 @@ def test_everything_degenerates_over_trivial_base():
 
 # -- one tower per hyperdoctrine check ------------------------------------------------------------
 
-HYPERDOCTRINE_C1 = ("field Q\ncoalg C = grouplike {a, b}\n"
-                    "check hyperdoctrine C 1\n")
+def hyperdoctrine_report(n):
+    doc = dsl.parse("field Q\ncoalg C = grouplike {a, b}\n"
+                    f"check hyperdoctrine C {n}\n")
+    return runner.run(doc, seed=0)[0]
 
 
 def run_hyperdoctrine_c1():
-    reports = runner.run(dsl.parse(HYPERDOCTRINE_C1), seed=0)
-    assert [rep.verdict for rep in reports] == ["pass"]
-    return reports[0]
+    rep = hyperdoctrine_report(1)
+    assert rep.verdict == "pass"
+    return rep
 
 
 def test_hyperdoctrine_decides_each_projection_coflat_once(monkeypatch):
-    # one splitting solve for U(p_I) at each of the powers 0 and 1
+    # one coflatness decision for U(p_I) at each of the powers 0 and 1
     calls = count_calls(monkeypatch, cm, "is_injective")
     run_hyperdoctrine_c1()
     assert len(calls) == 2
@@ -342,3 +343,28 @@ def test_condition2_pulls_v_back_once_per_square(monkeypatch):
     for sq in squares:
         along = [args for args in calls[0] + calls[1] if args[0] is sq.delta]
         assert len(along) == 1
+
+
+def test_hyperdoctrine_pulls_back_and_builds_forall_once(monkeypatch):
+    # the exists and forall triangles share phi^* W, and the forall
+    # triangles share forall_data(p_I, V) with forall_along_projection
+    pulls = [count_calls(monkeypatch, ix, "pullback_functor"),
+             count_calls(monkeypatch, hd, "pullback_functor")]
+    foralls = count_calls(monkeypatch, ix, "forall_data")
+    run_hyperdoctrine_c1()
+    pairs = [(id(args[0]), id(args[1])) for args in pulls[0] + pulls[1]]
+    assert len(pairs) == len(set(pairs)) == 22
+    pairs = [(id(args[0]), id(args[1])) for args in foralls]
+    assert len(pairs) == len(set(pairs)) == 12
+
+
+def test_hyperdoctrine_two_certifies_coflatness_without_a_solve(monkeypatch):
+    # each projection's U(p) is certified by the coseparability retraction
+    solves = count_calls(monkeypatch, LinearSystem, "solve")
+    assert hyperdoctrine_report(2).verdict == "pass"
+    assert solves == []
+
+
+def test_hyperdoctrine_three_passes():
+    rep = hyperdoctrine_report(3)
+    assert rep.verdict == "pass" and "power_3" in rep.dims

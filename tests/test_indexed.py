@@ -11,7 +11,7 @@ from comodcheck.exactlin import Matrix
 from comodcheck.fields import QQ
 from comodcheck.gen import random_comodule, random_setmap_morphism
 
-from test_coalg import gx_coalgebra, sqrt2_dual
+from conftest import count_calls, gx_coalgebra, sqrt2_dual
 
 F = QQ
 
@@ -205,19 +205,6 @@ def test_forall_triangles(phi, g_xyz, g_ab):
     assert ix.forall_triangle_identities(phi, v, w)
 
 
-def count_calls(monkeypatch, module, name):
-    """Replace ``module.name`` by a wrapper; returns its list of calls."""
-    calls = []
-    real = getattr(module, name)
-
-    def wrapper(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, wrapper)
-    return calls
-
-
 def test_forall_triangles_build_each_forall_data_once(monkeypatch, phi,
                                                       g_xyz, g_ab):
     # one ForallData each for V, phi^* W and phi^* forall V
@@ -230,7 +217,7 @@ def test_forall_triangles_build_each_forall_data_once(monkeypatch, phi,
 
 def test_forall_triangles_decide_coflatness_once(monkeypatch, phi, g_xyz,
                                                  g_ab):
-    # the three ForallData share phi, so U(phi) is split once
+    # the three ForallData share phi, so U(phi) is decided once
     calls = count_calls(monkeypatch, cm, "is_injective")
     v = cm.graded_comodule(g_xyz, [1, 2, 1])
     w = cm.graded_comodule(g_ab, [2, 1])

@@ -9,7 +9,7 @@ from comodcheck.errors import UnsupportedBaseError
 from comodcheck.fields import QQ
 from comodcheck.gen import random_comodule
 
-from test_coalg import sqrt2_dual
+from conftest import sqrt2_dual
 
 F = QQ
 

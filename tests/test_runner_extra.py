@@ -3,7 +3,7 @@ import pytest
 from comodcheck import comod, dsl, runner
 from comodcheck.report import CheckReport, failure
 
-from test_indexed import count_calls
+from conftest import count_calls
 
 
 FP_DOCUMENT = """field Fp 7
