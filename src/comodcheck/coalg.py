@@ -13,10 +13,10 @@ comultiplication (id (x) swap (x) id)(delta1 (x) delta2); equalizers are
 the largest subcoalgebra inside ker(f - g), computed by iterating the
 refinement W -> {x in W : delta(x) in W (x) W} to its fixpoint; pullbacks
 are equalizers out of products.  A coseparability form gamma: C (x) C -> k
-(``coseparability_form``) is built directly on a group-like basis and
-solved for on any other; it exists exactly when C is cosemisimple, which
-decides cosemisimplicity over Q and lets ``comod.is_injective`` certify
-injectivity with an explicit retraction.
+(``coseparability_form``) is built directly on a group-like basis and is
+the inverse of the trace form of C* on any other; it exists exactly when
+C is cosemisimple, which decides cosemisimplicity over Q and lets
+``comod.is_injective`` certify injectivity with an explicit retraction.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ class Coalgebra:
     matrices of the coalgebras arising here are overwhelmingly zero, and
     the dense triple products would be cubic in the dimension).
     ``_cosep`` holds the coseparability form once ``coseparability_form``
-    has decided it, so each coalgebra object solves for it at most once.
+    has decided it, so each coalgebra object computes it at most once.
     """
 
     __slots__ = ("field", "dim", "delta", "epsilon", "labels",
@@ -475,8 +475,9 @@ def coseparability_form(c: Coalgebra):
     "Coseparable Hopf algebras"; Doi, "Homological coalgebra").  It exists
     iff the dual algebra is separable; C is cocommutative and Q and F_p are
     perfect, so iff C is cosemisimple.  A group-like basis has
-    gamma(g (x) h) = [g = h]; any other basis solves the defining
-    equations once.  The answer is kept on the coalgebra object.
+    gamma(g (x) h) = [g = h]; any other basis takes the inverse of the
+    trace form (``_inverse_trace_form``).  The answer is kept on the
+    coalgebra object.
     """
     if c._cosep is _UNDECIDED:
         n = c.dim
@@ -486,43 +487,29 @@ def coseparability_form(c: Coalgebra):
                 data[g * n + g] = 1
             c._cosep = Matrix(c.field, 1, n * n, data)
         else:
-            c._cosep = _solve_coseparability_form(c)
+            c._cosep = _inverse_trace_form(c)
     return c._cosep
 
 
-def _solve_coseparability_form(c: Coalgebra):
-    """Solve the defining equations of gamma, unknown gamma[x*n + y].
+def _inverse_trace_form(c: Coalgebra):
+    """gamma[a*n + b] = (G^-1)[a, b] for the trace form G of C*, or None
+    when G is singular.
 
-    gamma delta = eps gives one row per basis vector a; the bicomodule
-    condition on e_a (x) e_b, read at e_c, gives
-    sum_y delta[c*n+y, a] gamma[y*n+b] = sum_x delta[x*n+c, b] gamma[a*n+x].
-    Zero rows are dropped.
+    C* is commutative (multiplication delta^T, unit eps^T), so over a
+    perfect field it is semisimple iff G[i, j] = tr(L_{e_i* e_j*}) is
+    nondegenerate.  For a semisimple C* the Casimir element
+    sum_i e_i* (x) G^-1 e_i* of G is a separability idempotent: it
+    commutes with C* and multiplies out to 1, since on every simple factor
+    (a separable field extension) G is the field trace.  As a form on
+    C (x) C that element is G^-1.  With t[k] = tr(L_{e_k*}) =
+    sum_j delta[k*n + j, j], G read row by row is delta t.
     """
     f, n = c.field, c.dim
-    p = f.char
     dcols = c._delta_cols
-    rows = [dict(dcols[a]) for a in range(n)]
-    rhs = list(c.epsilon.data)
-    for a in range(n):
-        for b in range(n):
-            at_c = {}
-            for idx, v in dcols[a].items():
-                cc, y = divmod(idx, n)
-                _add_into(at_c.setdefault(cc, {}), y * n + b, v, p)
-            for idx, v in dcols[b].items():
-                x, cc = divmod(idx, n)
-                _add_into(at_c.setdefault(cc, {}), a * n + x, f.neg(v), p)
-            for row in at_c.values():
-                if row:
-                    rows.append(row)
-                    rhs.append(0)
-    data = [0] * (len(rows) * n * n)
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            data[i * n * n + j] = v
-    x = Matrix(f, len(rows), n * n, data).solve_right(
-        Matrix(f, len(rows), 1, rhs))
-    return None if x is None else Matrix(f, 1, n * n, x.data)
+    t = Matrix(f, n, 1, [f.of(sum(dcols[j].get(k * n + j, 0)
+                                  for j in range(n))) for k in range(n)])
+    inv = Matrix(f, n, n, (c.delta @ t).data).inverse()
+    return None if inv is None else Matrix(f, 1, n * n, inv.data)
 
 
 def is_cosemisimple(c: Coalgebra) -> bool:

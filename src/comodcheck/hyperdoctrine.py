@@ -32,7 +32,7 @@ from .comod import Comodule, ComoduleMorphism, cotensor, regular_comodule
 from .errors import (AxiomError, BaseMismatchError, UnsupportedBaseError)
 from .exactlin import Matrix, ShapeError, swap_matrix
 from .indexed import (PullbackSquare, beck_chevalley_check,
-                      beck_for_forall_check, coaction_comodule, forall_data,
+                      beck_for_forall_check, coaction_comodule, forall,
                       pullback_functor, sigma, ssmc_check)
 from .report import CheckReport, failure
 
@@ -301,16 +301,12 @@ def exists_along_projection(i: BasePower, v: Comodule) -> Comodule:
     return sigma(p1, v)
 
 
-def forall_along_projection(i: BasePower, v: Comodule,
-                            data=None) -> Comodule:
-    """forall along the projection I x C -> I (group-like bases);
-    ``data`` is forall_data(p_I, V) when the caller has it."""
+def forall_along_projection(i: BasePower, v: Comodule) -> Comodule:
+    """forall along the projection I x C -> I (group-like bases)."""
     prod, p1, _ = i.step
     if v.base != prod:
         raise BaseMismatchError("comodule is not based on I x C")
-    if data is None:
-        data = forall_data(p1, v)
-    return data.module
+    return forall(p1, v)
 
 
 def hyperdoctrine_condition2_check(f: CoalgebraMorphism, src: BasePower,

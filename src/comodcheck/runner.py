@@ -285,9 +285,8 @@ def _check_hyperdoctrine(ctx, index, cname, n):
                                                   data=data):
             return failure("hyperdoctrine",
                            f"forall adjunction fails at power {k}")
-        fa = hd.forall_along_projection(bp, v, data)
         dims[f"power_{k}"] = {"comodule": v.dim, "exists": ex.dim,
-                              "forall": fa.dim}
+                              "forall": data.module.dim}
         details.append(f"adjoint-triple-power-{k}")
         v3 = gen.random_comodule(rng, bp.swapped[0], max_dim=ctx.max_dim,
                                  max_total=8)
@@ -351,7 +350,7 @@ OPERATION_INVENTORY = (
     "coalg.trivial_coalgebra", "coalg.grouplike_coalgebra",
     "coalg.direct_sum", "coalg.product", "coalg.pairing",
     "coalg.largest_subcoalgebra_in", "coalg.equalizer", "coalg.pullback",
-    "coalg.is_cosemisimple",
+    "coalg.coseparability_form", "coalg.is_cosemisimple",
     "comod.regular_comodule", "comod.cofree_comodule", "comod.hom_space",
     "comod.cotensor", "comod.structural_isos", "comod.internal_hom",
     "comod.is_injective", "comod.is_coflat",
@@ -363,7 +362,6 @@ OPERATION_INVENTORY = (
     "hyperdoctrine.strong_monoidality_check", "hyperdoctrine.L_f",
     "hyperdoctrine.lnl_morphism_check", "hyperdoctrine.base_power",
     "hyperdoctrine.exists_along_projection",
-    "hyperdoctrine.forall_along_projection",
     "hyperdoctrine.hyperdoctrine_condition2_check",
     "oracle.to_graded", "oracle.graded_cotensor", "oracle.graded_pullback",
     "oracle.graded_sigma", "oracle.graded_forall",
@@ -375,8 +373,10 @@ CHECK_OPERATIONS = {
     "axioms": {"exactlin.kron", "coalg.grouplike_coalgebra",
                "coalg.direct_sum", "coalg.product", "dslcli.parse",
                "dslcli.run"},
-    "cosemisimple": {"coalg.is_cosemisimple", "dslcli.parse", "dslcli.run"},
+    "cosemisimple": {"coalg.is_cosemisimple", "coalg.coseparability_form",
+                     "dslcli.parse", "dslcli.run"},
     "injective": {"comod.is_injective", "comod.cofree_comodule",
+                  "coalg.coseparability_form",
                   "exactlin.solve_constrained", "dslcli.parse", "dslcli.run"},
     "cotensor": {"comod.cotensor", "comod.structural_isos",
                  "comod.regular_comodule", "exactlin.kernel",
@@ -393,7 +393,8 @@ CHECK_OPERATIONS = {
              "oracle.set_fiber_product", "oracle.graded_sigma",
              "oracle.graded_pullback", "dslcli.parse", "dslcli.run"},
     "forall-beck": {"indexed.forall", "indexed.beck_for_forall_check",
-                    "comod.is_coflat", "oracle.graded_forall",
+                    "comod.is_coflat", "coalg.coseparability_form",
+                    "oracle.graded_forall",
                     "oracle.graded_pullback", "oracle.set_fiber_product",
                     "coalg.pullback", "dslcli.parse", "dslcli.run"},
     "frobenius": {"indexed.frobenius_check", "indexed.sigma",
@@ -401,7 +402,8 @@ CHECK_OPERATIONS = {
                   "dslcli.parse", "dslcli.run"},
     "ssmc": {"indexed.ssmc_check", "comod.internal_hom",
              "indexed.pullback_functor", "comod.cotensor",
-             "coalg.is_cosemisimple", "dslcli.parse", "dslcli.run"},
+             "coalg.is_cosemisimple", "coalg.coseparability_form",
+             "dslcli.parse", "dslcli.run"},
     "lnl": {"hyperdoctrine.U_C", "hyperdoctrine.L_f",
             "hyperdoctrine.lnl_morphism_check",
             "hyperdoctrine.coalgC_product",
@@ -410,12 +412,11 @@ CHECK_OPERATIONS = {
             "dslcli.run"},
     "hyperdoctrine": {"hyperdoctrine.base_power",
                       "hyperdoctrine.exists_along_projection",
-                      "hyperdoctrine.forall_along_projection",
                       "hyperdoctrine.hyperdoctrine_condition2_check",
                       "indexed.beck_chevalley_check",
                       "indexed.beck_for_forall_check", "indexed.forall",
                       "indexed.sigma", "comod.is_coflat",
-                      "coalg.trivial_coalgebra",
+                      "coalg.coseparability_form", "coalg.trivial_coalgebra",
                       "coalg.product", "coalg.pairing",
                       "coalg.is_cosemisimple", "dslcli.parse",
                       "dslcli.run"},

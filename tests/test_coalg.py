@@ -350,7 +350,7 @@ def test_grouplike_coseparability_form_is_the_diagonal():
 
 
 def test_coseparability_form_is_decided_once(monkeypatch):
-    calls = count_calls(monkeypatch, ca, "_solve_coseparability_form")
+    calls = count_calls(monkeypatch, ca, "_inverse_trace_form")
     for c in (sqrt2_dual(), gx_coalgebra()):
         first = ca.coseparability_form(c)
         assert ca.coseparability_form(c) is first
