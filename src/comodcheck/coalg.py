@@ -74,10 +74,10 @@ class Coalgebra:
     """
 
     __slots__ = ("field", "dim", "delta", "epsilon", "labels",
-                 "cosemisimple_hint", "_delta_cols", "_cosep")
+                 "_delta_cols", "_cosep")
 
     def __init__(self, field: Field, dim: int, delta: Matrix,
-                 epsilon: Matrix, labels=None, cosemisimple_hint=None):
+                 epsilon: Matrix, labels=None):
         n = dim
         if delta.rows != n * n or delta.cols != n:
             raise ShapeError(f"delta must be {n * n}x{n}")
@@ -132,7 +132,6 @@ class Coalgebra:
         self.delta = delta
         self.epsilon = epsilon
         self.labels = tuple(labels) if labels is not None else None
-        self.cosemisimple_hint = cosemisimple_hint
         self._delta_cols = dcols
         self._cosep = _UNDECIDED
 
@@ -235,8 +234,7 @@ class CoalgebraMorphism:
 def trivial_coalgebra(field: Field) -> Coalgebra:
     """The one-dimensional coalgebra with delta(1) = 1 x 1, eps = id."""
     one = Matrix.from_rows(field, [[1]])
-    return Coalgebra(field, 1, one, one, labels=("*",),
-                     cosemisimple_hint=True)
+    return Coalgebra(field, 1, one, one, labels=("*",))
 
 
 def grouplike_coalgebra(field: Field, labels) -> Coalgebra:
@@ -252,7 +250,7 @@ def grouplike_coalgebra(field: Field, labels) -> Coalgebra:
         delta[(i * n + i) * n + i] = 1
     eps = Matrix(field, 1, n, [1] * n)
     return Coalgebra(field, n, Matrix(field, n * n, n, delta), eps,
-                     labels=labels, cosemisimple_hint=True)
+                     labels=labels)
 
 
 def grouplike_morphism(source: Coalgebra, target: Coalgebra,
@@ -301,9 +299,7 @@ def direct_sum(c1: Coalgebra, c2: Coalgebra) -> Coalgebra:
     delta_cols = (i1.kron(i1) @ c1.delta).hstack(i2.kron(i2) @ c2.delta)
     # reorder columns to the concatenated basis: they already are
     eps = c1.epsilon.hstack(c2.epsilon)
-    hint = True if (c1.cosemisimple_hint and c2.cosemisimple_hint) else None
-    return Coalgebra(f, n, delta_cols, eps, labels=_sum_labels(c1, c2),
-                     cosemisimple_hint=hint)
+    return Coalgebra(f, n, delta_cols, eps, labels=_sum_labels(c1, c2))
 
 
 def product(c1: Coalgebra, c2: Coalgebra):
@@ -323,9 +319,7 @@ def product(c1: Coalgebra, c2: Coalgebra):
     labels = None
     if c1.labels is not None and c2.labels is not None:
         labels = tuple((x, y) for x in c1.labels for y in c2.labels)
-    hint = True if (c1.cosemisimple_hint and c2.cosemisimple_hint) else None
-    prod = Coalgebra(f, n1 * n2, delta, eps, labels=labels,
-                     cosemisimple_hint=hint)
+    prod = Coalgebra(f, n1 * n2, delta, eps, labels=labels)
     p1 = CoalgebraMorphism(prod, c1,
                            Matrix.identity(f, n1).kron(c2.epsilon))
     p2 = CoalgebraMorphism(prod, c2,
@@ -516,15 +510,12 @@ def is_cosemisimple(c: Coalgebra) -> bool:
     """Decide cosemisimplicity.
 
     Group-like bases are cosemisimple.  Over Q, C is cosemisimple iff it
-    has a coseparability form (see ``coseparability_form``).
-    Characteristic p: decided structurally, for group-like coalgebras and
-    sums/products built from them; anything else is out of scope.
+    has a coseparability form (see ``coseparability_form``).  Over F_p
+    only group-like bases are decided; anything else is out of scope.
     """
     if c.is_grouplike():
         return True
     if c.field.char:
-        if c.cosemisimple_hint is not None:
-            return bool(c.cosemisimple_hint)
         raise UnsupportedBaseError(
             "cosemisimplicity over F_p is only decided for structures "
             "built from group-likes, sums and products")

@@ -35,8 +35,7 @@ __all__ = [
     "hom_space", "cotensor", "tensor_morphism",
     "associator", "left_unitor", "right_unitor", "braiding",
     "structural_isos", "pentagon_holds", "triangle_holds", "symmetry_holds",
-    "internal_hom", "is_injective", "is_coflat", "direct_sum",
-    "find_isomorphism", "conjugate",
+    "internal_hom", "is_injective", "is_coflat", "direct_sum", "conjugate",
 ]
 
 
@@ -573,35 +572,3 @@ def is_coflat(v: Comodule) -> bool:
     """Coflat iff injective at finite dimension."""
     return is_injective(v)
 
-
-# -- isomorphism search --------------------------------------------------------
-
-def find_isomorphism(v: Comodule, w: Comodule, rng,
-                     tries: int = 64) -> ComoduleMorphism | None:
-    """An invertible comodule morphism V -> W, or None when none is found.
-
-    Unequal dimensions certify there is none; otherwise invertible elements
-    of the hom space are dense whenever an iso exists, so a seeded random
-    search over small integer combinations finds one quickly.
-    """
-    if v.base != w.base or v.dim != w.dim:
-        return None
-    basis = hom_space(v, w)
-    if not basis:
-        return None if v.dim else ComoduleMorphism(v, w, Matrix.zeros(
-            v.field, 0, 0))
-    for mor in basis:
-        if mor.matrix.is_invertible():
-            return mor
-    p = v.field.char
-    for t in range(tries):
-        bound = 1 + t // 8
-        coeffs = [rng.randint(-bound, bound) if not p else
-                  rng.randrange(p) for _ in basis]
-        mat = Matrix.zeros(v.field, w.dim, v.dim)
-        for c, mor in zip(coeffs, basis):
-            if c:
-                mat = mat + mor.matrix.scale(c)
-        if mat.is_invertible():
-            return ComoduleMorphism(v, w, mat)
-    return None

@@ -32,7 +32,7 @@ from .comod import Comodule, ComoduleMorphism, cotensor, regular_comodule
 from .errors import (AxiomError, BaseMismatchError, UnsupportedBaseError)
 from .exactlin import Matrix, ShapeError, swap_matrix
 from .indexed import (PullbackSquare, beck_chevalley_check,
-                      beck_for_forall_check, coaction_comodule, forall,
+                      beck_for_forall_check, coaction_comodule,
                       pullback_functor, sigma, ssmc_check)
 from .report import CheckReport, failure
 
@@ -40,7 +40,6 @@ __all__ = [
     "CoalgCObject", "U_C", "coalgC_product", "strong_monoidality_check",
     "L_f", "L_f_map", "lnl_morphism_check", "BasePower", "base_powers",
     "base_power", "power_morphism", "exists_along_projection",
-    "forall_along_projection",
     "hyperdoctrine_condition2_check", "condition3_symmetry_check",
 ]
 
@@ -301,14 +300,6 @@ def exists_along_projection(i: BasePower, v: Comodule) -> Comodule:
     return sigma(p1, v)
 
 
-def forall_along_projection(i: BasePower, v: Comodule) -> Comodule:
-    """forall along the projection I x C -> I (group-like bases)."""
-    prod, p1, _ = i.step
-    if v.base != prod:
-        raise BaseMismatchError("comodule is not based on I x C")
-    return forall(p1, v)
-
-
 def hyperdoctrine_condition2_check(f: CoalgebraMorphism, src: BasePower,
                                    tgt: BasePower,
                                    v: Comodule) -> CheckReport:
@@ -316,8 +307,8 @@ def hyperdoctrine_condition2_check(f: CoalgebraMorphism, src: BasePower,
 
     f: J -> I a base morphism (src = J, tgt = I), v a comodule over I x C;
     the square J x C -> I x C over J -> I is a pullback, and the check
-    verifies f^* forall_I ~ forall_J (f x id)^* by exhibiting the
-    isomorphism, together with the companion exists-square instance.
+    verifies f^* forall_I ~ forall_J (f x id)^* by inverting the canonical
+    Beck-Chevalley mate, with the companion exists-square instance.
     Both squares share the pullback of V along f x id.
     """
     prod_i, pi_i, _ = tgt.step

@@ -16,24 +16,22 @@ of ``comod.is_injective`` built from the coseparability form; otherwise it
 is an exact splitting solve.
 
 The law checks verify, per instance and in exact arithmetic, the canonical
-isomorphisms of the calculus: Beck-Chevalley along pullback squares (with
-the mediating morphism t factored through the canonical equalizer),
-Frobenius reciprocity, and strong symmetric monoidal closure of phi^*
-between cosemisimple bases.  Where the construction supplies explicit
-mutually inverse maps, those exact maps are verified; dimension counting
-alone is never accepted for a law with a formula.
+isomorphisms of the calculus: Beck-Chevalley along pullback squares for
+Sigma (mediating morphism t through the canonical equalizer) and for forall
+(the canonical mate), Frobenius reciprocity, and strong symmetric monoidal
+closure of phi^* between cosemisimple bases.  Each comparison is an explicit
+map checked exactly to be an invertible comodule morphism; dimension
+counting alone is never accepted for a law with a formula.
 """
 
 from __future__ import annotations
-
-import random
 
 from .coalg import (CoalgebraMorphism, grouplike_labels, is_cosemisimple,
                     pullback as coalg_pullback, pullback_mediate)
 from .comod import (Comodule, ComoduleMorphism, _cotensor_kernel, _Obj,
                     _restricted_coaction, _transposition, atom, ct,
-                    find_isomorphism, graded_comodule, graded_components,
-                    hom_space, internal_hom, is_coflat, regular_comodule)
+                    graded_comodule, graded_components, hom_space,
+                    internal_hom, is_coflat, regular_comodule)
 from .errors import (AxiomError, BaseMismatchError, HypothesisViolatedError,
                      UnsupportedBaseError)
 from .exactlin import Chart, Matrix, Subspace, swap_matrix
@@ -406,10 +404,24 @@ def forall_unit(data: ForallData, w: Comodule, pw) -> ComoduleMorphism:
     return forall_transpose_fwd(data, w, pw, pw[0].identity_morphism())
 
 
+def _counit_flat(data: ForallData) -> Matrix:
+    """eps_V on the flat ambient forall V (x) D: m (x) e_x -> the copy of
+    V_x inside the block of m at phi(x), for the group-likes e_x of D."""
+    f = data.v.field
+    nd = data.phi.source.dim
+    mat = Matrix.zeros(f, data.v.dim, data.module.dim * nd)
+    for xi in data.blocks:
+        e_x = Matrix(f, 1, nd, [int(j == xi) for j in range(nd)])
+        mat = mat + (data.grading_v.incl(xi)
+                     @ _block_proj(data, xi)).kron(e_x)
+    return mat
+
+
 def forall_counit(data: ForallData, pfv) -> ComoduleMorphism:
-    """eps_V: phi^* forall V -> V (backward transpose of the identity)."""
-    return forall_transpose_bwd(data, data.module, pfv,
-                                data.module.identity_morphism())
+    """eps_V: phi^* forall V -> V, the flat counit on phi^* forall V."""
+    pfv_mod, pfv_sub = pfv
+    return ComoduleMorphism(pfv_mod, data.v,
+                            _counit_flat(data) @ pfv_sub.basis)
 
 
 def sigma_triangle_identities(phi: CoalgebraMorphism, v: Comodule,
@@ -606,25 +618,46 @@ def beck_chevalley_check(square: PullbackSquare,
 
 def beck_for_forall_check(square: PullbackSquare, v: Comodule,
                           pv=None) -> CheckReport:
-    """Beck condition for the right adjoints:
-    forall_gamma(delta^* V) ~ alpha^*(forall_beta V) for V over D1.
+    """Beck condition for the right adjoints, for V over D1: the canonical
+    mate alpha^* forall_beta V -> forall_gamma delta^* V is an invertible
+    comodule morphism, exactly.
 
-    ``pv`` is delta^* V as returned by ``pullback_functor``, for a caller
-    that needs it too; it is built here when omitted.
+    The mate (Kelly-Street) transposes, under gamma^* -| forall_gamma,
+    g: gamma^* alpha^* forall_beta V ~ delta^* beta^* forall_beta V ->
+    delta^* V, which is m (x) d2 (x) d -> eps(d2) sum
+    eps_V(m (x) delta(d_1)) (x) d_2 on the flat ambient.  ``pv`` is
+    delta^* V from ``pullback_functor`` when the caller has it.
     """
     if v.base != square.beta.source:
         raise BaseMismatchError("comodule must be based on source(beta)")
     if pv is None:
         pv = pullback_functor(square.delta, v)
     lhs_data = forall_data(square.gamma, pv[0])
-    rhs_mod, _ = pullback_functor(square.alpha,
-                                  forall(square.beta, v))
-    dims = {"forall_then_pull": rhs_mod.dim,
+    rhs_data = forall_data(square.beta, v)
+    pa = _pullback_obj(square.alpha, atom(rhs_data.module),
+                       pullback_functor(square.alpha, rhs_data.module))
+    pga = pullback_functor(square.gamma, pa.module)
+    dims = {"forall_then_pull": pa.module.dim,
             "pull_then_forall": lhs_data.module.dim}
-    rng = random.Random("beck-forall")
-    iso = find_isomorphism(lhs_data.module, rhs_mod, rng)
-    if iso is None:
-        return failure("forall-beck", "sides are not isomorphic", dims=dims)
+    d = square.delta.source
+    ident_d = Matrix.identity(v.field, d.dim)
+    # d2 (x) d -> eps(d2) sum delta(d_1) (x) d_2, then eps_V (x) id_D
+    regroup = square.delta.matrix.kron(ident_d) @ d.delta \
+        @ square.alpha.source.epsilon.kron(ident_d)
+    flat = Matrix.identity(v.field, rhs_data.module.dim).kron(regroup) \
+        @ _pullback_obj(square.gamma, pa, pga).chart.embedding
+    g_mat = pv[1].coords(_counit_flat(rhs_data).kron(ident_d) @ flat)
+    if g_mat is None:
+        return failure("forall-beck", "g misses the equalizer of delta^* V",
+                       dims=dims)
+    try:
+        g = ComoduleMorphism(pga[0], pv[0], g_mat)
+        mate = forall_transpose_fwd(lhs_data, pa.module, pga, g)
+    except AxiomError as exc:
+        return failure("forall-beck", str(exc), dims=dims)
+    if not mate.is_isomorphism():
+        return failure("forall-beck", "the mate is not invertible",
+                       dims=dims)
     return CheckReport("forall-beck", dims=dims)
 
 
@@ -672,6 +705,13 @@ def frobenius_check(phi: CoalgebraMorphism, v: Comodule,
 
 
 # -- strong symmetric monoidal closure of phi^* -------------------------------
+
+def _inverse_pair(fwd: ComoduleMorphism, bwd: ComoduleMorphism) -> bool:
+    """fwd bwd = id and bwd fwd = id, exactly."""
+    f = fwd.matrix.field
+    return (fwd.matrix @ bwd.matrix == Matrix.identity(f, fwd.target.dim)
+            and bwd.matrix @ fwd.matrix == Matrix.identity(f, fwd.source.dim))
+
 
 def _tensor_iso(phi: CoalgebraMorphism, v: Comodule, w: Comodule,
                 lhs: _Obj, rhs: _Obj):
@@ -729,9 +769,7 @@ def ssmc_check(phi: CoalgebraMorphism, v: Comodule,
     if fwd is None or bwd is None:
         return failure("ssmc", "tensor comparison misses the equalizer",
                        dims=dims)
-    if fwd.matrix @ bwd.matrix != Matrix.identity(f, pv_pw.module.dim) \
-            or bwd.matrix @ fwd.matrix != Matrix.identity(f,
-                                                          p_vw.module.dim):
+    if not _inverse_pair(fwd, bwd):
         return failure("ssmc", "tensor comparison maps are not inverse",
                        dims=dims)
     details.append("tensor-iso")
@@ -751,9 +789,7 @@ def ssmc_check(phi: CoalgebraMorphism, v: Comodule,
         unit_b = ComoduleMorphism(reg_c, pd_mod, unit_bwd)
     except AxiomError as exc:
         return failure("ssmc", f"unit comparison: {exc}", dims=dims)
-    if unit_f.matrix @ unit_b.matrix != Matrix.identity(f, nc) \
-            or unit_b.matrix @ unit_f.matrix != Matrix.identity(f,
-                                                                pd_mod.dim):
+    if not _inverse_pair(unit_f, unit_b):
         return failure("ssmc", "unit comparison maps are not inverse",
                        dims=dims)
     details.append("unit-iso")
@@ -785,17 +821,29 @@ def ssmc_check(phi: CoalgebraMorphism, v: Comodule,
 # -- composition isomorphisms --------------------------------------------------
 
 def composition_isos(phi: CoalgebraMorphism, psi: CoalgebraMorphism,
-                     v: Comodule, w: Comodule, rng):
-    """Sigma_{psi phi} = Sigma_psi Sigma_phi exactly, and
-    (psi phi)^* ~ phi^* psi^* up to an isomorphism found by search.
+                     v: Comodule, w: Comodule):
+    """Sigma_{psi phi} = Sigma_psi Sigma_phi exactly, and the canonical
+    pair (psi phi)^* W <-> phi^* psi^* W: w (x) c -> sum w (x) phi(c_1)
+    (x) c_2 and w (x) d (x) c -> eps(d) w (x) c.
 
-    v lives over source(phi), w over target(psi); psi phi must compose.
-    Returns (strict_equality, iso or None, dims).
+    v lives over source(phi), w over target(psi).  Returns (strict
+    equality, the pair or None unless exact two-sided inverses, dims).
     """
     composite = psi @ phi
     strict = sigma(composite, v) == sigma(psi, sigma(phi, v))
-    lhs, _ = pullback_functor(composite, w)
-    psw, _ = pullback_functor(psi, w)
-    rhs, _ = pullback_functor(phi, psw)
-    iso = find_isomorphism(lhs, rhs, rng)
-    return strict, iso, {"composite_pull": lhs.dim, "iterated_pull": rhs.dim}
+    ident_c = Matrix.identity(w.field, phi.source.dim)
+    ident_w = Matrix.identity(w.field, w.dim)
+    aw = atom(w)
+    lhs = _pullback_obj(composite, aw, pullback_functor(composite, w))
+    psw = _pullback_obj(psi, aw, pullback_functor(psi, w))
+    rhs = _pullback_obj(phi, psw, pullback_functor(phi, psw.module))
+    dims = {"composite_pull": lhs.module.dim, "iterated_pull": rhs.module.dim}
+    fwd_flat = ident_w.kron(phi.matrix.kron(ident_c) @ phi.source.delta)
+    fwd_mat = rhs.chart.coords(fwd_flat @ lhs.chart.embedding)
+    bwd_flat = ident_w.kron(psi.source.epsilon.kron(ident_c))
+    bwd_mat = lhs.chart.coords(bwd_flat @ rhs.chart.embedding)
+    if fwd_mat is None or bwd_mat is None:
+        return strict, None, dims
+    pair = (ComoduleMorphism(lhs.module, rhs.module, fwd_mat),
+            ComoduleMorphism(rhs.module, lhs.module, bwd_mat))
+    return strict, pair if _inverse_pair(*pair) else None, dims

@@ -355,7 +355,7 @@ OPERATION_INVENTORY = (
     "comod.cotensor", "comod.structural_isos", "comod.internal_hom",
     "comod.is_injective", "comod.is_coflat",
     "indexed.sigma", "indexed.pullback_functor", "indexed.transpose_hat",
-    "indexed.transpose_tilde", "indexed.forall",
+    "indexed.transpose_tilde", "indexed.forall_data",
     "indexed.beck_chevalley_check", "indexed.beck_for_forall_check",
     "indexed.frobenius_check", "indexed.ssmc_check",
     "hyperdoctrine.U_C", "hyperdoctrine.coalgC_product",
@@ -392,7 +392,7 @@ CHECK_OPERATIONS = {
              "coalg.largest_subcoalgebra_in", "indexed.beck_chevalley_check",
              "oracle.set_fiber_product", "oracle.graded_sigma",
              "oracle.graded_pullback", "dslcli.parse", "dslcli.run"},
-    "forall-beck": {"indexed.forall", "indexed.beck_for_forall_check",
+    "forall-beck": {"indexed.forall_data", "indexed.beck_for_forall_check",
                     "comod.is_coflat", "coalg.coseparability_form",
                     "oracle.graded_forall",
                     "oracle.graded_pullback", "oracle.set_fiber_product",
@@ -414,7 +414,7 @@ CHECK_OPERATIONS = {
                       "hyperdoctrine.exists_along_projection",
                       "hyperdoctrine.hyperdoctrine_condition2_check",
                       "indexed.beck_chevalley_check",
-                      "indexed.beck_for_forall_check", "indexed.forall",
+                      "indexed.beck_for_forall_check", "indexed.forall_data",
                       "indexed.sigma", "comod.is_coflat",
                       "coalg.coseparability_form", "coalg.trivial_coalgebra",
                       "coalg.product", "coalg.pairing",

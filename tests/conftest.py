@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from comodcheck.coalg import Coalgebra
+from comodcheck.comod import ComoduleMorphism, hom_space
 from comodcheck.exactlin import Matrix
 from comodcheck.fields import QQ
 
@@ -48,6 +49,37 @@ def count_calls(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, wrapper)
     return calls
+
+
+def find_isomorphism(v, w, rng, tries=64):
+    """An invertible comodule morphism V -> W, or None when none is found.
+
+    A test-only reference, never a verdict: unequal dimensions certify
+    there is none; otherwise invertible elements of the hom space are dense
+    whenever an iso exists, so a seeded random search over small integer
+    combinations finds one quickly.
+    """
+    if v.base != w.base or v.dim != w.dim:
+        return None
+    basis = hom_space(v, w)
+    if not basis:
+        return None if v.dim else ComoduleMorphism(v, w, Matrix.zeros(
+            v.field, 0, 0))
+    for mor in basis:
+        if mor.matrix.is_invertible():
+            return mor
+    p = v.field.char
+    for t in range(tries):
+        bound = 1 + t // 8
+        coeffs = [rng.randint(-bound, bound) if not p else
+                  rng.randrange(p) for _ in basis]
+        mat = Matrix.zeros(v.field, w.dim, v.dim)
+        for c, mor in zip(coeffs, basis):
+            if c:
+                mat = mat + mor.matrix.scale(c)
+        if mat.is_invertible():
+            return ComoduleMorphism(v, w, mat)
+    return None
 
 
 @pytest.fixture(autouse=True)

@@ -205,7 +205,7 @@ def test_exists_and_forall_along_projection(g_ab):
     prod_ic, _, _ = ca.product(bp1.coalgebra, g_ab)
     v = cm.graded_comodule(prod_ic, [1, 2, 0, 1])
     assert orc.to_graded(hd.exists_along_projection(bp1, v)).dims == (3, 1)
-    assert orc.to_graded(hd.forall_along_projection(bp1, v)).dims == (3, 1)
+    assert orc.to_graded(ix.forall(bp1.step[1], v)).dims == (3, 1)
 
 
 def test_exists_collapses_over_point(g_ab):
@@ -347,15 +347,24 @@ def test_condition2_pulls_v_back_once_per_square(monkeypatch):
 
 def test_hyperdoctrine_pulls_back_and_builds_forall_once(monkeypatch):
     # the exists and forall triangles share phi^* W, and the forall
-    # triangles and the reported forall share forall_data(p_I, V)
+    # triangles and the reported forall share forall_data(p_I, V); each
+    # of the 3 condition-2 mates pulls alpha^* forall V back along gamma
     pulls = [count_calls(monkeypatch, ix, "pullback_functor"),
              count_calls(monkeypatch, hd, "pullback_functor")]
     foralls = count_calls(monkeypatch, ix, "forall_data")
     run_hyperdoctrine_c1()
     pairs = [(id(args[0]), id(args[1])) for args in pulls[0] + pulls[1]]
-    assert len(pairs) == len(set(pairs)) == 22
+    assert len(pairs) == len(set(pairs)) == 25
     pairs = [(id(args[0]), id(args[1])) for args in foralls]
     assert len(pairs) == len(set(pairs)) == 12
+
+
+def test_hyperdoctrine_makes_no_hom_space_call(monkeypatch):
+    # each condition-2 forall square is certified by its canonical mate
+    calls = [count_calls(monkeypatch, cm, "hom_space"),
+             count_calls(monkeypatch, ix, "hom_space")]
+    run_hyperdoctrine_c1()
+    assert calls == [[], []]
 
 
 def test_hyperdoctrine_two_certifies_coflatness_without_a_solve(monkeypatch):

@@ -1,9 +1,13 @@
+import ast
 import random
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from comodcheck import coalg as ca
 from comodcheck import comod as cm
+from comodcheck import dsl, runner
 from comodcheck import indexed as ix
 from comodcheck import oracle as orc
 from comodcheck.errors import (BaseMismatchError, HypothesisViolatedError)
@@ -11,7 +15,8 @@ from comodcheck.exactlin import Matrix
 from comodcheck.fields import QQ
 from comodcheck.gen import random_comodule, random_setmap_morphism
 
-from conftest import count_calls, gx_coalgebra, sqrt2_dual
+from conftest import (count_calls, find_isomorphism, gx_coalgebra,
+                      sqrt2_dual)
 
 F = QQ
 
@@ -62,7 +67,7 @@ def test_pullback_identity_up_to_unit_iso(g_ab):
     rng = random.Random(0)
     w = cm.graded_comodule(g_ab, [2, 1])
     pid, _ = ix.pullback_functor(g_ab.identity_morphism(), w)
-    assert cm.find_isomorphism(pid, w, rng) is not None
+    assert find_isomorphism(pid, w, rng) is not None
 
 
 def test_pullback_regrades_along_map(phi, g_ab):
@@ -72,14 +77,33 @@ def test_pullback_regrades_along_map(phi, g_ab):
 
 
 def test_pullback_composition_iso(phi, g_ab, g_xyz):
-    rng = random.Random(1)
     g_t = ca.grouplike_coalgebra(F, ["t"])
     psi = ca.grouplike_morphism(g_ab, g_t, {"a": "t", "b": "t"})
     v = cm.graded_comodule(g_xyz, [1, 0, 2])
     w = cm.graded_comodule(g_t, [2])
-    strict, iso, dims = ix.composition_isos(phi, psi, v, w, rng)
-    assert strict and iso is not None
+    strict, pair, dims = ix.composition_isos(phi, psi, v, w)
+    assert strict and pair is not None
     assert dims["composite_pull"] == dims["iterated_pull"]
+
+
+def test_composition_isos_are_an_exact_inverse_pair(phi, g_ab, g_xyz):
+    # (psi phi)^* W <-> phi^* psi^* W by w (x) c -> w (x) phi(c_1) (x) c_2
+    # and w (x) d (x) c -> eps(d) w (x) c, mutually inverse on the nose
+    rng = random.Random(2)
+    g_uv = ca.grouplike_coalgebra(F, ["u", "v"])
+    psi = ca.grouplike_morphism(g_ab, g_uv, {"a": "v", "b": "v"})
+    for _ in range(3):
+        v = random_comodule(rng, g_xyz, max_dim=2)
+        w = random_comodule(rng, g_uv, max_dim=2, conjugated=True)
+        strict, (fwd, bwd), dims = ix.composition_isos(phi, psi, v, w)
+        assert strict
+        lhs, _ = ix.pullback_functor(psi @ phi, w)
+        rhs, _ = ix.pullback_functor(phi, ix.pullback_functor(psi, w)[0])
+        assert (fwd.source, fwd.target) == (bwd.target, bwd.source) \
+            == (lhs, rhs)
+        assert fwd.matrix @ bwd.matrix == Matrix.identity(F, rhs.dim)
+        assert bwd.matrix @ fwd.matrix == Matrix.identity(F, lhs.dim)
+        assert dims == {"composite_pull": lhs.dim, "iterated_pull": rhs.dim}
 
 
 def test_pullback_functorial_on_morphisms(phi, g_ab):
@@ -336,6 +360,52 @@ def test_beck_for_forall(g_ab):
     rep = ix.beck_for_forall_check(square, v)
     assert rep.passed
     assert rep.dims["forall_then_pull"] == rep.dims["pull_then_forall"]
+
+
+def test_beck_for_forall_rejects_a_planted_wrong_counit(monkeypatch, g_ab):
+    # zero the counit on the block of x: the mate loses that component and
+    # is not invertible, although the two sides are still isomorphic
+    beta, alpha = cospan(g_ab)
+    square = ix.PullbackSquare.from_cospan(beta, alpha)
+    v = cm.graded_comodule(beta.source, [1, 2, 1])
+    real = ix._block_proj
+
+    def block_proj(data, xi):
+        block = real(data, xi)
+        return Matrix.zeros(F, block.rows, block.cols) if xi == 0 else block
+
+    monkeypatch.setattr(ix, "_block_proj", block_proj)
+    rep = ix.beck_for_forall_check(square, v)
+    assert rep.verdict == "fail"
+    assert "mate is not invertible" in rep.witness["equation"]
+    pv, _ = ix.pullback_functor(square.delta, v)
+    rhs, _ = ix.pullback_functor(alpha, ix.forall(beta, v))
+    assert find_isomorphism(rhs, ix.forall(square.gamma, pv),
+                            random.Random(0)) is not None
+
+
+def test_forall_beck_document_makes_no_hom_space_call(monkeypatch):
+    doc = dsl.parse((resources.files("comodcheck") / "corpus"
+                     / "08_forall_beck.cd").read_text())
+    calls = [count_calls(monkeypatch, cm, "hom_space"),
+             count_calls(monkeypatch, ix, "hom_space")]
+    assert [rep.verdict for rep in runner.run(doc)] == ["pass", "pass"]
+    assert calls == [[], []]
+
+
+def test_no_verdict_path_imports_random():
+    # only the seeded instance generator draws random numbers, so no
+    # check can rest on a random search
+    pkg = Path(ix.__file__).parent
+    importers = set()
+    for path in pkg.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [a.name for a in node.names] \
+                if isinstance(node, ast.Import) else \
+                [node.module] if isinstance(node, ast.ImportFrom) else []
+            if "random" in names:
+                importers.add(path.stem)
+    assert importers == {"gen"}
 
 
 def test_beck_consistency_between_variants(g_ab):
