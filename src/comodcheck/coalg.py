@@ -9,14 +9,14 @@ the broken law; everything downstream may therefore assume valid data.
 
 The category operations implemented here follow the classical recipe: the
 product of cocommutative coalgebras lives on the tensor product with
-comultiplication (id (x) swap (x) id)(delta1 (x) delta2); equalizers are
-the largest subcoalgebra inside ker(f - g), computed by iterating the
-refinement W -> {x in W : delta(x) in W (x) W} to its fixpoint; pullbacks
-are equalizers out of products.  A coseparability form gamma: C (x) C -> k
-(``coseparability_form``) is built directly on a group-like basis and is
-the inverse of the trace form of C* on any other; it exists exactly when
-C is cosemisimple, which decides cosemisimplicity over Q and lets
-``comod.is_injective`` certify injectivity with an explicit retraction.
+comultiplication (id (x) swap (x) id)(delta1 (x) delta2), and the pullback
+of D1 -> C <- D2 is the cotensor D1 (x)_C D2 inside it, one kernel (dual to
+the pushout A1 (x)_B A2 of the commutative dual algebras).  A
+coseparability form gamma: C (x) C -> k (``coseparability_form``) is built
+directly on a group-like basis and is the inverse of the trace form of C*
+on any other; it exists exactly when C is cosemisimple, which decides
+cosemisimplicity over Q and lets ``comod.is_injective`` certify
+injectivity with an explicit retraction.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from .fields import Field
 __all__ = [
     "Coalgebra", "CoalgebraMorphism", "trivial_coalgebra",
     "grouplike_coalgebra", "grouplike_morphism", "direct_sum", "product",
-    "pairing", "counit_morphism", "largest_subcoalgebra_in", "equalizer",
-    "equalizer_factor", "pullback", "pullback_mediate",
+    "pairing", "counit_morphism", "pullback", "pullback_mediate",
     "coseparability_form", "is_cosemisimple", "grouplike_labels",
 ]
 
@@ -338,7 +337,7 @@ def pairing(f: CoalgebraMorphism, g: CoalgebraMorphism,
     return CoalgebraMorphism(f.source, prod, mat)
 
 
-# -- subcoalgebras, equalizers, pullbacks -----------------------------------
+# -- subcoalgebras and pullbacks --------------------------------------------
 
 def _sub_labels(parent: Coalgebra, basis: Matrix):
     """Labels for a subcoalgebra whose basis consists of basis vectors."""
@@ -354,87 +353,59 @@ def _sub_labels(parent: Coalgebra, basis: Matrix):
     return tuple(picked)
 
 
-def largest_subcoalgebra_in(c: Coalgebra, w: Subspace):
-    """Largest subcoalgebra of c contained in the subspace w.
+def _subcoalgebra(c: Coalgebra, w: Subspace):
+    """The subcoalgebra of c on the subspace w, with its inclusion.
 
-    Iterates the refinement W -> {x in W : delta(x) in W (x) W}, a kernel
-    computation per step using the identity (W x C) cap (C x W) = W x W
-    over a field; strictly dimension-decreasing, hence terminating.
-    Returns the induced coalgebra with its inclusion.
+    The induced structure constants solve (B (x) B) delta_sub = delta B and
+    eps_sub = eps B for the canonical basis B of w; they are read off the
+    pivot rows and checked exactly, so a w that is not delta-closed raises.
     """
-    if w.ambient != c.dim:
-        raise ShapeError("subspace does not live in the coalgebra")
     f = c.field
-    ident = Matrix.identity(f, c.dim)
-    while True:
-        if w.dim == 0:
-            break
-        # delta(x) in W (x) W == (W (x) C) cap (C (x) W), cut out by the
-        # structured annihilators ann(W) (x) id and id (x) ann(W)
-        q = w.annihilator()
-        cond = q.kron(ident).vstack(ident.kron(q)) @ c.delta @ w.basis
-        coords = cond.kernel()
-        if coords.dim == w.dim:
-            break
-        w = Subspace(f, c.dim, w.basis @ coords.basis, _canonical=False)
     basis = w.basis
     k = basis.cols
     if k == 0:
         sub = Coalgebra(f, 0, Matrix.zeros(f, 0, 0), Matrix.zeros(f, 1, 0))
         return sub, CoalgebraMorphism(sub, c, Matrix.zeros(f, c.dim, 0))
-    # induced structure constants: (B x B) delta_sub = delta B, eps_sub = eps B
     bb = basis.kron(basis)
     target = c.delta @ basis
     pivot_rows = [p1 * c.dim + p2 for p1 in w.pivots for p2 in w.pivots]
     delta_sub = target.take_rows(pivot_rows)
     if bb @ delta_sub != target:
         raise AxiomError("subcoalgebra-closure",
-                         "refinement fixpoint is not delta-closed")
+                         "subspace is not delta-closed")
     eps_sub = c.epsilon @ basis
     sub = Coalgebra(f, k, delta_sub, eps_sub, labels=_sub_labels(c, basis))
     return sub, CoalgebraMorphism(sub, c, basis)
 
 
-def equalizer(f: CoalgebraMorphism, g: CoalgebraMorphism):
-    """Equalizer in the coalgebra category of a parallel pair.
-
-    The underlying object is the largest subcoalgebra inside ker(f - g),
-    so ``largest_subcoalgebra_in`` certifies it: its refinement stops only
-    once delta(W) lies in (W (x) C) cap (C (x) W), and the induced
-    structure constants are checked exactly against delta(W) in W (x) W.
-    The inclusion is then checked to equalize the pair.
-    """
-    if f.source != g.source or f.target != g.target:
-        raise BaseMismatchError("equalizer needs a parallel pair")
-    ker = (f.matrix - g.matrix).kernel()
-    sub, incl = largest_subcoalgebra_in(f.source, ker)
-    if f.matrix @ incl.matrix != g.matrix @ incl.matrix:
-        raise AxiomError("equalizer", "inclusion fails to equalize the pair")
-    return sub, incl
-
-
-def equalizer_factor(incl: CoalgebraMorphism,
-                     h: CoalgebraMorphism) -> CoalgebraMorphism:
-    """Unique factorization of an equalizing morphism through the inclusion."""
-    coords = incl.matrix.solve_right(h.matrix)
-    if coords is None:
-        raise AxiomError("equalizer-universality",
-                         "morphism does not factor through the equalizer")
-    return CoalgebraMorphism(h.source, incl.source, coords)
-
-
 def pullback(phi1: CoalgebraMorphism, phi2: CoalgebraMorphism):
-    """Pullback of a cospan, computed as the equalizer of the pair
-    (phi1 p1, phi2 p2) out of the product.  That pair need not have a
-    common retraction, so the equalizer may be a proper subcoalgebra of
-    ker(phi1 p1 - phi2 p2); ``equalizer`` computes it either way.
+    """Pullback of a cospan D1 -> C <- D2: the cotensor D1 (x)_C D2.
+
+    Its space is E = ker(rho1 (x) id - id (x) lambda2) inside the product
+    D1 (x) D2, where rho1 = (id (x) phi1) delta1 and lambda2 =
+    (phi2 (x) id) delta2 are the coactions of U(phi1) and U(phi2).  The
+    pullback is the equalizer of (phi1 p1, phi2 p2) out of the product,
+    that is, the largest subcoalgebra inside K = ker(phi1 p1 - phi2 p2),
+    and E is exactly that subcoalgebra:
+
+    - E lies in K: apply eps1 (x) id (x) eps2 to the defining equation
+      (checked below as the square commuting);
+    - every subcoalgebra S inside K lies in E, since on the product
+      rho1 (x) id - id (x) lambda2 = (p1 (x) (phi1 p1 - phi2 p2) (x) p2)
+      delta^(2) and delta^(2) S lies in S (x) S (x) S;
+    - E is a subcoalgebra, dual to A1 (x)_B A2 being a quotient algebra of
+      A1 (x) A2; ``_subcoalgebra`` checks its closure exactly.
 
     Returns (P, u, v) with phi1 u = phi2 v.
     """
+    from .comod import _cotensor_kernel
+    from .indexed import coaction_comodule
     if phi1.target != phi2.target:
         raise BaseMismatchError("pullback needs a common codomain")
     prod, p1, p2 = product(phi1.source, phi2.source)
-    sub, incl = equalizer(phi1 @ p1, phi2 @ p2)
+    kernel = _cotensor_kernel(coaction_comodule(phi1),
+                              coaction_comodule(phi2))
+    sub, incl = _subcoalgebra(prod, kernel)
     u = p1 @ incl
     v = p2 @ incl
     if phi1.matrix @ u.matrix != phi2.matrix @ v.matrix:

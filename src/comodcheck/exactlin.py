@@ -12,7 +12,7 @@ dimensions (m, n) sits at flat index ``i*n + j`` (left factor major).
 ``kron`` realizes maps f (x) g on these bases, and the row-major vec
 identity  vec(L @ X @ R) = kron(L, R^T) @ vec(X)  turns "find a linear map
 subject to linear conditions" into one rectangular solve
-(``LinearSystem`` / ``solve_constrained``).
+(``LinearSystem``).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .fields import Field
 
 __all__ = [
     "ShapeError", "Matrix", "Subspace", "Chart", "kernel", "kron",
-    "intersect", "swap_matrix", "LinearSystem", "solve_constrained",
+    "intersect", "swap_matrix", "LinearSystem",
 ]
 
 
@@ -590,16 +590,3 @@ class LinearSystem:
                        ker.basis.column(i).data)
                 for i in range(ker.dim)]
 
-
-def solve_constrained(field: Field, shape: tuple[int, int],
-                      constraints) -> Matrix | None:
-    """Solve for a shape[0] x shape[1] matrix under affine linear conditions.
-
-    ``constraints`` is an iterable of (terms, rhs) pairs as accepted by
-    ``LinearSystem.add``.  Returns one exact solution or None (certifying
-    that the stacked linear system is inconsistent).
-    """
-    sys = LinearSystem(field, *shape)
-    for terms, rhs in constraints:
-        sys.add(terms, rhs)
-    return sys.solve()

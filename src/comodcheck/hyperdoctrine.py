@@ -155,8 +155,10 @@ def lnl_morphism_check(f: CoalgebraMorphism,
 
     Checks: K_f U = U' L_f through the equalizer comparison
     (x~ (x) x) delta_X; L_f preserves the terminal object and the binary
-    product (obj x obj); K_f is strong symmetric monoidal closed; the unit
-    condition holds trivially because the units are identities.
+    product (obj x obj: the images of its projections form a
+    ``PullbackSquare`` over L_f obj); K_f is strong symmetric monoidal
+    closed; the unit condition holds trivially because the units are
+    identities.
     """
     if not is_cosemisimple(f.source) or not is_cosemisimple(f.target):
         raise UnsupportedBaseError("lnl check needs cosemisimple bases")
@@ -194,9 +196,9 @@ def lnl_morphism_check(f: CoalgebraMorphism,
     l_prod = L_f(f, prod_c)
     lp1, _, _ = L_f_map(prod_c, obj, pi1, l_prod, (lf_obj, x_tilde))
     lp2, _, _ = L_f_map(prod_c, obj, pi2, l_prod, (lf_obj, x_tilde))
-    _, qu, qv = coalg_pullback(lf_obj.phi, lf_obj.phi)
-    med = pullback_mediate(qu, qv, lp1, lp2)
-    if not med.is_isomorphism():
+    try:
+        PullbackSquare(lp1, lp2, x, x)
+    except AxiomError:
         return failure("lnl", "L_f does not preserve binary products",
                        dims=dims)
     details.append("binary-products")

@@ -17,24 +17,25 @@ is an exact splitting solve.
 
 The law checks verify, per instance and in exact arithmetic, the canonical
 isomorphisms of the calculus: Beck-Chevalley along pullback squares for
-Sigma (mediating morphism t through the canonical equalizer) and for forall
-(the canonical mate), Frobenius reciprocity, and strong symmetric monoidal
-closure of phi^* between cosemisimple bases.  Each comparison is an explicit
-map checked exactly to be an invertible comodule morphism; dimension
-counting alone is never accepted for a law with a formula.
+Sigma (through the inverse t of the comparison of the apex with the
+cotensor D1 (x)_C D2) and for forall (the canonical mate), Frobenius
+reciprocity, and strong symmetric monoidal closure of phi^* between
+cosemisimple bases.  Each comparison is an explicit map checked exactly to
+be an invertible comodule morphism; dimension counting alone is never
+accepted for a law with a formula.
 """
 
 from __future__ import annotations
 
 from .coalg import (CoalgebraMorphism, grouplike_labels, is_cosemisimple,
-                    pullback as coalg_pullback, pullback_mediate)
+                    pullback as coalg_pullback)
 from .comod import (Comodule, ComoduleMorphism, _cotensor_kernel, _Obj,
                     _restricted_coaction, _transposition, atom, ct,
                     graded_comodule, graded_components, hom_space,
                     internal_hom, is_coflat, regular_comodule)
 from .errors import (AxiomError, BaseMismatchError, HypothesisViolatedError,
                      UnsupportedBaseError)
-from .exactlin import Chart, Matrix, Subspace, swap_matrix
+from .exactlin import Chart, Matrix, swap_matrix
 from .report import CheckReport, failure
 
 __all__ = [
@@ -487,13 +488,16 @@ class PullbackSquare:
     """A commuting square delta/gamma over beta/alpha that is a pullback.
 
     delta: D -> D1, gamma: D -> D2, beta: D1 -> C, alpha: D2 -> C.
-    Construction verifies beta delta = alpha gamma and that the mediating
-    morphism into the canonical pullback of (beta, alpha) is an
-    isomorphism.  It keeps the canonical pullback (D', u, v) and the
-    inverse t: D' -> D of that isomorphism for the Beck maps.
+    The pullback of (beta, alpha) is the cotensor E = D1 (x)_C D2 inside
+    D1 (x) D2 (see ``coalg.pullback``).  Construction verifies
+    beta delta = alpha gamma and that the coalgebra morphism
+    P = (delta (x) gamma) delta_D lands in E with invertible coordinate
+    matrix m: then P is an isomorphism of D onto E carrying delta and gamma
+    to the projections.  It keeps E (``cotensor``) and t = m^-1, which
+    sends coordinates in E back to D, for the Beck maps.
     """
 
-    __slots__ = ("delta", "gamma", "beta", "alpha", "canonical", "t")
+    __slots__ = ("delta", "gamma", "beta", "alpha", "cotensor", "t")
 
     def __init__(self, delta: CoalgebraMorphism, gamma: CoalgebraMorphism,
                  beta: CoalgebraMorphism, alpha: CoalgebraMorphism):
@@ -505,9 +509,11 @@ class PullbackSquare:
             raise BaseMismatchError("square legs do not match")
         if beta.matrix @ delta.matrix != alpha.matrix @ gamma.matrix:
             raise AxiomError("pullback-square", "square does not commute")
-        canon, u, v = coalg_pullback(beta, alpha)
-        m = pullback_mediate(u, v, delta, gamma)
-        t = m.matrix.inverse()
+        cotensor = _cotensor_kernel(coaction_comodule(beta),
+                                    coaction_comodule(alpha))
+        m = cotensor.coords(delta.matrix.kron(gamma.matrix)
+                            @ delta.source.delta)
+        t = None if m is None else m.inverse()
         if t is None:
             raise AxiomError("pullback-square",
                              "apex is not the pullback of the cospan")
@@ -515,42 +521,16 @@ class PullbackSquare:
         self.gamma = gamma
         self.beta = beta
         self.alpha = alpha
-        self.canonical = (canon, u, v)
+        self.cotensor = cotensor
         self.t = t
 
     @classmethod
     def from_cospan(cls, beta: CoalgebraMorphism,
                     alpha: CoalgebraMorphism) -> "PullbackSquare":
         """The canonical pullback square; its legs are the canonical ones,
-        so t is the identity and no mediating morphism is solved for."""
-        canon, u, v = coalg_pullback(beta, alpha)
-        square = cls.__new__(cls)
-        square.delta, square.gamma, square.beta, square.alpha = \
-            u, v, beta, alpha
-        square.canonical = (canon, u, v)
-        square.t = Matrix.identity(canon.field, canon.dim)
-        return square
-
-
-def _mediating_t(square: PullbackSquare):
-    """t: D' -> D where D' is the canonical equalizer inside D1 (x) D2.
-
-    t is the inverse of the mediating isomorphism m: D -> D', so it is the
-    unique map with p t = incl, where p = <delta, gamma> = incl m is the
-    canonical morphism D -> D1 (x) D2 and incl the inclusion of D'.  The
-    legs delta t = u and gamma t = v are checked exactly, and t is checked
-    to be a coalgebra morphism.  Returns (t, the subspace spanned by D').
-    """
-    dprime, u, v = square.canonical
-    d = square.delta.source
-    t_mor = CoalgebraMorphism(dprime, d, square.t)
-    if square.delta.matrix @ square.t != u.matrix \
-            or square.gamma.matrix @ square.t != v.matrix:
-        raise AxiomError("beck-chevalley", "t does not mediate the legs")
-    incl = u.matrix.kron(v.matrix) @ dprime.delta
-    n1, n2 = square.beta.source.dim, square.alpha.source.dim
-    esub = Subspace(d.field, n1 * n2, incl, _canonical=False)
-    return t_mor, esub
+        so t is the identity."""
+        _, u, v = coalg_pullback(beta, alpha)
+        return cls(u, v, beta, alpha)
 
 
 def beck_maps(square: PullbackSquare, v: Comodule):
@@ -570,17 +550,17 @@ def beck_maps(square: PullbackSquare, v: Comodule):
     m2_mod, m2_sub = pullback_functor(square.gamma, v)
     side2_mod = sigma(square.delta, m2_mod)
     side2 = (side2_mod, m2_sub)
-    t_mor, esub = _mediating_t(square)
     iv = Matrix.identity(f, v.dim)
     # forward: v (x) d1 |-> sum v0 (x) (t after swap)(v1 (x) d1)
     step = iv.kron(swap_matrix(f, n2, n1)) @ v.rho.kron(
         Matrix.identity(f, n1)) @ side1[1].basis
     chart = Chart.kron(Chart.identity(f, v.dim),
-                       Chart.restrict(Chart.identity(f, n1 * n2), esub))
+                       Chart.restrict(Chart.identity(f, n1 * n2),
+                                      square.cotensor))
     coords = chart.coords(step)
     if coords is None:
         return None, None, side1, side2
-    phi_mat = side2[1].coords(iv.kron(t_mor.matrix) @ coords)
+    phi_mat = side2[1].coords(iv.kron(square.t) @ coords)
     if phi_mat is None:
         return None, None, side1, side2
     phi = ComoduleMorphism(side1[0], side2_mod, phi_mat)

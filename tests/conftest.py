@@ -12,9 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from comodcheck.coalg import Coalgebra
+from comodcheck.coalg import Coalgebra, _subcoalgebra
 from comodcheck.comod import ComoduleMorphism, hom_space
-from comodcheck.exactlin import Matrix
+from comodcheck.exactlin import Matrix, Subspace
 from comodcheck.fields import QQ
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -80,6 +80,27 @@ def find_isomorphism(v, w, rng, tries=64):
         if mat.is_invertible():
             return ComoduleMorphism(v, w, mat)
     return None
+
+
+def largest_subcoalgebra_in(c, w):
+    """Largest subcoalgebra of c inside the subspace w, with its inclusion.
+
+    A test-only reference for ``coalg.pullback``: it iterates the
+    refinement W -> {x in W : delta(x) in W (x) W} to its fixpoint, one
+    kernel per step through (W (x) C) cap (C (x) W) = W (x) W, cut out by
+    ann(W) (x) id and id (x) ann(W); each step strictly lowers the
+    dimension until it stops.
+    """
+    f = c.field
+    ident = Matrix.identity(f, c.dim)
+    while w.dim:
+        q = w.annihilator()
+        cond = q.kron(ident).vstack(ident.kron(q)) @ c.delta @ w.basis
+        coords = cond.kernel()
+        if coords.dim == w.dim:
+            break
+        w = Subspace(f, c.dim, w.basis @ coords.basis, _canonical=False)
+    return _subcoalgebra(c, w)
 
 
 @pytest.fixture(autouse=True)

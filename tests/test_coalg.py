@@ -8,7 +8,8 @@ from comodcheck.exactlin import Matrix, Subspace
 from comodcheck.fields import GF, QQ
 from comodcheck.gen import corrupt_coalgebra, random_coalgebra
 
-from conftest import count_calls, gx_coalgebra, sqrt2_dual
+from conftest import (count_calls, gx_coalgebra, largest_subcoalgebra_in,
+                      sqrt2_dual)
 
 F = QQ
 
@@ -120,18 +121,18 @@ def test_pairing_uniqueness():
     assert sol is not None
 
 
-# -- subcoalgebras and equalizers ---------------------------------------------------
+# -- the largest-subcoalgebra reference ----------------------------------------------
 
 def test_largest_subcoalgebra_whole_space():
     g2 = ca.grouplike_coalgebra(F, ["a", "b"])
-    sub, incl = ca.largest_subcoalgebra_in(g2, Subspace.full(F, 2))
+    sub, incl = largest_subcoalgebra_in(g2, Subspace.full(F, 2))
     assert sub.dim == 2
 
 
 def test_largest_subcoalgebra_single_grouplike():
     g2 = ca.grouplike_coalgebra(F, ["a", "b"])
     w = Subspace(F, 2, Matrix.from_rows(F, [[1], [0]]))
-    sub, incl = ca.largest_subcoalgebra_in(g2, w)
+    sub, incl = largest_subcoalgebra_in(g2, w)
     assert sub.dim == 1 and sub.labels == ("a",)
     assert incl.matrix == Matrix.from_rows(F, [[1], [0]])
 
@@ -139,7 +140,7 @@ def test_largest_subcoalgebra_single_grouplike():
 def test_largest_subcoalgebra_refinement_to_zero():
     gx = gx_coalgebra()
     w = Subspace(F, 2, Matrix.from_rows(F, [[0], [1]]))
-    sub, incl = ca.largest_subcoalgebra_in(gx, w)
+    sub, incl = largest_subcoalgebra_in(gx, w)
     assert sub.dim == 0
 
 
@@ -150,51 +151,9 @@ def test_largest_subcoalgebra_terminates_under_dimension():
         cols = rng.randint(0, c.dim)
         m = Matrix(F, c.dim, cols,
                    [F.of(rng.randint(-2, 2)) for _ in range(c.dim * cols)])
-        sub, incl = ca.largest_subcoalgebra_in(
+        sub, incl = largest_subcoalgebra_in(
             c, Subspace(F, c.dim, m, _canonical=False))
         assert 0 <= sub.dim <= c.dim
-
-
-def test_equalizer_of_equal_pair_is_whole():
-    g_xy = ca.grouplike_coalgebra(F, ["x", "y"])
-    g_ab = ca.grouplike_coalgebra(F, ["a", "b"])
-    f = ca.grouplike_morphism(g_xy, g_ab, {"x": "a", "y": "b"})
-    eq, incl = ca.equalizer(f, f)
-    assert eq.dim == 2
-
-
-def test_equalizer_fixed_points_of_grouplike_maps():
-    g_xy = ca.grouplike_coalgebra(F, ["x", "y"])
-    g_ab = ca.grouplike_coalgebra(F, ["a", "b"])
-    f = ca.grouplike_morphism(g_xy, g_ab, {"x": "a", "y": "b"})
-    g = ca.grouplike_morphism(g_xy, g_ab, {"x": "a", "y": "a"})
-    eq, incl = ca.equalizer(f, g)
-    assert eq.dim == 1 and eq.labels == ("x",)
-
-
-def test_equalizer_coreflexive_pair_equals_kernel():
-    # f = <id, id> and g = <id, k> share the retraction p1, so the pair is
-    # coreflexive and its equalizer space must be exactly ker(f - g)
-    g3 = ca.grouplike_coalgebra(F, ["a", "b", "c"])
-    p, p1, p2 = ca.product(g3, g3)
-    k = ca.grouplike_morphism(g3, g3, {"a": "a", "b": "c", "c": "b"})
-    f = ca.pairing(g3.identity_morphism(), g3.identity_morphism(), prod=p)
-    g = ca.pairing(g3.identity_morphism(), k, prod=p)
-    ker = (f.matrix - g.matrix).kernel()
-    eq, incl = ca.equalizer(f, g)
-    assert eq.dim == ker.dim == 1
-
-
-def test_equalizer_factorization():
-    g_xy = ca.grouplike_coalgebra(F, ["x", "y"])
-    g_ab = ca.grouplike_coalgebra(F, ["a", "b"])
-    f = ca.grouplike_morphism(g_xy, g_ab, {"x": "a", "y": "b"})
-    g = ca.grouplike_morphism(g_xy, g_ab, {"x": "a", "y": "a"})
-    eq, incl = ca.equalizer(f, g)
-    gx = ca.grouplike_coalgebra(F, ["p"])
-    h = ca.grouplike_morphism(gx, g_xy, {"p": "x"})
-    through = ca.equalizer_factor(incl, h)
-    assert incl @ through == h
 
 
 # -- pullbacks ----------------------------------------------------------------------
@@ -232,6 +191,57 @@ def test_pullback_mediate_identity():
     pb, u, v = ca.pullback(f1, f1)
     med = ca.pullback_mediate(u, v, u, v)
     assert med.matrix == Matrix.identity(F, pb.dim)
+
+
+def _fold(c):
+    """The codiagonal C + C -> C."""
+    ident = Matrix.identity(c.field, c.dim)
+    return ca.CoalgebraMorphism(ca.direct_sum(c, c), c, ident.hstack(ident))
+
+
+def _pullback_cospans(field):
+    k, n = sqrt2_dual(field), gx_coalgebra(field)
+    _, p_k, p_n = ca.product(k, n)
+    return {
+        "K-id-id": (k.identity_morphism(), k.identity_morphism()),
+        "K-counits": (ca.counit_morphism(k), ca.counit_morphism(k)),
+        "N-id-id": (n.identity_morphism(), n.identity_morphism()),
+        "K-N-counits": (ca.counit_morphism(k), ca.counit_morphism(n)),
+        "K-fold-fold": (_fold(k), _fold(k)),
+        "N-fold-id": (_fold(n), n.identity_morphism()),
+        "KxN-proj-id": (p_k, k.identity_morphism()),
+        "KxN-proj-proj": (p_n, p_n),
+    }
+
+
+PULLBACK_FIELDS = {"Q": QQ, "F7": GF(7), "F3": GF(3)}
+
+
+@pytest.mark.parametrize("field", sorted(PULLBACK_FIELDS))
+@pytest.mark.parametrize("case", sorted(_pullback_cospans(QQ)))
+def test_pullback_is_the_largest_subcoalgebra_in_the_kernel(case, field):
+    phi1, phi2 = _pullback_cospans(PULLBACK_FIELDS[field])[case]
+    pb, u, v = ca.pullback(phi1, phi2)
+    prod, p1, p2 = ca.product(phi1.source, phi2.source)
+    kernel = (phi1.matrix @ p1.matrix - phi2.matrix @ p2.matrix).kernel()
+    ref, incl = largest_subcoalgebra_in(prod, kernel)
+    assert pb == ref and pb.labels == ref.labels
+    assert u.matrix.kron(v.matrix) @ pb.delta == incl.matrix
+
+
+def test_pullback_of_a_non_coreflexive_cospan_is_below_the_kernel():
+    g_xy = ca.grouplike_coalgebra(F, ["x", "y"])
+    g_pq = ca.grouplike_coalgebra(F, ["p", "q"])
+    g_ab = ca.grouplike_coalgebra(F, ["a", "b"])
+    beta = ca.grouplike_morphism(g_xy, g_ab, {"x": "a", "y": "a"})
+    alpha = ca.grouplike_morphism(g_pq, g_ab, {"p": "b", "q": "b"})
+    pb, u, v = ca.pullback(beta, alpha)
+    prod, p1, p2 = ca.product(g_xy, g_pq)
+    kernel = (beta.matrix @ p1.matrix - alpha.matrix @ p2.matrix).kernel()
+    ref, _ = largest_subcoalgebra_in(prod, kernel)
+    # (x, p) - (y, q) lies in the kernel, but no group-like pair does
+    assert kernel.dim == 3
+    assert pb.dim == ref.dim == 0
 
 
 # -- cosemisimplicity -----------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from comodcheck import _core_py
 from comodcheck.exactlin import (Chart, LinearSystem, Matrix, ShapeError,
-                                 Subspace, solve_constrained, swap_matrix)
+                                 Subspace, swap_matrix)
 from comodcheck.fields import GF, QQ
 
 F = QQ
@@ -142,22 +142,23 @@ def test_subspace_requires_independent_columns():
 
 # -- solving --------------------------------------------------------------------
 
-def test_solve_constrained_identity():
-    x = solve_constrained(F, (2, 2), [([(None, Matrix.identity(F, 2))],
-                                       Matrix.identity(F, 2))])
-    assert x == Matrix.identity(F, 2)
+def test_linear_system_identity():
+    sys = LinearSystem(F, 2, 2)
+    sys.add([(None, Matrix.identity(F, 2))], Matrix.identity(F, 2))
+    assert sys.solve() == Matrix.identity(F, 2)
 
 
-def test_solve_constrained_unsolvable():
-    x = solve_constrained(F, (2, 2), [([(None, Matrix.zeros(F, 2, 2))],
-                                       Matrix.identity(F, 2))])
-    assert x is None
+def test_linear_system_unsolvable():
+    sys = LinearSystem(F, 2, 2)
+    sys.add([(None, Matrix.zeros(F, 2, 2))], Matrix.identity(F, 2))
+    assert sys.solve() is None
 
 
-def test_solve_constrained_retraction_of_injective():
+def test_linear_system_retraction_of_injective():
     inj = Matrix.from_rows(F, [[1, 0], [0, 1], [1, 1]])  # injective 3x2
-    x = solve_constrained(F, (2, 3), [([(None, inj)],
-                                       Matrix.identity(F, 2))])
+    sys = LinearSystem(F, 2, 3)
+    sys.add([(None, inj)], Matrix.identity(F, 2))
+    x = sys.solve()
     assert x is not None and x @ inj == Matrix.identity(F, 2)
 
 

@@ -145,15 +145,15 @@ def test_lnl_identity_base_change(g_ab):
 
 def test_lnl_check_builds_each_pullback_once(monkeypatch):
     # L_f of obj, of the terminal object and of obj x obj, the slice
-    # products obj x obj and L_f obj x L_f obj, and the product in the
-    # strong-monoidality check
+    # product obj x obj, and the product in the strong-monoidality check;
+    # L_f obj x L_f obj is certified by a pullback square, not built
     doc = dsl.parse((resources.files("comodcheck") / "corpus"
                      / "11_lnl.cd").read_text())
     calls = [count_calls(monkeypatch, module, name) for module, name in
              ((ca, "pullback"), (ix, "coalg_pullback"),
               (hd, "coalg_pullback"))]
     assert all(rep.passed for rep in runner.run(doc))
-    assert sum(map(len, calls)) == 6
+    assert sum(map(len, calls)) == 5
 
 
 def test_lnl_requires_cosemisimple():
@@ -319,12 +319,21 @@ def test_hyperdoctrine_decides_each_projection_coflat_once(monkeypatch):
 
 
 def test_hyperdoctrine_builds_each_product_once(monkeypatch):
-    # I x C and C x I at the powers 0 and 1, and the product inside the
-    # canonical pullback of each of the 3 condition-2 squares
+    # I x C and C x I at the powers 0 and 1; the condition-2 squares are
+    # certified in I x C (x) J without building that product
     calls = [count_calls(monkeypatch, ca, "product"),
              count_calls(monkeypatch, hd, "coalg_product")]
     run_hyperdoctrine_c1()
-    assert sum(map(len, calls)) == 7
+    assert sum(map(len, calls)) == 4
+
+
+def test_hyperdoctrine_builds_no_canonical_pullback(monkeypatch):
+    # each condition-2 square is certified against the cotensor kernel
+    calls = [count_calls(monkeypatch, ca, "pullback"),
+             count_calls(monkeypatch, ix, "coalg_pullback"),
+             count_calls(monkeypatch, hd, "coalg_pullback")]
+    run_hyperdoctrine_c1()
+    assert calls == [[], [], []]
 
 
 def test_condition2_pulls_v_back_once_per_square(monkeypatch):

@@ -10,7 +10,8 @@ from comodcheck import comod as cm
 from comodcheck import dsl, runner
 from comodcheck import indexed as ix
 from comodcheck import oracle as orc
-from comodcheck.errors import (BaseMismatchError, HypothesisViolatedError)
+from comodcheck.errors import (AxiomError, BaseMismatchError,
+                               HypothesisViolatedError)
 from comodcheck.exactlin import Matrix
 from comodcheck.fields import QQ
 from comodcheck.gen import random_comodule, random_setmap_morphism
@@ -278,6 +279,21 @@ def test_pullback_square_validation(g_ab):
         == square.alpha.matrix @ square.gamma.matrix
 
 
+def test_commuting_square_that_is_not_a_pullback_is_rejected():
+    # {s} -> (x, p) misses (y, p) of the pullback {x, y} x_{a} {p}
+    g_s = ca.grouplike_coalgebra(F, ["s"])
+    g_xy = ca.grouplike_coalgebra(F, ["x", "y"])
+    g_p = ca.grouplike_coalgebra(F, ["p"])
+    g_a = ca.grouplike_coalgebra(F, ["a"])
+    delta = ca.grouplike_morphism(g_s, g_xy, {"s": "x"})
+    gamma = ca.grouplike_morphism(g_s, g_p, {"s": "p"})
+    beta = ca.grouplike_morphism(g_xy, g_a, {"x": "a", "y": "a"})
+    alpha = ca.grouplike_morphism(g_p, g_a, {"p": "a"})
+    with pytest.raises(AxiomError) as exc:
+        ix.PullbackSquare(delta, gamma, beta, alpha)
+    assert exc.value.axiom == "pullback-square"
+
+
 def test_beck_chevalley_identity_square(g_ab):
     square = ix.PullbackSquare.from_cospan(g_ab.identity_morphism(),
                                            g_ab.identity_morphism())
@@ -309,8 +325,7 @@ def test_from_cospan_builds_one_canonical_pullback(monkeypatch, g_ab):
     calls = count_calls(monkeypatch, ix, "coalg_pullback")
     square = ix.PullbackSquare.from_cospan(beta, alpha)
     assert len(calls) == 1
-    dprime = square.canonical[0]
-    assert square.t == Matrix.identity(F, dprime.dim)
+    assert square.t == Matrix.identity(F, square.delta.source.dim)
     assert ix.beck_chevalley_check(
         square, cm.graded_comodule(alpha.source, [1, 2])).passed
 
