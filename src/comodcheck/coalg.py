@@ -165,8 +165,8 @@ class CoalgebraMorphism:
     """Linear map preserving comultiplication and counit.
 
     ``u_coflat`` holds whether U(phi) is coflat: None until
-    ``indexed.forall_data`` first decides it, so each morphism object
-    decides it at most once.
+    ``indexed.forall`` first decides it, so each morphism object decides
+    it at most once.
     """
 
     __slots__ = ("source", "target", "matrix", "u_coflat")
@@ -378,7 +378,8 @@ def _subcoalgebra(c: Coalgebra, w: Subspace):
     return sub, CoalgebraMorphism(sub, c, basis)
 
 
-def pullback(phi1: CoalgebraMorphism, phi2: CoalgebraMorphism):
+def pullback(phi1: CoalgebraMorphism, phi2: CoalgebraMorphism,
+             _kernel: Subspace | None = None):
     """Pullback of a cospan D1 -> C <- D2: the cotensor D1 (x)_C D2.
 
     Its space is E = ker(rho1 (x) id - id (x) lambda2) inside the product
@@ -396,16 +397,18 @@ def pullback(phi1: CoalgebraMorphism, phi2: CoalgebraMorphism):
     - E is a subcoalgebra, dual to A1 (x)_B A2 being a quotient algebra of
       A1 (x) A2; ``_subcoalgebra`` checks its closure exactly.
 
-    Returns (P, u, v) with phi1 u = phi2 v.
+    Returns (P, u, v) with phi1 u = phi2 v.  ``_kernel`` is E when the
+    caller has built it (``indexed.PullbackSquare.from_cospan``).
     """
     from .comod import _cotensor_kernel
     from .indexed import coaction_comodule
     if phi1.target != phi2.target:
         raise BaseMismatchError("pullback needs a common codomain")
     prod, p1, p2 = product(phi1.source, phi2.source)
-    kernel = _cotensor_kernel(coaction_comodule(phi1),
-                              coaction_comodule(phi2))
-    sub, incl = _subcoalgebra(prod, kernel)
+    if _kernel is None:
+        _kernel = _cotensor_kernel(coaction_comodule(phi1),
+                                   coaction_comodule(phi2))
+    sub, incl = _subcoalgebra(prod, _kernel)
     u = p1 @ incl
     v = p2 @ incl
     if phi1.matrix @ u.matrix != phi2.matrix @ v.matrix:

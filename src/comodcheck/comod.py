@@ -35,7 +35,8 @@ __all__ = [
     "hom_space", "cotensor", "tensor_morphism",
     "associator", "left_unitor", "right_unitor", "braiding",
     "structural_isos", "pentagon_holds", "triangle_holds", "symmetry_holds",
-    "internal_hom", "is_injective", "is_coflat", "direct_sum", "conjugate",
+    "internal_hom", "coseparability_retraction", "is_injective",
+    "is_coflat", "direct_sum", "conjugate",
 ]
 
 
@@ -538,26 +539,38 @@ def internal_hom(v: Comodule, w: Comodule) -> Comodule:
 
 # -- injectivity --------------------------------------------------------------
 
+def coseparability_retraction(v: Comodule):
+    """r = (id_V (x) gamma)(rho_V (x) id_C): V (x) C -> V for the
+    coseparability form gamma of the base (``coalg.coseparability_form``),
+    or None when the base has none.  Over a group-like base
+    r(v (x) x) = pi_x v, the projection onto the component of x.
+    """
+    gamma = coseparability_form(v.base)
+    if gamma is None:
+        return None
+    return Matrix.identity(v.field, v.dim).kron(gamma) \
+        @ v.rho.kron(Matrix.identity(v.field, v.base.dim))
+
+
 def is_injective(v: Comodule) -> bool:
     """Decide injectivity: rho_V embeds V into the cofree comodule V (x) C,
     which is injective, so V is injective iff that embedding splits.
 
-    When the base has a coseparability form gamma
-    (``coalg.coseparability_form``), r = (id_V (x) gamma)(rho_V (x) id_C)
-    is a splitting, certified by two exact products: r rho_V = id and
-    (r (x) id)(id_V (x) delta) = rho_V r.  Either failing is an internal
-    fault and raises ``AxiomError``.  Without gamma (N, for one) the
-    retraction system is solved exactly.
+    When the base has a coseparability form, the retraction r of
+    ``coseparability_retraction`` is a splitting, certified by two exact
+    products: r rho_V = id and (r (x) id)(id_V (x) delta) = rho_V r.
+    Either failing is an internal fault and raises ``AxiomError``.
+    Without a coseparability form (N, for one) the retraction system is
+    solved exactly.
     """
-    gamma = coseparability_form(v.base)
-    if gamma is None:
+    r = coseparability_retraction(v)
+    if r is None:
         cofree = cofree_comodule(v.base, v.dim)
         sys = _intertwiner_system(cofree, v)
         sys.add([(None, v.rho)], Matrix.identity(v.field, v.dim))
         return sys.solve() is not None
     ident_v = Matrix.identity(v.field, v.dim)
     ident_c = Matrix.identity(v.field, v.base.dim)
-    r = ident_v.kron(gamma) @ v.rho.kron(ident_c)
     if r @ v.rho != ident_v:
         raise AxiomError("coseparability",
                          "r rho != id for r = (id x gamma)(rho x id)")

@@ -24,8 +24,8 @@ from ._backend import core
 from .fields import Field
 
 __all__ = [
-    "ShapeError", "Matrix", "Subspace", "Chart", "kernel", "kron",
-    "intersect", "swap_matrix", "LinearSystem",
+    "ShapeError", "Matrix", "Subspace", "Chart", "swap_matrix",
+    "LinearSystem",
 ]
 
 
@@ -329,14 +329,6 @@ def _clear_denominators(data, rows, cols):
     return out
 
 
-def kernel(m: Matrix) -> "Subspace":
-    return m.kernel()
-
-
-def kron(a: Matrix, b: Matrix) -> Matrix:
-    return a.kron(b)
-
-
 def swap_matrix(field: Field, m: int, n: int) -> Matrix:
     """Transposition V (x) W -> W (x) V for dims (m, n): e_i(x)e_j -> e_j(x)e_i."""
     data = [0] * (m * n * m * n)
@@ -371,10 +363,6 @@ class Subspace:
         self.pivots = pivots
 
     @classmethod
-    def zero(cls, field: Field, ambient: int) -> "Subspace":
-        return cls(field, ambient, Matrix.zeros(field, ambient, 0))
-
-    @classmethod
     def full(cls, field: Field, ambient: int) -> "Subspace":
         return cls(field, ambient, Matrix.identity(field, ambient))
 
@@ -405,31 +393,9 @@ class Subspace:
         cand = vectors.take_rows(self.pivots)
         return cand if (self.basis @ cand) == vectors else None
 
-    def contains(self, other: "Subspace") -> bool:
-        return self.coords(other.basis) is not None
-
     def annihilator(self) -> Matrix:
         """A matrix Q with kernel exactly this subspace (rows cut it out)."""
         return self.basis.transpose().kernel().basis.transpose()
-
-    def sum_with(self, other: "Subspace") -> "Subspace":
-        if other.ambient != self.ambient:
-            raise ShapeError("ambient mismatch")
-        return Subspace(self.field, self.ambient,
-                        self.basis.hstack(other.basis), _canonical=False)
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        if other.ambient != self.ambient:
-            raise ShapeError("ambient mismatch")
-        # kernel of [B_u | -B_v]: pairs (x, y) with B_u x = B_v y
-        paired = self.basis.hstack(-other.basis).kernel()
-        top = paired.basis.take_rows(range(self.dim))
-        return Subspace(self.field, self.ambient, self.basis @ top,
-                        _canonical=False)
-
-
-def intersect(u: Subspace, v: Subspace) -> Subspace:
-    return u.intersect(v)
 
 
 class Chart:

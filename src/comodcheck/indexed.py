@@ -5,15 +5,21 @@ A morphism phi: D -> C induces the corestriction Sigma_phi: Vec^D -> Vec^C
 phi^*(W) = W (x)_C U(phi), realized as the subspace of W (x) D cut by the
 equalizer condition, with coaction the restriction of id (x) delta_D.  The
 adjunction Sigma_phi -| phi^* is witnessed by the explicit transposes
-hat(f) = (f (x) id) rho  and  tilde(g) = (id (x) eps_D) g; for group-like
-bases phi^* also has a right adjoint "forall", computed fiberwise on
-gradings and guarded by the coflatness hypothesis on U(phi).  That
-hypothesis is decided once per morphism object, on first use, and kept on
-the morphism (``u_coflat``); callers that share one morphism object
-therefore share the decision.  When the base is coseparable, as every
-power of a group-like base is, the decision is the retraction certificate
-of ``comod.is_injective`` built from the coseparability form; otherwise it
-is an exact splitting solve.
+hat(f) = (f (x) id) rho  and  tilde(g) = (id (x) eps_D) g.
+
+For group-like bases phi^* also has a right adjoint "forall".  There a
+fiber's product of components is their sum, so forall_phi is Sigma_phi,
+and the adjunction phi^* -| forall_phi is carried by two explicit maps:
+the unit eta_W = (id_W (x) phi^T) rho_W, w -> sum_x pi_phi(x) w (x) x,
+and the counit eps_V, the coseparability retraction
+r_V = (id_V (x) gamma_D)(rho_V (x) id_D) of ``comod.is_injective``
+restricted to phi^* Sigma_phi V.  forall is guarded by the coflatness
+hypothesis on U(phi), decided once per morphism object, on first use, and
+kept on the morphism (``u_coflat``); callers that share one morphism
+object therefore share the decision.  When the base is coseparable, as
+every power of a group-like base is, the decision is the retraction
+certificate of ``comod.is_injective``; otherwise it is an exact splitting
+solve.
 
 The law checks verify, per instance and in exact arithmetic, the canonical
 isomorphisms of the calculus: Beck-Chevalley along pullback squares for
@@ -30,9 +36,9 @@ from __future__ import annotations
 from .coalg import (CoalgebraMorphism, grouplike_labels, is_cosemisimple,
                     pullback as coalg_pullback)
 from .comod import (Comodule, ComoduleMorphism, _cotensor_kernel, _Obj,
-                    _restricted_coaction, _transposition, atom, ct,
-                    graded_comodule, graded_components, hom_space,
-                    internal_hom, is_coflat, regular_comodule)
+                    _restricted_coaction, _transposition, atom,
+                    coseparability_retraction, ct, hom_space, internal_hom,
+                    is_coflat, regular_comodule)
 from .errors import (AxiomError, BaseMismatchError, HypothesisViolatedError,
                      UnsupportedBaseError)
 from .exactlin import Chart, Matrix, swap_matrix
@@ -41,8 +47,7 @@ from .report import CheckReport, failure
 __all__ = [
     "sigma", "sigma_map", "coaction_comodule", "pullback_functor",
     "pullback_map", "transpose_hat", "transpose_tilde",
-    "AdjunctionCertificate", "adjunction_certificate", "Grading",
-    "ForallData", "forall", "forall_data", "forall_map",
+    "AdjunctionCertificate", "adjunction_certificate", "forall",
     "forall_transpose_fwd", "forall_transpose_bwd", "forall_unit",
     "forall_counit", "sigma_triangle_identities",
     "forall_triangle_identities", "PullbackSquare", "beck_maps",
@@ -206,81 +211,16 @@ def adjunction_certificate(phi: CoalgebraMorphism, v: Comodule,
 
 # -- the right adjoint forall over group-like bases ---------------------------
 
-class Grading:
-    """Component decomposition of a comodule over a group-like base."""
-
-    __slots__ = ("module", "comps", "concat", "concat_inv", "offsets")
-
-    def __init__(self, v: Comodule):
-        comps = graded_components(v)
-        f = v.field
-        concat = Matrix.zeros(f, v.dim, 0)
-        offsets = []
-        k = 0
-        for c in comps:
-            offsets.append(k)
-            concat = concat.hstack(c.basis)
-            k += c.dim
-        inv = concat.inverse() if v.dim else Matrix.zeros(f, 0, 0)
-        if inv is None:
-            raise AxiomError("grading", "components do not span")
-        self.module = v
-        self.comps = comps
-        self.concat = concat
-        self.concat_inv = inv
-        self.offsets = offsets
-
-    def proj(self, x: int) -> Matrix:
-        """Component coordinates V -> k^{d_x}."""
-        d = self.comps[x].dim
-        return self.concat_inv.take_rows(range(self.offsets[x],
-                                               self.offsets[x] + d))
-
-    def incl(self, x: int) -> Matrix:
-        """Component inclusion k^{d_x} -> V."""
-        return self.comps[x].basis
-
-
-class ForallData:
-    """forall_phi(V) together with the bookkeeping for its adjunction.
-
-    ``blocks`` maps a source-label index x to (offset, width) of the copy
-    of V_x inside the block of the module at the label phi(x).
-    """
-
-    __slots__ = ("phi", "v", "module", "setmap", "grading_v", "label_pos",
-                 "blocks")
-
-    def __init__(self, phi, v, module, setmap, grading_v, label_pos, blocks):
-        self.phi = phi
-        self.v = v
-        self.module = module
-        self.setmap = setmap
-        self.grading_v = grading_v
-        self.label_pos = label_pos
-        self.blocks = blocks
-
-
 def forall(phi: CoalgebraMorphism, v: Comodule) -> Comodule:
-    """Right adjoint to phi^* on objects: fiberwise products of components.
+    """Right adjoint to phi^* on objects: forall_phi V = Sigma_phi V.
 
-    The coflatness of U(phi) (the theorem hypothesis) is checked first, for
-    arbitrary coalgebras, and decided once per morphism object (see
-    ``forall_data``); the fiberwise construction then requires both bases
-    group-like.
-    """
-    return forall_data(phi, v).module
-
-
-def forall_data(phi: CoalgebraMorphism, v: Comodule) -> ForallData:
-    """forall_phi(V) with the bookkeeping for its adjunction.
-
-    The first call on a morphism object decides the coflatness of U(phi)
-    with ``is_coflat`` (the coseparability retraction when the target has
-    a coseparability form, else an exact splitting solve) and stores the
-    answer in ``phi.u_coflat``; later calls on the same object read it, so
-    a non-coflat U(phi) raises ``HypothesisViolatedError`` every time.
-    The group-like test comes after the coflatness decision.
+    (forall_phi V)_y is the product of the components V_x over the fiber
+    of y, a finite product of vector spaces and hence their sum
+    (Sigma_phi V)_y.  The gates run first, in this order: V lives over the
+    source of phi; U(phi) is coflat (the theorem hypothesis), decided with
+    ``is_coflat`` on the first call on a morphism object and kept in
+    ``phi.u_coflat``, so a non-coflat U(phi) raises
+    ``HypothesisViolatedError`` every time; both bases are group-like.
     """
     if v.base != phi.source:
         raise BaseMismatchError("comodule is not based on the source of phi")
@@ -289,140 +229,57 @@ def forall_data(phi: CoalgebraMorphism, v: Comodule) -> ForallData:
     if not phi.u_coflat:
         raise HypothesisViolatedError(
             "U(phi) is not coflat; phi^* has no right adjoint")
-    src = grouplike_labels(phi.source)
-    tgt = grouplike_labels(phi.target)
-    if src is None or tgt is None:
+    if grouplike_labels(phi.source) is None \
+            or grouplike_labels(phi.target) is None:
         raise UnsupportedBaseError(
             "forall is only computable over group-like bases")
-    from .oracle import setmap_of_morphism
-    smap = setmap_of_morphism(phi)
-    grading = Grading(v)
-    label_pos = {x: i for i, x in enumerate(src)}
-    dims = []
-    blocks = {}
-    offset = 0
-    for y in tgt:
-        total = 0
-        for x in smap.fiber(y):
-            xi = label_pos[x]
-            d = grading.comps[xi].dim
-            blocks[xi] = (offset + total, d)
-            total += d
-        dims.append(total)
-        offset += total
-    module = graded_comodule(phi.target, dims)
-    return ForallData(phi, v, module, smap, grading, label_pos, blocks)
+    return sigma(phi, v)
 
 
-def _block_incl(data: ForallData, xi: int) -> Matrix:
-    off, d = data.blocks[xi]
-    m = data.module.dim
-    out = [0] * (m * d)
-    for i in range(d):
-        out[(off + i) * d + i] = 1
-    return Matrix(data.v.field, m, d, out)
-
-
-def _block_proj(data: ForallData, xi: int) -> Matrix:
-    off, d = data.blocks[xi]
-    m = data.module.dim
-    out = [0] * (d * m)
-    for i in range(d):
-        out[i * m + off + i] = 1
-    return Matrix(data.v.field, d, m, out)
-
-
-def _slot(mdim: int, n: int, x: int, field) -> Matrix:
-    """The linear map M -> M (x) D, e_i -> e_i (x) e_x."""
-    out = [0] * (mdim * n * mdim)
-    for i in range(mdim):
-        out[(i * n + x) * mdim + i] = 1
-    return Matrix(field, mdim * n, mdim, out)
-
-
-def forall_transpose_fwd(data: ForallData, w: Comodule, pw,
-                         g: ComoduleMorphism) -> ComoduleMorphism:
-    """Transpose a morphism g: phi^* W -> V into W -> forall V."""
-    pw_mod, pw_sub = pw
-    if g.source != pw_mod or g.target != data.v:
-        raise BaseMismatchError("g is not a morphism phi^* W -> V")
-    f = data.v.field
-    nd = data.phi.source.dim
-    gw = Grading(w)
-    tgt_pos = {y: i for i, y in enumerate(data.setmap.target)}
-    mat = Matrix.zeros(f, data.module.dim, w.dim)
-    for x in data.setmap.source:
-        xi = data.label_pos[x]
-        yi = tgt_pos[data.setmap(x)]
-        jx = pw_sub.coords(_slot(w.dim, nd, xi, f) @ gw.incl(yi))
-        if jx is None:
-            raise AxiomError("forall-transpose",
-                             "slot map misses the equalizer")
-        piece = _block_incl(data, xi) @ (data.grading_v.proj(xi)
-                                         @ g.matrix @ jx) @ gw.proj(yi)
-        mat = mat + piece
-    return ComoduleMorphism(w, data.module, mat)
-
-
-def forall_transpose_bwd(data: ForallData, w: Comodule, pw,
-                         h: ComoduleMorphism) -> ComoduleMorphism:
-    """Transpose a morphism h: W -> forall V into phi^* W -> V."""
-    pw_mod, pw_sub = pw
-    if h.source != w or h.target != data.module:
-        raise BaseMismatchError("h is not a morphism W -> forall V")
-    f = data.v.field
-    gpw = Grading(pw_mod)
-    recover = Matrix.identity(f, w.dim).kron(data.phi.source.epsilon) \
-        @ pw_sub.basis
-    mat = Matrix.zeros(f, data.v.dim, pw_mod.dim)
-    for x in data.setmap.source:
-        xi = data.label_pos[x]
-        piece = data.grading_v.incl(xi) @ _block_proj(data, xi) @ h.matrix \
-            @ recover @ gpw.incl(xi) @ gpw.proj(xi)
-        mat = mat + piece
-    return ComoduleMorphism(pw_mod, data.v, mat)
-
-
-def forall_map(src: ForallData, tgt: ForallData,
-               h: ComoduleMorphism) -> ComoduleMorphism:
-    """forall on morphisms: blockwise action on components."""
-    if h.source != src.v or h.target != tgt.v:
-        raise BaseMismatchError("morphism does not match the forall data")
-    f = h.matrix.field
-    mat = Matrix.zeros(f, tgt.module.dim, src.module.dim)
-    for x in src.setmap.source:
-        xi = src.label_pos[x]
-        piece = _block_incl(tgt, xi) @ (tgt.grading_v.proj(xi) @ h.matrix
-                                        @ src.grading_v.incl(xi)) \
-            @ _block_proj(src, xi)
-        mat = mat + piece
-    return ComoduleMorphism(src.module, tgt.module, mat)
-
-
-def forall_unit(data: ForallData, w: Comodule, pw) -> ComoduleMorphism:
-    """eta_W: W -> forall phi^* W (forward transpose of the identity),
-    where ``data`` is the forall data of phi^* W."""
-    return forall_transpose_fwd(data, w, pw, pw[0].identity_morphism())
-
-
-def _counit_flat(data: ForallData) -> Matrix:
-    """eps_V on the flat ambient forall V (x) D: m (x) e_x -> the copy of
-    V_x inside the block of m at phi(x), for the group-likes e_x of D."""
-    f = data.v.field
-    nd = data.phi.source.dim
-    mat = Matrix.zeros(f, data.v.dim, data.module.dim * nd)
-    for xi in data.blocks:
-        e_x = Matrix(f, 1, nd, [int(j == xi) for j in range(nd)])
-        mat = mat + (data.grading_v.incl(xi)
-                     @ _block_proj(data, xi)).kron(e_x)
+def _unit_coords(phi: CoalgebraMorphism, w: Comodule, pw_sub) -> Matrix:
+    """eta_W in the coordinates of phi^* W: (id_W (x) phi^T) rho_W, that is
+    w -> sum_x pi_phi(x) w (x) x over the group-likes x of the source."""
+    ident = Matrix.identity(w.field, w.dim)
+    mat = pw_sub.coords(ident.kron(phi.matrix.transpose()) @ w.rho)
+    if mat is None:
+        raise AxiomError("forall-unit", "(id x phi^T) rho_W misses phi^* W")
     return mat
 
 
-def forall_counit(data: ForallData, pfv) -> ComoduleMorphism:
-    """eps_V: phi^* forall V -> V, the flat counit on phi^* forall V."""
+def forall_unit(phi: CoalgebraMorphism, w: Comodule, pw) -> ComoduleMorphism:
+    """eta_W: W -> forall_phi phi^* W, for pw = pullback_functor(phi, W)."""
+    return ComoduleMorphism(w, forall(phi, pw[0]), _unit_coords(phi, w, pw[1]))
+
+
+def forall_counit(phi: CoalgebraMorphism, v: Comodule,
+                  pfv) -> ComoduleMorphism:
+    """eps_V: phi^* forall_phi V -> V, the coseparability retraction
+    r_V(v (x) x) = pi_x v of V (x) D restricted to phi^* forall V, for
+    pfv = pullback_functor(phi, forall(phi, V))."""
     pfv_mod, pfv_sub = pfv
-    return ComoduleMorphism(pfv_mod, data.v,
-                            _counit_flat(data) @ pfv_sub.basis)
+    return ComoduleMorphism(pfv_mod, v,
+                            coseparability_retraction(v) @ pfv_sub.basis)
+
+
+def forall_transpose_fwd(phi: CoalgebraMorphism, w: Comodule, pw,
+                         g: ComoduleMorphism, fv=None) -> ComoduleMorphism:
+    """W -> forall_phi V for g: phi^* W -> V, the composite
+    Sigma_phi(g) eta_W; ``fv`` = forall(phi, V) when the caller has it."""
+    if g.source != pw[0]:
+        raise BaseMismatchError("g is not a morphism phi^* W -> V")
+    if fv is None:
+        fv = forall(phi, g.target)
+    return ComoduleMorphism(w, fv, g.matrix @ _unit_coords(phi, w, pw[1]))
+
+
+def forall_transpose_bwd(phi: CoalgebraMorphism, v: Comodule, pw,
+                         h: ComoduleMorphism) -> ComoduleMorphism:
+    """phi^* W -> V for h: W -> forall_phi V, the composite
+    eps_V phi^*(h)."""
+    if h.target != sigma(phi, v):
+        raise BaseMismatchError("h is not a morphism W -> forall V")
+    pfv = pullback_functor(phi, h.target)
+    return forall_counit(phi, v, pfv) @ pullback_map(phi, h, src=pw, tgt=pfv)
 
 
 def sigma_triangle_identities(phi: CoalgebraMorphism, v: Comodule,
@@ -455,30 +312,27 @@ def sigma_triangle_identities(phi: CoalgebraMorphism, v: Comodule,
 
 
 def forall_triangle_identities(phi: CoalgebraMorphism, v: Comodule,
-                               w: Comodule, pw=None, data=None) -> bool:
+                               w: Comodule, pw=None, fv=None) -> bool:
     """Unit/counit triangle identities of phi^* -| forall_phi on (V, W).
 
-    ``pw`` = pullback_functor(phi, W) and ``data`` = forall_data(phi, V),
-    when the caller has them."""
-    if data is None:
-        data = forall_data(phi, v)
+    ``pw`` = pullback_functor(phi, W) and ``fv`` = forall(phi, V), when the
+    caller has them."""
+    if fv is None:
+        fv = forall(phi, v)
     if pw is None:
         pw = pullback_functor(phi, w)
-    pfv = pullback_functor(phi, data.module)
-    data_pw = forall_data(phi, pw[0])
-    data2 = forall_data(phi, pfv[0])
     # triangle 1: eps_{phi^* W} o phi^*(eta_W) = id on phi^* W
-    eta_w = forall_unit(data_pw, w, pw)
-    pae = pullback_functor(phi, data_pw.module)
+    eta_w = forall_unit(phi, w, pw)
+    pae = pullback_functor(phi, eta_w.target)
     lifted = pullback_map(phi, eta_w, src=pw, tgt=pae)
-    eps_pw = forall_counit(data_pw, pae)
-    t1 = eps_pw.matrix @ lifted.matrix \
+    t1 = forall_counit(phi, pw[0], pae).matrix @ lifted.matrix \
         == Matrix.identity(v.field, pw[0].dim)
-    # triangle 2: forall(eps_V) o eta_{forall V} = id on forall V
-    eps_v = forall_counit(data, pfv)
-    eta2 = forall_unit(data2, data.module, pfv)
-    t2 = forall_map(data2, data, eps_v).matrix @ eta2.matrix \
-        == Matrix.identity(v.field, data.module.dim)
+    # triangle 2: forall(eps_V) o eta_{forall V} = id on forall V, where
+    # forall(eps_V) = Sigma(eps_V) has the matrix of eps_V
+    pfv = pullback_functor(phi, fv)
+    eta_fv = forall_unit(phi, fv, pfv)
+    t2 = forall_counit(phi, v, pfv).matrix @ eta_fv.matrix \
+        == Matrix.identity(v.field, fv.dim)
     return t1 and t2
 
 
@@ -500,7 +354,8 @@ class PullbackSquare:
     __slots__ = ("delta", "gamma", "beta", "alpha", "cotensor", "t")
 
     def __init__(self, delta: CoalgebraMorphism, gamma: CoalgebraMorphism,
-                 beta: CoalgebraMorphism, alpha: CoalgebraMorphism):
+                 beta: CoalgebraMorphism, alpha: CoalgebraMorphism,
+                 _cotensor=None):
         if delta.source != gamma.source:
             raise BaseMismatchError("delta and gamma need a common source")
         if beta.target != alpha.target:
@@ -509,10 +364,11 @@ class PullbackSquare:
             raise BaseMismatchError("square legs do not match")
         if beta.matrix @ delta.matrix != alpha.matrix @ gamma.matrix:
             raise AxiomError("pullback-square", "square does not commute")
-        cotensor = _cotensor_kernel(coaction_comodule(beta),
-                                    coaction_comodule(alpha))
-        m = cotensor.coords(delta.matrix.kron(gamma.matrix)
-                            @ delta.source.delta)
+        if _cotensor is None:
+            _cotensor = _cotensor_kernel(coaction_comodule(beta),
+                                         coaction_comodule(alpha))
+        m = _cotensor.coords(delta.matrix.kron(gamma.matrix)
+                             @ delta.source.delta)
         t = None if m is None else m.inverse()
         if t is None:
             raise AxiomError("pullback-square",
@@ -521,16 +377,21 @@ class PullbackSquare:
         self.gamma = gamma
         self.beta = beta
         self.alpha = alpha
-        self.cotensor = cotensor
+        self.cotensor = _cotensor
         self.t = t
 
     @classmethod
     def from_cospan(cls, beta: CoalgebraMorphism,
                     alpha: CoalgebraMorphism) -> "PullbackSquare":
-        """The canonical pullback square; its legs are the canonical ones,
-        so t is the identity."""
-        _, u, v = coalg_pullback(beta, alpha)
-        return cls(u, v, beta, alpha)
+        """The canonical pullback square.  Its legs are read off the
+        cotensor kernel, which is built once and then certifies them, so t
+        is the identity."""
+        if beta.target != alpha.target:
+            raise BaseMismatchError("pullback needs a common codomain")
+        cotensor = _cotensor_kernel(coaction_comodule(beta),
+                                    coaction_comodule(alpha))
+        _, u, v = coalg_pullback(beta, alpha, _kernel=cotensor)
+        return cls(u, v, beta, alpha, _cotensor=cotensor)
 
 
 def beck_maps(square: PullbackSquare, v: Comodule):
@@ -602,37 +463,38 @@ def beck_for_forall_check(square: PullbackSquare, v: Comodule,
     mate alpha^* forall_beta V -> forall_gamma delta^* V is an invertible
     comodule morphism, exactly.
 
-    The mate (Kelly-Street) transposes, under gamma^* -| forall_gamma,
-    g: gamma^* alpha^* forall_beta V ~ delta^* beta^* forall_beta V ->
-    delta^* V, which is m (x) d2 (x) d -> eps(d2) sum
-    eps_V(m (x) delta(d_1)) (x) d_2 on the flat ambient.  ``pv`` is
-    delta^* V from ``pullback_functor`` when the caller has it.
+    The mate (Kelly-Street) is Sigma_gamma(g) eta, the transpose under
+    gamma^* -| forall_gamma of g: gamma^* alpha^* forall_beta V ~
+    delta^* beta^* forall_beta V -> delta^* V, which is
+    m (x) d2 (x) d -> eps(d2) sum r_V(m (x) delta(d_1)) (x) d_2 on the flat
+    ambient, r_V being the counit of beta^* -| forall_beta before
+    restriction.  ``pv`` is delta^* V from ``pullback_functor`` when the
+    caller has it.
     """
     if v.base != square.beta.source:
         raise BaseMismatchError("comodule must be based on source(beta)")
     if pv is None:
         pv = pullback_functor(square.delta, v)
-    lhs_data = forall_data(square.gamma, pv[0])
-    rhs_data = forall_data(square.beta, v)
-    pa = _pullback_obj(square.alpha, atom(rhs_data.module),
-                       pullback_functor(square.alpha, rhs_data.module))
+    lhs = forall(square.gamma, pv[0])
+    rhs = forall(square.beta, v)
+    pa = _pullback_obj(square.alpha, atom(rhs),
+                       pullback_functor(square.alpha, rhs))
     pga = pullback_functor(square.gamma, pa.module)
-    dims = {"forall_then_pull": pa.module.dim,
-            "pull_then_forall": lhs_data.module.dim}
+    dims = {"forall_then_pull": pa.module.dim, "pull_then_forall": lhs.dim}
     d = square.delta.source
     ident_d = Matrix.identity(v.field, d.dim)
-    # d2 (x) d -> eps(d2) sum delta(d_1) (x) d_2, then eps_V (x) id_D
+    # d2 (x) d -> eps(d2) sum delta(d_1) (x) d_2, then r_V (x) id_D
     regroup = square.delta.matrix.kron(ident_d) @ d.delta \
         @ square.alpha.source.epsilon.kron(ident_d)
-    flat = Matrix.identity(v.field, rhs_data.module.dim).kron(regroup) \
+    flat = Matrix.identity(v.field, rhs.dim).kron(regroup) \
         @ _pullback_obj(square.gamma, pa, pga).chart.embedding
-    g_mat = pv[1].coords(_counit_flat(rhs_data).kron(ident_d) @ flat)
+    g_mat = pv[1].coords(coseparability_retraction(v).kron(ident_d) @ flat)
     if g_mat is None:
         return failure("forall-beck", "g misses the equalizer of delta^* V",
                        dims=dims)
     try:
         g = ComoduleMorphism(pga[0], pv[0], g_mat)
-        mate = forall_transpose_fwd(lhs_data, pa.module, pga, g)
+        mate = forall_transpose_fwd(square.gamma, pa.module, pga, g, lhs)
     except AxiomError as exc:
         return failure("forall-beck", str(exc), dims=dims)
     if not mate.is_isomorphism():

@@ -280,13 +280,12 @@ def _check_hyperdoctrine(ctx, index, cname, n):
         if not indexed.sigma_triangle_identities(p_i, v, w, pw=pw, sv=ex):
             return failure("hyperdoctrine",
                            f"exists adjunction fails at power {k}")
-        data = indexed.forall_data(p_i, v)
-        if not indexed.forall_triangle_identities(p_i, v, w, pw=pw,
-                                                  data=data):
+        fv = indexed.forall(p_i, v)
+        if not indexed.forall_triangle_identities(p_i, v, w, pw=pw, fv=fv):
             return failure("hyperdoctrine",
                            f"forall adjunction fails at power {k}")
         dims[f"power_{k}"] = {"comodule": v.dim, "exists": ex.dim,
-                              "forall": data.module.dim}
+                              "forall": fv.dim}
         details.append(f"adjoint-triple-power-{k}")
         v3 = gen.random_comodule(rng, bp.swapped[0], max_dim=ctx.max_dim,
                                  max_total=8)
@@ -346,7 +345,7 @@ _EXECUTORS = {
 # -- operation coverage registry ------------------------------------------------
 
 OPERATION_INVENTORY = (
-    "exactlin.kernel", "exactlin.kron",
+    "exactlin.Matrix.kernel", "exactlin.Matrix.kron",
     "coalg.trivial_coalgebra", "coalg.grouplike_coalgebra",
     "coalg.direct_sum", "coalg.product", "coalg.pairing", "coalg.pullback",
     "coalg.coseparability_form", "coalg.is_cosemisimple",
@@ -354,7 +353,7 @@ OPERATION_INVENTORY = (
     "comod.cotensor", "comod.structural_isos", "comod.internal_hom",
     "comod.is_injective", "comod.is_coflat",
     "indexed.sigma", "indexed.pullback_functor", "indexed.transpose_hat",
-    "indexed.transpose_tilde", "indexed.forall_data",
+    "indexed.transpose_tilde", "indexed.forall",
     "indexed.beck_chevalley_check", "indexed.beck_for_forall_check",
     "indexed.frobenius_check", "indexed.ssmc_check",
     "hyperdoctrine.U_C", "hyperdoctrine.coalgC_product",
@@ -369,7 +368,7 @@ OPERATION_INVENTORY = (
 )
 
 CHECK_OPERATIONS = {
-    "axioms": {"exactlin.kron", "coalg.grouplike_coalgebra",
+    "axioms": {"exactlin.Matrix.kron", "coalg.grouplike_coalgebra",
                "coalg.direct_sum", "coalg.product", "dslcli.parse",
                "dslcli.run"},
     "cosemisimple": {"coalg.is_cosemisimple", "coalg.coseparability_form",
@@ -377,10 +376,10 @@ CHECK_OPERATIONS = {
     "injective": {"comod.is_injective", "comod.cofree_comodule",
                   "coalg.coseparability_form", "dslcli.parse", "dslcli.run"},
     "cotensor": {"comod.cotensor", "comod.structural_isos",
-                 "comod.regular_comodule", "exactlin.kernel",
-                 "exactlin.kron", "oracle.to_graded",
+                 "comod.regular_comodule", "exactlin.Matrix.kernel",
+                 "exactlin.Matrix.kron", "oracle.to_graded",
                  "oracle.graded_cotensor", "dslcli.parse", "dslcli.run"},
-    "hom": {"comod.hom_space", "exactlin.kernel", "oracle.to_graded",
+    "hom": {"comod.hom_space", "exactlin.Matrix.kernel", "oracle.to_graded",
             "dslcli.parse", "dslcli.run"},
     "adjunction": {"indexed.sigma", "indexed.pullback_functor",
                    "indexed.transpose_hat", "indexed.transpose_tilde",
@@ -390,7 +389,7 @@ CHECK_OPERATIONS = {
              "indexed.beck_chevalley_check",
              "oracle.set_fiber_product", "oracle.graded_sigma",
              "oracle.graded_pullback", "dslcli.parse", "dslcli.run"},
-    "forall-beck": {"indexed.forall_data", "indexed.beck_for_forall_check",
+    "forall-beck": {"indexed.forall", "indexed.beck_for_forall_check",
                     "comod.is_coflat", "coalg.coseparability_form",
                     "oracle.graded_forall",
                     "oracle.graded_pullback", "oracle.set_fiber_product",
@@ -412,7 +411,7 @@ CHECK_OPERATIONS = {
                       "hyperdoctrine.exists_along_projection",
                       "hyperdoctrine.hyperdoctrine_condition2_check",
                       "indexed.beck_chevalley_check",
-                      "indexed.beck_for_forall_check", "indexed.forall_data",
+                      "indexed.beck_for_forall_check", "indexed.forall",
                       "indexed.sigma", "comod.is_coflat",
                       "coalg.coseparability_form", "coalg.trivial_coalgebra",
                       "coalg.product", "coalg.pairing",

@@ -90,35 +90,6 @@ def test_swap_matrix_inverse_pair():
 
 # -- subspaces ------------------------------------------------------------------
 
-def test_intersect_examples():
-    u = Subspace(F, 2, Matrix.from_rows(F, [[1], [0]]))
-    v = Subspace(F, 2, Matrix.from_rows(F, [[0], [1]]))
-    assert u.intersect(v).dim == 0
-    assert u.intersect(u) == u
-
-
-def test_intersect_dimension_formula():
-    rng = random.Random(5)
-    for _ in range(10):
-        u = rnd_matrix(rng, 4, 3)
-        v = rnd_matrix(rng, 4, 3)
-        su = Subspace(F, 4, u, _canonical=False)
-        sv = Subspace(F, 4, v, _canonical=False)
-        cap = su.intersect(sv)
-        join = su.sum_with(sv)
-        assert cap.dim == su.dim + sv.dim - join.dim
-        if su.dim == sv.dim == 3:
-            assert cap.dim >= 2
-        assert su.contains(cap) and sv.contains(cap)
-
-
-def test_intersect_ambient_mismatch():
-    u = Subspace.full(F, 2)
-    v = Subspace.full(F, 3)
-    with pytest.raises(ShapeError):
-        u.intersect(v)
-
-
 def test_annihilator_cuts_exactly():
     w = Subspace(F, 4, Matrix.from_rows(F, [[1, 0], [2, 1], [0, 0], [1, 3]]))
     q = w.annihilator()

@@ -356,11 +356,11 @@ def test_condition2_pulls_v_back_once_per_square(monkeypatch):
 
 def test_hyperdoctrine_pulls_back_and_builds_forall_once(monkeypatch):
     # the exists and forall triangles share phi^* W, and the forall
-    # triangles and the reported forall share forall_data(p_I, V); each
-    # of the 3 condition-2 mates pulls alpha^* forall V back along gamma
+    # triangles and the reported forall share forall(p_I, V); each of the
+    # 3 condition-2 mates pulls alpha^* forall V back along gamma
     pulls = [count_calls(monkeypatch, ix, "pullback_functor"),
              count_calls(monkeypatch, hd, "pullback_functor")]
-    foralls = count_calls(monkeypatch, ix, "forall_data")
+    foralls = count_calls(monkeypatch, ix, "forall")
     run_hyperdoctrine_c1()
     pairs = [(id(args[0]), id(args[1])) for args in pulls[0] + pulls[1]]
     assert len(pairs) == len(set(pairs)) == 25

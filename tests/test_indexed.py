@@ -205,23 +205,22 @@ def test_forall_adjunction_dim_tables(phi, g_xyz, g_ab):
     for _ in range(5):
         v = random_comodule(rng, g_xyz, max_dim=2)
         w = random_comodule(rng, g_ab, max_dim=2)
-        data = ix.forall_data(phi, v)
+        fv = ix.forall(phi, v)
         pw = ix.pullback_functor(phi, w)
-        assert len(cm.hom_space(pw[0], v)) \
-            == len(cm.hom_space(w, data.module))
+        assert len(cm.hom_space(pw[0], v)) == len(cm.hom_space(w, fv))
 
 
 def test_forall_transpose_round_trips(phi, g_xyz, g_ab):
     v = cm.graded_comodule(g_xyz, [1, 2, 1])
     w = cm.graded_comodule(g_ab, [2, 1])
-    data = ix.forall_data(phi, v)
+    fv = ix.forall(phi, v)
     pw = ix.pullback_functor(phi, w)
     for g in cm.hom_space(pw[0], v):
-        h = ix.forall_transpose_fwd(data, w, pw, g)
-        assert ix.forall_transpose_bwd(data, w, pw, h).matrix == g.matrix
-    for h in cm.hom_space(w, data.module):
-        g = ix.forall_transpose_bwd(data, w, pw, h)
-        assert ix.forall_transpose_fwd(data, w, pw, g).matrix == h.matrix
+        h = ix.forall_transpose_fwd(phi, w, pw, g)
+        assert ix.forall_transpose_bwd(phi, v, pw, h).matrix == g.matrix
+    for h in cm.hom_space(w, fv):
+        g = ix.forall_transpose_bwd(phi, v, pw, h)
+        assert ix.forall_transpose_fwd(phi, w, pw, g).matrix == h.matrix
 
 
 def test_forall_triangles(phi, g_xyz, g_ab):
@@ -232,17 +231,32 @@ def test_forall_triangles(phi, g_xyz, g_ab):
 
 def test_forall_triangles_build_each_forall_data_once(monkeypatch, phi,
                                                       g_xyz, g_ab):
-    # one ForallData each for V, phi^* W and phi^* forall V
-    calls = count_calls(monkeypatch, ix, "forall_data")
+    # one forall each for V, phi^* W and phi^* forall V
+    calls = count_calls(monkeypatch, ix, "forall")
     v = cm.graded_comodule(g_xyz, [1, 2, 1])
     w = cm.graded_comodule(g_ab, [2, 1])
     assert ix.forall_triangle_identities(phi, v, w)
     assert len(calls) == 3
 
 
+def test_forall_triangles_reject_a_planted_wrong_unit(monkeypatch, phi,
+                                                     g_xyz, g_ab):
+    # 2 eta is still a comodule morphism, but no longer a unit
+    real = ix.forall_unit
+
+    def unit(*args):
+        eta = real(*args)
+        return cm.ComoduleMorphism(eta.source, eta.target, eta.matrix.scale(2))
+
+    monkeypatch.setattr(ix, "forall_unit", unit)
+    v = cm.graded_comodule(g_xyz, [1, 2, 1])
+    w = cm.graded_comodule(g_ab, [2, 1])
+    assert not ix.forall_triangle_identities(phi, v, w)
+
+
 def test_forall_triangles_decide_coflatness_once(monkeypatch, phi, g_xyz,
                                                  g_ab):
-    # the three ForallData share phi, so U(phi) is decided once
+    # the three foralls share phi, so U(phi) is decided once
     calls = count_calls(monkeypatch, cm, "is_injective")
     v = cm.graded_comodule(g_xyz, [1, 2, 1])
     w = cm.graded_comodule(g_ab, [2, 1])
@@ -330,6 +344,15 @@ def test_from_cospan_builds_one_canonical_pullback(monkeypatch, g_ab):
         square, cm.graded_comodule(alpha.source, [1, 2])).passed
 
 
+def test_from_cospan_builds_one_cotensor_kernel(monkeypatch, g_ab):
+    # coalg.pullback reads the legs off the kernel that certifies them
+    beta, alpha = cospan(g_ab)
+    calls = [count_calls(monkeypatch, cm, "_cotensor_kernel"),
+             count_calls(monkeypatch, ix, "_cotensor_kernel")]
+    ix.PullbackSquare.from_cospan(beta, alpha)
+    assert sum(map(len, calls)) == 1
+
+
 def test_beck_phi_naturality(g_ab):
     beta, alpha = cospan(g_ab)
     square = ix.PullbackSquare.from_cospan(beta, alpha)
@@ -378,18 +401,21 @@ def test_beck_for_forall(g_ab):
 
 
 def test_beck_for_forall_rejects_a_planted_wrong_counit(monkeypatch, g_ab):
-    # zero the counit on the block of x: the mate loses that component and
-    # is not invertible, although the two sides are still isomorphic
+    # zero the counit on the component of x: the mate loses that component
+    # and is not invertible, although the two sides are still isomorphic
     beta, alpha = cospan(g_ab)
     square = ix.PullbackSquare.from_cospan(beta, alpha)
     v = cm.graded_comodule(beta.source, [1, 2, 1])
-    real = ix._block_proj
+    real = ix.coseparability_retraction
 
-    def block_proj(data, xi):
-        block = real(data, xi)
-        return Matrix.zeros(F, block.rows, block.cols) if xi == 0 else block
+    def retraction(u):
+        # r (id (x) P) for P the projection of D1 that drops x
+        n = u.base.dim
+        drop_x = Matrix(F, n, n, [int(i == j != 0) for i in range(n)
+                                  for j in range(n)])
+        return real(u) @ Matrix.identity(F, u.dim).kron(drop_x)
 
-    monkeypatch.setattr(ix, "_block_proj", block_proj)
+    monkeypatch.setattr(ix, "coseparability_retraction", retraction)
     rep = ix.beck_for_forall_check(square, v)
     assert rep.verdict == "fail"
     assert "mate is not invertible" in rep.witness["equation"]
@@ -421,6 +447,22 @@ def test_no_verdict_path_imports_random():
             if "random" in names:
                 importers.add(path.stem)
     assert importers == {"gen"}
+
+
+def test_no_library_module_but_the_runner_imports_the_oracle():
+    # the graded oracle cross-checks the library's answers, so no
+    # construction may be built from it
+    pkg = Path(ix.__file__).parent
+    importers = set()
+    for path in pkg.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {a.name.rsplit(".", 1)[-1] for a in node.names}
+                if isinstance(node, ast.ImportFrom):
+                    names.add((node.module or "").rsplit(".", 1)[-1])
+                if "oracle" in names:
+                    importers.add(path.stem)
+    assert importers == {"runner"}
 
 
 def test_beck_consistency_between_variants(g_ab):
