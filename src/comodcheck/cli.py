@@ -3,7 +3,8 @@
     comodcheck check <file> [--json] [--seed K] [--max-dim D] [--verbose]
 
 Exit codes for ``check``: 0 when every law check passed, 1 when some
-check failed (or could not run), 2 on parse or construction errors.
+check failed (or could not run), 2 on parse or construction errors, 3 on
+an internal fault, reported as one line on stderr without a traceback.
 """
 
 from __future__ import annotations
@@ -28,6 +29,10 @@ def _cmd_check(args) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 3
     if args.json:
         sys.stdout.write(reports_to_json(reports))
     else:

@@ -4,10 +4,10 @@ A comodule is a coaction matrix rho: V -> V (x) C satisfying the counit
 and coassociativity laws, both checked at construction.  The monoidal
 product is the cotensor V (x)_C W: the kernel of the two natural maps
 V (x) W -> V (x) C (x) W, carrying the coaction induced by restricting
-id_V (x) rho_W; its structural isomorphisms (associators, unitors,
-braiding) are computed on explicit bases and the coherence diagrams
-(pentagon, triangle, symmetry hexagon) are verified as exact matrix
-identities.
+id_V (x) rho_W.  ``coherence`` computes its structural isomorphisms
+(associators, unitors, braiding) on explicit bases and verifies the
+coherence diagrams (pentagon, triangle, symmetry hexagon) as exact matrix
+identities, building each cotensor presentation once per call.
 
 Hom spaces are solved as the null space of the intertwiner condition
 (f (x) id) rho_V = rho_W f.  Injectivity is decided by a splitting: rho_V
@@ -33,8 +33,7 @@ __all__ = [
     "Comodule", "ComoduleMorphism", "regular_comodule", "cofree_comodule",
     "zero_comodule", "graded_comodule", "graded_dims", "graded_components",
     "hom_space", "cotensor", "tensor_morphism",
-    "associator", "left_unitor", "right_unitor", "braiding",
-    "structural_isos", "pentagon_holds", "triangle_holds", "symmetry_holds",
+    "left_unitor", "right_unitor", "braiding", "coherence",
     "internal_hom", "coseparability_retraction", "is_injective",
     "is_coflat", "direct_sum", "conjugate",
 ]
@@ -339,16 +338,6 @@ def _transposition(src: _Obj, tgt: _Obj) -> ComoduleMorphism:
     return ComoduleMorphism(src.module, tgt.module, mat)
 
 
-def associator(a: _Obj, b: _Obj, c: _Obj):
-    """alpha: A (x) (B (x) C) -> (A (x) B) (x) C with both presentations.
-
-    Returns (morphism, source object, target object).
-    """
-    src = ct(a, ct(b, c))
-    tgt = ct(ct(a, b), c)
-    return _structure_map(src, tgt, "associator"), src, tgt
-
-
 def tensor_morphism(f: ComoduleMorphism, g: ComoduleMorphism,
                     src: _Obj, tgt: _Obj) -> ComoduleMorphism:
     """f (x) g restricted to the cotensor subobjects src -> tgt."""
@@ -414,93 +403,81 @@ def left_unitor(v: Comodule):
     return _left_unitor(ct(atom(regular_comodule(v.base)), atom(v)))
 
 
-def structural_isos(u: Comodule, v: Comodule, w: Comodule) -> dict:
-    """Associator, unitors and braiding for (u, v, w), all verified isos."""
-    a, b, c = atom(u), atom(v), atom(w)
-    i = atom(regular_comodule(u.base))
-    ab = ct(a, b)
-    alpha = _structure_map(ct(a, ct(b, c)), ct(ab, c), "associator")
-    sigma = _transposition(ab, ct(b, a))
-    lam, lam_inv = _left_unitor(ct(i, a))
-    rho, rho_inv = _right_unitor(ct(a, i))
-    out = {"associator": alpha, "left_unitor": lam, "right_unitor": rho,
-           "braiding": sigma}
-    for name, mor in out.items():
+def coherence(u: Comodule, v: Comodule, w: Comodule, x: Comodule):
+    """The structural isomorphisms and coherence diagrams of the cotensor.
+
+    Certifies, in this order: the associator, unitors and braiding for
+    (u, v, w) are invertible and the unitors' inverse pairs are exact; the
+    pentagon on (u, v, w, x); the triangle on (u, v); the braiding
+    involution, rho = lambda sigma and the hexagon on (u, v, w).  A table
+    local to the call makes one atom per distinct comodule object and one
+    ``ct`` per distinct (left, right) pair, which every map on that
+    presentation shares.  Returns (isomorphisms, failing) where failing
+    names the first diagram that does not commute ("pentagon", "triangle"
+    or "symmetry"), or is None; the braiding's source is u (x)_C v.
+    """
+    atoms = {}
+    table = {}
+
+    def obj(m):
+        if id(m) not in atoms:
+            atoms[id(m)] = atom(m)
+        return atoms[id(m)]
+
+    def t(left, right):
+        if (left, right) not in table:
+            table[left, right] = ct(left, right)
+        return table[left, right]
+
+    def alpha(p, q, r):
+        """P (x) (Q (x) R) -> (P (x) Q) (x) R."""
+        return _structure_map(t(p, t(q, r)), t(t(p, q), r), "associator")
+
+    def sigma(p, q):
+        return _transposition(t(p, q), t(q, p))
+
+    a, b, c, d = obj(u), obj(v), obj(w), obj(x)
+    i = obj(regular_comodule(u.base))
+    alpha_abc, sigma_ab = alpha(a, b, c), sigma(a, b)
+    lam, lam_inv = _left_unitor(t(i, a))
+    rho, rho_inv = _right_unitor(t(a, i))
+    isos = {"associator": alpha_abc, "left_unitor": lam,
+            "right_unitor": rho, "braiding": sigma_ab}
+    for name, mor in isos.items():
         if not mor.is_isomorphism():
             raise AxiomError(name, "structural morphism is not invertible")
-    out["left_unitor_inv"] = lam_inv
-    out["right_unitor_inv"] = rho_inv
-    return out
-
-
-def pentagon_holds(u: Comodule, v: Comodule, w: Comodule,
-                   x: Comodule) -> bool:
-    """Exact pentagon identity for the associators of (u, v, w, x)."""
-    a, b, c, d = atom(u), atom(v), atom(w), atom(x)
-    ab, bc, cd = ct(a, b), ct(b, c), ct(c, d)
-    a_bc, ab_c = ct(a, bc), ct(ab, c)
-    b_cd, bc_d = ct(b, cd), ct(bc, d)
-    a_b_cd, a_bc_d = ct(a, b_cd), ct(a, bc_d)          # a(b(cd)), a((bc)d)
-    abc_d, ab_c_d = ct(a_bc, d), ct(ab_c, d)           # (a(bc))d, ((ab)c)d
-    ab_cd = ct(ab, cd)
-    # path 1: (1 x alpha) then alpha then (alpha x 1)
-    e1 = tensor_morphism(u.identity_morphism(),
-                         _structure_map(b_cd, bc_d, "associator"),
-                         a_b_cd, a_bc_d)
-    alpha2 = _structure_map(a_bc_d, abc_d, "associator")
-    e3 = tensor_morphism(_structure_map(a_bc, ab_c, "associator"),
-                         x.identity_morphism(), abc_d, ab_c_d)
-    path1 = e3.matrix @ alpha2.matrix @ e1.matrix
-    # path 2: alpha then alpha
-    f1 = _structure_map(a_b_cd, ab_cd, "associator")
-    f2 = _structure_map(ab_cd, ab_c_d, "associator")
-    path2 = f2.matrix @ f1.matrix
-    return path1 == path2
-
-
-def triangle_holds(u: Comodule, v: Comodule) -> bool:
-    """(rho_u x 1) alpha = 1 x lambda_v on u (x) (C (x) v)."""
-    a, b = atom(u), atom(v)
-    i = atom(regular_comodule(u.base))
-    ai, ib = ct(a, i), ct(i, b)
-    src, tgt, ab = ct(a, ib), ct(ai, b), ct(a, b)
-    alpha = _structure_map(src, tgt, "associator")
-    rho, _ = _right_unitor(ai)
-    lam, _ = _left_unitor(ib)
-    left = tensor_morphism(rho, v.identity_morphism(), tgt, ab)
-    right = tensor_morphism(u.identity_morphism(), lam, src, ab)
-    return left.matrix @ alpha.matrix == right.matrix
-
-
-def symmetry_holds(u: Comodule, v: Comodule, w: Comodule) -> bool:
-    """Braiding involution, unitor compatibility and the hexagon."""
-    a, b, c = atom(u), atom(v), atom(w)
-    ab, ba = ct(a, b), ct(b, a)
-    if _transposition(ba, ab).matrix @ _transposition(ab, ba).matrix \
+    isos["left_unitor_inv"] = lam_inv
+    isos["right_unitor_inv"] = rho_inv
+    # pentagon: (alpha x 1) alpha (1 x alpha) = alpha alpha
+    bc, ab = t(b, c), t(a, b)
+    e1 = tensor_morphism(u.identity_morphism(), alpha(b, c, d),
+                         t(a, t(b, t(c, d))), t(a, t(bc, d)))
+    e3 = tensor_morphism(alpha_abc, x.identity_morphism(),
+                         t(t(a, bc), d), t(t(ab, c), d))
+    if e3.matrix @ alpha(a, bc, d).matrix @ e1.matrix \
+            != alpha(ab, c, d).matrix @ alpha(a, b, t(c, d)).matrix:
+        return isos, "pentagon"
+    # triangle: (rho_u x 1) alpha = 1 x lambda_v on u (x) (C (x) v)
+    left = tensor_morphism(rho, v.identity_morphism(), t(t(a, i), b), ab)
+    right = tensor_morphism(u.identity_morphism(), _left_unitor(t(i, b))[0],
+                            t(a, t(i, b)), ab)
+    if left.matrix @ alpha(a, i, b).matrix != right.matrix:
+        return isos, "triangle"
+    # symmetry: the braiding is an involution, rho = lambda sigma on
+    # u (x) C, and the hexagon
+    if sigma(b, a).matrix @ sigma_ab.matrix \
             != Matrix.identity(u.field, ab.module.dim):
-        return False
-    # rho = lambda . sigma on u (x) C
-    i = atom(regular_comodule(u.base))
-    ai, ia = ct(a, i), ct(i, a)
-    rho, _ = _right_unitor(ai)
-    lam, _ = _left_unitor(ia)
-    if lam.matrix @ _transposition(ai, ia).matrix != rho.matrix:
-        return False
-    # hexagon
-    bc, cb, ac, ca = ct(b, c), ct(c, b), ct(a, c), ct(c, a)
-    a_bc, ab_c, c_ab = ct(a, bc), ct(ab, c), ct(c, ab)
-    a_cb, ac_b, ca_b = ct(a, cb), ct(ac, b), ct(ca, b)
-    alpha1 = _structure_map(a_bc, ab_c, "associator")   # a(bc) -> (ab)c
-    s_abc = _transposition(ab_c, c_ab)                  # (ab)c -> c(ab)
-    alpha2 = _structure_map(c_ab, ca_b, "associator")   # c(ab) -> (ca)b
-    lhs = alpha2.matrix @ s_abc.matrix @ alpha1.matrix
-    e1 = tensor_morphism(u.identity_morphism(), _transposition(bc, cb),
-                         a_bc, a_cb)                    # a(bc) -> a(cb)
-    alpha3 = _structure_map(a_cb, ac_b, "associator")   # a(cb) -> (ac)b
-    e2 = tensor_morphism(_transposition(ac, ca), v.identity_morphism(),
-                         ac_b, ca_b)                    # (ac)b -> (ca)b
-    rhs = e2.matrix @ alpha3.matrix @ e1.matrix
-    return lhs == rhs
+        return isos, "symmetry"
+    if lam.matrix @ sigma(a, i).matrix != rho.matrix:
+        return isos, "symmetry"
+    lhs = alpha(c, a, b).matrix @ sigma(ab, c).matrix @ alpha_abc.matrix
+    e1 = tensor_morphism(u.identity_morphism(), sigma(b, c), t(a, bc),
+                         t(a, t(c, b)))
+    e2 = tensor_morphism(sigma(a, c), v.identity_morphism(), t(t(a, c), b),
+                         t(t(c, a), b))
+    if lhs != e2.matrix @ alpha(a, c, b).matrix @ e1.matrix:
+        return isos, "symmetry"
+    return isos, None
 
 
 # -- grading over group-like bases --------------------------------------------

@@ -145,8 +145,7 @@ def L_f_map(src_obj: CoalgCObject, tgt_obj: CoalgCObject,
         raise BaseMismatchError("g is not a morphism of slice objects")
     ls, ls_tilde = l_src
     lt, lt_tilde = l_tgt
-    med = pullback_mediate(lt_tilde, lt.phi, g @ ls_tilde, ls.phi)
-    return med, ls, lt
+    return pullback_mediate(lt_tilde, lt.phi, g @ ls_tilde, ls.phi)
 
 
 def lnl_morphism_check(f: CoalgebraMorphism,
@@ -194,8 +193,8 @@ def lnl_morphism_check(f: CoalgebraMorphism,
     # binary product preservation on (obj, obj)
     prod_c, pi1, pi2 = coalgC_product(obj, obj)
     l_prod = L_f(f, prod_c)
-    lp1, _, _ = L_f_map(prod_c, obj, pi1, l_prod, (lf_obj, x_tilde))
-    lp2, _, _ = L_f_map(prod_c, obj, pi2, l_prod, (lf_obj, x_tilde))
+    lp1 = L_f_map(prod_c, obj, pi1, l_prod, (lf_obj, x_tilde))
+    lp2 = L_f_map(prod_c, obj, pi2, l_prod, (lf_obj, x_tilde))
     try:
         PullbackSquare(lp1, lp2, x, x)
     except AxiomError:

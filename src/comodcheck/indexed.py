@@ -19,7 +19,9 @@ kept on the morphism (``u_coflat``); callers that share one morphism
 object therefore share the decision.  When the base is coseparable, as
 every power of a group-like base is, the decision is the retraction
 certificate of ``comod.is_injective``; otherwise it is an exact splitting
-solve.
+solve.  Since forall_phi = Sigma_phi there, ``adjoint_triple_identities``
+certifies the triangle identities of both adjunctions of
+Sigma_phi -| phi^* -| forall_phi from three pullbacks, each built once.
 
 The law checks verify, per instance and in exact arithmetic, the canonical
 isomorphisms of the calculus: Beck-Chevalley along pullback squares for
@@ -49,10 +51,9 @@ __all__ = [
     "pullback_map", "transpose_hat", "transpose_tilde",
     "AdjunctionCertificate", "adjunction_certificate", "forall",
     "forall_transpose_fwd", "forall_transpose_bwd", "forall_unit",
-    "forall_counit", "sigma_triangle_identities",
-    "forall_triangle_identities", "PullbackSquare", "beck_maps",
-    "beck_chevalley_check", "beck_for_forall_check", "frobenius_check",
-    "ssmc_check", "composition_isos",
+    "forall_counit", "adjoint_triple_identities", "PullbackSquare",
+    "beck_maps", "beck_chevalley_check", "beck_for_forall_check",
+    "frobenius_check", "ssmc_check", "composition_isos",
 ]
 
 
@@ -152,19 +153,15 @@ def transpose_tilde(phi: CoalgebraMorphism, v: Comodule, w: Comodule,
 class AdjunctionCertificate:
     """Round-trip evidence for Sigma_phi -| phi^* on one pair (V, W).
 
-    Carries the two hom-space dimensions, the forward/backward transposes
-    of the hom bases, and the round-trip residuals (all zero on success).
+    Carries the two hom-space dimensions and the round-trip residuals of
+    the transposes of the hom bases (all zero on success).
     """
 
-    __slots__ = ("dim_sigma_side", "dim_pullback_side", "forward",
-                 "backward", "residuals")
+    __slots__ = ("dim_sigma_side", "dim_pullback_side", "residuals")
 
-    def __init__(self, dim_sigma_side, dim_pullback_side, forward,
-                 backward, residuals):
+    def __init__(self, dim_sigma_side, dim_pullback_side, residuals):
         self.dim_sigma_side = dim_sigma_side
         self.dim_pullback_side = dim_pullback_side
-        self.forward = forward
-        self.backward = backward
         self.residuals = residuals
 
     @property
@@ -192,21 +189,16 @@ def adjunction_certificate(phi: CoalgebraMorphism, v: Comodule,
     pw_mod, _ = pw
     left = hom_space(sv, w)
     right = hom_space(v, pw_mod)
-    forward = []
-    backward = []
     residuals = []
     for f in left:
         hat = transpose_hat(phi, v, f, pw)
         back = transpose_tilde(phi, v, w, hat, pw)
-        forward.append((f.matrix, hat.matrix))
         residuals.append(back.matrix - f.matrix)
     for g in right:
         tilde = transpose_tilde(phi, v, w, g, pw)
         again = transpose_hat(phi, v, tilde, pw)
-        backward.append((g.matrix, tilde.matrix))
         residuals.append(again.matrix - g.matrix)
-    return AdjunctionCertificate(len(left), len(right), forward, backward,
-                                 residuals)
+    return AdjunctionCertificate(len(left), len(right), residuals)
 
 
 # -- the right adjoint forall over group-like bases ---------------------------
@@ -282,58 +274,48 @@ def forall_transpose_bwd(phi: CoalgebraMorphism, v: Comodule, pw,
     return forall_counit(phi, v, pfv) @ pullback_map(phi, h, src=pw, tgt=pfv)
 
 
-def sigma_triangle_identities(phi: CoalgebraMorphism, v: Comodule,
-                              w: Comodule, pw=None, sv=None) -> bool:
-    """Unit/counit triangle identities of Sigma_phi -| phi^* on (V, W).
+def adjoint_triple_identities(phi: CoalgebraMorphism, v: Comodule,
+                              w: Comodule):
+    """The unit/counit triangle identities of Sigma_phi -| phi^* -|
+    forall_phi on (V, W), exactly.
 
-    ``pw`` = pullback_functor(phi, W) and ``sv`` = sigma(phi, V), when the
-    caller has them."""
-    if sv is None:
-        sv = sigma(phi, v)
+    forall_phi = Sigma_phi (see ``forall``), so three pullbacks serve all
+    four identities, each built once: phi^* W, phi^* Sigma_phi V and
+    phi^* Sigma_phi phi^* W.  The exists side is checked first; forall's
+    gates run with its unit.  Returns None when all four hold, else the
+    adjunction that failed, "exists" or "forall".
+    """
+    sv = sigma(phi, v)
     psv = pullback_functor(phi, sv)
-    eta_v = transpose_hat(phi, v, sv.identity_morphism(), psv)
-    if pw is None:
-        pw = pullback_functor(phi, w)
-    pw_mod, _ = pw
-    eps_w = transpose_tilde(phi, pw_mod, w, pw_mod.identity_morphism(), pw)
-    # triangle 1: eps_{Sigma V} o Sigma(eta_V) = id
-    eps_sv = transpose_tilde(phi, psv[0], sv, psv[0].identity_morphism(),
-                             psv)
-    t1 = eps_sv.matrix @ sigma_map(phi, eta_v).matrix \
-        == Matrix.identity(v.field, v.dim)
-    # triangle 2: phi^*(eps_W) o eta_{phi^* W} = id
+    pw = pullback_functor(phi, w)
+    pw_mod = pw[0]
     spw = sigma(phi, pw_mod)
     pspw = pullback_functor(phi, spw)
+    # exists: eps_{Sigma V} Sigma(eta_V) = id and phi^*(eps_W) eta_{phi^* W}
+    # = id, the unit and counit being the transposes of identities
+    eta_v = transpose_hat(phi, v, sv.identity_morphism(), psv)
+    eps_w = transpose_tilde(phi, pw_mod, w, pw_mod.identity_morphism(), pw)
+    eps_sv = transpose_tilde(phi, psv[0], sv, psv[0].identity_morphism(),
+                             psv)
     eta_pw = transpose_hat(phi, pw_mod, spw.identity_morphism(), pspw)
     pull_eps = pullback_map(phi, eps_w, src=pspw, tgt=pw)
-    t2 = pull_eps.matrix @ eta_pw.matrix \
-        == Matrix.identity(v.field, pw_mod.dim)
-    return t1 and t2
-
-
-def forall_triangle_identities(phi: CoalgebraMorphism, v: Comodule,
-                               w: Comodule, pw=None, fv=None) -> bool:
-    """Unit/counit triangle identities of phi^* -| forall_phi on (V, W).
-
-    ``pw`` = pullback_functor(phi, W) and ``fv`` = forall(phi, V), when the
-    caller has them."""
-    if fv is None:
-        fv = forall(phi, v)
-    if pw is None:
-        pw = pullback_functor(phi, w)
-    # triangle 1: eps_{phi^* W} o phi^*(eta_W) = id on phi^* W
-    eta_w = forall_unit(phi, w, pw)
-    pae = pullback_functor(phi, eta_w.target)
-    lifted = pullback_map(phi, eta_w, src=pw, tgt=pae)
-    t1 = forall_counit(phi, pw[0], pae).matrix @ lifted.matrix \
-        == Matrix.identity(v.field, pw[0].dim)
-    # triangle 2: forall(eps_V) o eta_{forall V} = id on forall V, where
+    if eps_sv.matrix @ sigma_map(phi, eta_v).matrix \
+            != Matrix.identity(v.field, v.dim) \
+            or pull_eps.matrix @ eta_pw.matrix \
+            != Matrix.identity(v.field, pw_mod.dim):
+        return "exists"
+    # forall: eps_{phi^* W} phi^*(eta_W) = id on phi^* W, and
+    # forall(eps_V) eta_{forall V} = id on forall V, where
     # forall(eps_V) = Sigma(eps_V) has the matrix of eps_V
-    pfv = pullback_functor(phi, fv)
-    eta_fv = forall_unit(phi, fv, pfv)
-    t2 = forall_counit(phi, v, pfv).matrix @ eta_fv.matrix \
-        == Matrix.identity(v.field, fv.dim)
-    return t1 and t2
+    eta_w = forall_unit(phi, w, pw)
+    lifted = pullback_map(phi, eta_w, src=pw, tgt=pspw)
+    eta_sv = forall_unit(phi, sv, psv)
+    if forall_counit(phi, pw_mod, pspw).matrix @ lifted.matrix \
+            != Matrix.identity(v.field, pw_mod.dim) \
+            or forall_counit(phi, v, psv).matrix @ eta_sv.matrix \
+            != Matrix.identity(v.field, sv.dim):
+        return "forall"
+    return None
 
 
 # -- pullback squares and Beck-Chevalley --------------------------------------

@@ -66,9 +66,7 @@ def test_criterion_02_monoidal_coherence():
         u = random_comodule(rng, base, max_dim=2, max_total=4)
         v = random_comodule(rng, base, max_dim=2, max_total=4)
         w = random_comodule(rng, base, max_dim=2, max_total=4)
-        assert cm.pentagon_holds(u, v, w, u)
-        assert cm.triangle_holds(u, v)
-        assert cm.symmetry_holds(u, v, w)
+        assert cm.coherence(u, v, w, u)[1] is None
         fwd, back = cm.right_unitor(u)
         assert (fwd @ back).matrix == Matrix.identity(F, u.dim)
         lf, lb = cm.left_unitor(u)

@@ -4,6 +4,8 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+from comodcheck import cli, runner
+
 CLI = [sys.executable, "-m", "comodcheck.cli"]
 
 
@@ -92,3 +94,16 @@ def test_negative_max_dim_is_a_usage_error():
     assert out.returncode == 2
     assert "--max-dim" in out.stderr
     assert "line " not in out.stderr
+
+
+def test_internal_fault_is_exit_three_without_a_traceback(monkeypatch,
+                                                         capsys):
+    # a KeyError inside a check is the program's fault, not a parse error
+    def broken(ctx, index, name):
+        raise KeyError("planted")
+
+    monkeypatch.setitem(runner._EXECUTORS, "cosemisimple", broken)
+    assert cli.main(["check", corpus_path("02_cosemisimple.cd")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: KeyError: ")
+    assert "line " not in err and "Traceback" not in err

@@ -1,4 +1,5 @@
 import random
+from importlib import resources
 
 import pytest
 
@@ -154,7 +155,7 @@ def test_structural_isos_are_isomorphisms(g2):
     v = cm.graded_comodule(g2, [1, 2])
     w = cm.graded_comodule(g2, [2, 1])
     x = cm.graded_comodule(g2, [1, 1])
-    isos = cm.structural_isos(v, w, x)
+    isos, _ = cm.coherence(v, w, x, v)
     for name in ("associator", "left_unitor", "right_unitor", "braiding"):
         assert isos[name].is_isomorphism()
 
@@ -163,35 +164,61 @@ def test_pentagon_triangle_symmetry(g3):
     u = cm.graded_comodule(g3, [1, 1, 0])
     v = cm.graded_comodule(g3, [2, 0, 1])
     w = cm.graded_comodule(g3, [1, 2, 1])
-    assert cm.pentagon_holds(u, v, w, u)
-    assert cm.triangle_holds(u, v)
-    assert cm.symmetry_holds(u, v, w)
+    isos, failing = cm.coherence(u, v, w, u)
+    assert failing is None
+    assert isos["braiding"].source == cm.cotensor(u, v)[0]
 
 
-@pytest.mark.parametrize("check", [
-    lambda u, v, w, x: cm.structural_isos(u, v, w),
-    lambda u, v, w, x: cm.pentagon_holds(u, v, w, x),
-    lambda u, v, w, x: cm.symmetry_holds(u, v, w),
-], ids=["structural_isos", "pentagon_holds", "symmetry_holds"])
-def test_coherence_checks_build_each_cotensor_once(monkeypatch, g3, check):
-    # every presented cotensor is built once and shared by the maps on it
+def test_coherence_builds_each_cotensor_once(monkeypatch, g3):
+    # one cotensor per distinct (left, right) pair, shared by every map on
+    # that presentation
     u = cm.graded_comodule(g3, [1, 1, 0])
     v = cm.graded_comodule(g3, [2, 0, 1])
     w = cm.graded_comodule(g3, [1, 2, 1])
     x = cm.graded_comodule(g3, [0, 1, 2])
     calls = count_calls(monkeypatch, cm, "cotensor")
-    assert check(u, v, w, x)
+    assert cm.coherence(u, v, w, x)[1] is None
     pairs = [(id(a), id(b)) for a, b in calls]
     assert len(pairs) == len(set(pairs))
+
+
+def test_cotensor_document_builds_each_pair_once(monkeypatch):
+    # two checks of 19 (left, right) pairs each: V (x) W and 18 more for
+    # the diagrams on (V, W, W, V) and the unit C
+    doc = dsl.parse((resources.files("comodcheck") / "corpus"
+                     / "04_cotensor.cd").read_text())
+    calls = count_calls(monkeypatch, cm, "cotensor")
+    assert [rep.verdict for rep in runner.run(doc, seed=0)] == ["pass"] * 2
+    pairs = [(id(a), id(b)) for a, b in calls]
+    assert len(pairs) == len(set(pairs)) == 38
+
+
+@pytest.mark.parametrize("failing, name", [
+    ("pentagon", "_structure_map"), ("triangle", "_left_unitor"),
+    ("symmetry", "_transposition")])
+def test_coherence_names_the_failing_diagram(monkeypatch, g2, failing,
+                                             name):
+    # a structure map scaled by 2 is still an invertible comodule morphism,
+    # but the first diagram it enters no longer commutes
+    real = getattr(cm, name)
+
+    def planted(*args):
+        out = real(*args)
+        mor = out[0] if isinstance(out, tuple) else out
+        mor = cm.ComoduleMorphism(mor.source, mor.target, mor.matrix.scale(2))
+        return (mor, out[1]) if isinstance(out, tuple) else mor
+
+    monkeypatch.setattr(cm, name, planted)
+    v = cm.graded_comodule(g2, [1, 2])
+    w = cm.graded_comodule(g2, [2, 1])
+    assert cm.coherence(v, w, w, v)[1] == failing
 
 
 def test_coherence_over_fp():
     p = GF(5)
     g = ca.grouplike_coalgebra(p, ["a", "b"])
     v = cm.graded_comodule(g, [1, 2])
-    assert cm.pentagon_holds(v, v, v, v)
-    assert cm.triangle_holds(v, v)
-    assert cm.symmetry_holds(v, v, v)
+    assert cm.coherence(v, v, v, v)[1] is None
 
 
 # -- internal hom ----------------------------------------------------------------------

@@ -222,8 +222,7 @@ def test_quantifier_triple_adjunction(g_ab):
         prod_ic, p_i, _ = ca.product(bp.coalgebra, g_ab)
         v = random_comodule(rng, prod_ic, max_dim=2, max_total=6)
         w = random_comodule(rng, bp.coalgebra, max_dim=2, max_total=4)
-        assert ix.sigma_triangle_identities(p_i, v, w)
-        assert ix.forall_triangle_identities(p_i, v, w)
+        assert ix.adjoint_triple_identities(p_i, v, w) is None
 
 
 def test_exists_matches_frobenius_shape(g_ab):
@@ -290,8 +289,7 @@ def test_everything_degenerates_over_trivial_base():
     prod_ic, p_i, _ = ca.product(bp.coalgebra, k)
     v = cm.graded_comodule(prod_ic, [3])
     w = cm.graded_comodule(bp.coalgebra, [2])
-    assert ix.sigma_triangle_identities(p_i, v, w)
-    assert ix.forall_triangle_identities(p_i, v, w)
+    assert ix.adjoint_triple_identities(p_i, v, w) is None
     ident = hd.power_morphism(bp, bp, (0, 1))
     rep = hd.hyperdoctrine_condition2_check(ident, bp, bp, v)
     assert rep.passed
@@ -354,18 +352,29 @@ def test_condition2_pulls_v_back_once_per_square(monkeypatch):
         assert len(along) == 1
 
 
-def test_hyperdoctrine_pulls_back_and_builds_forall_once(monkeypatch):
-    # the exists and forall triangles share phi^* W, and the forall
-    # triangles and the reported forall share forall(p_I, V); each of the
-    # 3 condition-2 mates pulls alpha^* forall V back along gamma
+def pullback_pairs(monkeypatch, run):
+    """The (phi, comodule) object pairs ``run`` pulls back, in order."""
     pulls = [count_calls(monkeypatch, ix, "pullback_functor"),
              count_calls(monkeypatch, hd, "pullback_functor")]
+    run()
+    return [(id(args[0]), id(args[1])) for args in pulls[0] + pulls[1]]
+
+
+def test_hyperdoctrine_pulls_back_and_builds_forall_once(monkeypatch):
+    # the four triangle identities at each power share three pullbacks,
+    # and each of the 3 condition-2 mates pulls alpha^* forall V back
+    # along gamma
     foralls = count_calls(monkeypatch, ix, "forall")
-    run_hyperdoctrine_c1()
-    pairs = [(id(args[0]), id(args[1])) for args in pulls[0] + pulls[1]]
-    assert len(pairs) == len(set(pairs)) == 25
+    pairs = pullback_pairs(monkeypatch, run_hyperdoctrine_c1)
+    assert len(pairs) == len(set(pairs)) == 21
     pairs = [(id(args[0]), id(args[1])) for args in foralls]
-    assert len(pairs) == len(set(pairs)) == 12
+    assert len(pairs) == len(set(pairs)) == 10
+
+
+def test_hyperdoctrine_two_pulls_back_each_pair_once(monkeypatch):
+    # three pullbacks per power serve the four triangle identities
+    pairs = pullback_pairs(monkeypatch, lambda: hyperdoctrine_reports(2))
+    assert len(pairs) == len(set(pairs)) == 59
 
 
 def test_hyperdoctrine_makes_no_hom_space_call(monkeypatch):

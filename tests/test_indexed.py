@@ -168,7 +168,23 @@ def test_transpose_naturality(phi, g_xyz, g_ab):
 def test_sigma_triangles(phi, g_xyz, g_ab):
     v = cm.graded_comodule(g_xyz, [1, 2, 1])
     w = cm.graded_comodule(g_ab, [2, 1])
-    assert ix.sigma_triangle_identities(phi, v, w)
+    assert ix.adjoint_triple_identities(phi, v, w) is None
+
+
+def test_sigma_triangles_reject_a_planted_wrong_counit(monkeypatch, phi,
+                                                      g_xyz, g_ab):
+    # 2 eps is still a comodule morphism, but no longer a counit; the
+    # forall side does not use it
+    real = ix.transpose_tilde
+
+    def tilde(*args):
+        eps = real(*args)
+        return cm.ComoduleMorphism(eps.source, eps.target, eps.matrix.scale(2))
+
+    monkeypatch.setattr(ix, "transpose_tilde", tilde)
+    v = cm.graded_comodule(g_xyz, [1, 2, 1])
+    w = cm.graded_comodule(g_ab, [2, 1])
+    assert ix.adjoint_triple_identities(phi, v, w) == "exists"
 
 
 # -- forall ---------------------------------------------------------------------------
@@ -224,24 +240,29 @@ def test_forall_transpose_round_trips(phi, g_xyz, g_ab):
 
 
 def test_forall_triangles(phi, g_xyz, g_ab):
-    v = cm.graded_comodule(g_xyz, [1, 2, 1])
-    w = cm.graded_comodule(g_ab, [2, 1])
-    assert ix.forall_triangle_identities(phi, v, w)
+    # an empty component on each side: the fiber of b holds only z
+    v = cm.graded_comodule(g_xyz, [2, 0, 1])
+    w = cm.graded_comodule(g_ab, [0, 2])
+    assert ix.adjoint_triple_identities(phi, v, w) is None
 
 
-def test_forall_triangles_build_each_forall_data_once(monkeypatch, phi,
-                                                      g_xyz, g_ab):
-    # one forall each for V, phi^* W and phi^* forall V
-    calls = count_calls(monkeypatch, ix, "forall")
+def test_adjoint_triple_builds_each_pullback_once(monkeypatch, phi, g_xyz,
+                                                  g_ab):
+    # phi^* W, phi^* Sigma V and phi^* Sigma phi^* W serve all four
+    # identities; one forall each for the units of W and Sigma V
+    pulls = count_calls(monkeypatch, ix, "pullback_functor")
+    foralls = count_calls(monkeypatch, ix, "forall")
     v = cm.graded_comodule(g_xyz, [1, 2, 1])
     w = cm.graded_comodule(g_ab, [2, 1])
-    assert ix.forall_triangle_identities(phi, v, w)
-    assert len(calls) == 3
+    assert ix.adjoint_triple_identities(phi, v, w) is None
+    assert len(pulls) == 3
+    assert len(foralls) == 2
 
 
 def test_forall_triangles_reject_a_planted_wrong_unit(monkeypatch, phi,
                                                      g_xyz, g_ab):
-    # 2 eta is still a comodule morphism, but no longer a unit
+    # 2 eta is still a comodule morphism, but no longer a unit; the exists
+    # side does not use it
     real = ix.forall_unit
 
     def unit(*args):
@@ -251,16 +272,16 @@ def test_forall_triangles_reject_a_planted_wrong_unit(monkeypatch, phi,
     monkeypatch.setattr(ix, "forall_unit", unit)
     v = cm.graded_comodule(g_xyz, [1, 2, 1])
     w = cm.graded_comodule(g_ab, [2, 1])
-    assert not ix.forall_triangle_identities(phi, v, w)
+    assert ix.adjoint_triple_identities(phi, v, w) == "forall"
 
 
 def test_forall_triangles_decide_coflatness_once(monkeypatch, phi, g_xyz,
                                                  g_ab):
-    # the three foralls share phi, so U(phi) is decided once
+    # both foralls share phi, so U(phi) is decided once
     calls = count_calls(monkeypatch, cm, "is_injective")
     v = cm.graded_comodule(g_xyz, [1, 2, 1])
     w = cm.graded_comodule(g_ab, [2, 1])
-    assert ix.forall_triangle_identities(phi, v, w)
+    assert ix.adjoint_triple_identities(phi, v, w) is None
     assert len(calls) == 1
 
 
@@ -463,6 +484,33 @@ def test_no_library_module_but_the_runner_imports_the_oracle():
                 if "oracle" in names:
                     importers.add(path.stem)
     assert importers == {"runner"}
+
+
+def test_no_library_module_holds_a_mutable_table():
+    # a check builds its shared objects in tables local to one call, so no
+    # result can leak from one check or document into the next; the
+    # export lists are declarations, not state
+    containers = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+                  ast.SetComp)
+    pkg = Path(ix.__file__).parent
+    tables = set()
+    for path in pkg.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets, value = [node.target], node.value
+            else:
+                continue
+            if isinstance(value, containers) or (
+                    isinstance(value, ast.Call)
+                    and isinstance(value.func, ast.Name)
+                    and value.func.id in ("dict", "list", "set")):
+                tables.update(f"{path.stem}.{ast.unparse(t)}"
+                              for t in targets)
+    tables = {name for name in tables if not name.endswith(".__all__")}
+    assert tables == {"dsl.CHECK_ARGS", "runner._EXECUTORS",
+                      "runner.CHECK_OPERATIONS"}
 
 
 def test_beck_consistency_between_variants(g_ab):
