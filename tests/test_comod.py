@@ -169,15 +169,26 @@ def test_pentagon_triangle_symmetry(g3):
     assert isos["braiding"].source == cm.cotensor(u, v)[0]
 
 
-def test_coherence_builds_each_cotensor_once(monkeypatch, g3):
+@pytest.mark.parametrize("args", [
+    lambda u, v, w, x: (u, v, w, u),
+    lambda u, v, w, x: (u, v, w, x),
+    lambda u, v, w, x: (u, v, u, v),
+], ids=["structural_isos", "pentagon_holds", "symmetry_holds"])
+def test_coherence_checks_build_each_cotensor_once(monkeypatch, g3, args):
     # one cotensor per distinct (left, right) pair, shared by every map on
-    # that presentation
+    # that presentation, also when an argument repeats: the structural
+    # isomorphisms on (u, v, w), the pentagon on four distinct objects and
+    # the braiding diagrams on (u, v, u)
     u = cm.graded_comodule(g3, [1, 1, 0])
     v = cm.graded_comodule(g3, [2, 0, 1])
     w = cm.graded_comodule(g3, [1, 2, 1])
     x = cm.graded_comodule(g3, [0, 1, 2])
     calls = count_calls(monkeypatch, cm, "cotensor")
-    assert cm.coherence(u, v, w, x)[1] is None
+    isos, failing = cm.coherence(*args(u, v, w, x))
+    assert failing is None
+    assert all(isos[name].is_isomorphism()
+               for name in ("associator", "left_unitor", "right_unitor",
+                            "braiding"))
     pairs = [(id(a), id(b)) for a, b in calls]
     assert len(pairs) == len(set(pairs))
 
