@@ -9,13 +9,16 @@ id_V (x) rho_W.  ``coherence`` computes its structural isomorphisms
 coherence diagrams (pentagon, triangle, symmetry hexagon) as exact matrix
 identities, building each cotensor presentation once per call.
 
-Hom spaces are solved as the null space of the intertwiner condition
-(f (x) id) rho_V = rho_W f.  Injectivity is decided by a splitting: rho_V
-embeds V into the cofree comodule V (x) C, which is injective, so V is
-injective iff that embedding splits.  Over a base with a coseparability
-form gamma the splitting is read off from gamma and checked by two exact
-products; otherwise the retraction system is solved.  Coflatness agrees
-with injectivity at finite dimension.
+Hom spaces are cotensors too: the base is cocommutative, so the dual V*
+is a comodule V^vee (``dual_comodule``) and Hom^C(V, W) = W (x)_C V^vee
+inside W (x) V*.  Every kernel-defined object (cotensor, pullback, hom)
+reads one matrix, ``_cotensor_matrix``.  Injectivity is decided by a
+splitting: rho_V embeds V into the cofree comodule V (x) C, which is
+injective, so V is injective iff that embedding splits.  Over a base with
+a coseparability form gamma the splitting is read off from gamma and
+checked by two exact products; otherwise a splitting is solved for in
+Hom^C(V (x) C, V).  Coflatness agrees with injectivity at finite
+dimension.
 
 The internal hom is provided for group-like bases, where comodules are
 graded vector spaces and hom is computed componentwise.
@@ -26,13 +29,12 @@ from __future__ import annotations
 from .coalg import (Coalgebra, _add_into, _column_dicts,
                     coseparability_form, grouplike_labels)
 from .errors import AxiomError, BaseMismatchError, UnsupportedBaseError
-from .exactlin import (Chart, LinearSystem, Matrix, ShapeError, Subspace,
-                       swap_matrix)
+from .exactlin import Chart, Matrix, ShapeError, Subspace, swap_matrix
 
 __all__ = [
     "Comodule", "ComoduleMorphism", "regular_comodule", "cofree_comodule",
     "zero_comodule", "graded_comodule", "graded_dims", "graded_components",
-    "hom_space", "cotensor", "tensor_morphism",
+    "dual_comodule", "hom_space", "cotensor", "tensor_morphism",
     "left_unitor", "right_unitor", "braiding", "coherence",
     "internal_hom", "coseparability_retraction", "is_injective",
     "is_coflat", "direct_sum", "conjugate",
@@ -220,46 +222,48 @@ def conjugate(v: Comodule, s: Matrix) -> Comodule:
     return Comodule(v.base, v.dim, rho)
 
 
-# -- hom spaces ---------------------------------------------------------------
+# -- cotensor product and hom spaces ------------------------------------------
 
-def _intertwiner_system(v: Comodule, w: Comodule) -> LinearSystem:
-    """Linear system in f (w.dim x v.dim) for (f x id) rho_V = rho_W f.
-
-    The left side is linearized through the reshape
-    T2[i, c*m + j] = rho_V[i*n + c, j], which turns (f x id) rho_V into
-    f @ T2 with matching row-major vec indexing.
-    """
-    f, n = v.field, v.base.dim
-    mv, mw = v.dim, w.dim
-    t2 = [0] * (mv * n * mv)
-    rv = v.rho.data
-    for i in range(mv):
-        for c in range(n):
-            base = (i * n + c) * mv
-            dst = i * (n * mv) + c * mv
-            t2[dst:dst + mv] = rv[base:base + mv]
-    t2m = Matrix(f, mv, n * mv, t2)
-    sys = LinearSystem(f, mw, mv)
-    sys.add([(None, t2m), (-w.rho, None)])
-    return sys
-
-
-def hom_space(v: Comodule, w: Comodule) -> list[ComoduleMorphism]:
-    """Basis of the vector space of comodule morphisms V -> W."""
-    if v.base != w.base:
-        raise BaseMismatchError("hom needs a common base")
-    basis = _intertwiner_system(v, w).solution_basis()
-    return [ComoduleMorphism(v, w, m) for m in basis]
-
-
-# -- cotensor product ---------------------------------------------------------
-
-def _cotensor_kernel(v: Comodule, w: Comodule) -> Subspace:
+def _cotensor_matrix(v: Comodule, w: Comodule) -> Matrix:
+    """(rho_V (x) id_W) - (id_V (x) tau rho_W): V (x) W -> V (x) C (x) W,
+    whose kernel is V (x)_C W."""
     f, n = v.field, v.base.dim
     mv, mw = v.dim, w.dim
     lhs = v.rho.kron(Matrix.identity(f, mw))
     rhs = Matrix.identity(f, mv).kron(swap_matrix(f, mw, n) @ w.rho)
-    return (lhs - rhs).kernel()
+    return lhs - rhs
+
+
+def _cotensor_kernel(v: Comodule, w: Comodule) -> Subspace:
+    return _cotensor_matrix(v, w).kernel()
+
+
+def dual_comodule(v: Comodule) -> Comodule:
+    """V^vee: the dual space V* with coaction components rho_c^T, where
+    rho_V(e_j) = sum_c rho_c e_j (x) c.  It is a comodule because the base
+    is cocommutative; the constructor certifies the axioms."""
+    m, n = v.dim, v.base.dim
+    data = [0] * (m * n * m)
+    for i, col in enumerate(v._rho_cols):
+        for idx, x in col.items():
+            j, c = divmod(idx, n)
+            data[(i * n + c) * m + j] = x
+    return Comodule(v.base, m, Matrix(v.field, m * n, m, data))
+
+
+def hom_space(v: Comodule, w: Comodule) -> list[ComoduleMorphism]:
+    """Basis of the vector space of comodule morphisms V -> W.
+
+    Hom^C(V, W) = W (x)_C V^vee inside W (x) V*, and the flat index
+    a*dim V + j of W (x) V* is the row-major vec of a w.dim x v.dim matrix,
+    so each basis vector of the cotensor kernel is reshaped into a map.
+    """
+    if v.base != w.base:
+        raise BaseMismatchError("hom needs a common base")
+    ker = _cotensor_kernel(w, dual_comodule(v)).basis
+    return [ComoduleMorphism(v, w, Matrix(v.field, w.dim, v.dim,
+                                          ker.column(i).data))
+            for i in range(ker.cols)]
 
 
 def _restricted_coaction(base: Coalgebra, coaction: Matrix, sub: Subspace,
@@ -537,16 +541,22 @@ def is_injective(v: Comodule) -> bool:
     ``coseparability_retraction`` is a splitting, certified by two exact
     products: r rho_V = id and (r (x) id)(id_V (x) delta) = rho_V r.
     Either failing is an internal fault and raises ``AxiomError``.
-    Without a coseparability form (N, for one) the retraction system is
-    solved exactly.
+    Without a coseparability form (N, for one) a splitting s is solved for
+    exactly: the cotensor equations of Hom^C(V (x) C, V) together with
+    s rho_V = id.
     """
     r = coseparability_retraction(v)
-    if r is None:
-        cofree = cofree_comodule(v.base, v.dim)
-        sys = _intertwiner_system(cofree, v)
-        sys.add([(None, v.rho)], Matrix.identity(v.field, v.dim))
-        return sys.solve() is not None
     ident_v = Matrix.identity(v.field, v.dim)
+    if r is None:
+        # s in Hom^C(V (x) C, V) = V (x)_C (V (x) C)^vee with s rho_V = id;
+        # the rows of vec(s rho_V) are id_V (x) rho_V^T
+        m = v.dim
+        dual = dual_comodule(cofree_comodule(v.base, m))
+        system = _cotensor_matrix(v, dual).vstack(
+            ident_v.kron(v.rho.transpose()))
+        rhs = Matrix.zeros(v.field, system.rows - m * m, 1).vstack(
+            Matrix(v.field, m * m, 1, ident_v.data))
+        return system.solve_right(rhs) is not None
     ident_c = Matrix.identity(v.field, v.base.dim)
     if r @ v.rho != ident_v:
         raise AxiomError("coseparability",

@@ -9,24 +9,20 @@ loops live in the kernel module ``_backend.core``.
 Tensor bookkeeping fixes one global convention used by every module
 downstream: the basis vector e_i (x) e_j of a tensor product of spaces of
 dimensions (m, n) sits at flat index ``i*n + j`` (left factor major).
-``kron`` realizes maps f (x) g on these bases, and the row-major vec
-identity  vec(L @ X @ R) = kron(L, R^T) @ vec(X)  turns "find a linear map
-subject to linear conditions" into one rectangular solve
-(``LinearSystem``).
+``kron`` realizes maps f (x) g on these bases.  There is no solver for
+unknown matrices: a space of linear maps V -> W is a subspace of W (x) V*,
+so callers cut it out with ``kernel`` or ``solve_right`` on one matrix.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from ._backend import core
 from .fields import Field
 
-__all__ = [
-    "ShapeError", "Matrix", "Subspace", "Chart", "swap_matrix",
-    "LinearSystem",
-]
+__all__ = ["ShapeError", "Matrix", "Subspace", "Chart", "swap_matrix"]
 
 
 class ShapeError(ValueError):
@@ -310,22 +306,15 @@ class Matrix:
 
 
 def _clear_denominators(data, rows, cols):
-    """Scale each row by the lcm of its denominators; returns int entries."""
-    out = [0] * (rows * cols)
+    """Scale each row by the lcm of its denominators; returns int entries.
+
+    An int's ``denominator`` is 1, so no entry needs a type test.
+    """
+    out = []
     for i in range(rows):
-        base = i * cols
-        l = 1
-        for j in range(cols):
-            x = data[base + j]
-            if isinstance(x, Fraction):
-                d = x.denominator
-                if d != 1:
-                    l = l * d // gcd(l, d)
-        for j in range(cols):
-            x = data[base + j]
-            if x:
-                out[base + j] = int(x * l) if l != 1 or isinstance(x, Fraction) \
-                    else x
+        row = data[i * cols:(i + 1) * cols]
+        l = lcm(*[x.denominator for x in row if x])
+        out.extend([int(x * l) if x else 0 for x in row])
     return out
 
 
@@ -477,82 +466,4 @@ class Chart:
                 dst = (i * mb + j) * c
                 out[dst:dst + c] = vd[src:src + c]
         return Matrix(self.field, ma * mb, c, out)
-
-
-class LinearSystem:
-    """Affine-linear constraints on an unknown rows x cols matrix X.
-
-    Each constraint has the form  sum_k  L_k @ X @ R_k == T  with None
-    standing for an identity factor; it is flattened through the row-major
-    vec identity  vec(L X R) = kron(L, R^T) vec(X).
-    """
-
-    def __init__(self, field: Field, rows: int, cols: int):
-        self.field = field
-        self.rows = rows
-        self.cols = cols
-        self._blocks = []
-        self._rhs = []
-
-    def add(self, terms, rhs: Matrix | None = None):
-        """Add one constraint; ``terms`` is an iterable of (L, R) pairs.
-
-        Terms and right-hand side are compared in row-major flat order, so
-        terms may present the same output index set with different
-        row/column splits (e.g. (m, n*k) against (m*n, k)).
-        """
-        f, r, c = self.field, self.rows, self.cols
-        coeff = None
-        size = None
-        for L, R in terms:
-            if L is None:
-                L = Matrix.identity(f, r)
-            if R is None:
-                R = Matrix.identity(f, c)
-            if L.cols != r or R.rows != c:
-                raise ShapeError("constraint term does not fit the unknown")
-            term = L.kron(R.transpose())
-            if size is None:
-                size = term.rows
-                coeff = term
-            else:
-                if term.rows != size:
-                    raise ShapeError("constraint terms of different sizes")
-                coeff = Matrix(f, size, r * c,
-                               [f.add(x, y) for x, y in
-                                zip(coeff.data, term.data)])
-        if coeff is None:
-            raise ShapeError("empty constraint")
-        if rhs is None:
-            rhs = Matrix.zeros(f, size, 1)
-        if rhs.rows * rhs.cols != size:
-            raise ShapeError(f"right-hand side must have {size} entries")
-        self._blocks.append(coeff)
-        self._rhs.append(Matrix(f, size, 1, rhs.data))
-
-    def _stacked(self):
-        coeff = self._blocks[0]
-        rhs = self._rhs[0]
-        for b, r in zip(self._blocks[1:], self._rhs[1:]):
-            coeff = coeff.vstack(b)
-            rhs = rhs.vstack(r)
-        return coeff, rhs
-
-    def solve(self) -> Matrix | None:
-        """One exact solution, or None when the system is inconsistent."""
-        coeff, rhs = self._stacked()
-        x = coeff.solve_right(rhs)
-        if x is None:
-            return None
-        return Matrix(self.field, self.rows, self.cols, x.data)
-
-    def solution_basis(self) -> list[Matrix]:
-        """Basis of the solution space of the homogeneous system."""
-        if any(any(r.data) for r in self._rhs):
-            raise ShapeError("solution_basis needs a homogeneous system")
-        coeff, _ = self._stacked()
-        ker = coeff.kernel()
-        return [Matrix(self.field, self.rows, self.cols,
-                       ker.basis.column(i).data)
-                for i in range(ker.dim)]
 

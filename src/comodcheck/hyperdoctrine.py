@@ -39,7 +39,7 @@ from .report import CheckReport, failure
 __all__ = [
     "CoalgCObject", "U_C", "coalgC_product", "strong_monoidality_check",
     "L_f", "L_f_map", "lnl_morphism_check", "BasePower", "base_powers",
-    "base_power", "power_morphism", "exists_along_projection",
+    "base_power", "power_morphism",
     "hyperdoctrine_condition2_check", "condition3_symmetry_check",
 ]
 
@@ -291,14 +291,6 @@ def power_morphism(src: BasePower, tgt: BasePower,
         raise AxiomError("power-morphism", "assembled morphism has the "
                                            "wrong target")
     return current
-
-
-def exists_along_projection(i: BasePower, v: Comodule) -> Comodule:
-    """Sigma along the projection I x C -> I."""
-    prod, p1, _ = i.step
-    if v.base != prod:
-        raise BaseMismatchError("comodule is not based on I x C")
-    return sigma(p1, v)
 
 
 def hyperdoctrine_condition2_check(f: CoalgebraMorphism, src: BasePower,

@@ -270,10 +270,10 @@ def _check_hyperdoctrine(ctx, index, cname, n):
         if failed is not None:
             return failure("hyperdoctrine",
                            f"{failed} adjunction fails at power {k}")
-        # forall passed its gates above, so forall_p V = Sigma_p V
-        ex = hd.exists_along_projection(bp, v)
-        dims[f"power_{k}"] = {"comodule": v.dim, "exists": ex.dim,
-                              "forall": ex.dim}
+        # Sigma_p keeps the underlying space, and forall passed its gates
+        # above, so forall_p V = Sigma_p V
+        dims[f"power_{k}"] = {"comodule": v.dim, "exists": v.dim,
+                              "forall": v.dim}
         details.append(f"adjoint-triple-power-{k}")
         v3 = gen.random_comodule(rng, bp.swapped[0], max_dim=ctx.max_dim,
                                  max_total=8)
@@ -347,7 +347,6 @@ OPERATION_INVENTORY = (
     "hyperdoctrine.U_C", "hyperdoctrine.coalgC_product",
     "hyperdoctrine.strong_monoidality_check", "hyperdoctrine.L_f",
     "hyperdoctrine.lnl_morphism_check", "hyperdoctrine.base_powers",
-    "hyperdoctrine.exists_along_projection",
     "hyperdoctrine.hyperdoctrine_condition2_check",
     "oracle.to_graded", "oracle.graded_cotensor", "oracle.graded_pullback",
     "oracle.graded_sigma", "oracle.graded_forall",
@@ -396,7 +395,6 @@ CHECK_OPERATIONS = {
             "coalg.pairing", "indexed.ssmc_check", "dslcli.parse",
             "dslcli.run"},
     "hyperdoctrine": {"hyperdoctrine.base_powers",
-                      "hyperdoctrine.exists_along_projection",
                       "hyperdoctrine.hyperdoctrine_condition2_check",
                       "indexed.beck_chevalley_check",
                       "indexed.beck_for_forall_check", "indexed.forall",

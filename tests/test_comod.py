@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from importlib import resources
 
 import pytest
@@ -7,7 +8,7 @@ from comodcheck import coalg as ca
 from comodcheck import comod as cm
 from comodcheck import dsl, runner
 from comodcheck.errors import AxiomError, UnsupportedBaseError
-from comodcheck.exactlin import LinearSystem, Matrix
+from comodcheck.exactlin import Matrix, Subspace
 from comodcheck.fields import GF, QQ
 from comodcheck.gen import random_comodule, random_invertible
 
@@ -97,6 +98,98 @@ def test_hom_over_trivial_base_all_maps():
     v = cm.graded_comodule(k, [2])
     w = cm.graded_comodule(k, [3])
     assert len(cm.hom_space(v, w)) == 6
+
+
+def hom_reference_pairs(field):
+    """(V, W) pairs over group-like and non-group-like bases: conjugated
+    graded comodules, and conjugated sums of regular comodules over K, N,
+    K + N and K x K, with N's non-injective simple comodule."""
+    rng = random.Random(field.char)
+    g = ca.product(ca.grouplike_coalgebra(field, "ab"),
+                   ca.grouplike_coalgebra(field, "xyz"))[0]
+    mods = [random_comodule(rng, g, max_dim=2, max_total=5, conjugated=True)
+            for _ in range(3)]
+    pairs = [(v, w) for v in mods for w in mods]
+    k, n = sqrt2_dual(field), gx_coalgebra(field)
+    for c, copies in ((k, 2), (n, 2), (ca.direct_sum(k, n), 2),
+                      (ca.product(k, k)[0], 1)):
+        mods = regular_sums(rng, c, 2, copies)
+        pairs += [(v, w) for v in mods for w in mods]
+    one = cm.Comodule(n, 1, Matrix.from_rows(field, [[1], [0]]))
+    reg = cm.regular_comodule(n)
+    return pairs + [(one, reg), (reg, one), (cm.direct_sum(one, reg), one)]
+
+
+def intertwiner_equations(v, w):
+    """(f x id) rho_V - rho_W f = 0 entry by entry: one row per (a, c, j),
+    in the unknowns f[a, i] at index a * dim V + i."""
+    n, mv, mw = v.base.dim, v.dim, w.dim
+    rows = []
+    for a in range(mw):
+        for c in range(n):
+            for j in range(mv):
+                row = [0] * (mw * mv)
+                for i in range(mv):
+                    row[a * mv + i] += v.rho[i * n + c, j]
+                for b in range(mw):
+                    row[b * mv + j] -= w.rho[a * n + c, b]
+                rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+def test_hom_space_matches_sympy(field):
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import GF as SymGF, QQ as SymQQ
+    from sympy.polys.matrices import DomainMatrix
+
+    p = field.char
+    dom = SymGF(p) if p else SymQQ
+
+    def to_sympy(rows, ncols):
+        entries = [[dom(x) if p else dom(Fraction(x).numerator,
+                                         Fraction(x).denominator)
+                    for x in row] for row in rows]
+        return DomainMatrix(entries, (len(rows), ncols), dom)
+
+    for v, w in hom_reference_pairs(field):
+        unknowns = v.dim * w.dim
+        eqs = to_sympy(intertwiner_equations(v, w), unknowns)
+        basis = cm.hom_space(v, w)
+        assert len(basis) == unknowns - eqs.rank()
+        for mor in basis:
+            cm.ComoduleMorphism(v, w, mor.matrix)
+        if basis:
+            vecs = to_sympy([m.matrix.data for m in basis], unknowns)
+            assert vecs.rank() == len(basis)
+            assert (eqs * vecs.transpose()).is_zero_matrix
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+def test_dual_comodule_is_an_involution(field):
+    for v, _ in hom_reference_pairs(field):
+        assert cm.dual_comodule(cm.dual_comodule(v)) == v
+
+
+def test_planted_non_morphism_is_outside_the_hom_span():
+    rng = random.Random(4)
+    k = sqrt2_dual()
+    v, w = regular_sums(rng, k, 2, 2)
+    basis = cm.hom_space(v, w)
+    span = Subspace(F, w.dim * v.dim,
+                    Matrix(F, len(basis), w.dim * v.dim,
+                           [x for m in basis for x in m.matrix.data])
+                    .transpose())
+    # a basis map plus a rank-one elementary matrix: the image of a
+    # comodule map is a subcomodule, and K has no group-likes, hence no
+    # one-dimensional comodule, so the elementary matrix is no morphism
+    planted = basis[0].matrix + Matrix(F, w.dim, v.dim,
+                                       [1] + [0] * (w.dim * v.dim - 1))
+    with pytest.raises(AxiomError):
+        cm.ComoduleMorphism(v, w, planted)
+    assert span.coords(Matrix(F, w.dim * v.dim, 1, planted.data)) is None
+    assert span.coords(Matrix(F, w.dim * v.dim, 1,
+                              basis[0].matrix.data)) is not None
 
 
 # -- cotensor ---------------------------------------------------------------------
@@ -332,7 +425,8 @@ def regular_sums(rng, c, count, max_copies):
 
 def test_certificate_agrees_with_the_splitting_solve(monkeypatch):
     # every base here has a coseparability form; with it switched off,
-    # is_injective falls back to solving the retraction system
+    # is_injective falls back to solving for a splitting, the one path that
+    # builds the cofree comodule
     rng = random.Random(5)
     comodules = regular_sums(rng, sqrt2_dual(), 3, 2) \
         + regular_sums(rng, sqrt2_dual(GF(7)), 3, 2) \
@@ -342,7 +436,7 @@ def test_certificate_agrees_with_the_splitting_solve(monkeypatch):
                    ca.grouplike_coalgebra(GF(5), "xyz"))[0]
     comodules += [random_comodule(rng, g, max_dim=2, conjugated=True)
                   for _ in range(3)]
-    solves = count_calls(monkeypatch, LinearSystem, "solve")
+    solves = count_calls(monkeypatch, cm, "cofree_comodule")
     certified = [cm.is_injective(v) for v in comodules]
     assert not solves
     monkeypatch.setattr(cm, "coseparability_form", lambda c: None)

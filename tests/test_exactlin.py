@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from comodcheck import _core_py
-from comodcheck.exactlin import (Chart, LinearSystem, Matrix, ShapeError,
-                                 Subspace, swap_matrix)
+from comodcheck.exactlin import (Chart, Matrix, ShapeError, Subspace,
+                                 swap_matrix)
 from comodcheck.fields import GF, QQ
 
 F = QQ
@@ -113,24 +113,20 @@ def test_subspace_requires_independent_columns():
 
 # -- solving --------------------------------------------------------------------
 
-def test_linear_system_identity():
-    sys = LinearSystem(F, 2, 2)
-    sys.add([(None, Matrix.identity(F, 2))], Matrix.identity(F, 2))
-    assert sys.solve() == Matrix.identity(F, 2)
+def test_solve_right_unsolvable():
+    # X @ 0 = I has no solution; vec(X @ R) = kron(I, R^T) vec(X)
+    zero = Matrix.zeros(F, 2, 2)
+    rhs = Matrix(F, 4, 1, Matrix.identity(F, 2).data)
+    assert Matrix.identity(F, 2).kron(zero.transpose()).solve_right(rhs) \
+        is None
 
 
-def test_linear_system_unsolvable():
-    sys = LinearSystem(F, 2, 2)
-    sys.add([(None, Matrix.zeros(F, 2, 2))], Matrix.identity(F, 2))
-    assert sys.solve() is None
-
-
-def test_linear_system_retraction_of_injective():
+def test_solve_right_retraction_of_injective():
     inj = Matrix.from_rows(F, [[1, 0], [0, 1], [1, 1]])  # injective 3x2
-    sys = LinearSystem(F, 2, 3)
-    sys.add([(None, inj)], Matrix.identity(F, 2))
-    x = sys.solve()
-    assert x is not None and x @ inj == Matrix.identity(F, 2)
+    rhs = Matrix(F, 4, 1, Matrix.identity(F, 2).data)
+    x = Matrix.identity(F, 2).kron(inj.transpose()).solve_right(rhs)
+    assert x is not None
+    assert Matrix(F, 2, 3, x.data) @ inj == Matrix.identity(F, 2)
 
 
 @given(st.integers(0, 60))
@@ -143,27 +139,6 @@ def test_solve_consistency_matches_rank_test(seed):
     assert (sol is not None) == (a.hstack(b).rank() == a.rank())
     if sol is not None:
         assert a @ sol == b
-
-
-def test_linear_system_vec_convention():
-    rng = random.Random(9)
-    left = rnd_matrix(rng, 3, 2)
-    right = rnd_matrix(rng, 2, 3)
-    x0 = rnd_matrix(rng, 2, 2)
-    sys = LinearSystem(F, 2, 2)
-    sys.add([(left, right)], left @ x0 @ right)
-    sol = sys.solve()
-    assert sol is not None and left @ sol @ right == left @ x0 @ right
-
-
-def test_linear_system_homogeneous_basis():
-    sys = LinearSystem(F, 2, 2)
-    sys.add([(None, None), (Matrix.from_rows(F, [[0, 1], [1, 0]]), None)])
-    basis = sys.solution_basis()              # f with swapped rows = -f
-    assert len(basis) == 2
-    swap = Matrix.from_rows(F, [[0, 1], [1, 0]])
-    for f in basis:
-        assert (f + swap @ f).is_zero()
 
 
 def test_inverse():
