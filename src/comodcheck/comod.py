@@ -12,13 +12,15 @@ identities, building each cotensor presentation once per call.
 Hom spaces are cotensors too: the base is cocommutative, so the dual V*
 is a comodule V^vee (``dual_comodule``) and Hom^C(V, W) = W (x)_C V^vee
 inside W (x) V*.  Every kernel-defined object (cotensor, pullback, hom)
-reads one matrix, ``_cotensor_matrix``.  Injectivity is decided by a
+is read off ``_cotensor_kernel``.  Over a base with a coseparability form
+gamma that kernel is the image of an idempotent built from the retraction
+r_V, certified by two exact equations; over any other base it is the
+kernel of one matrix, ``_cotensor_matrix``.  Injectivity is decided by a
 splitting: rho_V embeds V into the cofree comodule V (x) C, which is
 injective, so V is injective iff that embedding splits.  Over a base with
-a coseparability form gamma the splitting is read off from gamma and
-checked by two exact products; otherwise a splitting is solved for in
-Hom^C(V (x) C, V).  Coflatness agrees with injectivity at finite
-dimension.
+gamma the splitting is r_V, checked by two exact products; otherwise a
+splitting is solved for in Hom^C(V (x) C, V).  Coflatness agrees with
+injectivity at finite dimension.
 
 The internal hom is provided for group-like bases, where comodules are
 graded vector spaces and hom is computed componentwise.
@@ -45,9 +47,11 @@ class Comodule:
     """Finite-dimensional comodule (V, rho) over a fixed base coalgebra.
 
     Both coaction axioms are verified sparsely at construction.
+    ``_retraction`` holds r_V once ``coseparability_retraction`` has built
+    and certified it, so each comodule object builds it at most once.
     """
 
-    __slots__ = ("base", "dim", "rho", "_rho_cols")
+    __slots__ = ("base", "dim", "rho", "_rho_cols", "_retraction")
 
     def __init__(self, base: Coalgebra, dim: int, rho: Matrix):
         m, n = dim, base.dim
@@ -88,6 +92,7 @@ class Comodule:
         self.dim = m
         self.rho = rho
         self._rho_cols = rcols
+        self._retraction = None
 
     @property
     def field(self):
@@ -235,7 +240,87 @@ def _cotensor_matrix(v: Comodule, w: Comodule) -> Matrix:
 
 
 def _cotensor_kernel(v: Comodule, w: Comodule) -> Subspace:
-    return _cotensor_matrix(v, w).kernel()
+    """V (x)_C W = ker A for A = rho_V (x) id_W - id_V (x) lambda_W, where
+    lambda_W = tau rho_W (``_cotensor_matrix``), as a canonical subspace.
+
+    Over a base with a coseparability form it is read off as the image of
+    the idempotent e = (r_V (x) id_W)(id_V (x) lambda_W), for the retraction
+    r_V of ``coseparability_retraction``; eliminating the square e replaces
+    eliminating A, which is n times taller.  Two exact equations prove
+    ker A = im e:
+
+    - ker A in im e: r_V rho_V = id (checked when r_V is built), so for
+      x in ker A, e x = (r_V (x) id)(rho_V (x) id) x = x;
+    - im e in ker A: A B = 0 on the canonical basis B of im e
+      (``_annihilated``).
+
+    A failure of either raises ``AxiomError("coseparability")``.  Without
+    a coseparability form (N, for one) ker A is computed by elimination.
+    """
+    r = coseparability_retraction(v)
+    if r is None:
+        return _cotensor_matrix(v, w).kernel()
+    sub = Subspace(v.field, v.dim * w.dim, _cotensor_idempotent(r, v, w),
+                   _canonical=False)
+    if not _annihilated(v, w, sub.basis):
+        raise AxiomError("coseparability",
+                         "A e != 0: e = (r x id)(id x tau rho) maps outside "
+                         "the cotensor")
+    return sub
+
+
+def _cotensor_idempotent(r: Matrix, v: Comodule, w: Comodule) -> Matrix:
+    """e = (r_V (x) id_W)(id_V (x) tau rho_W) on V (x) W, from the nonzeros
+    of r_V and rho_W: e[(a2, k), (a, j)] = sum_c r[a2, a*n + c]
+    rho_W[k*n + c, j], never building either Kronecker product."""
+    f, n = v.field, v.base.dim
+    mv, mw = v.dim, w.dim
+    size = mv * mw
+    rcols = _column_dicts(r)
+    data = [0] * (size * size)
+    for j, col in enumerate(w._rho_cols):
+        for idx, y in col.items():
+            k, c = divmod(idx, n)
+            for a in range(mv):
+                for a2, x in rcols[a * n + c].items():
+                    pos = (a2 * mw + k) * size + a * mw + j
+                    data[pos] += x * y
+    if f.char:
+        data = [x % f.char for x in data]
+    return Matrix(f, size, size, data)
+
+
+def _annihilated(v: Comodule, w: Comodule, basis: Matrix) -> bool:
+    """A B = 0 for A of ``_cotensor_matrix``, as block maps, never building
+    A.  Column t of B is vec X_t for an m_V x m_W matrix X_t, and
+    A vec X_t = vec(rho_V X_t) - vec(X_t lambda_W^T), both indexed
+    (a*n + c)*m_W + k.  Two batched products give every t at once:
+    rho_V [X_1 | ... | X_d] and [X_1; ...; X_d] lambda_W^T."""
+    f, n = v.field, v.base.dim
+    mv, mw, d = v.dim, w.dim, basis.cols
+    if not d:
+        return True
+    size = mv * mw
+    bt = basis.transpose().data
+    xcat = []
+    for a in range(mv):
+        for t in range(d):
+            xcat += bt[t * size + a * mw:t * size + (a + 1) * mw]
+    lam_t = [0] * (mw * n * mw)
+    for j, col in enumerate(w._rho_cols):
+        for idx, y in col.items():
+            k, c = divmod(idx, n)
+            lam_t[j * n * mw + c * mw + k] = y
+    lhs = (v.rho @ Matrix(f, mv, d * mw, xcat)).data
+    rhs = (Matrix(f, d * mv, mw, bt) @ Matrix(f, mw, n * mw, lam_t)).data
+    block = mv * n * mw
+    for row in range(mv * n):
+        for t in range(d):
+            s = (row * d + t) * mw
+            u = t * block + row * mw
+            if lhs[s:s + mw] != rhs[u:u + mw]:
+                return False
+    return True
 
 
 def dual_comodule(v: Comodule) -> Comodule:
@@ -257,6 +342,11 @@ def hom_space(v: Comodule, w: Comodule) -> list[ComoduleMorphism]:
     Hom^C(V, W) = W (x)_C V^vee inside W (x) V*, and the flat index
     a*dim V + j of W (x) V* is the row-major vec of a w.dim x v.dim matrix,
     so each basis vector of the cotensor kernel is reshaped into a map.
+    Over a base with a coseparability form, the idempotent of
+    ``_cotensor_kernel`` on W (x) V^vee is the Reynolds operator
+    f -> r_W (f (x) id_C) rho_V = sum_c R_c f rho_c, where
+    r_W(w (x) c) = R_c w: a projection of Hom_k(V, W) onto
+    Hom^C(V, W).
     """
     if v.base != w.base:
         raise BaseMismatchError("hom needs a common base")
@@ -525,12 +615,32 @@ def coseparability_retraction(v: Comodule):
     coseparability form gamma of the base (``coalg.coseparability_form``),
     or None when the base has none.  Over a group-like base
     r(v (x) x) = pi_x v, the projection onto the component of x.
+
+    It is built from the nonzeros of rho_V and gamma,
+    r[a2, a*n + c] = sum_d rho[a2*n + d, a] gamma[d*n + c], and kept on v
+    once r rho_V = id is checked; a failure raises ``AxiomError``.
     """
     gamma = coseparability_form(v.base)
     if gamma is None:
         return None
-    return Matrix.identity(v.field, v.dim).kron(gamma) \
-        @ v.rho.kron(Matrix.identity(v.field, v.base.dim))
+    if v._retraction is None:
+        f, n, m = v.field, v.base.dim, v.dim
+        forms = [{c: x for c in range(n) if (x := gamma.data[d * n + c])}
+                 for d in range(n)]
+        data = [0] * (m * m * n)
+        for a, col in enumerate(v._rho_cols):
+            for idx, x in col.items():
+                a2, d = divmod(idx, n)
+                for c, g in forms[d].items():
+                    data[a2 * m * n + a * n + c] += x * g
+        if f.char:
+            data = [x % f.char for x in data]
+        r = Matrix(f, m, m * n, data)
+        if r @ v.rho != Matrix.identity(f, m):
+            raise AxiomError("coseparability",
+                             "r rho != id for r = (id x gamma)(rho x id)")
+        v._retraction = r
+    return v._retraction
 
 
 def is_injective(v: Comodule) -> bool:
@@ -539,7 +649,8 @@ def is_injective(v: Comodule) -> bool:
 
     When the base has a coseparability form, the retraction r of
     ``coseparability_retraction`` is a splitting, certified by two exact
-    products: r rho_V = id and (r (x) id)(id_V (x) delta) = rho_V r.
+    products: r rho_V = id (checked when r is built) and
+    (r (x) id)(id_V (x) delta) = rho_V r.
     Either failing is an internal fault and raises ``AxiomError``.
     Without a coseparability form (N, for one) a splitting s is solved for
     exactly: the cotensor equations of Hom^C(V (x) C, V) together with
@@ -558,9 +669,6 @@ def is_injective(v: Comodule) -> bool:
             Matrix(v.field, m * m, 1, ident_v.data))
         return system.solve_right(rhs) is not None
     ident_c = Matrix.identity(v.field, v.base.dim)
-    if r @ v.rho != ident_v:
-        raise AxiomError("coseparability",
-                         "r rho != id for r = (id x gamma)(rho x id)")
     if r.kron(ident_c) @ ident_v.kron(v.base.delta) != v.rho @ r:
         raise AxiomError("coseparability",
                          "(r x id)(id x delta) != rho r: r is not a "

@@ -11,7 +11,9 @@ downstream: the basis vector e_i (x) e_j of a tensor product of spaces of
 dimensions (m, n) sits at flat index ``i*n + j`` (left factor major).
 ``kron`` realizes maps f (x) g on these bases.  There is no solver for
 unknown matrices: a space of linear maps V -> W is a subspace of W (x) V*,
-so callers cut it out with ``kernel`` or ``solve_right`` on one matrix.
+so callers describe it by one matrix, either cut out as its ``kernel``
+(or by ``solve_right``) or spanned as the image of an idempotent, which
+``Subspace`` puts in canonical form.
 """
 
 from __future__ import annotations
