@@ -31,7 +31,8 @@ from __future__ import annotations
 from .coalg import (Coalgebra, _add_into, _column_dicts,
                     coseparability_form, grouplike_labels)
 from .errors import AxiomError, BaseMismatchError, UnsupportedBaseError
-from .exactlin import Chart, Matrix, ShapeError, Subspace, swap_matrix
+from .exactlin import (Chart, Matrix, ShapeError, Subspace, kron_apply,
+                       swap_matrix)
 
 __all__ = [
     "Comodule", "ComoduleMorphism", "regular_comodule", "cofree_comodule",
@@ -212,8 +213,7 @@ def direct_sum(v: Comodule, w: Comodule) -> Comodule:
                            for r in range(m) for j in range(m1)])
     i2 = Matrix(f, m, m2, [1 if r == m1 + j else 0
                            for r in range(m) for j in range(m2)])
-    ident = Matrix.identity(f, n)
-    rho = (i1.kron(ident) @ v.rho).hstack(i2.kron(ident) @ w.rho)
+    rho = kron_apply(i1, n, v.rho).hstack(kron_apply(i2, n, w.rho))
     return Comodule(v.base, m, rho)
 
 
@@ -223,7 +223,7 @@ def conjugate(v: Comodule, s: Matrix) -> Comodule:
     if s_inv is None:
         raise ShapeError("change of basis must be invertible")
     n = v.base.dim
-    rho = s.kron(Matrix.identity(v.field, n)) @ v.rho @ s_inv
+    rho = kron_apply(s, n, v.rho) @ s_inv
     return Comodule(v.base, v.dim, rho)
 
 
@@ -356,16 +356,21 @@ def hom_space(v: Comodule, w: Comodule) -> list[ComoduleMorphism]:
             for i in range(ker.cols)]
 
 
-def _restricted_coaction(base: Coalgebra, coaction: Matrix, sub: Subspace,
-                         name: str) -> Comodule:
-    """The comodule on ``sub`` whose coaction restricts the ambient one:
-    coordinates in kron(basis, I_n) are read off the pivot rows p*n + c of
-    the canonical basis, then checked exactly."""
+def _restricted_coaction(base: Coalgebra, left: int, right: Matrix,
+                         sub: Subspace, name: str) -> Comodule:
+    """The comodule on ``sub`` whose coaction restricts id_left (x) right,
+    for ``sub`` inside a left (x) M ambient and right: M -> M (x) C.
+
+    The ambient coaction is applied to the basis e as a block map
+    (``kron_apply``), never built.  The coordinates of the image in
+    e (x) I_n are read off the pivot rows p*n + c of the canonical basis,
+    then checked exactly as (e (x) I_n) rho = image, again as a block map.
+    """
     n = base.dim
     e = sub.basis
-    big = coaction @ e
+    big = kron_apply(left, right, e)
     rho = big.take_rows([p * n + c for p in sub.pivots for c in range(n)])
-    if e.kron(Matrix.identity(base.field, n)) @ rho != big:
+    if kron_apply(e, n, rho) != big:
         raise AxiomError(name, "induced coaction does not restrict")
     return Comodule(base, sub.dim, rho)
 
@@ -380,8 +385,7 @@ def cotensor(v: Comodule, w: Comodule):
     if v.base != w.base:
         raise BaseMismatchError("cotensor needs a common base")
     sub = _cotensor_kernel(v, w)
-    coaction = Matrix.identity(v.field, v.dim).kron(w.rho)
-    return _restricted_coaction(v.base, coaction, sub,
+    return _restricted_coaction(v.base, v.dim, w.rho, sub,
                                 "cotensor-coaction"), sub
 
 
@@ -442,8 +446,7 @@ def tensor_morphism(f: ComoduleMorphism, g: ComoduleMorphism,
     if f.source != sa.module or f.target != ta.module \
             or g.source != sb.module or g.target != tb.module:
         raise BaseMismatchError("factor morphisms do not match the objects")
-    image = f.matrix.kron(g.matrix) @ ssub.basis
-    mat = tsub.coords(image)
+    mat = tsub.coords(kron_apply(f.matrix, g.matrix, ssub.basis))
     if mat is None:
         raise AxiomError("tensor-morphism",
                          "f (x) g does not map into the target equalizer")
@@ -463,7 +466,7 @@ def _right_unitor(vc: _Obj):
     av, _, sub = vc.parts
     v = av.module
     f = v.field
-    fwd = Matrix.identity(f, v.dim).kron(v.base.epsilon) @ sub.basis
+    fwd = kron_apply(v.dim, v.base.epsilon, sub.basis)
     mor = ComoduleMorphism(vc.module, v, fwd)
     back = sub.coords(v.rho)
     if back is None or fwd @ back != Matrix.identity(f, v.dim) \
@@ -478,7 +481,7 @@ def _left_unitor(cv: _Obj):
     _, av, sub = cv.parts
     v = av.module
     f, n = v.field, v.base.dim
-    fwd = v.base.epsilon.kron(Matrix.identity(f, v.dim)) @ sub.basis
+    fwd = kron_apply(v.base.epsilon, v.dim, sub.basis)
     mor = ComoduleMorphism(cv.module, v, fwd)
     back = sub.coords(swap_matrix(f, v.dim, n) @ v.rho)
     if back is None or fwd @ back != Matrix.identity(f, v.dim) \
@@ -649,27 +652,30 @@ def is_injective(v: Comodule) -> bool:
 
     When the base has a coseparability form, the retraction r of
     ``coseparability_retraction`` is a splitting, certified by two exact
-    products: r rho_V = id (checked when r is built) and
-    (r (x) id)(id_V (x) delta) = rho_V r.
+    equations: r rho_V = id (checked when r is built) and
+    (r (x) id)(id_V (x) delta) = rho_V r.  The left side is the idempotent
+    (r (x) id)(id_V (x) tau rho_C) of ``_cotensor_idempotent`` for the
+    regular comodule C, as tau delta = delta (the base is cocommutative),
+    so it is assembled from the nonzeros of r and delta without building
+    either Kronecker product.
     Either failing is an internal fault and raises ``AxiomError``.
     Without a coseparability form (N, for one) a splitting s is solved for
     exactly: the cotensor equations of Hom^C(V (x) C, V) together with
     s rho_V = id.
     """
     r = coseparability_retraction(v)
-    ident_v = Matrix.identity(v.field, v.dim)
     if r is None:
         # s in Hom^C(V (x) C, V) = V (x)_C (V (x) C)^vee with s rho_V = id;
         # the rows of vec(s rho_V) are id_V (x) rho_V^T
         m = v.dim
+        ident_v = Matrix.identity(v.field, m)
         dual = dual_comodule(cofree_comodule(v.base, m))
         system = _cotensor_matrix(v, dual).vstack(
             ident_v.kron(v.rho.transpose()))
         rhs = Matrix.zeros(v.field, system.rows - m * m, 1).vstack(
             Matrix(v.field, m * m, 1, ident_v.data))
         return system.solve_right(rhs) is not None
-    ident_c = Matrix.identity(v.field, v.base.dim)
-    if r.kron(ident_c) @ ident_v.kron(v.base.delta) != v.rho @ r:
+    if _cotensor_idempotent(r, v, regular_comodule(v.base)) != v.rho @ r:
         raise AxiomError("coseparability",
                          "(r x id)(id x delta) != rho r: r is not a "
                          "comodule map")

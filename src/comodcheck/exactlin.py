@@ -9,11 +9,18 @@ loops live in the kernel module ``_backend.core``.
 Tensor bookkeeping fixes one global convention used by every module
 downstream: the basis vector e_i (x) e_j of a tensor product of spaces of
 dimensions (m, n) sits at flat index ``i*n + j`` (left factor major).
-``kron`` realizes maps f (x) g on these bases.  There is no solver for
-unknown matrices: a space of linear maps V -> W is a subspace of W (x) V*,
-so callers describe it by one matrix, either cut out as its ``kernel``
-(or by ``solve_right``) or spanned as the image of an idempotent, which
-``Subspace`` puts in canonical form.
+``kron`` realizes maps f (x) g on these bases.  ``kron_apply`` applies
+one to a matrix without building it, since the structure maps downstream
+(id (x) rho, id (x) delta, f (x) id) are Kronecker products of small maps
+whose product would be large and mostly zero.  A column of a matrix with
+m*n rows is the row-major vec X of an m x n block X, and
+(A (x) B) vec X = vec(A X B^T): B acts on the blocks side by side, in one
+batched product, and A on that result as it stands, because an
+(m*q) x d matrix and an m x (q*d) one have the same flat data.  There is
+no solver for unknown matrices: a space of linear maps V -> W is a
+subspace of W (x) V*, so callers describe it by one matrix, either cut out
+as its ``kernel`` (or by ``solve_right``) or spanned as the image of an
+idempotent, which ``Subspace`` puts in canonical form.
 """
 
 from __future__ import annotations
@@ -24,7 +31,8 @@ from math import lcm
 from ._backend import core
 from .fields import Field
 
-__all__ = ["ShapeError", "Matrix", "Subspace", "Chart", "swap_matrix"]
+__all__ = ["ShapeError", "Matrix", "Subspace", "Chart", "kron_apply",
+           "swap_matrix"]
 
 
 class ShapeError(ValueError):
@@ -113,14 +121,9 @@ class Matrix:
         if self.cols != other.rows:
             raise ShapeError(f"cannot compose {self.rows}x{self.cols} "
                              f"with {other.rows}x{other.cols}")
-        p = self.field.char
-        if p:
-            data = core.mul_mod(self.data, other.data,
-                                self.rows, self.cols, other.cols, p)
-        else:
-            data = core.mul_obj(self.data, other.data,
-                                self.rows, self.cols, other.cols)
-        return Matrix(self.field, self.rows, other.cols, data)
+        return Matrix(self.field, self.rows, other.cols,
+                      _mul(self.field, self.data, other.data,
+                           self.rows, self.cols, other.cols))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_field(other)
@@ -150,12 +153,11 @@ class Matrix:
                       [mul(a, x) for x in self.data])
 
     def transpose(self) -> "Matrix":
-        r, c = self.rows, self.cols
-        data = [0] * (r * c)
-        for i in range(r):
-            for j in range(c):
-                data[j * r + i] = self.data[i * c + j]
-        return Matrix(self.field, c, r, data)
+        c = self.cols
+        data = []
+        for j in range(c):
+            data += self.data[j::c]
+        return Matrix(self.field, c, self.rows, data)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         self._check_field(other)
@@ -307,6 +309,54 @@ class Matrix:
         return Matrix(self.field, ra * rb, ca * cb, data)
 
 
+def _mul(field: Field, a, b, m, k, n):
+    """Flat product of an m x k and a k x n flat list, by the kernels."""
+    if field.char:
+        return core.mul_mod(a, b, m, k, n, field.char)
+    return core.mul_obj(a, b, m, k, n)
+
+
+def kron_apply(a, b, x: Matrix) -> Matrix:
+    """(a (x) b) @ x without building a (x) b; an int n stands for I_n.
+
+    Column t of x is vec X_t for a block X_t with one row per column of a
+    and one column per column of b, and the result column is
+    vec(a X_t b^T).  b multiplies the blocks [X_1 | ... | X_d] side by side
+    (one batched product, its input and output regrouped), and a
+    multiplies that result as it stands: an (I*Q) x d matrix and an
+    I x (Q*d) one have the same flat data.
+    """
+    f, d = x.field, x.cols
+    ra, ca = (a, a) if isinstance(a, int) else (a.rows, a.cols)
+    rb, cb = (b, b) if isinstance(b, int) else (b.rows, b.cols)
+    for m in (a, b):
+        if not isinstance(m, int):
+            x._check_field(m)
+    if ca * cb != x.rows:
+        raise ShapeError(f"cannot apply a {ra * rb}x{ca * cb} tensor product "
+                         f"to {x.rows}x{d}")
+    data = x.data
+    if not isinstance(b, int):
+        if ca == 1:
+            data = _mul(f, b.data, data, rb, cb, d)
+        else:
+            # Z[j, i*d + t] = X_t[i, j]; then W = b Z back to (i, k, t) order
+            z = []
+            for j in range(cb):
+                for i in range(ca):
+                    s = (i * cb + j) * d
+                    z += data[s:s + d]
+            w = _mul(f, b.data, z, rb, cb, ca * d)
+            data = []
+            for i in range(ca):
+                for k in range(rb):
+                    s = (k * ca + i) * d
+                    data += w[s:s + d]
+    if not isinstance(a, int):
+        data = _mul(f, a.data, data, ra, ca, rb * d)
+    return Matrix(f, ra * rb, d, data)
+
+
 def _clear_denominators(data, rows, cols):
     """Scale each row by the lcm of its denominators; returns int entries.
 
@@ -398,35 +448,59 @@ class Chart:
     charts recurse factor-wise through reshapes, and restrictions read the
     pivot rows of a canonical subspace basis.  Every step verifies
     membership exactly and returns None for vectors outside the subspace.
+    A restriction stores its embedding; identity and kron charts build
+    theirs only when it is read, since ``_embed`` applies a kron chart's
+    embedding as a block map.
     """
 
-    __slots__ = ("field", "flat_dim", "dim", "embedding", "_kind", "_parts")
+    __slots__ = ("field", "flat_dim", "dim", "_embedding", "_kind", "_parts")
 
     def __init__(self, field, flat_dim, dim, embedding, kind, parts):
         self.field = field
         self.flat_dim = flat_dim
         self.dim = dim
-        self.embedding = embedding
+        self._embedding = embedding
         self._kind = kind
         self._parts = parts
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Chart":
-        return cls(field, n, n, Matrix.identity(field, n), "id", None)
+        return cls(field, n, n, None, "id", None)
 
     @classmethod
     def kron(cls, a: "Chart", b: "Chart") -> "Chart":
-        emb = a.embedding.kron(b.embedding)
         return cls(a.field, a.flat_dim * b.flat_dim, a.dim * b.dim,
-                   emb, "kron", (a, b))
+                   None, "kron", (a, b))
 
     @classmethod
     def restrict(cls, parent: "Chart", sub: Subspace) -> "Chart":
         if sub.ambient != parent.dim:
             raise ShapeError("subspace does not live in the parent chart")
-        emb = parent.embedding @ sub.basis
-        return cls(parent.field, parent.flat_dim, sub.dim, emb,
-                   "restrict", (parent, sub))
+        return cls(parent.field, parent.flat_dim, sub.dim,
+                   parent._embed(sub.basis), "restrict", (parent, sub))
+
+    @property
+    def embedding(self) -> Matrix:
+        """The basis as flat columns; built on first use for identity and
+        kron charts, which ``_embed`` applies without it."""
+        if self._embedding is None:
+            self._embedding = self._embed(
+                Matrix.identity(self.field, self.dim))
+        return self._embedding
+
+    def _factor(self):
+        """This chart as a ``kron_apply`` factor: its dim for identities."""
+        return self.dim if self._kind == "id" else self.embedding
+
+    def _embed(self, coords: Matrix) -> Matrix:
+        """Flat vectors of the given coordinate columns: embedding @ coords,
+        a kron chart's as a block map."""
+        if self._kind == "id":
+            return coords
+        if self._kind == "kron":
+            a, b = self._parts
+            return kron_apply(a._factor(), b._factor(), coords)
+        return self._embedding @ coords
 
     def coords(self, flat: Matrix):
         """Coordinates of flat column vectors in this chart, or None."""

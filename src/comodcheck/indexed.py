@@ -43,7 +43,7 @@ from .comod import (Comodule, ComoduleMorphism, _cotensor_kernel, _Obj,
                     is_coflat, regular_comodule)
 from .errors import (AxiomError, BaseMismatchError, HypothesisViolatedError,
                      UnsupportedBaseError)
-from .exactlin import Chart, Matrix, swap_matrix
+from .exactlin import Chart, Matrix, kron_apply, swap_matrix
 from .report import CheckReport, failure
 
 __all__ = [
@@ -63,8 +63,8 @@ def sigma(phi: CoalgebraMorphism, v: Comodule) -> Comodule:
     """Corestriction along phi: same space, coaction (id (x) phi) rho."""
     if v.base != phi.source:
         raise BaseMismatchError("comodule is not based on the source of phi")
-    rho = Matrix.identity(v.field, v.dim).kron(phi.matrix) @ v.rho
-    return Comodule(phi.target, v.dim, rho)
+    return Comodule(phi.target, v.dim,
+                    kron_apply(v.dim, phi.matrix, v.rho))
 
 
 def sigma_map(phi: CoalgebraMorphism,
@@ -76,9 +76,9 @@ def sigma_map(phi: CoalgebraMorphism,
 
 def coaction_comodule(phi: CoalgebraMorphism) -> Comodule:
     """U(phi): the source space over the target, coaction (id (x) phi) delta."""
-    rho = Matrix.identity(phi.source.field, phi.source.dim) \
-        .kron(phi.matrix) @ phi.source.delta
-    return Comodule(phi.target, phi.source.dim, rho)
+    d = phi.source
+    return Comodule(phi.target, d.dim,
+                    kron_apply(d.dim, phi.matrix, d.delta))
 
 
 def pullback_functor(phi: CoalgebraMorphism, w: Comodule):
@@ -93,8 +93,8 @@ def pullback_functor(phi: CoalgebraMorphism, w: Comodule):
         raise BaseMismatchError("comodule is not based on the target of phi")
     d = phi.source
     sub = _cotensor_kernel(w, coaction_comodule(phi))
-    coaction = Matrix.identity(w.field, w.dim).kron(d.delta)
-    return _restricted_coaction(d, coaction, sub, "pullback-coaction"), sub
+    return _restricted_coaction(d, w.dim, d.delta, sub,
+                                "pullback-coaction"), sub
 
 
 def _pullback_obj(phi: CoalgebraMorphism, x: _Obj, px) -> _Obj:
@@ -113,8 +113,8 @@ def pullback_map(phi: CoalgebraMorphism, f: ComoduleMorphism,
     if tgt is None:
         tgt = pullback_functor(phi, f.target)
     (src_mod, src_sub), (tgt_mod, tgt_sub) = src, tgt
-    ident = Matrix.identity(f.matrix.field, phi.source.dim)
-    mat = tgt_sub.coords(f.matrix.kron(ident) @ src_sub.basis)
+    mat = tgt_sub.coords(kron_apply(f.matrix, phi.source.dim,
+                                    src_sub.basis))
     if mat is None:
         raise AxiomError("pullback-functor",
                          "f (x) id does not preserve the equalizer")
@@ -131,8 +131,7 @@ def transpose_hat(phi: CoalgebraMorphism, v: Comodule, f: ComoduleMorphism,
     if pw is None:
         pw = pullback_functor(phi, f.target)
     pw_mod, pw_sub = pw
-    ident = Matrix.identity(v.field, phi.source.dim)
-    mat = pw_sub.coords(f.matrix.kron(ident) @ v.rho)
+    mat = pw_sub.coords(kron_apply(f.matrix, phi.source.dim, v.rho))
     if mat is None:
         raise AxiomError("transpose-hat",
                          "hat(f) does not land in the equalizer subspace")
@@ -145,9 +144,8 @@ def transpose_tilde(phi: CoalgebraMorphism, v: Comodule, w: Comodule,
     pw_mod, pw_sub = pw
     if g.source != v or g.target != pw_mod:
         raise BaseMismatchError("g is not a morphism V -> phi^* W")
-    rec = Matrix.identity(v.field, w.dim).kron(phi.source.epsilon)
-    return ComoduleMorphism(sigma(phi, v), w,
-                            rec @ pw_sub.basis @ g.matrix)
+    rec = kron_apply(w.dim, phi.source.epsilon, pw_sub.basis)
+    return ComoduleMorphism(sigma(phi, v), w, rec @ g.matrix)
 
 
 class AdjunctionCertificate:
@@ -231,8 +229,7 @@ def forall(phi: CoalgebraMorphism, v: Comodule) -> Comodule:
 def _unit_coords(phi: CoalgebraMorphism, w: Comodule, pw_sub) -> Matrix:
     """eta_W in the coordinates of phi^* W: (id_W (x) phi^T) rho_W, that is
     w -> sum_x pi_phi(x) w (x) x over the group-likes x of the source."""
-    ident = Matrix.identity(w.field, w.dim)
-    mat = pw_sub.coords(ident.kron(phi.matrix.transpose()) @ w.rho)
+    mat = pw_sub.coords(kron_apply(w.dim, phi.matrix.transpose(), w.rho))
     if mat is None:
         raise AxiomError("forall-unit", "(id x phi^T) rho_W misses phi^* W")
     return mat
@@ -349,8 +346,8 @@ class PullbackSquare:
         if _cotensor is None:
             _cotensor = _cotensor_kernel(coaction_comodule(beta),
                                          coaction_comodule(alpha))
-        m = _cotensor.coords(delta.matrix.kron(gamma.matrix)
-                             @ delta.source.delta)
+        m = _cotensor.coords(kron_apply(delta.matrix, gamma.matrix,
+                                        delta.source.delta))
         t = None if m is None else m.inverse()
         if t is None:
             raise AxiomError("pullback-square",
@@ -393,22 +390,22 @@ def beck_maps(square: PullbackSquare, v: Comodule):
     m2_mod, m2_sub = pullback_functor(square.gamma, v)
     side2_mod = sigma(square.delta, m2_mod)
     side2 = (side2_mod, m2_sub)
-    iv = Matrix.identity(f, v.dim)
     # forward: v (x) d1 |-> sum v0 (x) (t after swap)(v1 (x) d1)
-    step = iv.kron(swap_matrix(f, n2, n1)) @ v.rho.kron(
-        Matrix.identity(f, n1)) @ side1[1].basis
+    step = kron_apply(v.dim, swap_matrix(f, n2, n1),
+                      kron_apply(v.rho, n1, side1[1].basis))
     chart = Chart.kron(Chart.identity(f, v.dim),
                        Chart.restrict(Chart.identity(f, n1 * n2),
                                       square.cotensor))
     coords = chart.coords(step)
     if coords is None:
         return None, None, side1, side2
-    phi_mat = side2[1].coords(iv.kron(square.t) @ coords)
+    phi_mat = side2[1].coords(kron_apply(v.dim, square.t, coords))
     if phi_mat is None:
         return None, None, side1, side2
     phi = ComoduleMorphism(side1[0], side2_mod, phi_mat)
     # backward: v (x) d |-> v (x) delta(d)
-    psi_mat = side1[1].coords(iv.kron(square.delta.matrix) @ side2[1].basis)
+    psi_mat = side1[1].coords(kron_apply(v.dim, square.delta.matrix,
+                                         side2[1].basis))
     if psi_mat is None:
         return phi, None, side1, side2
     psi = ComoduleMorphism(side2_mod, side1[0], psi_mat)
@@ -464,13 +461,14 @@ def beck_for_forall_check(square: PullbackSquare, v: Comodule,
     pga = pullback_functor(square.gamma, pa.module)
     dims = {"forall_then_pull": pa.module.dim, "pull_then_forall": lhs.dim}
     d = square.delta.source
-    ident_d = Matrix.identity(v.field, d.dim)
-    # d2 (x) d -> eps(d2) sum delta(d_1) (x) d_2, then r_V (x) id_D
-    regroup = square.delta.matrix.kron(ident_d) @ d.delta \
-        @ square.alpha.source.epsilon.kron(ident_d)
-    flat = Matrix.identity(v.field, rhs.dim).kron(regroup) \
-        @ _pullback_obj(square.gamma, pa, pga).chart.embedding
-    g_mat = pv[1].coords(coseparability_retraction(v).kron(ident_d) @ flat)
+    # d2 (x) d -> eps(d2) sum delta(d_1) (x) d_2, then r_V (x) id_D; a
+    # matrix M followed by eps (x) I_D is eps (x) M
+    regroup = square.alpha.source.epsilon.kron(
+        kron_apply(square.delta.matrix, d.dim, d.delta))
+    flat = kron_apply(rhs.dim, regroup,
+                      _pullback_obj(square.gamma, pa, pga).chart.embedding)
+    g_mat = pv[1].coords(kron_apply(coseparability_retraction(v), d.dim,
+                                    flat))
     if g_mat is None:
         return failure("forall-beck", "g misses the equalizer of delta^* V",
                        dims=dims)
@@ -504,15 +502,15 @@ def frobenius_check(phi: CoalgebraMorphism, v: Comodule,
     rhs = ct(atom(sigma(phi, v)), atom(w))
     dims = {"sigma_of_cotensor": lhs.dim, "cotensor_of_sigma": rhs.module.dim}
     # forward: drop c through the counit
-    fwd_flat = Matrix.identity(f, v.dim * w.dim).kron(phi.source.epsilon)
-    fwd_mat = rhs.chart.coords(fwd_flat @ inner.chart.embedding)
+    fwd_mat = rhs.chart.coords(kron_apply(v.dim * w.dim, phi.source.epsilon,
+                                          inner.chart.embedding))
     if fwd_mat is None:
         return failure("frobenius", "phi map misses the target equalizer",
                        dims=dims)
     # backward: v (x) w -> v0 (x) w (x) v1
-    bwd_flat = Matrix.identity(f, v.dim).kron(swap_matrix(f, nc, w.dim)) \
-        @ v.rho.kron(Matrix.identity(f, w.dim))
-    bwd_mat = inner.chart.coords(bwd_flat @ rhs.chart.embedding)
+    bwd_flat = kron_apply(v.dim, swap_matrix(f, nc, w.dim),
+                          kron_apply(v.rho, w.dim, rhs.chart.embedding))
+    bwd_mat = inner.chart.coords(bwd_flat)
     if bwd_mat is None:
         return failure("frobenius", "psi map misses the target equalizer",
                        dims=dims)
@@ -529,6 +527,14 @@ def frobenius_check(phi: CoalgebraMorphism, v: Comodule,
 
 
 # -- strong symmetric monoidal closure of phi^* -------------------------------
+
+def _apply_middle(m: int, b: Matrix, k: int, x: Matrix) -> Matrix:
+    """(I_m (x) b (x) I_k) @ x as a block map: b (x) I_k acts on x read
+    with k times as many columns."""
+    f = x.field
+    y = kron_apply(m, b, Matrix(f, m * b.cols, x.cols * k, x.data))
+    return Matrix(f, y.rows * k, x.cols, y.data)
+
 
 def _inverse_pair(fwd: ComoduleMorphism, bwd: ComoduleMorphism) -> bool:
     """fwd bwd = id and bwd fwd = id, exactly."""
@@ -550,14 +556,13 @@ def _tensor_iso(phi: CoalgebraMorphism, v: Comodule, w: Comodule,
     f = v.field
     nc = phi.source.dim
     # forward on the flat ambient V x W x C -> V x C x W x C
-    fwd_flat = Matrix.identity(f, v.dim).kron(
-        swap_matrix(f, w.dim, nc).kron(Matrix.identity(f, nc))) \
-        @ Matrix.identity(f, v.dim * w.dim).kron(phi.source.delta)
-    fwd_mat = rhs.chart.coords(fwd_flat @ lhs.chart.embedding)
+    fwd_flat = _apply_middle(
+        v.dim, swap_matrix(f, w.dim, nc), nc,
+        kron_apply(v.dim * w.dim, phi.source.delta, lhs.chart.embedding))
+    fwd_mat = rhs.chart.coords(fwd_flat)
     # backward on the flat ambient
-    bwd_flat = Matrix.identity(f, v.dim).kron(
-        phi.source.epsilon.kron(Matrix.identity(f, w.dim * nc)))
-    bwd_mat = lhs.chart.coords(bwd_flat @ rhs.chart.embedding)
+    bwd_mat = lhs.chart.coords(_apply_middle(
+        v.dim, phi.source.epsilon, w.dim * nc, rhs.chart.embedding))
     if fwd_mat is None or bwd_mat is None:
         return None, None
     return (ComoduleMorphism(lhs.module, rhs.module, fwd_mat),
@@ -573,7 +578,6 @@ def ssmc_check(phi: CoalgebraMorphism, v: Comodule,
         raise UnsupportedBaseError("ssmc needs cosemisimple coalgebras")
     if v.base != phi.target or w.base != phi.target:
         raise BaseMismatchError("comodules must be based on target(phi)")
-    f = v.field
     nc = phi.source.dim
     details = []
     dims = {}
@@ -601,9 +605,8 @@ def ssmc_check(phi: CoalgebraMorphism, v: Comodule,
     reg_d = regular_comodule(phi.target)
     reg_c = regular_comodule(phi.source)
     pd_mod, pd_sub = pullback_functor(phi, reg_d)
-    unit_fwd = phi.target.epsilon.kron(Matrix.identity(f, nc)) @ pd_sub.basis
-    unit_bwd = pd_sub.coords(phi.matrix.kron(Matrix.identity(f, nc))
-                             @ phi.source.delta)
+    unit_fwd = kron_apply(phi.target.epsilon, nc, pd_sub.basis)
+    unit_bwd = pd_sub.coords(kron_apply(phi.matrix, nc, phi.source.delta))
     dims["pull_of_unit"] = pd_mod.dim
     if unit_bwd is None:
         return failure("ssmc", "unit comparison misses the equalizer",
@@ -655,17 +658,17 @@ def composition_isos(phi: CoalgebraMorphism, psi: CoalgebraMorphism,
     """
     composite = psi @ phi
     strict = sigma(composite, v) == sigma(psi, sigma(phi, v))
-    ident_c = Matrix.identity(w.field, phi.source.dim)
-    ident_w = Matrix.identity(w.field, w.dim)
+    nc = phi.source.dim
     aw = atom(w)
     lhs = _pullback_obj(composite, aw, pullback_functor(composite, w))
     psw = _pullback_obj(psi, aw, pullback_functor(psi, w))
     rhs = _pullback_obj(phi, psw, pullback_functor(phi, psw.module))
     dims = {"composite_pull": lhs.module.dim, "iterated_pull": rhs.module.dim}
-    fwd_flat = ident_w.kron(phi.matrix.kron(ident_c) @ phi.source.delta)
-    fwd_mat = rhs.chart.coords(fwd_flat @ lhs.chart.embedding)
-    bwd_flat = ident_w.kron(psi.source.epsilon.kron(ident_c))
-    bwd_mat = lhs.chart.coords(bwd_flat @ rhs.chart.embedding)
+    fwd_mat = rhs.chart.coords(kron_apply(
+        w.dim, kron_apply(phi.matrix, nc, phi.source.delta),
+        lhs.chart.embedding))
+    bwd_mat = lhs.chart.coords(_apply_middle(
+        w.dim, psi.source.epsilon, nc, rhs.chart.embedding))
     if fwd_mat is None or bwd_mat is None:
         return strict, None, dims
     pair = (ComoduleMorphism(lhs.module, rhs.module, fwd_mat),

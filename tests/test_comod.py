@@ -6,7 +6,7 @@ import pytest
 
 from comodcheck import coalg as ca
 from comodcheck import comod as cm
-from comodcheck import dsl, runner
+from comodcheck import dsl, indexed, runner
 from comodcheck.errors import AxiomError, UnsupportedBaseError
 from comodcheck.exactlin import Matrix, Subspace
 from comodcheck.fields import GF, QQ
@@ -442,6 +442,41 @@ def test_certificate_agrees_with_the_splitting_solve(monkeypatch):
     monkeypatch.setattr(cm, "coseparability_form", lambda c: None)
     assert [cm.is_injective(v) for v in comodules] == certified
     assert len(solves) == len(comodules) and all(certified)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
+def test_structure_maps_are_applied_without_building_kronecker_products(
+        monkeypatch, field):
+    # over a group-like base and over a non-group-like one with a
+    # coseparability form
+    rng = random.Random(9)
+    g2 = ca.grouplike_coalgebra(field, "ab")
+    phi = ca.grouplike_morphism(ca.grouplike_coalgebra(field, "xyz"), g2,
+                                {"x": "a", "y": "b", "z": "a"})
+    v, w = (random_comodule(rng, g2, max_dim=3, conjugated=True)
+            for _ in range(2))
+    u = regular_sums(rng, sqrt2_dual(field), 1, 2)[0]
+    krons = count_calls(monkeypatch, Matrix, "kron")
+    a, b = cm.atom(v), cm.atom(w)
+    # charts restricted from kron charts of identities, and of a
+    # restricted chart with an identity
+    ab = cm.ct(a, b)
+    aba = cm.ct(ab, a)
+    cm.cotensor(u, u)
+    pw, pw_sub = indexed.pullback_functor(phi, w)
+    assert cm.is_injective(u) and cm.is_injective(ab.module)
+    assert not krons
+    # the restricted coactions and embeddings are those of the built
+    # products
+    ident = Matrix.identity
+    vw, sub = ab.module, ab.parts[2]
+    assert sub.basis.kron(ident(field, 2)) @ vw.rho \
+        == ident(field, v.dim).kron(w.rho) @ sub.basis
+    assert pw_sub.basis.kron(ident(field, 3)) @ pw.rho \
+        == ident(field, w.dim).kron(phi.source.delta) @ pw_sub.basis
+    assert ab.chart.embedding == sub.basis
+    assert aba.chart.embedding == sub.basis.kron(ident(field, v.dim)) \
+        @ aba.parts[2].basis
 
 
 PLANTED_FORMS = {

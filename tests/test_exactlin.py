@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from comodcheck import _core_py
 from comodcheck.exactlin import (Chart, Matrix, ShapeError, Subspace,
-                                 swap_matrix)
+                                 kron_apply, swap_matrix)
 from comodcheck.fields import GF, QQ
 
 F = QQ
@@ -81,6 +81,57 @@ def test_kron_associativity_on_flat_indices():
     a, b, c = rnd_matrix(rng, 2, 2), rnd_matrix(rng, 3, 2), \
         rnd_matrix(rng, 2, 3)
     assert a.kron(b).kron(c) == a.kron(b.kron(c))
+
+
+def rnd_entries(rng, field, rows, cols, density=0.5):
+    """Sparse random entries; over Q some of them proper fractions."""
+    p = field.char
+    data = []
+    for _ in range(rows * cols):
+        if rng.random() >= density:
+            data.append(0)
+        elif p:
+            data.append(rng.randint(1, p - 1))
+        else:
+            data.append(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+    return Matrix(field, rows, cols, data)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(3)],
+                         ids=["Q", "GF7", "GF3"])
+def test_kron_apply_matches_the_built_product(field):
+    rng = random.Random(field.char + 13)
+    for _ in range(300):
+        ra, ca, rb, cb, d = (rng.randint(0, 4) for _ in range(5))
+        # an int factor stands for the identity of that size
+        a = ca if rng.random() < 0.25 else rnd_entries(rng, field, ra, ca)
+        b = cb if rng.random() < 0.25 else rnd_entries(rng, field, rb, cb)
+        x = rnd_entries(rng, field, ca * cb, d)
+        built_a = Matrix.identity(field, a) if isinstance(a, int) else a
+        built_b = Matrix.identity(field, b) if isinstance(b, int) else b
+        assert kron_apply(a, b, x) == built_a.kron(built_b) @ x
+
+
+def test_kron_apply_rejects_mismatched_operands():
+    rng = random.Random(2)
+    a, b = rnd_matrix(rng, 2, 3), rnd_matrix(rng, 2, 2)
+    with pytest.raises(ShapeError):
+        kron_apply(a, b, rnd_matrix(rng, 5, 1))
+    with pytest.raises(ShapeError):
+        kron_apply(3, b, rnd_matrix(rng, 7, 2))
+    with pytest.raises(ShapeError):
+        kron_apply(a, 2, Matrix.zeros(GF(7), 6, 1))
+
+
+def test_transpose_is_an_involution_on_every_shape():
+    rng = random.Random(4)
+    for rows, cols in [(0, 3), (3, 0), (1, 4), (4, 1), (3, 5)]:
+        m = rnd_matrix(rng, rows, cols)
+        t = m.transpose()
+        assert (t.rows, t.cols) == (cols, rows)
+        assert all(t[j, i] == m[i, j]
+                   for i in range(rows) for j in range(cols))
+        assert t.transpose() == m
 
 
 def test_swap_matrix_inverse_pair():
@@ -165,6 +216,20 @@ def test_chart_kron_coords_roundtrip():
     y = k.embedding @ x
     z = k.coords(y)
     assert z is not None and k.embedding @ z == y
+
+
+def test_kron_chart_embedding_is_built_on_demand():
+    rng = random.Random(5)
+    a = Chart.restrict(Chart.identity(F, 3),
+                       Subspace(F, 3, rnd_matrix(rng, 3, 2),
+                                _canonical=False))
+    for b in (Chart.identity(F, 2), a):
+        k = Chart.kron(a, b)
+        assert k._embedding is None
+        assert k.embedding == a.embedding.kron(b.embedding)
+        sub = Subspace(F, k.dim, rnd_matrix(rng, k.dim, 2),
+                       _canonical=False)
+        assert Chart.restrict(k, sub).embedding == k.embedding @ sub.basis
 
 
 def test_chart_rejects_outside_vectors():
