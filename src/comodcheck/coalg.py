@@ -161,10 +161,11 @@ class CoalgebraMorphism:
 
     ``u_coflat`` holds whether U(phi) is coflat: None until
     ``indexed.forall`` first decides it, so each morphism object decides
-    it at most once.
+    it at most once.  ``_u`` holds U(phi) once
+    ``indexed.coaction_comodule`` has built it.
     """
 
-    __slots__ = ("source", "target", "matrix", "u_coflat")
+    __slots__ = ("source", "target", "matrix", "u_coflat", "_u")
 
     def __init__(self, source: Coalgebra, target: Coalgebra, matrix: Matrix):
         if source.field != target.field:
@@ -203,6 +204,7 @@ class CoalgebraMorphism:
         self.target = target
         self.matrix = matrix
         self.u_coflat = None
+        self._u = None
 
     def __matmul__(self, other: "CoalgebraMorphism") -> "CoalgebraMorphism":
         if other.target != self.source:

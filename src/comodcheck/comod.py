@@ -22,8 +22,8 @@ gamma the splitting is r_V, checked by two exact products; otherwise a
 splitting is solved for in Hom^C(V (x) C, V).  Coflatness agrees with
 injectivity at finite dimension.
 
-The internal hom is provided for group-like bases, where comodules are
-graded vector spaces and hom is computed componentwise.
+The internal hom is that cotensor on every base: [V, W] = W (x)_C V^vee,
+whose underlying space is Hom^C(V, W).
 """
 
 from __future__ import annotations
@@ -36,11 +36,10 @@ from .exactlin import (Chart, Matrix, ShapeError, Subspace, kron_apply,
 
 __all__ = [
     "Comodule", "ComoduleMorphism", "regular_comodule", "cofree_comodule",
-    "zero_comodule", "graded_comodule", "graded_dims", "graded_components",
-    "dual_comodule", "hom_space", "cotensor", "tensor_morphism",
-    "left_unitor", "right_unitor", "braiding", "coherence",
-    "internal_hom", "coseparability_retraction", "is_injective",
-    "is_coflat", "direct_sum", "conjugate",
+    "zero_comodule", "graded_comodule", "dual_comodule", "hom_space",
+    "cotensor", "tensor_morphism", "left_unitor", "right_unitor",
+    "braiding", "coherence", "internal_hom", "coseparability_retraction",
+    "is_injective", "is_coflat", "direct_sum", "conjugate",
 ]
 
 
@@ -389,6 +388,12 @@ def cotensor(v: Comodule, w: Comodule):
                                 "cotensor-coaction"), sub
 
 
+def internal_hom(v: Comodule, w: Comodule):
+    """[V, W] = W (x)_C V^vee on any base, the kernel ``hom_space`` reads
+    as a comodule: returns (comodule, subspace of W (x) V*)."""
+    return cotensor(w, dual_comodule(v))
+
+
 class _Obj:
     """A comodule presented inside a flat tensor product of atoms.
 
@@ -575,40 +580,6 @@ def coherence(u: Comodule, v: Comodule, w: Comodule, x: Comodule):
     if lhs != e2.matrix @ alpha(a, c, b).matrix @ e1.matrix:
         return isos, "symmetry"
     return isos, None
-
-
-# -- grading over group-like bases --------------------------------------------
-
-def graded_components(v: Comodule) -> list[Subspace]:
-    """Subspaces V_x = {v : rho(v) = v (x) x}, one per base label."""
-    labels = grouplike_labels(v.base)
-    if labels is None:
-        raise UnsupportedBaseError("grading needs a group-like base")
-    f, n, m = v.field, v.base.dim, v.dim
-    comps = []
-    for x in range(n):
-        sx = [0] * (m * n * m)
-        for i in range(m):
-            sx[(i * n + x) * m + i] = 1
-        comps.append((v.rho - Matrix(f, m * n, m, sx)).kernel())
-    if sum(c.dim for c in comps) != m:
-        raise AxiomError("grading", "components do not exhaust the comodule")
-    return comps
-
-
-def graded_dims(v: Comodule) -> list[int]:
-    return [c.dim for c in graded_components(v)]
-
-
-def internal_hom(v: Comodule, w: Comodule) -> Comodule:
-    """hom(V, W) over a group-like base: componentwise linear maps."""
-    if v.base != w.base:
-        raise BaseMismatchError("internal hom needs a common base")
-    if grouplike_labels(v.base) is None:
-        raise UnsupportedBaseError("internal hom needs a group-like base")
-    dv = graded_dims(v)
-    dw = graded_dims(w)
-    return graded_comodule(v.base, [a * b for a, b in zip(dv, dw)])
 
 
 # -- injectivity --------------------------------------------------------------

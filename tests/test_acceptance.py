@@ -229,7 +229,7 @@ def test_criterion_10_oracle_equivalence():
         if len(cm.hom_space(a, b)) != orc.graded_hom_dim(
                 orc.to_graded(a), orc.to_graded(b)):
             disagreements += 1
-        ih = cm.internal_hom(a, b)
+        ih, _ = cm.internal_hom(a, b)
         want = orc.GradedVectorSpace(
             orc.to_graded(a).labels,
             [x * y for x, y in zip(orc.to_graded(a).dims,

@@ -7,7 +7,8 @@ import pytest
 from comodcheck import coalg as ca
 from comodcheck import comod as cm
 from comodcheck import dsl, indexed, runner
-from comodcheck.errors import AxiomError, UnsupportedBaseError
+from comodcheck import oracle as orc
+from comodcheck.errors import AxiomError
 from comodcheck.exactlin import Matrix, Subspace
 from comodcheck.fields import GF, QQ
 from comodcheck.gen import random_comodule, random_invertible
@@ -39,13 +40,13 @@ def test_regular_comodule_over_trivial_base():
 def test_regular_comodule_grouplike(g2):
     reg = cm.regular_comodule(g2)
     assert reg.rho == g2.delta
-    assert cm.graded_dims(reg) == [1, 1]
+    assert orc.to_graded(reg).dims == (1, 1)
 
 
 def test_cofree_comodule(g2):
     assert cm.cofree_comodule(g2, 0).dim == 0
     assert cm.cofree_comodule(g2, 1).rho == cm.regular_comodule(g2).rho
-    assert cm.graded_dims(cm.cofree_comodule(g2, 2)) == [2, 2]
+    assert orc.to_graded(cm.cofree_comodule(g2, 2)).dims == (2, 2)
 
 
 def test_comodule_axioms_rejected(g2):
@@ -207,7 +208,7 @@ def test_cotensor_graded_dims(g2):
     w = cm.graded_comodule(g2, [3, 1])
     t, e = cm.cotensor(v, w)
     assert t.dim == 5
-    assert cm.graded_dims(t) == [3, 2]
+    assert orc.to_graded(t).dims == (3, 2)
 
 
 def test_cotensor_base_mismatch(g2, g3):
@@ -331,40 +332,56 @@ def test_internal_hom_over_trivial_base():
     k = ca.trivial_coalgebra(F)
     v = cm.graded_comodule(k, [2])
     w = cm.graded_comodule(k, [3])
-    assert cm.internal_hom(v, w).dim == 6
+    ih, sub = cm.internal_hom(v, w)
+    assert ih.dim == 6 and sub.ambient == 6
 
 
 def test_internal_hom_graded_dims(g2):
     v = cm.graded_comodule(g2, [1, 2])
     w = cm.graded_comodule(g2, [2, 1])
-    ih = cm.internal_hom(v, w)
-    assert cm.graded_dims(ih) == [2, 2] and ih.dim == 4
+    ih, _ = cm.internal_hom(v, w)
+    assert orc.to_graded(ih).dims == (2, 2) and ih.dim == 4
+
+
+def _sqrt2_comodule(rng, k, copies):
+    """copies of K, the one simple comodule over K, in a random basis."""
+    v = cm.zero_comodule(k)
+    for _ in range(copies):
+        v = cm.direct_sum(v, cm.regular_comodule(k))
+    return cm.conjugate(v, random_invertible(rng, F, v.dim)) if v.dim else v
 
 
 def test_internal_hom_adjunction_dimensions(g2):
+    # |Hom(Z (x)_C V, W)| = |Hom(Z, [V, W])| over a group-like base and
+    # over K, where both are Hom over Q(sqrt 2)
     rng = random.Random(3)
-    for _ in range(5):
-        z = random_comodule(rng, g2, max_dim=2)
-        v = random_comodule(rng, g2, max_dim=2)
-        w = random_comodule(rng, g2, max_dim=2)
-        zv, _ = cm.cotensor(z, v)
-        lhs = len(cm.hom_space(zv, w))
-        rhs = len(cm.hom_space(z, cm.internal_hom(v, w)))
-        assert lhs == rhs
+    k = sqrt2_dual()
+    draws = [lambda: random_comodule(rng, g2, max_dim=2),
+             lambda: _sqrt2_comodule(rng, k, rng.randint(0, 2))]
+    for draw in draws:
+        for _ in range(5):
+            z, v, w = draw(), draw(), draw()
+            zv, _ = cm.cotensor(z, v)
+            lhs = len(cm.hom_space(zv, w))
+            rhs = len(cm.hom_space(z, cm.internal_hom(v, w)[0]))
+            assert lhs == rhs
 
 
 def test_internal_hom_adjunction_on_regular(g2):
     reg = cm.regular_comodule(g2)
     zv, _ = cm.cotensor(reg, reg)
     assert len(cm.hom_space(zv, reg)) \
-        == len(cm.hom_space(reg, cm.internal_hom(reg, reg)))
+        == len(cm.hom_space(reg, cm.internal_hom(reg, reg)[0]))
 
 
-def test_internal_hom_requires_grouplike():
+def test_internal_hom_over_sqrt2():
+    # over K the internal hom is Hom over Q(sqrt 2): [K, K] = K has
+    # dimension 2, and so has Hom(K, [K, K]) = Q(sqrt 2)
     k = sqrt2_dual()
     reg = cm.regular_comodule(k)
-    with pytest.raises(UnsupportedBaseError):
-        cm.internal_hom(reg, reg)
+    ih, _ = cm.internal_hom(reg, reg)
+    assert ih.dim == 2
+    assert len(cm.hom_space(reg, ih)) == 2
 
 
 # -- injectivity -----------------------------------------------------------------------
@@ -511,7 +528,7 @@ def test_grading_invariant_under_conjugation(g2):
     v = cm.graded_comodule(g2, [1, 2])
     s = random_invertible(rng, F, 3)
     vc = cm.conjugate(v, s)
-    assert cm.graded_dims(vc) == [1, 2]
+    assert orc.to_graded(vc).dims == (1, 2)
 
 
 def test_find_isomorphism(g2):

@@ -377,6 +377,26 @@ def test_hyperdoctrine_two_pulls_back_each_pair_once(monkeypatch):
     assert len(pairs) == len(set(pairs)) == 59
 
 
+def test_hyperdoctrine_two_builds_u_once_per_morphism(monkeypatch):
+    # U(phi) is kept on the morphism object: however often a check asks
+    # for it, each morphism object builds one
+    calls = []
+    real = ix.coaction_comodule
+
+    def coaction_comodule(phi):
+        calls.append((phi, real(phi)))
+        return calls[-1][1]
+
+    for module in (ix, hd):
+        monkeypatch.setattr(module, "coaction_comodule", coaction_comodule)
+    reports = hyperdoctrine_reports(2)
+    assert [rep.verdict for rep in reports] == ["pass"]
+    morphisms = {id(phi) for phi, _ in calls}
+    built = {id(u) for _, u in calls}
+    assert len(calls) > len(morphisms)
+    assert len(built) == len(morphisms)
+
+
 def test_hyperdoctrine_makes_no_hom_space_call(monkeypatch):
     # each condition-2 forall square is certified by its canonical mate
     calls = [count_calls(monkeypatch, cm, "hom_space"),

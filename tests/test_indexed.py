@@ -555,11 +555,44 @@ def test_frobenius_random_instances(g_ab):
 
 # -- ssmc ------------------------------------------------------------------------------
 
-def test_ssmc_grouplike(phi, g_ab):
+def test_ssmc_grouplike(monkeypatch, phi, g_ab):
+    # step (iv) builds [V, W] and [phi^* V, phi^* W] through
+    # comod.internal_hom, the operation the ssmc registry names
+    homs = count_calls(monkeypatch, ix, "internal_hom")
     rep = ix.ssmc_check(phi, cm.graded_comodule(g_ab, [2, 1]),
                         cm.graded_comodule(g_ab, [1, 1]))
     assert rep.passed
     assert "closedness-dims" in rep.details
+    assert len(homs) == 2
+    assert "comod.internal_hom" in runner.CHECK_OPERATIONS["ssmc"]
+
+
+def sqrt2_by_grouplike_projection():
+    """p1: K x grouplike {a, b} -> K, for K the dual of Q(sqrt 2)."""
+    k = sqrt2_dual()
+    _, p1, _ = ca.product(k, ca.grouplike_coalgebra(F, ["a", "b"]))
+    return p1
+
+
+def test_ssmc_closedness_over_non_grouplike_bases():
+    # neither base is group-like: the closedness comparison is certified
+    # as an invertible comodule morphism all the same
+    p1 = sqrt2_by_grouplike_projection()
+    reg = cm.regular_comodule(p1.target)
+    rep = ix.ssmc_check(p1, cm.direct_sum(reg, reg), reg)
+    assert rep.passed, rep.as_dict()
+    assert "closedness-dims" in rep.details
+    assert rep.dims["hom_of_pulls"] == rep.dims["pull_of_hom"] == 8
+
+
+def test_ssmc_closedness_fails_on_a_zero_pairing(monkeypatch):
+    p1 = sqrt2_by_grouplike_projection()
+    monkeypatch.setattr(ix, "coseparability_form",
+                        lambda c: Matrix.zeros(c.field, 1, c.dim * c.dim))
+    reg = cm.regular_comodule(p1.target)
+    rep = ix.ssmc_check(p1, cm.direct_sum(reg, reg), reg)
+    assert rep.verdict == "fail"
+    assert "closedness" in rep.witness["equation"]
 
 
 def test_ssmc_pulls_back_each_comodule_once(monkeypatch, phi, g_ab):
