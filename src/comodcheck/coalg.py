@@ -147,6 +147,8 @@ class Coalgebra:
                                                              self.dim))
 
     def __eq__(self, other):
+        if other is self:
+            return True
         return (isinstance(other, Coalgebra) and other.field == self.field
                 and other.dim == self.dim and other.delta == self.delta
                 and other.epsilon == self.epsilon)

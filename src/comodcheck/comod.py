@@ -103,6 +103,8 @@ class Comodule:
                                 Matrix.identity(self.field, self.dim))
 
     def __eq__(self, other):
+        if other is self:
+            return True
         return (isinstance(other, Comodule) and other.base == self.base
                 and other.dim == self.dim and other.rho == self.rho)
 

@@ -100,6 +100,8 @@ class Matrix:
         return not any(self.data)
 
     def __eq__(self, other):
+        if other is self:
+            return True
         return (isinstance(other, Matrix) and other.field == self.field
                 and other.rows == self.rows and other.cols == self.cols
                 and other.data == self.data)

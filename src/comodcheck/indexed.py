@@ -6,6 +6,12 @@ phi^*(W) = W (x)_C U(phi), realized as the subspace of W (x) D cut by the
 equalizer condition, with coaction the restriction of id (x) delta_D.  The
 adjunction Sigma_phi -| phi^* is witnessed by the explicit transposes
 hat(f) = (f (x) id) rho  and  tilde(g) = (id (x) eps_D) g.
+``adjunction_certificate`` applies them to whole hom bases at once, as
+block maps on the vec'd maps: hat as I_W (x) R for a rearrangement R of
+rho_V, followed by one coordinate read in phi^* W, and tilde as
+rec (x) I_V.  It certifies the adjunction by exact equations: every
+transpose lies in its hom space (a canonical subspace of the cotensor
+kernel), and tilde(hat(L)) = L and hat(tilde(B)) = B on the hom bases.
 
 For group-like bases phi^* also has a right adjoint "forall".  There a
 fiber's product of components is their sum, so forall_phi is Sigma_phi,
@@ -40,8 +46,8 @@ from .coalg import (CoalgebraMorphism, coseparability_form,
                     pullback as coalg_pullback)
 from .comod import (Comodule, ComoduleMorphism, _cotensor_kernel, _Obj,
                     _restricted_coaction, _transposition, atom,
-                    coseparability_retraction, ct, hom_space, internal_hom,
-                    is_coflat, regular_comodule)
+                    coseparability_retraction, ct, dual_comodule,
+                    internal_hom, is_coflat, regular_comodule)
 from .errors import (AxiomError, BaseMismatchError, HypothesisViolatedError,
                      UnsupportedBaseError)
 from .exactlin import Chart, Matrix, kron_apply, swap_matrix
@@ -128,9 +134,13 @@ def pullback_map(phi: CoalgebraMorphism, f: ComoduleMorphism,
 # -- the adjunction Sigma_phi -| phi^* ----------------------------------------
 
 def transpose_hat(phi: CoalgebraMorphism, v: Comodule, f: ComoduleMorphism,
-                  pw=None) -> ComoduleMorphism:
-    """hat(f): V -> phi^* W for f: Sigma_phi V -> W, v -> sum f(v0) (x) v1."""
-    if f.source != sigma(phi, v):
+                  pw=None, sv=None) -> ComoduleMorphism:
+    """hat(f): V -> phi^* W for f: Sigma_phi V -> W, v -> sum f(v0) (x) v1;
+    ``pw`` = pullback_functor(phi, W) and ``sv`` = sigma(phi, V) when the
+    caller has them."""
+    if sv is None:
+        sv = sigma(phi, v)
+    if f.source != sv:
         raise BaseMismatchError("f is not defined on Sigma_phi V")
     if pw is None:
         pw = pullback_functor(phi, f.target)
@@ -143,20 +153,86 @@ def transpose_hat(phi: CoalgebraMorphism, v: Comodule, f: ComoduleMorphism,
 
 
 def transpose_tilde(phi: CoalgebraMorphism, v: Comodule, w: Comodule,
-                    g: ComoduleMorphism, pw) -> ComoduleMorphism:
-    """tilde(g) = (id (x) eps_D) g: Sigma_phi V -> W for g: V -> phi^* W."""
+                    g: ComoduleMorphism, pw, sv=None) -> ComoduleMorphism:
+    """tilde(g) = (id (x) eps_D) g: Sigma_phi V -> W for g: V -> phi^* W;
+    ``sv`` = sigma(phi, V) when the caller has it."""
     pw_mod, pw_sub = pw
     if g.source != v or g.target != pw_mod:
         raise BaseMismatchError("g is not a morphism V -> phi^* W")
-    rec = kron_apply(w.dim, phi.source.epsilon, pw_sub.basis)
-    return ComoduleMorphism(sigma(phi, v), w, rec @ g.matrix)
+    if sv is None:
+        sv = sigma(phi, v)
+    return ComoduleMorphism(sv, w, _tilde_factor(phi, w, pw_sub) @ g.matrix)
+
+
+def _tilde_factor(phi: CoalgebraMorphism, w: Comodule, pw_sub) -> Matrix:
+    """(id_W (x) eps_D) on the basis of phi^* W: tilde(g) = rec g."""
+    return kron_apply(w.dim, phi.source.epsilon, pw_sub.basis)
+
+
+def _hat_factor(v: Comodule) -> Matrix:
+    """R with R[(c, j), a] = rho_V[(a, c), j].  For f: Sigma_phi V -> W,
+    (f (x) id_D) rho_V is a (dim W * dim D) x dim V matrix whose
+    row-major vec is (I_W (x) R) vec f."""
+    m, n = v.dim, v.base.dim
+    data = [0] * (n * m * m)
+    for j, col in enumerate(v._rho_cols):
+        for idx, x in col.items():
+            a, c = divmod(idx, n)
+            data[(c * m + j) * m + a] = x
+    return Matrix(v.field, n * m, m, data)
+
+
+def _batched_hat(r: Matrix, w_dim: int, pw, x: Matrix) -> Matrix:
+    """hat on every column of x at once.  Column t of x is vec f_t for a
+    map f_t: Sigma_phi V -> W (row-major, dim W x dim V), r is
+    ``_hat_factor(V)`` and pw = pullback_functor(phi, W).
+
+    (I_W (x) R) x holds the matrices (f_t (x) id) rho_V.  Read as one
+    (dim W * dim D) x (dim V * d) matrix, its column j*d + t is column j
+    of (f_t (x) id) rho_V, so one ``coords`` call in phi^* W gives every
+    hat(f_t), and the same data read with d columns has column t =
+    vec hat(f_t).  Raises ``AxiomError("transpose-hat")`` when some column
+    leaves the equalizer."""
+    f, d = x.field, x.cols
+    m = r.cols
+    flat = kron_apply(w_dim, r, x)
+    coords = pw[1].coords(Matrix(f, pw[1].ambient, m * d, flat.data))
+    if coords is None:
+        raise AxiomError("transpose-hat",
+                         "hat(f) does not land in the equalizer subspace")
+    return Matrix(f, pw[0].dim * m, d, coords.data)
+
+
+def _batched_tilde(rec: Matrix, v_dim: int, x: Matrix) -> Matrix:
+    """tilde on every column of x at once: column t is vec g_t for
+    g_t: V -> phi^* W, and vec(rec g_t) = (rec (x) I_V) vec g_t, for
+    rec = ``_tilde_factor(phi, W, pw_sub)``."""
+    return kron_apply(rec, v_dim, x)
+
+
+def _in_hom(hom, x: Matrix, what: str) -> None:
+    """Every column of x is the vec of a comodule morphism: it lies in the
+    hom space ``hom``, a canonical subspace read off the cotensor kernel."""
+    if hom.coords(x) is None:
+        raise AxiomError("comodule-morphism",
+                         f"{what} is not a comodule morphism")
+
+
+def _residual(hom, x: Matrix, what: str) -> Matrix:
+    """x - basis(hom) for a round trip x of that basis; a round trip that
+    misses must still consist of comodule morphisms (``_in_hom``)."""
+    if x == hom.basis:
+        return Matrix.zeros(x.field, x.rows, x.cols)
+    _in_hom(hom, x, what)
+    return x - hom.basis
 
 
 class AdjunctionCertificate:
     """Round-trip evidence for Sigma_phi -| phi^* on one pair (V, W).
 
-    Carries the two hom-space dimensions and the round-trip residuals of
-    the transposes of the hom bases (all zero on success).
+    Carries the two hom-space dimensions and the two round-trip residuals,
+    tilde(hat(L)) - L and hat(tilde(B)) - B on the hom bases L and B (both
+    zero on success).
     """
 
     __slots__ = ("dim_sigma_side", "dim_pullback_side", "residuals")
@@ -180,27 +256,37 @@ def adjunction_certificate(phi: CoalgebraMorphism, v: Comodule,
                            w: Comodule) -> AdjunctionCertificate:
     """Verify Hom^C(Sigma_phi V, W) ~ Hom^D(V, phi^* W) via the transposes.
 
-    Runs hat over a basis of the left hom space and tilde over a basis of
-    the right one; both round trips must be identities and the dimensions
-    must agree.
+    Sigma_phi V and phi^* W are built once, and the hom spaces are read as
+    canonical subspaces: L = W (x)_C (Sigma_phi V)^vee in W (x) V* and
+    B = phi^* W (x)_D V^vee in phi^* W (x) V*, whose columns are vec'd
+    maps.  hat and tilde act on whole bases as block maps
+    (``_batched_hat``, ``_batched_tilde``).  The certificate is exact:
+
+    - hat(L) lies in B's space and tilde(B) in L's, so every transpose is a
+      comodule morphism (else ``AxiomError("comodule-morphism")``); a hat
+      that leaves the equalizer raises ``AxiomError("transpose-hat")``;
+    - tilde(hat(L)) = L and hat(tilde(B)) = B as matrix equations (the
+      residuals), and dim L = dim B.
+
+    A round trip that fails and leaves its hom space raises like a
+    transpose that is not a comodule morphism.
     """
     if v.base != phi.source or w.base != phi.target:
         raise BaseMismatchError("bases do not match phi")
     sv = sigma(phi, v)
     pw = pullback_functor(phi, w)
-    pw_mod, _ = pw
-    left = hom_space(sv, w)
-    right = hom_space(v, pw_mod)
-    residuals = []
-    for f in left:
-        hat = transpose_hat(phi, v, f, pw)
-        back = transpose_tilde(phi, v, w, hat, pw)
-        residuals.append(back.matrix - f.matrix)
-    for g in right:
-        tilde = transpose_tilde(phi, v, w, g, pw)
-        again = transpose_hat(phi, v, tilde, pw)
-        residuals.append(again.matrix - g.matrix)
-    return AdjunctionCertificate(len(left), len(right), residuals)
+    left = _cotensor_kernel(w, dual_comodule(sv))
+    right = _cotensor_kernel(pw[0], dual_comodule(v))
+    r = _hat_factor(v)
+    rec = _tilde_factor(phi, w, pw[1])
+    hats = _batched_hat(r, w.dim, pw, left.basis)
+    _in_hom(right, hats, "hat(f)")
+    back = _residual(left, _batched_tilde(rec, v.dim, hats), "tilde(hat(f))")
+    tildes = _batched_tilde(rec, v.dim, right.basis)
+    _in_hom(left, tildes, "tilde(g)")
+    again = _residual(right, _batched_hat(r, w.dim, pw, tildes),
+                      "hat(tilde(g))")
+    return AdjunctionCertificate(left.dim, right.dim, [back, again])
 
 
 # -- the right adjoint forall over group-like bases ---------------------------
@@ -294,13 +380,15 @@ def adjoint_triple_identities(phi: CoalgebraMorphism, v: Comodule,
     pspw = pullback_functor(phi, spw)
     # exists: eps_{Sigma V} Sigma(eta_V) = id and phi^*(eps_W) eta_{phi^* W}
     # = id, the unit and counit being the transposes of identities
-    eta_v = transpose_hat(phi, v, sv.identity_morphism(), psv)
-    eps_w = transpose_tilde(phi, pw_mod, w, pw_mod.identity_morphism(), pw)
+    eta_v = transpose_hat(phi, v, sv.identity_morphism(), psv, sv)
+    eps_w = transpose_tilde(phi, pw_mod, w, pw_mod.identity_morphism(), pw,
+                            spw)
     eps_sv = transpose_tilde(phi, psv[0], sv, psv[0].identity_morphism(),
                              psv)
-    eta_pw = transpose_hat(phi, pw_mod, spw.identity_morphism(), pspw)
+    eta_pw = transpose_hat(phi, pw_mod, spw.identity_morphism(), pspw, spw)
     pull_eps = pullback_map(phi, eps_w, src=pspw, tgt=pw)
-    if eps_sv.matrix @ sigma_map(phi, eta_v).matrix \
+    # Sigma(eta_V) has the matrix of eta_V
+    if eps_sv.matrix @ eta_v.matrix \
             != Matrix.identity(v.field, v.dim) \
             or pull_eps.matrix @ eta_pw.matrix \
             != Matrix.identity(v.field, pw_mod.dim):
