@@ -1,7 +1,13 @@
 """Hot elimination/multiplication kernels of ``exactlin``.
 
-All matrices are flat row-major Python lists of exact scalars.
+The products take and return flat row-major Python lists of exact
+scalars.  The eliminations read such a list into sparse rows, one
+``{column: value}`` dict per nonzero row, eliminate on those and write the
+echelon form back as a flat list: the systems of this domain are mostly
+zero, and a row with a zero in the pivot column is never touched.
 """
+
+from math import gcd, lcm
 
 
 def mul_obj(a, b, m, k, n):
@@ -38,88 +44,136 @@ def mul_mod(a, b, m, k, n, p):
     return out
 
 
-def bareiss_echelon(data, rows, cols):
-    """Fraction-free row echelon form of an integer matrix.
+def _sparse_rows(data, rows, cols):
+    """The nonzero rows of a flat matrix as {column: value} dicts."""
+    out = []
+    for s in range(0, rows * cols, cols or 1):
+        row = data[s:s + cols]
+        if any(row):
+            out.append({j: x for j, x in enumerate(row) if x})
+    return out
 
-    Returns ``(echelon, pivots)`` where ``echelon`` is a new flat list and
-    ``pivots`` the list of pivot column indices (one per nonzero row, in
-    order).  Every division is exact (Sylvester identity), so intermediate
-    entries stay minor-sized instead of blowing up.
+
+def _dense(echelon, rows, cols):
+    """A flat rows x cols list with the given sparse rows on top."""
+    out = [0] * (rows * cols)
+    for r, row in enumerate(echelon):
+        s = r * cols
+        for j, x in row.items():
+            out[s + j] = x
+    return out
+
+
+def _by_lead(rows):
+    """The rows bucketed by their first nonzero column."""
+    lead = {}
+    for row in rows:
+        lead.setdefault(min(row), []).append(row)
+    return lead
+
+
+def _take_pivot(bucket, key):
+    """Remove and return the row of ``bucket`` with the least ``key``."""
+    return bucket.pop(min(range(len(bucket)), key=lambda i: key(bucket[i])))
+
+
+def bareiss_echelon(data, rows, cols):
+    """Fraction-free row echelon form of a matrix over Q.
+
+    Returns ``(echelon, pivots)`` where ``echelon`` is a new flat list of
+    ints and ``pivots`` the list of pivot column indices (one per nonzero
+    row, in order).  Each row is scaled to integers as it is read, which
+    changes neither its row space nor the pivot columns.  At pivot column
+    c only the rows with a nonzero x there change: each becomes
+    (piv/g)*row - (x/g)*pivot_row, g = gcd(piv, x), divided by its
+    content.  That is the primitive integer row in the direction of the
+    rational Gauss step, so it is never longer than Bareiss's row of
+    minors for the same pivots.
     """
-    a = list(data)
-    pivots = []
-    r = 0
-    prev = 1
+    sparse = []
+    for row in _sparse_rows(data, rows, cols):
+        l = lcm(*[x.denominator for x in row.values()])
+        sparse.append({j: x.numerator * (l // x.denominator)
+                       for j, x in row.items()})
+    lead = _by_lead(sparse)
+    echelon, pivots = [], []
     for c in range(cols):
-        if r >= rows:
-            break
-        pr = -1
-        for i in range(r, rows):
-            if a[i * cols + c] != 0:
-                pr = i
-                break
-        if pr < 0:
+        bucket = lead.pop(c, None)
+        if bucket is None:
             continue
-        if pr != r:
-            rc, pc = r * cols, pr * cols
-            for j in range(cols):
-                a[rc + j], a[pc + j] = a[pc + j], a[rc + j]
-        rc = r * cols
-        piv = a[rc + c]
-        for i in range(r + 1, rows):
-            ic = i * cols
-            x = a[ic + c]
-            if x == 0:
-                if prev == 1 and piv == 1:
-                    continue
-                for j in range(c + 1, cols):
-                    v = a[ic + j]
-                    if v:
-                        a[ic + j] = piv * v // prev
-            else:
-                for j in range(c + 1, cols):
-                    a[ic + j] = (piv * a[ic + j] - x * a[rc + j]) // prev
-                a[ic + c] = 0
+        # the shortest row fills in least, a small pivot scales least
+        prow = _take_pivot(bucket, lambda row: (len(row), abs(row[c])))
+        if prow[c] < 0:
+            prow = {j: -x for j, x in prow.items()}
+        echelon.append(prow)
         pivots.append(c)
-        prev = piv
-        r += 1
-    return a, pivots
+        piv = prow[c]
+        rest = [(j, y) for j, y in prow.items() if j != c]
+        for row in bucket:
+            x = row.pop(c)
+            g = gcd(piv, x)
+            a, b = piv // g, x // g
+            if a != 1:
+                row = {j: a * v for j, v in row.items()}
+            for j, y in rest:
+                v = row.get(j, 0) - b * y
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+            if row:
+                g = gcd(*row.values())
+                if g != 1:
+                    row = {j: v // g for j, v in row.items()}
+                lead.setdefault(min(row), []).append(row)
+    return _dense(echelon, rows, cols), pivots
 
 
 def rref_mod(data, rows, cols, p):
-    """Reduced row echelon form over F_p.  Returns ``(rref, pivots)``."""
-    a = [x % p for x in data]
-    pivots = []
-    r = 0
+    """Reduced row echelon form over F_p.  Returns ``(rref, pivots)``.
+
+    The forward pass updates only the rows with a nonzero in the pivot
+    column, as in ``bareiss_echelon``; the backward pass then clears each
+    pivot column above its pivot, last pivot first.
+    """
+    sparse = []
+    for row in _sparse_rows(data, rows, cols):
+        row = {j: x % p for j, x in row.items() if x % p}
+        if row:
+            sparse.append(row)
+    lead = _by_lead(sparse)
+    echelon, pivots = [], []
     for c in range(cols):
-        if r >= rows:
-            break
-        pr = -1
-        for i in range(r, rows):
-            if a[i * cols + c]:
-                pr = i
-                break
-        if pr < 0:
+        bucket = lead.pop(c, None)
+        if bucket is None:
             continue
-        if pr != r:
-            rc, pc = r * cols, pr * cols
-            for j in range(cols):
-                a[rc + j], a[pc + j] = a[pc + j], a[rc + j]
-        rc = r * cols
-        inv = pow(a[rc + c], -1, p)
+        prow = _take_pivot(bucket, len)
+        inv = pow(prow[c], -1, p)
         if inv != 1:
-            for j in range(c, cols):
-                if a[rc + j]:
-                    a[rc + j] = a[rc + j] * inv % p
-        for i in range(rows):
-            if i == r:
-                continue
-            ic = i * cols
-            x = a[ic + c]
-            if x:
-                for j in range(c, cols):
-                    if a[rc + j]:
-                        a[ic + j] = (a[ic + j] - x * a[rc + j]) % p
+            prow = {j: x * inv % p for j, x in prow.items()}
+        echelon.append(prow)
         pivots.append(c)
-        r += 1
-    return a, pivots
+        rest = [(j, y) for j, y in prow.items() if j != c]
+        for row in bucket:
+            x = row.pop(c)
+            _subtract_mod(row, x, rest, p)
+            if row:
+                lead.setdefault(min(row), []).append(row)
+    for r in range(len(echelon) - 1, 0, -1):
+        c = pivots[r]
+        rest = [(j, y) for j, y in echelon[r].items() if j != c]
+        for row in echelon[:r]:
+            x = row.pop(c, 0)
+            if x:
+                _subtract_mod(row, x, rest, p)
+    return _dense(echelon, rows, cols), pivots
+
+
+def _subtract_mod(row, x, rest, p):
+    """row -= x * rest in place over F_p, dropping the zeros."""
+    for j, y in rest:
+        v = (row.get(j, 0) - x * y) % p
+        if v:
+            row[j] = v
+        else:
+            del row[j]

@@ -1,10 +1,12 @@
 """Exact dense linear algebra over Q and F_p.
 
 Matrices are immutable flat row-major arrays of exact scalars (see
-``fields``).  Over Q, elimination clears denominators row-wise and runs
-fraction-free Bareiss on integers, so intermediate entries stay
-minor-sized; over F_p it is Gauss-Jordan with modular inverses.  The inner
-loops live in the kernel module ``_backend.core``.
+``fields``).  Elimination runs on sparse rows, and a row with a zero in
+the pivot column is left as it is.  Over Q each row is scaled to integers
+as it is read and updated fraction-free, then divided by its content, so
+entries stay as short as the primitive row of each Gauss step; over F_p
+it is Gauss-Jordan with modular inverses.  The inner loops live in the
+kernel module ``_backend.core``.
 
 Tensor bookkeeping fixes one global convention used by every module
 downstream: the basis vector e_i (x) e_j of a tensor product of spaces of
@@ -26,7 +28,6 @@ idempotent, which ``Subspace`` puts in canonical form.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from ._backend import core
 from .fields import Field
@@ -131,17 +132,21 @@ class Matrix:
         self._check_field(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("shape mismatch in addition")
-        add = self.field.add
+        p = self.field.char
         return Matrix(self.field, self.rows, self.cols,
-                      [add(x, y) for x, y in zip(self.data, other.data)])
+                      [(x + y) % p for x, y in zip(self.data, other.data)]
+                      if p else
+                      [x + y for x, y in zip(self.data, other.data)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_field(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("shape mismatch in subtraction")
-        sub = self.field.sub
+        p = self.field.char
         return Matrix(self.field, self.rows, self.cols,
-                      [sub(x, y) for x, y in zip(self.data, other.data)])
+                      [(x - y) % p for x, y in zip(self.data, other.data)]
+                      if p else
+                      [x - y for x, y in zip(self.data, other.data)])
 
     def __neg__(self) -> "Matrix":
         neg = self.field.neg
@@ -183,17 +188,19 @@ class Matrix:
     def _echelon(self):
         """Row echelon form with pivot columns.
 
-        Over Q the rows are scaled to integers first (kernels, row spaces
-        and solution sets are unchanged by row scaling) and Bareiss runs on
-        ints; over F_p this is already the reduced form.
+        Over Q the kernel scales each row to integers as it reads it
+        (kernels, row spaces and solution sets are unchanged by row
+        scaling) and returns an integer echelon form; over F_p it returns
+        the reduced form.  Pivot columns are the same for every echelon
+        form, and so are the rref, the free-variable kernel basis and the
+        solution with free variables 0 built from it below.
         """
         if self.field.char:
             data, pivots = core.rref_mod(self.data, self.rows, self.cols,
                                          self.field.char)
         else:
-            data, pivots = core.bareiss_echelon(
-                _clear_denominators(self.data, self.rows, self.cols),
-                self.rows, self.cols)
+            data, pivots = core.bareiss_echelon(self.data, self.rows,
+                                                self.cols)
         return data, pivots
 
     def rank(self) -> int:
@@ -357,19 +364,6 @@ def kron_apply(a, b, x: Matrix) -> Matrix:
     if not isinstance(a, int):
         data = _mul(f, a.data, data, ra, ca, rb * d)
     return Matrix(f, ra * rb, d, data)
-
-
-def _clear_denominators(data, rows, cols):
-    """Scale each row by the lcm of its denominators; returns int entries.
-
-    An int's ``denominator`` is 1, so no entry needs a type test.
-    """
-    out = []
-    for i in range(rows):
-        row = data[i * cols:(i + 1) * cols]
-        l = lcm(*[x.denominator for x in row if x])
-        out.extend([int(x * l) if x else 0 for x in row])
-    return out
 
 
 def swap_matrix(field: Field, m: int, n: int) -> Matrix:

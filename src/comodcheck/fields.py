@@ -1,10 +1,12 @@
 """Exact scalar fields: the rationals and prime fields F_p with p < 2**31.
 
 Scalars are stored as plain Python values so matrices stay lightweight:
-``Fraction`` (or ``int``, which compares equal to the same ``Fraction``)
-over the rationals, and reduced ints in ``range(p)`` over F_p.  A ``Field``
-instance carries the arithmetic; everything is exact, there is no rounding
-anywhere in the package.
+reduced ints in ``range(p)`` over F_p, and over the rationals a
+``Fraction``, except that ``Field.of`` stores an integral rational as an
+``int`` so parsed and generated data runs in int arithmetic.  Arithmetic
+may still yield an integral ``Fraction``; it compares and hashes equal to
+the same ``int``.  A ``Field`` instance carries the arithmetic;
+everything is exact, there is no rounding anywhere in the package.
 """
 
 from __future__ import annotations
@@ -59,14 +61,15 @@ class Field:
     # -- construction -------------------------------------------------
 
     def of(self, x):
-        """Coerce an int, Fraction or literal string into the field."""
+        """Coerce an int, Fraction or literal string into the field; over Q
+        an integral value comes back as an ``int``."""
         if isinstance(x, str):
             x = Fraction(x)
         if self.char == 0:
             if isinstance(x, int):
                 return x
             if isinstance(x, Fraction):
-                return x
+                return x.numerator if x.denominator == 1 else x
             raise FieldError(f"cannot coerce {x!r} into Q")
         p = self.char
         if isinstance(x, int):

@@ -1,11 +1,13 @@
 import inspect
 import json
+from fractions import Fraction
 from importlib import resources
 
 import pytest
 
 from comodcheck import dsl, runner
 from comodcheck.dsl import ParseError, parse, print_document
+from comodcheck.fields import GF, QQ
 
 
 SAMPLE = """# a small document
@@ -42,6 +44,33 @@ def test_print_parse_round_trip():
     again = parse(printed)
     assert again == doc
     assert print_document(again) == printed
+
+
+def test_literals_parse_once_to_values_and_printed_forms():
+    values, text = dsl._entries("2/2, 1/2, -0", QQ, 1)
+    assert values == [1, Fraction(1, 2), 0]
+    assert [type(x) for x in values] == [int, Fraction, int]
+    assert text == ("1", "1/2", "0")
+    with pytest.raises(ParseError, match=r"line 4, col 1: bad scalar "
+                       r"literal '1/0'"):
+        dsl._entries("1, 1/0", QQ, 4)
+    with pytest.raises(ParseError, match="bad scalar literal '1/7'"):
+        dsl._entries("1/7", GF(7), 1)
+
+
+def test_rational_rho_round_trips():
+    # e_a and e_b conjugated by [[1, 1/2], [0, 1]], written with
+    # non-canonical literals; the printer writes the canonical ones
+    text = ("field Q\ncoalg C = grouplike {a, b}\n"
+            "comod V over C {dim 2 rho=[2/2, -1/2, -0, 2/4, 0/3, 0, "
+            "0, 4/4]}\ncheck injective V\n")
+    doc = parse(text)
+    assert doc.comodules["V"].rho.data == [1, Fraction(-1, 2), 0,
+                                          Fraction(1, 2), 0, 0, 0, 1]
+    printed = print_document(doc)
+    assert "rho=[1, -1/2, 0, 1/2, 0, 0, 0, 1]" in printed
+    assert parse(printed) == doc
+    assert print_document(parse(printed)) == printed
 
 
 def test_multiline_brackets():

@@ -258,31 +258,33 @@ def rnd_sparse(rng, field):
     return Matrix(field, rows, cols, data)
 
 
+def to_sympy(m):
+    from sympy.polys.domains import GF as SymGF, QQ as SymQQ
+    from sympy.polys.matrices import DomainMatrix
+
+    p = m.field.char
+    dom = SymGF(p) if p else SymQQ
+    if p:
+        entries = [dom(x) for x in m.data]
+    else:
+        entries = [dom(x.numerator, x.denominator)
+                   for x in map(Fraction, m.data)]
+    return DomainMatrix([entries[i * m.cols:(i + 1) * m.cols]
+                         for i in range(m.rows)], (m.rows, m.cols), dom)
+
+
+def from_sympy(dm, p):
+    if p:
+        return [int(x) % p for row in dm.to_list() for x in row]
+    return [Fraction(int(x.numerator), int(x.denominator))
+            for row in dm.to_list() for x in row]
+
+
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(7), GF(101)],
                          ids=["Q", "GF2", "GF7", "GF101"])
 def test_rank_rref_kernel_match_sympy(field):
     pytest.importorskip("sympy")
-    from sympy.polys.domains import GF as SymGF, QQ as SymQQ
-    from sympy.polys.matrices import DomainMatrix
-
     p = field.char
-    dom = SymGF(p) if p else SymQQ
-
-    def to_sympy(m):
-        if p:
-            entries = [dom(x) for x in m.data]
-        else:
-            entries = [dom(x.numerator, x.denominator)
-                       for x in map(Fraction, m.data)]
-        return DomainMatrix([entries[i * m.cols:(i + 1) * m.cols]
-                             for i in range(m.rows)], (m.rows, m.cols), dom)
-
-    def from_sympy(dm):
-        if p:
-            return [int(x) % p for row in dm.to_list() for x in row]
-        return [Fraction(int(x.numerator), int(x.denominator))
-                for row in dm.to_list() for x in row]
-
     rng = random.Random(p)
     for _ in range(40):
         m = rnd_sparse(rng, field)
@@ -291,7 +293,7 @@ def test_rank_rref_kernel_match_sympy(field):
         rref, pivots = m.rref()
         ref_rref, ref_pivots = ref.rref()
         assert tuple(pivots) == tuple(ref_pivots)
-        assert list(rref.data) == from_sympy(ref_rref)
+        assert list(rref.data) == from_sympy(ref_rref, p)
         # the kernel basis is canonical: its transpose is the rref of
         # any spanning set, here sympy's own null space basis
         ker = m.kernel()
@@ -299,7 +301,31 @@ def test_rank_rref_kernel_match_sympy(field):
         assert ker.dim == null.shape[0] == m.cols - ref.rank()
         if ker.dim:
             null_rref, _ = null.rref()
-            assert list(ker.basis.transpose().data) == from_sympy(null_rref)
+            assert list(ker.basis.transpose().data) == from_sympy(null_rref, p)
+
+
+def gauss_jordan(m):
+    """Reduced row echelon form and pivots by naive dense Gauss-Jordan in
+    the field's own arithmetic: Fractions over Q, inverses mod p."""
+    f, rows, cols = m.field, m.rows, m.cols
+    work = [list(m.data[i * cols:(i + 1) * cols]) for i in range(rows)]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pr = next((i for i in range(r, rows) if work[i][c]), None)
+        if pr is None:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        inv = f.inv(work[r][c])
+        work[r] = [f.mul(inv, x) for x in work[r]]
+        for i in range(rows):
+            if i != r and work[i][c]:
+                coef = work[i][c]
+                work[i] = [f.sub(x, f.mul(coef, y))
+                           for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+    return [x for row in work for x in row], pivots
 
 
 def test_bareiss_agrees_with_fraction_elimination():
@@ -307,24 +333,140 @@ def test_bareiss_agrees_with_fraction_elimination():
     for _ in range(20):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         m = rnd_matrix(rng, rows, cols, lo=-6, hi=6)
-        # pivots and rank from Bareiss must match naive Fraction Gauss
-        data = [Fraction(x) for x in m.data]
-        rank = 0
-        work = [data[i * cols:(i + 1) * cols] for i in range(rows)]
-        piv_cols = []
-        r = 0
-        for c in range(cols):
-            pr = next((i for i in range(r, rows) if work[i][c]), None)
-            if pr is None:
-                continue
-            work[r], work[pr] = work[pr], work[r]
-            for i in range(r + 1, rows):
-                if work[i][c]:
-                    coef = work[i][c] / work[r][c]
-                    work[i] = [x - coef * y
-                               for x, y in zip(work[i], work[r])]
-            piv_cols.append(c)
-            r += 1
-        rank = r
+        # pivots and rank from the kernel must match naive Fraction Gauss
+        _, piv_cols = gauss_jordan(
+            Matrix(F, rows, cols, [Fraction(x) for x in m.data]))
         _, pivots = _core_py.bareiss_echelon(list(m.data), rows, cols)
-        assert pivots == piv_cols and len(pivots) == rank
+        assert pivots == piv_cols
+
+
+# -- differential tests of the elimination kernels -------------------------------
+
+def _denominators(p):
+    return [d for d in (1, 2, 3, 4, 5, 6, 9, 10) if not p or d % p]
+
+
+def kernel_cases(field, seed):
+    """Matrices of every shape the kernels see: tall and sparse 0/+-1
+    (the is_injective systems), dense with entries up to +-1000, rows
+    with different denominators, zero rows and columns, and empty."""
+    rng = random.Random(seed)
+
+    def make(rows, cols, entry):
+        return Matrix(field, rows, cols,
+                      [field.of(entry()) for _ in range(rows * cols)])
+
+    def sparse_unit(density):
+        return lambda: rng.choice((1, -1)) if rng.random() < density else 0
+
+    dens = _denominators(field.char)
+    cases = [make(rows, cols, sparse_unit(0.02))
+             for rows, cols in ((272, 65), (160, 40), (96, 24), (65, 65))]
+    cases += [make(rows, cols, sparse_unit(0.3))
+              for rows, cols in ((30, 10), (12, 12), (8, 20))]
+    cases += [make(rows, cols, lambda: rng.randint(-1000, 1000))
+              for rows, cols in ((10, 10), (12, 7), (6, 11), (9, 9))]
+    cases += [make(rows, cols,
+                   lambda: Fraction(rng.randint(-9, 9), rng.choice(dens))
+                   if rng.random() < 0.6 else 0)
+              for rows, cols in ((8, 8), (10, 6), (5, 9))]
+    for rows, cols in ((9, 7), (6, 10)):
+        m = make(rows, cols, lambda: rng.randint(-5, 5))
+        zero_rows = set(rng.sample(range(rows), 3))
+        zero_cols = set(rng.sample(range(cols), 2))
+        cases.append(Matrix(field, rows, cols, [
+            0 if i in zero_rows or j in zero_cols else m[i, j]
+            for i in range(rows) for j in range(cols)]))
+    cases += [Matrix.zeros(field, 5, 4), Matrix.zeros(field, 0, 0)]
+    cases += [make(rows, cols, lambda: rng.randint(-3, 3))
+              for rows, cols in ((0, 4), (4, 0), (0, 1), (1, 0))]
+    return cases
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7), GF(101)],
+                         ids=["Q", "GF2", "GF7", "GF101"])
+def test_kernels_match_sympy_and_gauss_jordan(field):
+    pytest.importorskip("sympy")
+    p = field.char
+    rng = random.Random(p + 5)
+    for m in kernel_cases(field, p + 1):
+        rows, cols = m.rows, m.cols
+        ref_rref, ref_pivots = gauss_jordan(m)
+        rank = len(ref_pivots)
+        rref, pivots = m.rref()
+        assert m.rank() == rank and pivots == ref_pivots
+        assert rref.data == ref_rref
+        if rows and cols:
+            ref = to_sympy(m)
+            assert ref.rank() == rank
+            sym_rref, sym_pivots = ref.rref()
+            assert tuple(sym_pivots) == tuple(pivots)
+            assert rref.data == from_sympy(sym_rref, p)
+        # kernel: the free-variable basis read off the rref, in the
+        # canonical form (its transpose reduced) every Subspace keeps
+        ker = m.kernel()
+        assert ker.dim == cols - rank
+        assert (m @ ker.basis).is_zero()
+        free = [j for j in range(cols) if j not in pivots]
+        basis_rows = []
+        for fc in free:
+            row = [0] * cols
+            row[fc] = 1
+            for r, pc in enumerate(pivots):
+                row[pc] = field.neg(ref_rref[r * cols + fc])
+            basis_rows += row
+        canonical, _ = gauss_jordan(
+            Matrix(field, len(free), cols, basis_rows))
+        assert ker.basis.transpose().data == canonical
+        # solve_right: the solution with free variables 0, or None
+        x = Matrix(field, cols, 2,
+                   [field.of(rng.randint(-4, 4)) for _ in range(cols * 2)])
+        consistent = m @ x
+        noise = Matrix(field, rows, 2,
+                       [field.of(rng.randint(-4, 4)) for _ in range(rows * 2)])
+        for b in (consistent, noise):
+            aug_rref, aug_pivots = gauss_jordan(m.hstack(b))
+            sol = m.solve_right(b)
+            if aug_pivots and aug_pivots[-1] >= cols:
+                assert sol is None
+                continue
+            assert sol is not None and m @ sol == b
+            want = [0] * (cols * 2)
+            for r, pc in enumerate(aug_pivots):
+                for k in range(2):
+                    want[pc * 2 + k] = aug_rref[r * (cols + 2) + cols + k]
+            assert sol.data == want
+
+
+def test_echelon_kernels_return_an_echelon_form_of_the_rows():
+    for field in (QQ, GF(7)):
+        for m in kernel_cases(field, 3):
+            rows, cols = m.rows, m.cols
+            if field.char:
+                data, pivots = _core_py.rref_mod(m.data, rows, cols, 7)
+            else:
+                data, pivots = _core_py.bareiss_echelon(m.data, rows, cols)
+                assert all(type(x) is int for x in data)
+            ech = Matrix(field, rows, cols, data)
+            # leading entries at the pivots, zero rows below
+            for r in range(rows):
+                row = data[r * cols:(r + 1) * cols]
+                lead = next((j for j, x in enumerate(row) if x), None)
+                assert lead == (pivots[r] if r < len(pivots) else None)
+            # the same row space: stacking adds no rank
+            assert ech.rank() == m.rank() == m.vstack(ech).rank()
+
+
+def test_sparse_echelon_entries_stay_within_the_hadamard_bound():
+    # each echelon row is the primitive row of a Gauss step, which divides
+    # the row of minors Bareiss would hold for the same pivot rows, so no
+    # entry outgrows Hadamard's bound on those minors
+    rng = random.Random(5)
+    for n in (6, 10, 14, 20):
+        data = [rng.randint(-1000, 1000) for _ in range(n * n)]
+        ech, pivots = _core_py.bareiss_echelon(data, n, n)
+        assert pivots == list(range(n))
+        longest = max(abs(x).bit_length() for x in ech)
+        bound = sum((sum(x * x for x in data[i * n:(i + 1) * n])
+                     .bit_length() + 1) // 2 for i in range(n))
+        assert longest <= bound

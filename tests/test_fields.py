@@ -51,6 +51,14 @@ def test_of_parses_literals():
         GF(7).of(Fraction(1, 7))
 
 
+def test_of_keeps_integral_rationals_as_ints():
+    three = QQ.of(Fraction(3))
+    assert three == 3 and type(three) is int
+    assert type(QQ.of("6/2")) is int and type(QQ.of(-4)) is int
+    half = QQ.of(Fraction(1, 2))
+    assert half == Fraction(1, 2) and type(half) is Fraction
+
+
 def test_field_equality_and_repr():
     assert QQ == Field(0) and GF(5) == GF(5) and GF(5) != QQ
     assert repr(QQ) == "Q" and repr(GF(5)) == "GF(5)"
