@@ -45,7 +45,8 @@ def mul_mod(a, b, m, k, n, p):
 
 
 def _sparse_rows(data, rows, cols):
-    """The nonzero rows of a flat matrix as {column: value} dicts."""
+    """The nonzero rows of a flat matrix as {column: value} dicts, each
+    with its columns in increasing order."""
     out = []
     for s in range(0, rows * cols, cols or 1):
         row = data[s:s + cols]
@@ -64,16 +65,10 @@ def _dense(echelon, rows, cols):
     return out
 
 
-def _by_lead(rows):
-    """The rows bucketed by their first nonzero column."""
-    lead = {}
-    for row in rows:
-        lead.setdefault(min(row), []).append(row)
-    return lead
-
-
 def _take_pivot(bucket, key):
     """Remove and return the row of ``bucket`` with the least ``key``."""
+    if len(bucket) == 1:
+        return bucket.pop()
     return bucket.pop(min(range(len(bucket)), key=lambda i: key(bucket[i])))
 
 
@@ -83,19 +78,21 @@ def bareiss_echelon(data, rows, cols):
     Returns ``(echelon, pivots)`` where ``echelon`` is a new flat list of
     ints and ``pivots`` the list of pivot column indices (one per nonzero
     row, in order).  Each row is scaled to integers as it is read, which
-    changes neither its row space nor the pivot columns.  At pivot column
-    c only the rows with a nonzero x there change: each becomes
+    changes neither its row space nor the pivot columns.  The rows wait in
+    buckets keyed by their first nonzero column.  At pivot column c only
+    the rows of bucket c change: each, with x in column c, becomes
     (piv/g)*row - (x/g)*pivot_row, g = gcd(piv, x), divided by its
     content.  That is the primitive integer row in the direction of the
     rational Gauss step, so it is never longer than Bareiss's row of
     minors for the same pivots.
     """
-    sparse = []
+    lead = {}
     for row in _sparse_rows(data, rows, cols):
-        l = lcm(*[x.denominator for x in row.values()])
-        sparse.append({j: x.numerator * (l // x.denominator)
-                       for j, x in row.items()})
-    lead = _by_lead(sparse)
+        if set(map(type, row.values())) != {int}:
+            l = lcm(*[x.denominator for x in row.values()])
+            row = {j: x.numerator * (l // x.denominator)
+                   for j, x in row.items()}
+        lead.setdefault(next(iter(row)), []).append(row)
     echelon, pivots = [], []
     for c in range(cols):
         bucket = lead.pop(c, None)
@@ -103,10 +100,12 @@ def bareiss_echelon(data, rows, cols):
             continue
         # the shortest row fills in least, a small pivot scales least
         prow = _take_pivot(bucket, lambda row: (len(row), abs(row[c])))
-        if prow[c] < 0:
-            prow = {j: -x for j, x in prow.items()}
         echelon.append(prow)
         pivots.append(c)
+        if not bucket:
+            continue
+        if prow[c] < 0:
+            prow = echelon[-1] = {j: -x for j, x in prow.items()}
         piv = prow[c]
         rest = [(j, y) for j, y in prow.items() if j != c]
         for row in bucket:
@@ -136,12 +135,11 @@ def rref_mod(data, rows, cols, p):
     column, as in ``bareiss_echelon``; the backward pass then clears each
     pivot column above its pivot, last pivot first.
     """
-    sparse = []
+    lead = {}
     for row in _sparse_rows(data, rows, cols):
         row = {j: x % p for j, x in row.items() if x % p}
         if row:
-            sparse.append(row)
-    lead = _by_lead(sparse)
+            lead.setdefault(next(iter(row)), []).append(row)
     echelon, pivots = [], []
     for c in range(cols):
         bucket = lead.pop(c, None)
@@ -153,6 +151,8 @@ def rref_mod(data, rows, cols, p):
             prow = {j: x * inv % p for j, x in prow.items()}
         echelon.append(prow)
         pivots.append(c)
+        if not bucket:
+            continue
         rest = [(j, y) for j, y in prow.items() if j != c]
         for row in bucket:
             x = row.pop(c)
