@@ -84,7 +84,7 @@ def bareiss_echelon(data, rows, cols):
     (piv/g)*row - (x/g)*pivot_row, g = gcd(piv, x), divided by its
     content.  That is the primitive integer row in the direction of the
     rational Gauss step, so it is never longer than Bareiss's row of
-    minors for the same pivots.
+    minors for the same sequence of pivot rows.
     """
     lead = {}
     for row in _sparse_rows(data, rows, cols):
