@@ -12,15 +12,15 @@ identities, building each cotensor presentation once per call.
 Hom spaces are cotensors too: the base is cocommutative, so the dual V*
 is a comodule V^vee (``dual_comodule``) and Hom^C(V, W) = W (x)_C V^vee
 inside W (x) V*.  Every kernel-defined object (cotensor, pullback, hom)
-is read off ``_cotensor_kernel``.  Over a base with a coseparability form
-gamma that kernel is the image of an idempotent built from the retraction
-r_V, certified by two exact equations; over any other base it is the
-kernel of one matrix, ``_cotensor_matrix``.  Injectivity is decided by a
-splitting: rho_V embeds V into the cofree comodule V (x) C, which is
-injective, so V is injective iff that embedding splits.  Over a base with
-gamma the splitting is r_V, checked by two exact products; otherwise a
-splitting is solved for in Hom^C(V (x) C, V).  Coflatness agrees with
-injectivity at finite dimension.
+is read off ``_cotensor_kernel``: the image of an idempotent built from
+the retraction r_V over a base with a coseparability form gamma, else the
+kernel of one matrix A, ``_cotensor_matrix``; A B = 0 certifies its basis
+B on both paths (for a hom space, the intertwining equation of every basis
+map).  Injectivity is decided by a splitting: rho_V embeds V into the
+cofree comodule V (x) C, which is injective, so V is injective iff that
+embedding splits.  Over a base with gamma the splitting is r_V, checked by
+two exact products; otherwise a splitting is solved for in
+Hom^C(V (x) C, V).  Coflatness agrees with injectivity at finite dimension.
 
 The internal hom is that cotensor on every base: [V, W] = W (x)_C V^vee,
 whose underlying space is Hom^C(V, W).
@@ -32,7 +32,7 @@ from .coalg import (Coalgebra, _add_into, _column_dicts,
                     coseparability_form, grouplike_labels)
 from .errors import AxiomError, BaseMismatchError, UnsupportedBaseError
 from .exactlin import (Chart, Matrix, ShapeError, Subspace, kron_apply,
-                       swap_matrix)
+                       swap_rows)
 
 __all__ = [
     "Comodule", "ComoduleMorphism", "regular_comodule", "cofree_comodule",
@@ -236,7 +236,7 @@ def _cotensor_matrix(v: Comodule, w: Comodule) -> Matrix:
     f, n = v.field, v.base.dim
     mv, mw = v.dim, w.dim
     lhs = v.rho.kron(Matrix.identity(f, mw))
-    rhs = Matrix.identity(f, mv).kron(swap_matrix(f, mw, n) @ w.rho)
+    rhs = Matrix.identity(f, mv).kron(swap_rows(w.rho, 1, mw, n, 1))
     return lhs - rhs
 
 
@@ -256,17 +256,18 @@ def _cotensor_kernel(v: Comodule, w: Comodule) -> Subspace:
       (``_annihilated``).
 
     A failure of either raises ``AxiomError("coseparability")``.  Without
-    a coseparability form (N, for one) ker A is computed by elimination.
+    a coseparability form (N, for one) ker A is eliminated, and A B = 0
+    certifies its basis all the same (else "cotensor-kernel").
     """
     r = coseparability_retraction(v)
     if r is None:
-        return _cotensor_matrix(v, w).kernel()
-    sub = Subspace(v.field, v.dim * w.dim, _cotensor_idempotent(r, v, w),
-                   _canonical=False)
+        sub, axiom = _cotensor_matrix(v, w).kernel(), "cotensor-kernel"
+    else:
+        sub, axiom = Subspace(v.field, v.dim * w.dim, _cotensor_idempotent(
+            r, v, w), _canonical=False), "coseparability"
     if not _annihilated(v, w, sub.basis):
-        raise AxiomError("coseparability",
-                         "A e != 0: e = (r x id)(id x tau rho) maps outside "
-                         "the cotensor")
+        raise AxiomError(axiom, "A e != 0: a basis vector e of the kernel "
+                         "maps outside the cotensor")
     return sub
 
 
@@ -337,24 +338,20 @@ def dual_comodule(v: Comodule) -> Comodule:
     return Comodule(v.base, m, Matrix(v.field, m * n, m, data))
 
 
-def hom_space(v: Comodule, w: Comodule) -> list[ComoduleMorphism]:
-    """Basis of the vector space of comodule morphisms V -> W.
+def hom_space(v: Comodule, w: Comodule) -> Subspace:
+    """Hom^C(V, W) = W (x)_C V^vee, the canonical subspace of W (x) V*.
 
-    Hom^C(V, W) = W (x)_C V^vee inside W (x) V*, and the flat index
-    a*dim V + j of W (x) V* is the row-major vec of a w.dim x v.dim matrix,
-    so each basis vector of the cotensor kernel is reshaped into a map.
-    Over a base with a coseparability form, the idempotent of
-    ``_cotensor_kernel`` on W (x) V^vee is the Reynolds operator
-    f -> r_W (f (x) id_C) rho_V = sum_c R_c f rho_c, where
-    r_W(w (x) c) = R_c w: a projection of Hom_k(V, W) onto
-    Hom^C(V, W).
+    The flat index a*dim V + j of W (x) V* is the row-major vec of a
+    w.dim x v.dim matrix, so each basis column is a map f.  The kernel
+    certificate A B = 0 reads (f (x) id) rho_V = rho_W f on every column,
+    so no map is checked again.  Over a base with a coseparability form,
+    the idempotent of ``_cotensor_kernel`` is the Reynolds operator
+    f -> r_W (f (x) id_C) rho_V = sum_c R_c f rho_c, for
+    r_W(w (x) c) = R_c w: a projection of Hom_k(V, W) onto Hom^C(V, W).
     """
     if v.base != w.base:
         raise BaseMismatchError("hom needs a common base")
-    ker = _cotensor_kernel(w, dual_comodule(v)).basis
-    return [ComoduleMorphism(v, w, Matrix(v.field, w.dim, v.dim,
-                                          ker.column(i).data))
-            for i in range(ker.cols)]
+    return _cotensor_kernel(w, dual_comodule(v))
 
 
 def _restricted_coaction(base: Coalgebra, left: int, right: Matrix,
@@ -365,7 +362,10 @@ def _restricted_coaction(base: Coalgebra, left: int, right: Matrix,
     The ambient coaction is applied to the basis e as a block map
     (``kron_apply``), never built.  The coordinates of the image in
     e (x) I_n are read off the pivot rows p*n + c of the canonical basis,
-    then checked exactly as (e (x) I_n) rho = image, again as a block map.
+    then checked exactly as (e (x) I_n) rho = image, again as a block map
+    (else ``AxiomError(name)``).  As e is injective and id (x) right is a
+    coaction, that equation implies counit and coassociativity of rho, so
+    the result is built without the ``Comodule`` axiom checks.
     """
     n = base.dim
     e = sub.basis
@@ -373,7 +373,10 @@ def _restricted_coaction(base: Coalgebra, left: int, right: Matrix,
     rho = big.take_rows([p * n + c for p in sub.pivots for c in range(n)])
     if kron_apply(e, n, rho) != big:
         raise AxiomError(name, "induced coaction does not restrict")
-    return Comodule(base, sub.dim, rho)
+    mod = Comodule.__new__(Comodule)
+    mod.base, mod.dim, mod.rho = base, sub.dim, rho
+    mod._rho_cols, mod._retraction = _column_dicts(rho), None
+    return mod
 
 
 def cotensor(v: Comodule, w: Comodule):
@@ -436,8 +439,7 @@ def _transposition(src: _Obj, tgt: _Obj) -> ComoduleMorphism:
     """sigma: A (x) B -> B (x) A from src = ct(a, b) to tgt = ct(b, a)."""
     a, b, ssub = src.parts
     _, _, tsub = tgt.parts
-    mat = tsub.coords(swap_matrix(a.module.field, a.module.dim,
-                                  b.module.dim) @ ssub.basis)
+    mat = tsub.coords(swap_rows(ssub.basis, 1, a.module.dim, b.module.dim, 1))
     if mat is None:
         raise AxiomError("braiding", "tau does not map between equalizers")
     return ComoduleMorphism(src.module, tgt.module, mat)
@@ -490,7 +492,7 @@ def _left_unitor(cv: _Obj):
     f, n = v.field, v.base.dim
     fwd = kron_apply(v.base.epsilon, v.dim, sub.basis)
     mor = ComoduleMorphism(cv.module, v, fwd)
-    back = sub.coords(swap_matrix(f, v.dim, n) @ v.rho)
+    back = sub.coords(swap_rows(v.rho, 1, v.dim, n, 1))
     if back is None or fwd @ back != Matrix.identity(f, v.dim) \
             or back @ fwd != Matrix.identity(f, cv.module.dim):
         raise AxiomError("left-unitor", "coaction fails to invert eps x id")

@@ -33,7 +33,7 @@ from ._backend import core
 from .fields import Field
 
 __all__ = ["ShapeError", "Matrix", "Subspace", "Chart", "kron_apply",
-           "swap_matrix"]
+           "swap_rows", "swap_matrix"]
 
 
 class ShapeError(ValueError):
@@ -366,13 +366,16 @@ def kron_apply(a, b, x: Matrix) -> Matrix:
     return Matrix(f, ra * rb, d, data)
 
 
+def swap_rows(x: Matrix, m: int, a: int, b: int, k: int) -> Matrix:
+    """(I_m (x) tau_{a,b} (x) I_k) @ x as a row permutation, tau the swap."""
+    return x.take_rows([((i * a + s) * b + t) * k + r for i in range(m)
+                        for t in range(b) for s in range(a)
+                        for r in range(k)])
+
+
 def swap_matrix(field: Field, m: int, n: int) -> Matrix:
     """Transposition V (x) W -> W (x) V for dims (m, n): e_i(x)e_j -> e_j(x)e_i."""
-    data = [0] * (m * n * m * n)
-    for i in range(m):
-        for j in range(n):
-            data[(j * m + i) * (m * n) + (i * n + j)] = 1
-    return Matrix(field, m * n, m * n, data)
+    return swap_rows(Matrix.identity(field, m * n), 1, m, n, 1)
 
 
 class Subspace:

@@ -2,11 +2,12 @@
 
 Scalars are stored as plain Python values so matrices stay lightweight:
 reduced ints in ``range(p)`` over F_p, and over the rationals a
-``Fraction``, except that ``Field.of`` stores an integral rational as an
-``int`` so parsed and generated data runs in int arithmetic.  Arithmetic
-may still yield an integral ``Fraction``; it compares and hashes equal to
-the same ``int``.  A ``Field`` instance carries the arithmetic;
-everything is exact, there is no rounding anywhere in the package.
+``Fraction``, except that ``Field.of``, ``div`` and ``inv`` return an
+integral rational as an ``int`` so parsed and generated data runs in int
+arithmetic.  Other arithmetic may still yield an integral ``Fraction``; it
+compares and hashes equal to the same ``int``.  A ``Field`` instance
+carries the arithmetic; everything is exact, there is no rounding anywhere
+in the package.
 """
 
 from __future__ import annotations
@@ -104,18 +105,14 @@ class Field:
         return (-a) % self.char if self.char else -a
 
     def inv(self, a):
-        if a == 0:
-            raise FieldError("division by zero")
-        if self.char:
-            return pow(a, -1, self.char)
-        return 1 / Fraction(a)
+        return self.div(1, a)
 
     def div(self, a, b):
         if b == 0:
             raise FieldError("division by zero")
         if self.char:
             return a * pow(b, -1, self.char) % self.char
-        return Fraction(a) / Fraction(b) if a else 0
+        return self.of(Fraction(a) / b)
 
     # -- identity -----------------------------------------------------
 

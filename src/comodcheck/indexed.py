@@ -6,12 +6,10 @@ phi^*(W) = W (x)_C U(phi), realized as the subspace of W (x) D cut by the
 equalizer condition, with coaction the restriction of id (x) delta_D.  The
 adjunction Sigma_phi -| phi^* is witnessed by the explicit transposes
 hat(f) = (f (x) id) rho  and  tilde(g) = (id (x) eps_D) g.
-``adjunction_certificate`` applies them to whole hom bases at once, as
-block maps on the vec'd maps: hat as I_W (x) R for a rearrangement R of
-rho_V, followed by one coordinate read in phi^* W, and tilde as
-rec (x) I_V.  It certifies the adjunction by exact equations: every
-transpose lies in its hom space (a canonical subspace of the cotensor
-kernel), and tilde(hat(L)) = L and hat(tilde(B)) = B on the hom bases.
+``adjunction_certificate`` applies them to the whole bases L and B of the
+two hom spaces (``comod.hom_space``) as block maps, and certifies the
+adjunction by exact equations: every transpose lies in its hom space, and
+tilde(hat(L)) = L and hat(tilde(B)) = B.
 
 For group-like bases phi^* also has a right adjoint "forall".  There a
 fiber's product of components is their sum, so forall_phi is Sigma_phi,
@@ -45,12 +43,12 @@ from .coalg import (CoalgebraMorphism, coseparability_form,
                     grouplike_labels, is_cosemisimple,
                     pullback as coalg_pullback)
 from .comod import (Comodule, ComoduleMorphism, _cotensor_kernel, _Obj,
-                    _restricted_coaction, _transposition, atom,
-                    coseparability_retraction, ct, dual_comodule,
-                    internal_hom, is_coflat, regular_comodule)
+                    _restricted_coaction, atom, coseparability_retraction,
+                    ct, hom_space, internal_hom, is_coflat,
+                    regular_comodule)
 from .errors import (AxiomError, BaseMismatchError, HypothesisViolatedError,
                      UnsupportedBaseError)
-from .exactlin import Chart, Matrix, kron_apply, swap_matrix
+from .exactlin import Chart, Matrix, kron_apply, swap_rows
 from .report import CheckReport, failure
 
 __all__ = [
@@ -256,11 +254,11 @@ def adjunction_certificate(phi: CoalgebraMorphism, v: Comodule,
                            w: Comodule) -> AdjunctionCertificate:
     """Verify Hom^C(Sigma_phi V, W) ~ Hom^D(V, phi^* W) via the transposes.
 
-    Sigma_phi V and phi^* W are built once, and the hom spaces are read as
-    canonical subspaces: L = W (x)_C (Sigma_phi V)^vee in W (x) V* and
-    B = phi^* W (x)_D V^vee in phi^* W (x) V*, whose columns are vec'd
-    maps.  hat and tilde act on whole bases as block maps
-    (``_batched_hat``, ``_batched_tilde``).  The certificate is exact:
+    Sigma_phi V and phi^* W are built once, and the bases L of
+    Hom(Sigma_phi V, W) and B of Hom(V, phi^* W) come from ``hom_space``,
+    whose columns are vec'd maps.  hat and tilde act on whole bases as
+    block maps (``_batched_hat``, ``_batched_tilde``).  The certificate is
+    exact:
 
     - hat(L) lies in B's space and tilde(B) in L's, so every transpose is a
       comodule morphism (else ``AxiomError("comodule-morphism")``); a hat
@@ -275,8 +273,8 @@ def adjunction_certificate(phi: CoalgebraMorphism, v: Comodule,
         raise BaseMismatchError("bases do not match phi")
     sv = sigma(phi, v)
     pw = pullback_functor(phi, w)
-    left = _cotensor_kernel(w, dual_comodule(sv))
-    right = _cotensor_kernel(pw[0], dual_comodule(v))
+    left = hom_space(sv, w)
+    right = hom_space(v, pw[0])
     r = _hat_factor(v)
     rec = _tilde_factor(phi, w, pw[1])
     hats = _batched_hat(r, w.dim, pw, left.basis)
@@ -483,8 +481,7 @@ def beck_maps(square: PullbackSquare, v: Comodule):
     side2_mod = sigma(square.delta, m2_mod)
     side2 = (side2_mod, m2_sub)
     # forward: v (x) d1 |-> sum v0 (x) (t after swap)(v1 (x) d1)
-    step = kron_apply(v.dim, swap_matrix(f, n2, n1),
-                      kron_apply(v.rho, n1, side1[1].basis))
+    step = swap_rows(kron_apply(v.rho, n1, side1[1].basis), v.dim, n2, n1, 1)
     chart = Chart.kron(Chart.identity(f, v.dim),
                        Chart.restrict(Chart.identity(f, n1 * n2),
                                       square.cotensor))
@@ -600,8 +597,8 @@ def frobenius_check(phi: CoalgebraMorphism, v: Comodule,
         return failure("frobenius", "phi map misses the target equalizer",
                        dims=dims)
     # backward: v (x) w -> v0 (x) w (x) v1
-    bwd_flat = kron_apply(v.dim, swap_matrix(f, nc, w.dim),
-                          kron_apply(v.rho, w.dim, rhs.chart.embedding))
+    bwd_flat = swap_rows(kron_apply(v.rho, w.dim, rhs.chart.embedding),
+                         v.dim, nc, w.dim, 1)
     bwd_mat = inner.chart.coords(bwd_flat)
     if bwd_mat is None:
         return failure("frobenius", "psi map misses the target equalizer",
@@ -628,6 +625,14 @@ def _apply_middle(m: int, b: Matrix, k: int, x: Matrix) -> Matrix:
     return Matrix(f, y.rows * k, x.cols, y.data)
 
 
+def _tensor_fwd(phi: CoalgebraMorphism, v_dim: int, w_dim: int,
+                x: Matrix) -> Matrix:
+    """v (x) w (x) c -> sum v (x) c1 (x) w (x) c2, flat, on x's columns."""
+    nc = phi.source.dim
+    return swap_rows(kron_apply(v_dim * w_dim, phi.source.delta, x),
+                     v_dim, w_dim, nc, nc)
+
+
 def _inverse_pair(fwd: ComoduleMorphism, bwd: ComoduleMorphism) -> bool:
     """fwd bwd = id and bwd fwd = id, exactly."""
     f = fwd.matrix.field
@@ -640,21 +645,15 @@ def _tensor_iso(phi: CoalgebraMorphism, v: Comodule, w: Comodule,
     """The mutually inverse maps phi^*(V (x) W) <-> phi^* V (x) phi^* W.
 
     ``lhs`` presents phi^*(V (x) W) in V x W x D and ``rhs`` presents
-    phi^* V (x) phi^* W in V x D x W x D.  Forward:
-    v (x) w (x) c -> sum v (x) c1 (x) w (x) c2; backward:
-    v (x) c (x) w (x) c~ -> v (x) w (x) eps(c) c~.  Returns the pair of
-    morphisms, None where a map misses its target.
+    phi^* V (x) phi^* W in V x D x W x D.  Forward: ``_tensor_fwd``;
+    backward: v (x) c (x) w (x) c~ -> v (x) w (x) eps(c) c~.  Returns the
+    pair of morphisms, None where a map misses its target.
     """
-    f = v.field
-    nc = phi.source.dim
-    # forward on the flat ambient V x W x C -> V x C x W x C
-    fwd_flat = _apply_middle(
-        v.dim, swap_matrix(f, w.dim, nc), nc,
-        kron_apply(v.dim * w.dim, phi.source.delta, lhs.chart.embedding))
-    fwd_mat = rhs.chart.coords(fwd_flat)
-    # backward on the flat ambient
+    fwd_mat = rhs.chart.coords(_tensor_fwd(phi, v.dim, w.dim,
+                                           lhs.chart.embedding))
     bwd_mat = lhs.chart.coords(_apply_middle(
-        v.dim, phi.source.epsilon, w.dim * nc, rhs.chart.embedding))
+        v.dim, phi.source.epsilon, w.dim * phi.source.dim,
+        rhs.chart.embedding))
     if fwd_mat is None or bwd_mat is None:
         return None, None
     return (ComoduleMorphism(lhs.module, rhs.module, fwd_mat),
@@ -664,8 +663,11 @@ def _tensor_iso(phi: CoalgebraMorphism, v: Comodule, w: Comodule,
 def ssmc_check(phi: CoalgebraMorphism, v: Comodule,
                w: Comodule) -> CheckReport:
     """Strong symmetric monoidal closure of phi^* between cosemisimple
-    coalgebras, checked exactly on explicit maps: tensor iso, unit iso,
-    braiding compatibility, and closedness, where the comparison
+    coalgebras, checked exactly on explicit maps: (i) tensor iso fwd, (ii)
+    unit iso, (iii) braiding, tau E fwd = F_{W,V} (tau (x) 1) E' for the
+    flat embeddings E of phi^* V (x) phi^* W and E' of phi^*(V (x) W) and
+    F = ``_tensor_fwd``, which is fwd_{W,V} phi^*(sigma) = sigma fwd as E
+    is injective, and (iv) closedness, where the comparison
     phi^*[V, W] -> [phi^* V, phi^* W] of Eilenberg and Kelly, for
     [V, W] = W (x)_C V^vee on any base, must be an invertible comodule
     morphism.  Closedness keeps the detail name ``closedness-dims`` (and
@@ -677,12 +679,11 @@ def ssmc_check(phi: CoalgebraMorphism, v: Comodule,
     f, nc = v.field, phi.source.dim
     details = []
     dims = {}
-    # phi^* V, phi^* W, phi^*(V (x) W) and (in (iii)) phi^*(W (x) V) are
-    # each built once and shared by the steps below
+    # phi^* V, phi^* W and phi^*(V (x) W) are each built once and shared
+    # by the steps below
     av, aw = atom(v), atom(w)
     vw = ct(av, aw)
-    p_vw_pair = pullback_functor(phi, vw.module)
-    p_vw = _pullback_obj(phi, vw, p_vw_pair)
+    p_vw = _pullback_obj(phi, vw, pullback_functor(phi, vw.module))
     pv = _pullback_obj(phi, av, pullback_functor(phi, v))
     pw = _pullback_obj(phi, aw, pullback_functor(phi, w))
     pv_pw = ct(pv, pw)
@@ -716,16 +717,12 @@ def ssmc_check(phi: CoalgebraMorphism, v: Comodule,
         return failure("ssmc", "unit comparison maps are not inverse",
                        dims=dims)
     details.append("unit-iso")
-    # (iii) braiding compatibility: the tensor isos intertwine the braidings
-    wv = ct(aw, av)
-    p_wv_pair = pullback_functor(phi, wv.module)
-    pw_pv = ct(pw, pv)
-    fwd_wv, _ = _tensor_iso(phi, w, v, _pullback_obj(phi, wv, p_wv_pair),
-                            pw_pv)
-    pull_br = pullback_map(phi, _transposition(vw, wv), src=p_vw_pair,
-                           tgt=p_wv_pair)
-    rhs_br = _transposition(pv_pw, pw_pv)
-    if fwd_wv.matrix @ pull_br.matrix != rhs_br.matrix @ fwd.matrix:
+    # (iii) braiding compatibility, on the flat ambient W x D x V x D
+    br_lhs = swap_rows(pv_pw.chart.embedding @ fwd.matrix, 1,
+                       v.dim * nc, w.dim * nc, 1)
+    br_rhs = _tensor_fwd(phi, w.dim, v.dim, swap_rows(
+        p_vw.chart.embedding, 1, v.dim, w.dim, nc))
+    if br_lhs != br_rhs:
         return failure("ssmc", "braiding is not preserved", dims=dims)
     details.append("braiding")
     # (iv) closedness: phi^*[V, W] -> [phi^* V, phi^* W] sends
@@ -738,8 +735,8 @@ def ssmc_check(phi: CoalgebraMorphism, v: Comodule,
     dims["pull_of_hom"] = p_hom.dim
     gamma = Matrix(f, nc, nc, coseparability_form(phi.source).data)
     pair = kron_apply(v.dim, gamma, pv.chart.embedding).transpose()
-    split = _apply_middle(w.dim, swap_matrix(f, v.dim, nc), nc, kron_apply(
-        hom_sub.basis, phi.source.delta, p_hom_sub.basis))
+    split = swap_rows(kron_apply(hom_sub.basis, phi.source.delta,
+                                 p_hom_sub.basis), w.dim, v.dim, nc, nc)
     chart = Chart.restrict(Chart.kron(pw.chart, Chart.identity(
         f, pv.module.dim)), hom_p_sub)
     cmp_mat = chart.coords(kron_apply(w.dim * nc, pair, split))

@@ -51,6 +51,17 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def hom_morphisms(v, w):
+    """The basis of ``hom_space(v, w)`` as comodule morphisms: column t of
+    the basis is the row-major vec of a w.dim x v.dim matrix.  Each
+    ``ComoduleMorphism`` re-checks its intertwining equation, a test-side
+    check independent of the kernel certificate."""
+    basis = hom_space(v, w).basis
+    return [ComoduleMorphism(v, w, Matrix(v.field, w.dim, v.dim,
+                                          basis.column(t).data))
+            for t in range(basis.cols)]
+
+
 def find_isomorphism(v, w, rng, tries=64):
     """An invertible comodule morphism V -> W, or None when none is found.
 
@@ -61,7 +72,7 @@ def find_isomorphism(v, w, rng, tries=64):
     """
     if v.base != w.base or v.dim != w.dim:
         return None
-    basis = hom_space(v, w)
+    basis = hom_morphisms(v, w)
     if not basis:
         return None if v.dim else ComoduleMorphism(v, w, Matrix.zeros(
             v.field, 0, 0))

@@ -226,7 +226,7 @@ def test_criterion_10_oracle_equivalence():
         base = random_grouplike(rng, F, max_labels=3)
         a = random_comodule(rng, base, max_dim=2, max_total=5)
         b = random_comodule(rng, base, max_dim=2, max_total=5)
-        if len(cm.hom_space(a, b)) != orc.graded_hom_dim(
+        if cm.hom_space(a, b).dim != orc.graded_hom_dim(
                 orc.to_graded(a), orc.to_graded(b)):
             disagreements += 1
         ih, _ = cm.internal_hom(a, b)

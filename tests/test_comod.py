@@ -14,7 +14,7 @@ from comodcheck.fields import GF, QQ
 from comodcheck.gen import random_comodule, random_invertible
 
 from conftest import (count_calls, find_isomorphism, gx_coalgebra,
-                      sqrt2_dual)
+                      hom_morphisms, sqrt2_dual)
 
 F = QQ
 
@@ -80,25 +80,21 @@ def test_axioms_accepted_in_a_changed_basis(field):
 
 def test_hom_contains_identity(g2):
     v = cm.graded_comodule(g2, [1, 2])
-    basis = cm.hom_space(v, v)
-    span = Matrix(F, v.dim * v.dim, len(basis),
-                  [b.matrix.data[i] for i in range(v.dim * v.dim)
-                   for b in basis])
     ident = Matrix(F, v.dim * v.dim, 1,
                    Matrix.identity(F, v.dim).data)
-    assert span.hstack(ident).rank() == span.rank()
+    assert cm.hom_space(v, v).coords(ident) is not None
 
 
 def test_hom_regular_dimension_two(g2):
     reg = cm.regular_comodule(g2)
-    assert len(cm.hom_space(reg, reg)) == 2
+    assert cm.hom_space(reg, reg).dim == 2
 
 
 def test_hom_over_trivial_base_all_maps():
     k = ca.trivial_coalgebra(F)
     v = cm.graded_comodule(k, [2])
     w = cm.graded_comodule(k, [3])
-    assert len(cm.hom_space(v, w)) == 6
+    assert cm.hom_space(v, w).dim == 6
 
 
 def hom_reference_pairs(field):
@@ -156,10 +152,8 @@ def test_hom_space_matches_sympy(field):
     for v, w in hom_reference_pairs(field):
         unknowns = v.dim * w.dim
         eqs = to_sympy(intertwiner_equations(v, w), unknowns)
-        basis = cm.hom_space(v, w)
+        basis = hom_morphisms(v, w)
         assert len(basis) == unknowns - eqs.rank()
-        for mor in basis:
-            cm.ComoduleMorphism(v, w, mor.matrix)
         if basis:
             vecs = to_sympy([m.matrix.data for m in basis], unknowns)
             assert vecs.rank() == len(basis)
@@ -176,21 +170,26 @@ def test_planted_non_morphism_is_outside_the_hom_span():
     rng = random.Random(4)
     k = sqrt2_dual()
     v, w = regular_sums(rng, k, 2, 2)
-    basis = cm.hom_space(v, w)
-    span = Subspace(F, w.dim * v.dim,
-                    Matrix(F, len(basis), w.dim * v.dim,
-                           [x for m in basis for x in m.matrix.data])
-                    .transpose())
+    span = cm.hom_space(v, w)
+    first = Matrix(F, w.dim, v.dim, span.basis.column(0).data)
     # a basis map plus a rank-one elementary matrix: the image of a
     # comodule map is a subcomodule, and K has no group-likes, hence no
     # one-dimensional comodule, so the elementary matrix is no morphism
-    planted = basis[0].matrix + Matrix(F, w.dim, v.dim,
-                                       [1] + [0] * (w.dim * v.dim - 1))
+    planted = first + Matrix(F, w.dim, v.dim,
+                             [1] + [0] * (w.dim * v.dim - 1))
     with pytest.raises(AxiomError):
         cm.ComoduleMorphism(v, w, planted)
     assert span.coords(Matrix(F, w.dim * v.dim, 1, planted.data)) is None
-    assert span.coords(Matrix(F, w.dim * v.dim, 1,
-                              basis[0].matrix.data)) is not None
+    assert span.coords(Matrix(F, w.dim * v.dim, 1, first.data)) is not None
+
+
+def test_hom_space_constructs_no_morphism(monkeypatch):
+    # A B = 0 in the kernel is the intertwining equation of every basis
+    # map, so hom_space checks no map again
+    inits = count_calls(monkeypatch, cm.ComoduleMorphism, "__init__")
+    dims = [cm.hom_space(v, w).dim for v, w in hom_reference_pairs(QQ)]
+    assert any(dims)
+    assert inits == []
 
 
 # -- cotensor ---------------------------------------------------------------------
@@ -226,6 +225,47 @@ def test_cotensor_with_regular_is_identity(g2):
         fwd, back = cm.right_unitor(v)
         assert (fwd @ back).matrix == Matrix.identity(F, v.dim)
         assert (back @ fwd).matrix == Matrix.identity(F, fwd.source.dim)
+
+
+def test_a_subspace_that_is_no_subcomodule_fails_the_restriction(
+        monkeypatch, g2):
+    # the line through e_0 + e_1 of graded {a: 1, b: 1} is no subcomodule:
+    # rho(e_0 + e_1) = e_0 (x) a + e_1 (x) b leaves it (x) C
+    v = cm.graded_comodule(g2, [1, 1])
+    line = Subspace(F, 2, Matrix(F, 2, 1, [1, 1]))
+    with pytest.raises(AxiomError) as exc:
+        cm._restricted_coaction(g2, 1, v.rho, line, "planted-coaction")
+    assert exc.value.axiom == "planted-coaction"
+    # the same line planted as the kernel of U (x)_C V inside U (x) V = V,
+    # for U = graded {a: 1, b: 0}
+    unit = cm.graded_comodule(g2, [1, 0])
+    monkeypatch.setattr(cm, "_cotensor_kernel", lambda a, b: line)
+    with pytest.raises(AxiomError) as exc:
+        cm.cotensor(unit, v)
+    assert exc.value.axiom == "cotensor-coaction"
+
+
+def test_check_cotensor_runs_no_axiom_check_in_restricted_coaction(
+        monkeypatch):
+    # the restriction equation implies both comodule axioms, so no
+    # restricted coaction goes through the Comodule constructor
+    inits = count_calls(monkeypatch, cm.Comodule, "__init__")
+    inside = []
+    real = cm._restricted_coaction
+
+    def restricted(*args):
+        before = len(inits)
+        out = real(*args)
+        inside.append(len(inits) - before)
+        return out
+
+    monkeypatch.setattr(cm, "_restricted_coaction", restricted)
+    doc = dsl.parse((resources.files("comodcheck") / "corpus"
+                     / "04_cotensor.cd").read_text())
+    reps = runner.run(doc)
+    assert reps and all(rep.passed for rep in reps)
+    assert inside and not any(inside)
+    assert inits
 
 
 def test_unitors_on_regular_agree(g2):
@@ -362,16 +402,16 @@ def test_internal_hom_adjunction_dimensions(g2):
         for _ in range(5):
             z, v, w = draw(), draw(), draw()
             zv, _ = cm.cotensor(z, v)
-            lhs = len(cm.hom_space(zv, w))
-            rhs = len(cm.hom_space(z, cm.internal_hom(v, w)[0]))
+            lhs = cm.hom_space(zv, w).dim
+            rhs = cm.hom_space(z, cm.internal_hom(v, w)[0]).dim
             assert lhs == rhs
 
 
 def test_internal_hom_adjunction_on_regular(g2):
     reg = cm.regular_comodule(g2)
     zv, _ = cm.cotensor(reg, reg)
-    assert len(cm.hom_space(zv, reg)) \
-        == len(cm.hom_space(reg, cm.internal_hom(reg, reg)[0]))
+    assert cm.hom_space(zv, reg).dim \
+        == cm.hom_space(reg, cm.internal_hom(reg, reg)[0]).dim
 
 
 def test_internal_hom_over_sqrt2():
@@ -381,7 +421,7 @@ def test_internal_hom_over_sqrt2():
     reg = cm.regular_comodule(k)
     ih, _ = cm.internal_hom(reg, reg)
     assert ih.dim == 2
-    assert len(cm.hom_space(reg, ih)) == 2
+    assert cm.hom_space(reg, ih).dim == 2
 
 
 # -- injectivity -----------------------------------------------------------------------

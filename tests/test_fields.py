@@ -59,6 +59,19 @@ def test_of_keeps_integral_rationals_as_ints():
     assert half == Fraction(1, 2) and type(half) is Fraction
 
 
+def test_div_and_inv_keep_integral_quotients_as_ints():
+    six = QQ.div(Fraction(9, 2), Fraction(3, 4))
+    assert six == 6 and type(six) is int
+    three = QQ.inv(Fraction(1, 3))
+    assert three == 3 and type(three) is int
+    assert type(QQ.inv(-1)) is int and type(QQ.div(0, 5)) is int
+    third = QQ.div(1, 3)
+    assert third == Fraction(1, 3) and type(third) is Fraction
+    assert GF(7).div(3, 5) == 2 and GF(7).inv(3) == 5
+    with pytest.raises(FieldError):
+        QQ.inv(0)
+
+
 def test_field_equality_and_repr():
     assert QQ == Field(0) and GF(5) == GF(5) and GF(5) != QQ
     assert repr(QQ) == "Q" and repr(GF(5)) == "GF(5)"

@@ -399,11 +399,11 @@ def test_hyperdoctrine_two_builds_u_once_per_morphism(monkeypatch):
 
 def test_hyperdoctrine_makes_no_hom_space_call(monkeypatch):
     # each condition-2 forall square is certified by its canonical mate
-    # indexed does not import hom_space, so comod's is the only one
-    assert not hasattr(ix, "hom_space")
-    calls = count_calls(monkeypatch, cm, "hom_space")
+    # indexed imports hom_space, so count the calls through both names
+    calls = [count_calls(monkeypatch, cm, "hom_space"),
+             count_calls(monkeypatch, ix, "hom_space")]
     run_hyperdoctrine_c1()
-    assert calls == []
+    assert calls == [[], []]
 
 
 def test_hyperdoctrine_two_certifies_coflatness_without_a_solve(monkeypatch):

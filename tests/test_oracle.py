@@ -110,7 +110,7 @@ def test_matrix_functors_agree_with_oracle(g2):
         t, _ = cm.cotensor(a, b)
         assert orc.to_graded(t) == orc.graded_cotensor(orc.to_graded(a),
                                                        orc.to_graded(b))
-        assert len(cm.hom_space(a, b)) \
+        assert cm.hom_space(a, b).dim \
             == orc.graded_hom_dim(orc.to_graded(a), orc.to_graded(b))
 
 
