@@ -4,7 +4,8 @@ Over a base with a coseparability form, ``comod._cotensor_kernel`` returns
 the image of e = (r_V (x) id)(id (x) tau rho_W), certified by r_V rho_V =
 id and A B = 0.  Each test compares it with the independent reference, the
 elimination ``_cotensor_matrix(v, w).kernel()``, or plants a fault that one
-of the two equations must catch.
+of the two equations must catch.  Without a form the kernel is that
+elimination, certified by the same A B = 0.
 """
 
 import random
