@@ -22,7 +22,8 @@ injectivity with an explicit retraction.
 from __future__ import annotations
 
 from .errors import AxiomError, BaseMismatchError, UnsupportedBaseError
-from .exactlin import Matrix, ShapeError, Subspace, kron_apply
+from .exactlin import (Matrix, ShapeError, Subspace, _column_dicts,
+                       kron_apply)
 from .fields import Field
 
 __all__ = [
@@ -34,16 +35,6 @@ __all__ = [
 
 # Value of ``Coalgebra._cosep`` until ``coseparability_form`` decides it.
 _UNDECIDED = object()
-
-
-def _column_dicts(m: Matrix):
-    """Sparse view: one {row: value} dict per column, in one data pass."""
-    cols = [dict() for _ in range(m.cols)]
-    c = m.cols
-    for idx, v in enumerate(m.data):
-        if v:
-            cols[idx % c][idx // c] = v
-    return cols
 
 
 def _add_into(acc: dict, key, value, p: int):

@@ -19,8 +19,17 @@ B on both paths (for a hom space, the intertwining equation of every basis
 map).  Injectivity is decided by a splitting: rho_V embeds V into the
 cofree comodule V (x) C, which is injective, so V is injective iff that
 embedding splits.  Over a base with gamma the splitting is r_V, checked by
-two exact products; otherwise a splitting is solved for in
+two exact equations; otherwise a splitting is solved for in
 Hom^C(V (x) C, V).  Coflatness agrees with injectivity at finite dimension.
+
+The certificates are evaluated column by column from nonzeros, in the
+sparse-column style of Gustavson (1978): A B = 0, the restriction
+equation (B (x) I_n) rho = (id (x) rho_W) B of a cotensor's coaction and
+the splitting equation of ``is_injective`` each build both sides of one
+column as {row: value} dicts from the column dicts of the factors
+(``_rho_cols``, ``_delta_cols``, ``Subspace.columns``) and compare them,
+reducing mod p.  The bases and coactions here are almost all zero, and
+none of the three multiplies two matrices.
 
 The internal hom is that cotensor on every base: [V, W] = W (x)_C V^vee,
 whose underlying space is Hom^C(V, W).
@@ -28,11 +37,11 @@ whose underlying space is Hom^C(V, W).
 
 from __future__ import annotations
 
-from .coalg import (Coalgebra, _add_into, _column_dicts,
-                    coseparability_form, grouplike_labels)
+from .coalg import (Coalgebra, _add_into, coseparability_form,
+                    grouplike_labels)
 from .errors import AxiomError, BaseMismatchError, UnsupportedBaseError
-from .exactlin import (Chart, Matrix, ShapeError, Subspace, kron_apply,
-                       swap_rows)
+from .exactlin import (Chart, Matrix, ShapeError, Subspace, _column_dicts,
+                       kron_apply, swap_rows)
 
 __all__ = [
     "Comodule", "ComoduleMorphism", "regular_comodule", "cofree_comodule",
@@ -253,11 +262,14 @@ def _cotensor_kernel(v: Comodule, w: Comodule) -> Subspace:
     - ker A in im e: r_V rho_V = id (checked when r_V is built), so for
       x in ker A, e x = (r_V (x) id)(rho_V (x) id) x = x;
     - im e in ker A: A B = 0 on the canonical basis B of im e
-      (``_annihilated``).
+      (``_annihilated``), evaluated column by column from the nonzeros of
+      B, rho_V and rho_W, with no product of matrices.
 
     A failure of either raises ``AxiomError("coseparability")``.  Without
     a coseparability form (N, for one) ker A is eliminated, and A B = 0
-    certifies its basis all the same (else "cotensor-kernel").
+    certifies its basis all the same (else "cotensor-kernel").  B's
+    columns are read once (``Subspace.columns``) and serve the restriction
+    equation of ``_restricted_coaction`` too.
     """
     r = coseparability_retraction(v)
     if r is None:
@@ -265,7 +277,7 @@ def _cotensor_kernel(v: Comodule, w: Comodule) -> Subspace:
     else:
         sub, axiom = Subspace(v.field, v.dim * w.dim, _cotensor_idempotent(
             r, v, w), _canonical=False), "coseparability"
-    if not _annihilated(v, w, sub.basis):
+    if not _annihilated(v, w, sub.columns):
         raise AxiomError(axiom, "A e != 0: a basis vector e of the kernel "
                          "maps outside the cotensor")
     return sub
@@ -292,37 +304,50 @@ def _cotensor_idempotent(r: Matrix, v: Comodule, w: Comodule) -> Matrix:
     return Matrix(f, size, size, data)
 
 
-def _annihilated(v: Comodule, w: Comodule, basis: Matrix) -> bool:
-    """A B = 0 for A of ``_cotensor_matrix``, as block maps, never building
-    A.  Column t of B is vec X_t for an m_V x m_W matrix X_t, and
-    A vec X_t = vec(rho_V X_t) - vec(X_t lambda_W^T), both indexed
-    (a*n + c)*m_W + k.  Two batched products give every t at once:
-    rho_V [X_1 | ... | X_d] and [X_1; ...; X_d] lambda_W^T."""
-    f, n = v.field, v.base.dim
-    mv, mw, d = v.dim, w.dim, basis.cols
-    if not d:
-        return True
-    size = mv * mw
-    bt = basis.transpose().data
-    xcat = []
-    for a in range(mv):
-        for t in range(d):
-            xcat += bt[t * size + a * mw:t * size + (a + 1) * mw]
-    lam_t = [0] * (mw * n * mw)
-    for j, col in enumerate(w._rho_cols):
-        for idx, y in col.items():
-            k, c = divmod(idx, n)
-            lam_t[j * n * mw + c * mw + k] = y
-    lhs = (v.rho @ Matrix(f, mv, d * mw, xcat)).data
-    rhs = (Matrix(f, d * mv, mw, bt) @ Matrix(f, mw, n * mw, lam_t)).data
-    block = mv * n * mw
-    for row in range(mv * n):
-        for t in range(d):
-            s = (row * d + t) * mw
-            u = t * block + row * mw
-            if lhs[s:s + mw] != rhs[u:u + mw]:
-                return False
+def _annihilated(v: Comodule, w: Comodule, columns) -> bool:
+    """A B = 0 for A of ``_cotensor_matrix``, column by column from the
+    nonzeros of B (``columns``), rho_V and rho_W, never building A.
+    Column t of B is vec X_t for an m_V x m_W matrix X_t, and A vec X_t =
+    vec(rho_V X_t) - vec(X_t lambda_W^T), both sides indexed
+    (a*n + c)*m_W + k: an entry X_t[a, j] = x adds x rho_V[a2*n + c, a]
+    to the left at (a2*n + c)*m_W + j and x rho_W[k*n + c, j] to the
+    right at (a*n + c)*m_W + k."""
+    n, mw, p = v.base.dim, w.dim, v.field.char
+    vcols = v._rho_cols
+    lam = [{(i % n) * mw + i // n: y for i, y in col.items()}
+           for col in w._rho_cols]
+    block = n * mw
+    for col in columns:
+        lhs, rhs = {}, {}
+        lget, rget = lhs.get, rhs.get
+        for row, x in col.items():
+            a, j = divmod(row, mw)
+            for i, y in vcols[a].items():
+                key = i * mw + j
+                cur = lget(key)
+                lhs[key] = x * y if cur is None else cur + x * y
+            off = a * block
+            for i, y in lam[j].items():
+                key = off + i
+                cur = rget(key)
+                rhs[key] = x * y if cur is None else cur + x * y
+        if not _same_vector(lhs, rhs, p):
+            return False
     return True
+
+
+def _same_vector(lhs: dict, rhs: dict, p: int) -> bool:
+    """Whether two {index: sum} accumulations are one vector over Q or F_p
+    (p = 0 for Q): equal as they stand, or once reduced mod p and rid of
+    zero sums.  The sides are summed apart, so over Q neither mixes in the
+    other's denominators."""
+    if lhs == rhs:
+        return True
+    if p:
+        return ({k: r for k, s in lhs.items() if (r := s % p)}
+                == {k: r for k, s in rhs.items() if (r := s % p)})
+    return ({k: s for k, s in lhs.items() if s}
+            == {k: s for k, s in rhs.items() if s})
 
 
 def dual_comodule(v: Comodule) -> Comodule:
@@ -354,28 +379,62 @@ def hom_space(v: Comodule, w: Comodule) -> Subspace:
     return _cotensor_kernel(w, dual_comodule(v))
 
 
-def _restricted_coaction(base: Coalgebra, left: int, right: Matrix,
-                         sub: Subspace, name: str) -> Comodule:
-    """The comodule on ``sub`` whose coaction restricts id_left (x) right,
-    for ``sub`` inside a left (x) M ambient and right: M -> M (x) C.
+def _restricted_coaction(base: Coalgebra, right_cols, sub: Subspace,
+                         name: str) -> Comodule:
+    """The comodule on ``sub`` whose coaction restricts id_L (x) right, for
+    ``sub`` inside an L (x) M ambient and right: M -> M (x) base given by
+    its column dicts (``w._rho_cols`` for a cotensor with W,
+    ``d._delta_cols`` for a pullback to D).
 
-    The ambient coaction is applied to the basis e as a block map
-    (``kron_apply``), never built.  The coordinates of the image in
-    e (x) I_n are read off the pivot rows p*n + c of the canonical basis,
-    then checked exactly as (e (x) I_n) rho = image, again as a block map
-    (else ``AxiomError(name)``).  As e is injective and id (x) right is a
-    coaction, that equation implies counit and coassociativity of rho, so
-    the result is built without the ``Comodule`` axiom checks.
+    It is evaluated column by column from the nonzeros of the canonical
+    basis B (``sub.columns``, read once with the kernel's A B = 0).  The
+    image (id (x) right) B_t is a {row: value} dict; its entries at the
+    pivot rows p*n + c of B, moved to the slots s*n + c of the s-th pivot,
+    are the coordinates rho_t, and (B (x) I_n) rho_t = image is checked
+    exactly (else ``AxiomError(name)``).  As B is injective and
+    id (x) right is a coaction, that equation implies counit and
+    coassociativity of rho, so the result is built without the
+    ``Comodule`` axiom checks, and the checked columns rho_t are its
+    ``_rho_cols``.
     """
-    n = base.dim
-    e = sub.basis
-    big = kron_apply(left, right, e)
-    rho = big.take_rows([p * n + c for p in sub.pivots for c in range(n)])
-    if kron_apply(e, n, rho) != big:
-        raise AxiomError(name, "induced coaction does not restrict")
+    n, mm, p = base.dim, len(right_cols), base.field.char
+    columns = sub.columns
+    slots = {piv * n + c: s * n + c for s, piv in enumerate(sub.pivots)
+             for c in range(n)}
+    rho_cols = []
+    for col in columns:
+        img = {}
+        get = img.get
+        for row, x in col.items():
+            j = row % mm
+            off = (row - j) * n
+            for i, y in right_cols[j].items():
+                key = off + i
+                cur = get(key)
+                img[key] = x * y if cur is None else cur + x * y
+        img = {k: r for k, s in img.items() if (r := s % p)} if p else \
+            {k: s for k, s in img.items() if s}
+        rho_t = {slots[k]: y for k, y in img.items() if k in slots}
+        back = {}
+        get = back.get
+        for sc, y in rho_t.items():
+            s, c = divmod(sc, n)
+            for row, x in columns[s].items():
+                key = row * n + c
+                cur = get(key)
+                back[key] = x * y if cur is None else cur + x * y
+        if not _same_vector(back, img, p):
+            raise AxiomError(name, "induced coaction does not restrict")
+        rho_cols.append(rho_t)
+    d = sub.dim
+    data = [0] * (d * n * d)
+    for t, col in enumerate(rho_cols):
+        for sc, y in col.items():
+            data[sc * d + t] = y
     mod = Comodule.__new__(Comodule)
-    mod.base, mod.dim, mod.rho = base, sub.dim, rho
-    mod._rho_cols, mod._retraction = _column_dicts(rho), None
+    mod.base, mod.dim = base, d
+    mod.rho = Matrix(base.field, d * n, d, data)
+    mod._rho_cols, mod._retraction = rho_cols, None
     return mod
 
 
@@ -389,7 +448,7 @@ def cotensor(v: Comodule, w: Comodule):
     if v.base != w.base:
         raise BaseMismatchError("cotensor needs a common base")
     sub = _cotensor_kernel(v, w)
-    return _restricted_coaction(v.base, v.dim, w.rho, sub,
+    return _restricted_coaction(v.base, w._rho_cols, sub,
                                 "cotensor-coaction"), sub
 
 
@@ -513,9 +572,12 @@ def coherence(u: Comodule, v: Comodule, w: Comodule, x: Comodule):
     """The structural isomorphisms and coherence diagrams of the cotensor.
 
     Certifies, in this order: the associator, unitors and braiding for
-    (u, v, w) are invertible and the unitors' inverse pairs are exact; the
-    pentagon on (u, v, w, x); the triangle on (u, v); the braiding
-    involution, rho = lambda sigma and the hexagon on (u, v, w).  A table
+    (u, v, w) are invertible; the pentagon on (u, v, w, x); the triangle
+    on (u, v); the braiding involution, rho = lambda sigma and the hexagon
+    on (u, v, w).  The associator and the braiding are eliminated once
+    each; a unitor is invertible because ``_left_unitor`` and
+    ``_right_unitor`` check its exact inverse pair, fwd back = id and
+    back fwd = id, so it is not eliminated again.  A table
     local to the call makes one atom per distinct comodule object and one
     ``ct`` per distinct (left, right) pair, which every map on that
     presentation shares.  Returns (isomorphisms, failing) where failing
@@ -547,13 +609,12 @@ def coherence(u: Comodule, v: Comodule, w: Comodule, x: Comodule):
     alpha_abc, sigma_ab = alpha(a, b, c), sigma(a, b)
     lam, lam_inv = _left_unitor(t(i, a))
     rho, rho_inv = _right_unitor(t(a, i))
-    isos = {"associator": alpha_abc, "left_unitor": lam,
-            "right_unitor": rho, "braiding": sigma_ab}
-    for name, mor in isos.items():
+    for name, mor in (("associator", alpha_abc), ("braiding", sigma_ab)):
         if not mor.is_isomorphism():
             raise AxiomError(name, "structural morphism is not invertible")
-    isos["left_unitor_inv"] = lam_inv
-    isos["right_unitor_inv"] = rho_inv
+    isos = {"associator": alpha_abc, "left_unitor": lam,
+            "right_unitor": rho, "braiding": sigma_ab,
+            "left_unitor_inv": lam_inv, "right_unitor_inv": rho_inv}
     # pentagon: (alpha x 1) alpha (1 x alpha) = alpha alpha
     bc, ab = t(b, c), t(a, b)
     e1 = tensor_morphism(u.identity_morphism(), alpha(b, c, d),
@@ -628,11 +689,11 @@ def is_injective(v: Comodule) -> bool:
     When the base has a coseparability form, the retraction r of
     ``coseparability_retraction`` is a splitting, certified by two exact
     equations: r rho_V = id (checked when r is built) and
-    (r (x) id)(id_V (x) delta) = rho_V r.  The left side is the idempotent
-    (r (x) id)(id_V (x) tau rho_C) of ``_cotensor_idempotent`` for the
-    regular comodule C, as tau delta = delta (the base is cocommutative),
-    so it is assembled from the nonzeros of r and delta without building
-    either Kronecker product.
+    (r (x) id)(id_V (x) delta) = rho_V r.  The second is compared column
+    by column from the nonzeros of r, delta and rho_V: column a*n + j of
+    the left side is sum_{k, c} delta[k*n + c, j] r(e_a (x) c) (x) e_k,
+    and of the right side rho_V applied to column a*n + j of r.  Neither
+    side is built as an (m*n) x (m*n) matrix.
     Either failing is an internal fault and raises ``AxiomError``.
     Without a coseparability form (N, for one) a splitting s is solved for
     exactly: the cotensor equations of Hom^C(V (x) C, V) together with
@@ -650,10 +711,28 @@ def is_injective(v: Comodule) -> bool:
         rhs = Matrix.zeros(v.field, system.rows - m * m, 1).vstack(
             Matrix(v.field, m * m, 1, ident_v.data))
         return system.solve_right(rhs) is not None
-    if _cotensor_idempotent(r, v, regular_comodule(v.base)) != v.rho @ r:
-        raise AxiomError("coseparability",
-                         "(r x id)(id x delta) != rho r: r is not a "
-                         "comodule map")
+    n, p = v.base.dim, v.field.char
+    rcols = _column_dicts(r)
+    dcols = v.base._delta_cols
+    vcols = v._rho_cols
+    for a in range(v.dim):
+        for j in range(n):
+            lhs, rhs = {}, {}
+            lget, rget = lhs.get, rhs.get
+            for i, y in dcols[j].items():
+                k, c = divmod(i, n)
+                for a2, x in rcols[a * n + c].items():
+                    key = a2 * n + k
+                    cur = lget(key)
+                    lhs[key] = x * y if cur is None else cur + x * y
+            for a2, x in rcols[a * n + j].items():
+                for key, y in vcols[a2].items():
+                    cur = rget(key)
+                    rhs[key] = x * y if cur is None else cur + x * y
+            if not _same_vector(lhs, rhs, p):
+                raise AxiomError("coseparability",
+                                 "(r x id)(id x delta) != rho r: r is not "
+                                 "a comodule map")
     return True
 
 

@@ -318,6 +318,16 @@ class Matrix:
         return Matrix(self.field, ra * rb, ca * cb, data)
 
 
+def _column_dicts(m: Matrix):
+    """Sparse view: one {row: value} dict per column, in one data pass."""
+    cols = [dict() for _ in range(m.cols)]
+    c = m.cols
+    for idx, v in enumerate(m.data):
+        if v:
+            cols[idx % c][idx // c] = v
+    return cols
+
+
 def _mul(field: Field, a, b, m, k, n):
     """Flat product of an m x k and a k x n flat list, by the kernels."""
     if field.char:
@@ -384,9 +394,10 @@ class Subspace:
     The basis is the unique one whose transpose is in reduced row echelon
     form, so equal subspaces have equal bases and the pivot coordinates of
     any member vector are literally its coordinates in the basis.
+    ``columns`` is the basis read once into its nonzeros, on first use.
     """
 
-    __slots__ = ("field", "ambient", "basis", "pivots")
+    __slots__ = ("field", "ambient", "basis", "pivots", "_columns")
 
     def __init__(self, field: Field, ambient: int, basis: Matrix,
                  _canonical: bool = True):
@@ -401,6 +412,7 @@ class Subspace:
         self.ambient = ambient
         self.basis = rows.transpose()
         self.pivots = pivots
+        self._columns = None
 
     @classmethod
     def full(cls, field: Field, ambient: int) -> "Subspace":
@@ -409,6 +421,13 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.cols
+
+    @property
+    def columns(self):
+        """The basis as one {row: value} dict per column."""
+        if self._columns is None:
+            self._columns = _column_dicts(self.basis)
+        return self._columns
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and other.field == self.field

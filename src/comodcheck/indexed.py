@@ -101,7 +101,7 @@ def pullback_functor(phi: CoalgebraMorphism, w: Comodule):
         raise BaseMismatchError("comodule is not based on the target of phi")
     d = phi.source
     sub = _cotensor_kernel(w, coaction_comodule(phi))
-    return _restricted_coaction(d, w.dim, d.delta, sub,
+    return _restricted_coaction(d, d._delta_cols, sub,
                                 "pullback-coaction"), sub
 
 

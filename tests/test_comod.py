@@ -234,7 +234,7 @@ def test_a_subspace_that_is_no_subcomodule_fails_the_restriction(
     v = cm.graded_comodule(g2, [1, 1])
     line = Subspace(F, 2, Matrix(F, 2, 1, [1, 1]))
     with pytest.raises(AxiomError) as exc:
-        cm._restricted_coaction(g2, 1, v.rho, line, "planted-coaction")
+        cm._restricted_coaction(g2, v._rho_cols, line, "planted-coaction")
     assert exc.value.axiom == "planted-coaction"
     # the same line planted as the kernel of U (x)_C V inside U (x) V = V,
     # for U = graded {a: 1, b: 0}
@@ -357,6 +357,49 @@ def test_coherence_names_the_failing_diagram(monkeypatch, g2, failing,
     v = cm.graded_comodule(g2, [1, 2])
     w = cm.graded_comodule(g2, [2, 1])
     assert cm.coherence(v, w, w, v)[1] == failing
+
+
+UNITOR_DOC = ("field Q\ncoalg C = grouplike {a, b}\n"
+              "comod V over C {graded {a: 1, b: 2}}\n"
+              "comod W over C {graded {a: 2, b: 1}}\n"
+              "check cotensor V W\n")
+
+
+@pytest.mark.parametrize("name, axiom", [("_left_unitor", "left-unitor"),
+                                         ("_right_unitor", "right-unitor")])
+def test_a_unitor_with_a_broken_inverse_pair_fails(monkeypatch, g2, name,
+                                                   axiom):
+    # coherence eliminates no unitor: the exact inverse pair fwd back = id,
+    # back fwd = id proves it invertible.  A zero forward map still
+    # intertwines the coactions, so only that pair catches it
+    real = cm.kron_apply
+
+    def planted(a, b, x):
+        out = real(a, b, x)
+        factor = a if name == "_left_unitor" else b
+        if isinstance(factor, Matrix) and factor == g2.epsilon:
+            return Matrix.zeros(out.field, out.rows, out.cols)
+        return out
+
+    monkeypatch.setattr(cm, "kron_apply", planted)
+    v = cm.graded_comodule(g2, [1, 2])
+    w = cm.graded_comodule(g2, [2, 1])
+    with pytest.raises(AxiomError) as exc:
+        cm.coherence(v, w, w, v)
+    assert exc.value.axiom == axiom
+    rep = runner.run(dsl.parse(UNITOR_DOC))[0]
+    assert rep.verdict == "fail"
+    assert rep.witness["equation"].startswith(f"{axiom}: ")
+
+
+def test_coherence_eliminates_only_the_associator_and_braiding(
+        monkeypatch, g2):
+    calls = count_calls(monkeypatch, cm.ComoduleMorphism, "is_isomorphism")
+    v = cm.graded_comodule(g2, [1, 2])
+    w = cm.graded_comodule(g2, [2, 1])
+    isos, failing = cm.coherence(v, w, w, v)
+    assert failing is None
+    assert [mor for mor, in calls] == [isos["associator"], isos["braiding"]]
 
 
 def test_coherence_over_fp():

@@ -1,4 +1,5 @@
-"""The cotensor kernel read off the coseparability idempotent.
+"""The cotensor kernel read off the coseparability idempotent, and its
+certificates evaluated from nonzeros.
 
 Over a base with a coseparability form, ``comod._cotensor_kernel`` returns
 the image of e = (r_V (x) id)(id (x) tau rho_W), certified by r_V rho_V =
@@ -6,9 +7,16 @@ id and A B = 0.  Each test compares it with the independent reference, the
 elimination ``_cotensor_matrix(v, w).kernel()``, or plants a fault that one
 of the two equations must catch.  Without a form the kernel is that
 elimination, certified by the same A B = 0.
+
+``_annihilated`` (A B = 0) and ``_restricted_coaction`` evaluate their
+equations column by column from the nonzeros of B and of the coactions.
+The batched block-map products they replaced are kept below as references
+(``batched_annihilated``, ``batched_restriction``), and the differential
+tests compare the two on true and on corrupted bases.
 """
 
 import random
+from importlib import resources
 
 import pytest
 
@@ -16,9 +24,10 @@ from comodcheck import _core_py as core
 from comodcheck import coalg as ca
 from comodcheck import comod as cm
 from comodcheck import dsl, runner
+from comodcheck import exactlin as el
 from comodcheck import indexed as ix
 from comodcheck.errors import AxiomError
-from comodcheck.exactlin import Matrix
+from comodcheck.exactlin import Matrix, Subspace, _column_dicts, kron_apply
 from comodcheck.fields import GF, QQ
 from comodcheck.gen import (random_coalgebra, random_comodule,
                             random_invertible, random_setmap_morphism)
@@ -110,6 +119,129 @@ def test_pullbacks_match_the_reference(field):
                                           ix.coaction_comodule(phi2)))
         assert apex == ref_apex
         assert (u.matrix, v.matrix) == (ref_u.matrix, ref_v.matrix)
+
+
+# -- certificates from nonzeros against the batched products ------------------------
+
+def batched_annihilated(v, w, basis):
+    """A B = 0 by two batched products: column t of B is vec X_t, and
+    rho_V [X_1 | ... | X_d] is compared with [X_1; ...; X_d] lambda_W^T,
+    both indexed (a*n + c)*m_W + k."""
+    f, n = v.field, v.base.dim
+    mv, mw, d = v.dim, w.dim, basis.cols
+    if not d:
+        return True
+    size = mv * mw
+    bt = basis.transpose().data
+    xcat = []
+    for a in range(mv):
+        for t in range(d):
+            xcat += bt[t * size + a * mw:t * size + (a + 1) * mw]
+    lam_t = [0] * (mw * n * mw)
+    for j, col in enumerate(w._rho_cols):
+        for idx, y in col.items():
+            k, c = divmod(idx, n)
+            lam_t[j * n * mw + c * mw + k] = y
+    lhs = (v.rho @ Matrix(f, mv, d * mw, xcat)).data
+    rhs = (Matrix(f, d * mv, mw, bt) @ Matrix(f, mw, n * mw, lam_t)).data
+    block = mv * n * mw
+    return all(lhs[(row * d + t) * mw:(row * d + t + 1) * mw]
+               == rhs[t * block + row * mw:t * block + (row + 1) * mw]
+               for row in range(mv * n) for t in range(d))
+
+
+def batched_restriction(n, left, right, sub):
+    """The coaction on ``sub`` restricting id_left (x) right, by block
+    maps: the image of the basis e read at its pivot rows, or None when
+    (e (x) I_n) rho differs from that image."""
+    e = sub.basis
+    big = kron_apply(left, right, e)
+    rho = big.take_rows([p * n + c for p in sub.pivots for c in range(n)])
+    return rho if kron_apply(e, n, rho) == big else None
+
+
+def corrupted(rng, basis):
+    """The basis with one entry moved by one, and with one unit vector
+    appended: inputs on which both evaluations must fail alike."""
+    f, rows, cols = basis.field, basis.rows, basis.cols
+    data = list(basis.data)
+    if data:
+        i = rng.randrange(len(data))
+        data[i] = f.add(data[i], 1)
+    unit = Matrix(f, rows, 1, [int(i == rng.randrange(rows))
+                               for i in range(rows)])
+    return [Matrix(f, rows, cols, data), basis.hstack(unit)]
+
+
+def assert_certificates_agree(rng, v, w, base, right):
+    """``_annihilated`` and ``_restricted_coaction`` on the kernel of A and
+    on corrupted bases, against the batched references.  The coaction
+    restricts id_V (x) right for right: W -> W (x) base, the coaction of W
+    for a cotensor and delta of the source for a pullback."""
+    sub = reference(v, w)
+    assert batched_annihilated(v, w, sub.basis)
+    assert cm._annihilated(v, w, sub.columns)
+    right_cols = _column_dicts(right)
+    for basis in [sub.basis] + corrupted(rng, sub.basis):
+        assert cm._annihilated(v, w, _column_dicts(basis)) \
+            == batched_annihilated(v, w, basis)
+        planted = Subspace(v.field, sub.ambient, basis, _canonical=False)
+        want = batched_restriction(base.dim, v.dim, right, planted)
+        if want is None:
+            with pytest.raises(AxiomError) as exc:
+                cm._restricted_coaction(base, right_cols, planted, "planted")
+            assert exc.value.axiom == "planted"
+        else:
+            mod = cm._restricted_coaction(base, right_cols, planted,
+                                          "planted")
+            assert mod.rho == want
+            assert mod._rho_cols == _column_dicts(want)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_certificates_agree_on_graded_and_conjugated_pairs(field):
+    rng = random.Random(f"certificates graded {field.char}")
+    for v, w in graded_pairs(rng, field, 8):
+        assert_certificates_agree(rng, v, w, v.base, w.rho)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_certificates_agree_on_regular_sums_over_k_and_n(field):
+    # N has no coseparability form: its kernels take the elimination path
+    rng = random.Random(f"certificates regular {field.char}")
+    for base in (sqrt2_dual(field), gx_coalgebra(field)):
+        comods = regular_sums(rng, base)
+        for v in comods[::2]:
+            for w in comods[1::2]:
+                assert_certificates_agree(rng, v, w, base, w.rho)
+                assert_certificates_agree(rng, w, v, base, v.rho)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_certificates_agree_on_hom_spaces(field):
+    rng = random.Random(f"certificates hom {field.char}")
+    pairs = graded_pairs(rng, field, 4)
+    regular = regular_sums(rng, gx_coalgebra(field))
+    pairs += [(v, w) for v in regular for w in regular[1:3]]
+    for v, w in pairs:
+        dual = cm.dual_comodule(v)
+        assert_certificates_agree(rng, w, dual, w.base, dual.rho)
+        assert cm.hom_space(v, w) == reference(w, dual)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_certificates_agree_on_pullbacks(field):
+    rng = random.Random(f"certificates pullback {field.char}")
+    for _ in range(4):
+        target = random_coalgebra(rng, field, max_labels=3)
+        source = random_coalgebra(rng, field, max_labels=3)
+        phi = random_setmap_morphism(rng, source, target)
+        w = random_comodule(rng, target, max_dim=2, conjugated=True)
+        u = ix.coaction_comodule(phi)
+        assert_certificates_agree(rng, w, u, source, source.delta)
+        mod, sub = ix.pullback_functor(phi, w)
+        assert mod.rho == batched_restriction(source.dim, w.dim,
+                                              source.delta, sub)
 
 
 # -- planted faults ----------------------------------------------------------------
@@ -247,3 +379,54 @@ def test_injective_over_a_base_without_a_form_builds_the_matrix(monkeypatch):
     reps = runner.run(doc)
     assert [(rep.verdict, rep.value) for rep in reps] == [("pass", True)]
     assert len(matrices) == 1
+
+
+CERTIFIED = {"_annihilated", "_restricted_coaction"}
+
+
+@pytest.mark.parametrize("doc, certificates", [
+    ("04_cotensor", CERTIFIED),
+    ("hyperdoctrine C 2", CERTIFIED | {"is_injective"})],
+    ids=["04_cotensor", "hyperdoctrine-C-2"])
+def test_certificates_make_no_dense_product(monkeypatch, doc, certificates):
+    # A B = 0, the restriction equation and is_injective's comparison are
+    # evaluated from nonzeros; a dense product inside any of them fails.
+    # r rho = id, checked when the retraction is built, is not among them
+    inside, products = [], []
+    entered = set()
+
+    def watch(name, modules):
+        real = getattr(cm, name)
+
+        def wrapper(*args):
+            inside.append(name)
+            entered.add(name)
+            try:
+                return real(*args)
+            finally:
+                inside.pop()
+
+        for module in modules:
+            monkeypatch.setattr(module, name, wrapper)
+
+    watch("_annihilated", [cm])
+    watch("_restricted_coaction", [cm, ix])
+    watch("is_injective", [cm])
+    watch("coseparability_retraction", [cm])
+    real_mul = el._mul
+
+    def mul(*args):
+        if inside and inside[-1] != "coseparability_retraction":
+            products.append(inside[-1])
+        return real_mul(*args)
+
+    monkeypatch.setattr(el, "_mul", mul)
+    if doc == "04_cotensor":
+        text = (resources.files("comodcheck") / "corpus"
+                / "04_cotensor.cd").read_text()
+    else:
+        text = "field Q\ncoalg C = grouplike {a, b}\ncheck hyperdoctrine C 2\n"
+    reps = runner.run(dsl.parse(text))
+    assert reps and all(rep.passed for rep in reps)
+    assert certificates <= entered
+    assert products == []
