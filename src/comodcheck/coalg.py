@@ -6,6 +6,8 @@ the fixed tensor basis, and ``epsilon`` is the 1 x n counit row.  All
 defining axioms (coassociativity, counit laws, cocommutativity) are
 checked exactly at construction and violations raise ``AxiomError`` naming
 the broken law; everything downstream may therefore assume valid data.
+Cocommutativity is a permutation test on the nonzeros of delta; the other
+laws, and a morphism's, go through ``exactlin._kron_cols``.
 
 The category operations implemented here follow the classical recipe: the
 product of cocommutative coalgebras lives on the tensor product with
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from .errors import AxiomError, BaseMismatchError, UnsupportedBaseError
 from .exactlin import (Matrix, ShapeError, Subspace, _column_dicts,
-                       kron_apply)
+                       _difference, _kron_cols, kron_apply)
 from .fields import Field
 
 __all__ = [
@@ -37,34 +39,19 @@ __all__ = [
 _UNDECIDED = object()
 
 
-def _add_into(acc: dict, key, value, p: int):
-    """Add a nonzero ``value`` at ``key``, reducing mod ``p`` when ``p`` is
-    nonzero and dropping zero sums, so equal maps give equal dicts."""
-    cur = acc.get(key)
-    if cur is None:
-        acc[key] = value
-    else:
-        cur = cur + value
-        if p:
-            cur %= p
-        if cur:
-            acc[key] = cur
-        else:
-            del acc[key]
-
-
 class Coalgebra:
     """Cocommutative coalgebra given by exact structure constants.
 
-    The defining axioms are verified sparsely at construction (structure
-    matrices of the coalgebras arising here are overwhelmingly zero, and
-    the dense triple products would be cubic in the dimension).
+    The defining axioms are verified from nonzeros at construction
+    (structure matrices of the coalgebras arising here are overwhelmingly
+    zero, and the dense triple products would be cubic in the dimension),
+    from ``_delta_cols`` and ``_eps_cols``, which later certificates read.
     ``_cosep`` holds the coseparability form once ``coseparability_form``
     has decided it, so each coalgebra object computes it at most once.
     """
 
     __slots__ = ("field", "dim", "delta", "epsilon", "labels",
-                 "_delta_cols", "_cosep")
+                 "_delta_cols", "_eps_cols", "_cosep")
 
     def __init__(self, field: Field, dim: int, delta: Matrix,
                  epsilon: Matrix, labels=None):
@@ -76,53 +63,35 @@ class Coalgebra:
         if labels is not None and len(labels) != n:
             raise ShapeError("label count must match the dimension")
         dcols = _column_dicts(delta)
-        eps = epsilon.data
+        ecols = _column_dicts(epsilon)
         p = field.char
-        for j in range(n):
-            col = dcols[j]
-            # cocommutativity: the column is symmetric under (a,b) -> (b,a)
+        # cocommutativity: each column is symmetric under (a,b) -> (b,a)
+        for j, col in enumerate(dcols):
             for idx, v in col.items():
                 a, b = divmod(idx, n)
                 if col.get(b * n + a) != v:
                     raise AxiomError("cocommutativity",
-                                     "tau delta != delta", witness=(idx, j))
-            # counit: (eps x id) delta = id = (id x eps) delta
-            left = {}
-            right = {}
-            for idx, v in col.items():
-                a, b = divmod(idx, n)
-                if eps[a]:
-                    _add_into(left, b, field.mul(eps[a], v), p)
-                if eps[b]:
-                    _add_into(right, a, field.mul(v, eps[b]), p)
-            if left != {j: field.one} or right != {j: field.one}:
-                raise AxiomError(
-                    "counit",
-                    "(eps x id) delta != id or (id x eps) delta != id",
-                    witness=(j, j))
-            # coassociativity: (delta x id) delta = (id x delta) delta
-            lhs = {}
-            rhs = {}
-            for idx, v in col.items():
-                a, b = divmod(idx, n)
-                for idx2, v2 in dcols[a].items():
-                    x, y = divmod(idx2, n)
-                    _add_into(lhs, (x, y, b), field.mul(v2, v), p)
-                for idx2, v2 in dcols[b].items():
-                    x, y = divmod(idx2, n)
-                    _add_into(rhs, (a, x, y), field.mul(v, v2), p)
-            if lhs != rhs:
-                key = min(set(lhs) ^ set(rhs)
-                          | {k for k in lhs if rhs.get(k) != lhs[k]})
-                raise AxiomError("coassociativity",
-                                 "(delta x id) delta != (id x delta) delta",
-                                 witness=(key, j))
+                                     "tau delta != delta", witness=(j, idx))
+        ident = [{j: 1} for j in range(n)]
+        bad = (_difference(_kron_cols(ecols, n, n, dcols), ident, p)
+               or _difference(_kron_cols(n, ecols, 1, dcols), ident, p))
+        if bad:
+            raise AxiomError(
+                "counit", "(eps x id) delta != id or (id x eps) delta != id",
+                witness=bad)
+        bad = _difference(_kron_cols(dcols, n, n, dcols),
+                          _kron_cols(n, dcols, n * n, dcols), p)
+        if bad:
+            raise AxiomError("coassociativity",
+                             "(delta x id) delta != (id x delta) delta",
+                             witness=bad)
         self.field = field
         self.dim = n
         self.delta = delta
         self.epsilon = epsilon
         self.labels = tuple(labels) if labels is not None else None
         self._delta_cols = dcols
+        self._eps_cols = ecols
         self._cosep = _UNDECIDED
 
     def is_grouplike(self) -> bool:
@@ -150,7 +119,8 @@ class Coalgebra:
 
 
 class CoalgebraMorphism:
-    """Linear map preserving comultiplication and counit.
+    """Linear map preserving comultiplication and counit, verified from
+    nonzeros.
 
     ``u_coflat`` holds whether U(phi) is coflat: None until
     ``indexed.forall`` first decides it, so each morphism object decides
@@ -166,33 +136,20 @@ class CoalgebraMorphism:
         if matrix.rows != target.dim or matrix.cols != source.dim:
             raise ShapeError(
                 f"matrix must be {target.dim}x{source.dim}")
-        field = source.field
-        p = field.char
-        nt = target.dim
+        p = source.field.char
         fcols = _column_dicts(matrix)
-        tcols = target._delta_cols
-        scols = source._delta_cols
-        for j in range(source.dim):
-            lhs = {}
-            for r, v in fcols[j].items():
-                for idx, v2 in tcols[r].items():
-                    _add_into(lhs, idx, field.mul(v2, v), p)
-            rhs = {}
-            for idx, v in scols[j].items():
-                a, b = divmod(idx, source.dim)
-                for x, va in fcols[a].items():
-                    coef = field.mul(va, v)
-                    for y, vb in fcols[b].items():
-                        _add_into(rhs, x * nt + y, field.mul(coef, vb), p)
-            if lhs != rhs:
-                key = min(set(lhs) ^ set(rhs)
-                          | {k for k in lhs if rhs.get(k) != lhs[k]})
-                raise AxiomError("comultiplication-preservation",
-                                 "delta_target f != (f x f) delta_source",
-                                 witness=(key, j))
-        if target.epsilon @ matrix != source.epsilon:
+        bad = _difference(_kron_cols(target._delta_cols, 1, 1, fcols),
+                          _kron_cols(fcols, fcols, target.dim,
+                                     source._delta_cols), p)
+        if bad:
+            raise AxiomError("comultiplication-preservation",
+                             "delta_target f != (f x f) delta_source",
+                             witness=bad)
+        bad = _difference(_kron_cols(target._eps_cols, 1, 1, fcols),
+                          source._eps_cols, p)
+        if bad:
             raise AxiomError("counit-preservation",
-                             "eps_target f != eps_source")
+                             "eps_target f != eps_source", witness=bad)
         self.source = source
         self.target = target
         self.matrix = matrix

@@ -1,7 +1,8 @@
 """Comodules over a fixed cocommutative coalgebra.
 
 A comodule is a coaction matrix rho: V -> V (x) C satisfying the counit
-and coassociativity laws, both checked at construction.  The monoidal
+and coassociativity laws, both checked at construction, and a morphism
+intertwines two coactions, checked likewise.  The monoidal
 product is the cotensor V (x)_C W: the kernel of the two natural maps
 V (x) W -> V (x) C (x) W, carrying the coaction induced by restricting
 id_V (x) rho_W.  ``coherence`` computes its structural isomorphisms
@@ -22,14 +23,13 @@ embedding splits.  Over a base with gamma the splitting is r_V, checked by
 two exact equations; otherwise a splitting is solved for in
 Hom^C(V (x) C, V).  Coflatness agrees with injectivity at finite dimension.
 
-The certificates are evaluated column by column from nonzeros, in the
-sparse-column style of Gustavson (1978): A B = 0, the restriction
-equation (B (x) I_n) rho = (id (x) rho_W) B of a cotensor's coaction and
-the splitting equation of ``is_injective`` each build both sides of one
-column as {row: value} dicts from the column dicts of the factors
-(``_rho_cols``, ``_delta_cols``, ``Subspace.columns``) and compare them,
-reducing mod p.  The bases and coactions here are almost all zero, and
-none of the three multiplies two matrices.
+Every certificate here (the comodule and morphism laws, A B = 0, the
+restriction equation (B (x) I_n) rho = (id (x) rho_W) B of a cotensor's
+coaction, r rho = id and the splitting equation of ``is_injective``) is
+evaluated by ``exactlin._kron_cols`` from the column dicts of its factors
+(``_rho_cols``, ``_delta_cols``, ``Subspace.columns``), in the
+sparse-column style of Gustavson (1978), and compared by
+``exactlin._difference``; none multiplies two matrices.
 
 The internal hom is that cotensor on every base: [V, W] = W (x)_C V^vee,
 whose underlying space is Hom^C(V, W).
@@ -37,11 +37,10 @@ whose underlying space is Hom^C(V, W).
 
 from __future__ import annotations
 
-from .coalg import (Coalgebra, _add_into, coseparability_form,
-                    grouplike_labels)
+from .coalg import Coalgebra, coseparability_form, grouplike_labels
 from .errors import AxiomError, BaseMismatchError, UnsupportedBaseError
 from .exactlin import (Chart, Matrix, ShapeError, Subspace, _column_dicts,
-                       kron_apply, swap_rows)
+                       _difference, _kron_cols, kron_apply, swap_rows)
 
 __all__ = [
     "Comodule", "ComoduleMorphism", "regular_comodule", "cofree_comodule",
@@ -55,7 +54,7 @@ __all__ = [
 class Comodule:
     """Finite-dimensional comodule (V, rho) over a fixed base coalgebra.
 
-    Both coaction axioms are verified sparsely at construction.
+    Both coaction axioms are verified from nonzeros at construction.
     ``_retraction`` holds r_V once ``coseparability_retraction`` has built
     and certified it, so each comodule object builds it at most once.
     """
@@ -66,37 +65,19 @@ class Comodule:
         m, n = dim, base.dim
         if rho.rows != m * n or rho.cols != m:
             raise ShapeError(f"rho must be {m * n}x{m}")
-        f = base.field
-        p = f.char
-        eps = base.epsilon.data
+        p = base.field.char
         rcols = _column_dicts(rho)
-        dcols = base._delta_cols
-        for j in range(m):
-            col = rcols[j]
-            counit = {}
-            for idx, v in col.items():
-                a, c = divmod(idx, n)
-                if eps[c]:
-                    _add_into(counit, a, f.mul(v, eps[c]), p)
-            if counit != {j: f.one}:
-                raise AxiomError("comodule-counit",
-                                 "(id x eps) rho != id", witness=(j, j))
-            lhs = {}
-            rhs = {}
-            for idx, v in col.items():
-                a, c = divmod(idx, n)
-                for idx2, v2 in dcols[c].items():
-                    c1, c2 = divmod(idx2, n)
-                    _add_into(lhs, (a, c1, c2), f.mul(v, v2), p)
-                for idx2, v2 in rcols[a].items():
-                    w, c1 = divmod(idx2, n)
-                    _add_into(rhs, (w, c1, c), f.mul(v2, v), p)
-            if lhs != rhs:
-                key = min(set(lhs) ^ set(rhs)
-                          | {k for k in lhs if rhs.get(k) != lhs[k]})
-                raise AxiomError("comodule-coassociativity",
-                                 "(id x delta) rho != (rho x id) rho",
-                                 witness=(key, j))
+        bad = _difference(_kron_cols(m, base._eps_cols, 1, rcols),
+                          [{j: 1} for j in range(m)], p)
+        if bad:
+            raise AxiomError("comodule-counit", "(id x eps) rho != id",
+                             witness=bad)
+        bad = _difference(_kron_cols(m, base._delta_cols, n * n, rcols),
+                          _kron_cols(rcols, n, n, rcols), p)
+        if bad:
+            raise AxiomError("comodule-coassociativity",
+                             "(id x delta) rho != (rho x id) rho",
+                             witness=bad)
         self.base = base
         self.dim = m
         self.rho = rho
@@ -122,7 +103,7 @@ class Comodule:
 
 
 class ComoduleMorphism:
-    """Linear map intertwining the coactions."""
+    """Linear map intertwining the coactions, verified from nonzeros."""
 
     __slots__ = ("source", "target", "matrix")
 
@@ -132,27 +113,13 @@ class ComoduleMorphism:
         if matrix.rows != target.dim or matrix.cols != source.dim:
             raise ShapeError(f"matrix must be {target.dim}x{source.dim}")
         n = source.base.dim
-        f = source.field
-        p = f.char
         fcols = _column_dicts(matrix)
-        scols = source._rho_cols
-        tcols = target._rho_cols
-        for j in range(source.dim):
-            lhs = {}
-            for idx, v in scols[j].items():
-                a, c = divmod(idx, n)
-                for w, vf in fcols[a].items():
-                    _add_into(lhs, w * n + c, f.mul(vf, v), p)
-            rhs = {}
-            for w, vf in fcols[j].items():
-                for idx, v in tcols[w].items():
-                    _add_into(rhs, idx, f.mul(v, vf), p)
-            if lhs != rhs:
-                key = min(set(lhs) ^ set(rhs)
-                          | {k for k in lhs if rhs.get(k) != lhs[k]})
-                raise AxiomError("comodule-morphism",
-                                 "(f x id) rho_V != rho_W f",
-                                 witness=(key, j))
+        bad = _difference(_kron_cols(fcols, n, n, source._rho_cols),
+                          _kron_cols(target._rho_cols, 1, 1, fcols),
+                          source.field.char)
+        if bad:
+            raise AxiomError("comodule-morphism", "(f x id) rho_V != rho_W f",
+                             witness=bad)
         self.source = source
         self.target = target
         self.matrix = matrix
@@ -305,49 +272,16 @@ def _cotensor_idempotent(r: Matrix, v: Comodule, w: Comodule) -> Matrix:
 
 
 def _annihilated(v: Comodule, w: Comodule, columns) -> bool:
-    """A B = 0 for A of ``_cotensor_matrix``, column by column from the
-    nonzeros of B (``columns``), rho_V and rho_W, never building A.
-    Column t of B is vec X_t for an m_V x m_W matrix X_t, and A vec X_t =
-    vec(rho_V X_t) - vec(X_t lambda_W^T), both sides indexed
-    (a*n + c)*m_W + k: an entry X_t[a, j] = x adds x rho_V[a2*n + c, a]
-    to the left at (a2*n + c)*m_W + j and x rho_W[k*n + c, j] to the
-    right at (a*n + c)*m_W + k."""
-    n, mw, p = v.base.dim, w.dim, v.field.char
-    vcols = v._rho_cols
+    """A B = 0 for A of ``_cotensor_matrix``, from the nonzeros of B
+    (``columns``), rho_V and rho_W, never building A: the two halves of A
+    are rho_V (x) I_{m_W} and I_{m_V} (x) lambda_W, where lambda_W =
+    tau rho_W has rows c*m_W + k, and A B = 0 says they agree on B."""
+    n, mv, mw = v.base.dim, v.dim, w.dim
     lam = [{(i % n) * mw + i // n: y for i, y in col.items()}
            for col in w._rho_cols]
-    block = n * mw
-    for col in columns:
-        lhs, rhs = {}, {}
-        lget, rget = lhs.get, rhs.get
-        for row, x in col.items():
-            a, j = divmod(row, mw)
-            for i, y in vcols[a].items():
-                key = i * mw + j
-                cur = lget(key)
-                lhs[key] = x * y if cur is None else cur + x * y
-            off = a * block
-            for i, y in lam[j].items():
-                key = off + i
-                cur = rget(key)
-                rhs[key] = x * y if cur is None else cur + x * y
-        if not _same_vector(lhs, rhs, p):
-            return False
-    return True
-
-
-def _same_vector(lhs: dict, rhs: dict, p: int) -> bool:
-    """Whether two {index: sum} accumulations are one vector over Q or F_p
-    (p = 0 for Q): equal as they stand, or once reduced mod p and rid of
-    zero sums.  The sides are summed apart, so over Q neither mixes in the
-    other's denominators."""
-    if lhs == rhs:
-        return True
-    if p:
-        return ({k: r for k, s in lhs.items() if (r := s % p)}
-                == {k: r for k, s in rhs.items() if (r := s % p)})
-    return ({k: s for k, s in lhs.items() if s}
-            == {k: s for k, s in rhs.items() if s})
+    return _difference(_kron_cols(v._rho_cols, mw, mw, columns),
+                       _kron_cols(mv, lam, n * mw, columns),
+                       v.field.char) is None
 
 
 def dual_comodule(v: Comodule) -> Comodule:
@@ -386,12 +320,12 @@ def _restricted_coaction(base: Coalgebra, right_cols, sub: Subspace,
     its column dicts (``w._rho_cols`` for a cotensor with W,
     ``d._delta_cols`` for a pullback to D).
 
-    It is evaluated column by column from the nonzeros of the canonical
-    basis B (``sub.columns``, read once with the kernel's A B = 0).  The
-    image (id (x) right) B_t is a {row: value} dict; its entries at the
-    pivot rows p*n + c of B, moved to the slots s*n + c of the s-th pivot,
-    are the coordinates rho_t, and (B (x) I_n) rho_t = image is checked
-    exactly (else ``AxiomError(name)``).  As B is injective and
+    It is evaluated from the nonzeros of the canonical basis B
+    (``sub.columns``, read once with the kernel's A B = 0).  The image
+    (id (x) right) B_t is a {row: value} dict; its entries at the pivot
+    rows p*n + c of B, moved to the slots s*n + c of the s-th pivot, are
+    the coordinates rho_t, and (B (x) I_n) rho = image is checked exactly
+    (else ``AxiomError(name)``).  As B is injective and
     id (x) right is a coaction, that equation implies counit and
     coassociativity of rho, so the result is built without the
     ``Comodule`` axiom checks, and the checked columns rho_t are its
@@ -401,31 +335,12 @@ def _restricted_coaction(base: Coalgebra, right_cols, sub: Subspace,
     columns = sub.columns
     slots = {piv * n + c: s * n + c for s, piv in enumerate(sub.pivots)
              for c in range(n)}
-    rho_cols = []
-    for col in columns:
-        img = {}
-        get = img.get
-        for row, x in col.items():
-            j = row % mm
-            off = (row - j) * n
-            for i, y in right_cols[j].items():
-                key = off + i
-                cur = get(key)
-                img[key] = x * y if cur is None else cur + x * y
-        img = {k: r for k, s in img.items() if (r := s % p)} if p else \
-            {k: s for k, s in img.items() if s}
-        rho_t = {slots[k]: y for k, y in img.items() if k in slots}
-        back = {}
-        get = back.get
-        for sc, y in rho_t.items():
-            s, c = divmod(sc, n)
-            for row, x in columns[s].items():
-                key = row * n + c
-                cur = get(key)
-                back[key] = x * y if cur is None else cur + x * y
-        if not _same_vector(back, img, p):
-            raise AxiomError(name, "induced coaction does not restrict")
-        rho_cols.append(rho_t)
+    left = sub.ambient // mm if mm else 0
+    img = _kron_cols(left, right_cols, mm * n, columns)
+    rho_cols = [{slots[k]: r for k, y in col.items()
+                 if k in slots and (r := y % p if p else y)} for col in img]
+    if _difference(_kron_cols(columns, n, n, rho_cols), img, p) is not None:
+        raise AxiomError(name, "induced coaction does not restrict")
     d = sub.dim
     data = [0] * (d * n * d)
     for t, col in enumerate(rho_cols):
@@ -657,7 +572,8 @@ def coseparability_retraction(v: Comodule):
 
     It is built from the nonzeros of rho_V and gamma,
     r[a2, a*n + c] = sum_d rho[a2*n + d, a] gamma[d*n + c], and kept on v
-    once r rho_V = id is checked; a failure raises ``AxiomError``.
+    once r rho_V = id is checked from nonzeros; a failure raises
+    ``AxiomError``.
     """
     gamma = coseparability_form(v.base)
     if gamma is None:
@@ -675,7 +591,8 @@ def coseparability_retraction(v: Comodule):
         if f.char:
             data = [x % f.char for x in data]
         r = Matrix(f, m, m * n, data)
-        if r @ v.rho != Matrix.identity(f, m):
+        if _difference(_kron_cols(_column_dicts(r), 1, 1, v._rho_cols),
+                       [{j: 1} for j in range(m)], f.char) is not None:
             raise AxiomError("coseparability",
                              "r rho != id for r = (id x gamma)(rho x id)")
         v._retraction = r
@@ -689,11 +606,10 @@ def is_injective(v: Comodule) -> bool:
     When the base has a coseparability form, the retraction r of
     ``coseparability_retraction`` is a splitting, certified by two exact
     equations: r rho_V = id (checked when r is built) and
-    (r (x) id)(id_V (x) delta) = rho_V r.  The second is compared column
-    by column from the nonzeros of r, delta and rho_V: column a*n + j of
-    the left side is sum_{k, c} delta[k*n + c, j] r(e_a (x) c) (x) e_k,
-    and of the right side rho_V applied to column a*n + j of r.  Neither
-    side is built as an (m*n) x (m*n) matrix.
+    (r (x) id)(id_V (x) delta) = rho_V r.  The second is compared from
+    the nonzeros of r, delta and rho_V, the left side as r (x) I_n applied
+    to the columns of I_m (x) delta; neither side is built as an
+    (m*n) x (m*n) matrix.
     Either failing is an internal fault and raises ``AxiomError``.
     Without a coseparability form (N, for one) a splitting s is solved for
     exactly: the cotensor equations of Hom^C(V (x) C, V) together with
@@ -711,28 +627,15 @@ def is_injective(v: Comodule) -> bool:
         rhs = Matrix.zeros(v.field, system.rows - m * m, 1).vstack(
             Matrix(v.field, m * m, 1, ident_v.data))
         return system.solve_right(rhs) is not None
-    n, p = v.base.dim, v.field.char
+    m, n = v.dim, v.base.dim
     rcols = _column_dicts(r)
-    dcols = v.base._delta_cols
-    vcols = v._rho_cols
-    for a in range(v.dim):
-        for j in range(n):
-            lhs, rhs = {}, {}
-            lget, rget = lhs.get, rhs.get
-            for i, y in dcols[j].items():
-                k, c = divmod(i, n)
-                for a2, x in rcols[a * n + c].items():
-                    key = a2 * n + k
-                    cur = lget(key)
-                    lhs[key] = x * y if cur is None else cur + x * y
-            for a2, x in rcols[a * n + j].items():
-                for key, y in vcols[a2].items():
-                    cur = rget(key)
-                    rhs[key] = x * y if cur is None else cur + x * y
-            if not _same_vector(lhs, rhs, p):
-                raise AxiomError("coseparability",
-                                 "(r x id)(id x delta) != rho r: r is not "
-                                 "a comodule map")
+    ident = [{t: 1} for t in range(m * n)]
+    lhs = _kron_cols(rcols, n, n, _kron_cols(m, v.base._delta_cols, n * n,
+                                             ident))
+    if _difference(lhs, _kron_cols(v._rho_cols, 1, 1, rcols),
+                   v.field.char) is not None:
+        raise AxiomError("coseparability", "(r x id)(id x delta) != rho r: "
+                         "r is not a comodule map")
     return True
 
 

@@ -9,7 +9,8 @@ class AxiomError(ComodcheckError):
     """A structure or morphism violates one of its defining axioms.
 
     ``axiom`` names the violated law (e.g. "coassociativity"); ``witness``
-    optionally records the basis index where the two sides first differ.
+    optionally records where the two sides first differ, as (column, flat
+    row index) in the fixed tensor bases.
     """
 
     def __init__(self, axiom: str, message: str, witness=None):

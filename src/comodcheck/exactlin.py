@@ -1,12 +1,17 @@
-"""Exact dense linear algebra over Q and F_p.
+"""Exact linear algebra over Q and F_p.
 
 Matrices are immutable flat row-major arrays of exact scalars (see
 ``fields``).  Elimination runs on sparse rows, and a row with a zero in
 the pivot column is left as it is.  Over Q each row is scaled to integers
 as it is read and updated fraction-free, then divided by its content, so
 entries stay as short as the primitive row of each Gauss step; over F_p
-it is Gauss-Jordan with modular inverses.  The inner loops live in the
-kernel module ``_backend.core``.
+it is Gauss-Jordan with modular inverses.  The elimination and dense
+product loops live in the kernel module ``_backend.core``.
+
+Every law that ``coalg`` and ``comod`` certify is an equation between
+Kronecker-structured maps applied to sparse columns: ``_kron_cols``
+evaluates each side from the column dicts of its factors
+(``_column_dicts``), and ``_difference`` compares the two over Q or F_p.
 
 Tensor bookkeeping fixes one global convention used by every module
 downstream: the basis vector e_i (x) e_j of a tensor product of spaces of
@@ -326,6 +331,79 @@ def _column_dicts(m: Matrix):
         if v:
             cols[idx % c][idx // c] = v
     return cols
+
+
+def _kron_cols(a, b, rb: int, columns):
+    """(a (x) b) x for each sparse column x of ``columns``, as a list of
+    unreduced {row: sum} dicts: ``kron_apply`` on nonzeros.
+
+    A factor is an int n, standing for I_n, or a list of {row: value}
+    column dicts; rb is b's row count.  Index i*cb + j of x is
+    e_i (x) e_j, so an entry x adds x a[r, i] b[k, j] at row r*rb + k.
+    Over F_p the sums are not reduced: ``_difference`` reduces only a
+    column that differs.
+    """
+    cb = b if isinstance(b, int) else len(b)
+    out = []
+    if isinstance(a, int):
+        if isinstance(b, int):
+            return [dict(col) for col in columns]
+        for col in columns:
+            acc = {}
+            get = acc.get
+            for idx, x in col.items():
+                off = idx // cb * rb
+                for k, y in b[idx % cb].items():
+                    key = off + k
+                    cur = get(key)
+                    acc[key] = x * y if cur is None else cur + x * y
+            out.append(acc)
+    elif isinstance(b, int):
+        for col in columns:
+            acc = {}
+            get = acc.get
+            for idx, x in col.items():
+                j = idx % cb
+                for r, y in a[idx // cb].items():
+                    key = r * rb + j
+                    cur = get(key)
+                    acc[key] = x * y if cur is None else cur + x * y
+            out.append(acc)
+    else:
+        for col in columns:
+            acc = {}
+            get = acc.get
+            for idx, x in col.items():
+                bj = b[idx % cb]
+                for r, y in a[idx // cb].items():
+                    off = r * rb
+                    xy = x * y
+                    for k, z in bj.items():
+                        key = off + k
+                        cur = get(key)
+                        acc[key] = xy * z if cur is None else cur + xy * z
+            out.append(acc)
+    return out
+
+
+def _difference(lhs, rhs, p: int):
+    """None when two lists of {row: sum} columns are one matrix over Q
+    (p = 0) or F_p, else the witness (column, least row where they differ).
+
+    The whole lists are compared as they stand first; only a column that
+    differs is reduced mod p and rid of zero sums.  The sides are summed
+    apart, so over Q neither mixes in the other's denominators.
+    """
+    if lhs == rhs:
+        return None
+    for t, (x, y) in enumerate(zip(lhs, rhs)):
+        if x != y:
+            x = {k: r for k, s in x.items() if (r := s % p if p else s)}
+            y = {k: r for k, s in y.items() if (r := s % p if p else s)}
+            if x != y:
+                return t, min(k for k in x.keys() | y.keys()
+                              if x.get(k) != y.get(k))
+    return None
 
 
 def _mul(field: Field, a, b, m, k, n):

@@ -387,6 +387,57 @@ def test_constructor_rejects_broken_cocommutativity():
                                "coassociativity")
 
 
+def structure(field, n, images, eps):
+    """The coalgebra on e_0..e_{n-1} with delta e_j = sum images[j][a, b]
+    e_a (x) e_b and counit row eps, through the checking constructor."""
+    data = [0] * (n * n * n)
+    for j, image in enumerate(images):
+        for (a, b), x in image.items():
+            data[(a * n + b) * n + j] = field.of(x)
+    return ca.Coalgebra(field, n, Matrix(field, n * n, n, data),
+                        Matrix.from_rows(field, [eps]))
+
+
+# Each planted fault breaks one law and keeps the others, so the
+# constructor must name exactly that law.
+ONE_LAW_BROKEN = {
+    # group-like {a, b} with eps(b) = 2
+    "counit": (2, [{(0, 0): 1}, {(1, 1): 1}], [1, 2]),
+    # delta c12 = c11 (x) c12 + c12 (x) c22: the dual of the upper
+    # triangular matrices, coassociative and counital
+    "cocommutativity": (3, [{(0, 0): 1}, {(0, 1): 1, (1, 2): 1},
+                            {(2, 2): 1}], [1, 0, 1]),
+    # delta y = g (x) y + y (x) g + x (x) y + y (x) x with delta x =
+    # g (x) x + x (x) g: y (x) x (x) x sits on the left side only
+    "coassociativity": (3, [{(0, 0): 1}, {(0, 1): 1, (1, 0): 1},
+                            {(0, 2): 1, (2, 0): 1, (1, 2): 1, (2, 1): 1}],
+                        [1, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(3)], ids=repr)
+@pytest.mark.parametrize("axiom", sorted(ONE_LAW_BROKEN))
+def test_constructor_names_the_one_broken_law(field, axiom):
+    with pytest.raises(AxiomError) as err:
+        structure(field, *ONE_LAW_BROKEN[axiom])
+    assert err.value.axiom == axiom
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(3)], ids=repr)
+def test_morphism_names_the_one_broken_law(field):
+    x = ca.grouplike_coalgebra(field, ["x"])
+    abc = ca.grouplike_coalgebra(field, "abc")
+    # x -> a + b - c keeps the counit (1 + 1 - 1 = 1, a sum past p over
+    # F_3 and F_7) but sends a group-like to no group-like
+    with pytest.raises(AxiomError) as err:
+        ca.CoalgebraMorphism(x, abc, Matrix.from_rows(field, [[1], [1], [-1]]))
+    assert err.value.axiom == "comultiplication-preservation"
+    # the zero map preserves delta and drops the counit
+    with pytest.raises(AxiomError) as err:
+        ca.CoalgebraMorphism(x, abc, Matrix.zeros(field, 3, 1))
+    assert err.value.axiom == "counit-preservation"
+
+
 def test_corrupted_structures_name_an_axiom():
     rng = random.Random(10)
     for _ in range(10):

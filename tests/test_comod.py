@@ -58,9 +58,33 @@ def test_comodule_axioms_rejected(g2):
 
 def test_comodule_coassociativity_rejected():
     gx = gx_coalgebra()
-    # rho(e) = e x x has (id x eps) rho = 0
-    with pytest.raises(AxiomError):
+    # rho(e) = e x g + e x x keeps the counit, but (rho x id) rho has
+    # e x x x x and (id x delta) rho has not
+    with pytest.raises(AxiomError) as err:
+        cm.Comodule(gx, 1, Matrix.from_rows(F, [[1], [1]]))
+    assert err.value.axiom == "comodule-coassociativity"
+    # rho(e) = e x x breaks both laws; the counit is checked first
+    with pytest.raises(AxiomError) as err:
         cm.Comodule(gx, 1, Matrix.from_rows(F, [[0], [1]]))
+    assert err.value.axiom == "comodule-counit"
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(3)], ids=repr)
+def test_comodule_constructors_name_the_one_broken_law(field):
+    gx = gx_coalgebra(field)
+    with pytest.raises(AxiomError) as err:
+        cm.Comodule(gx, 1, Matrix.from_rows(field, [[1], [1]]))
+    assert err.value.axiom == "comodule-coassociativity"
+    c = ca.grouplike_coalgebra(field, "ab")
+    # rho = 0 is coassociative and drops the counit
+    with pytest.raises(AxiomError) as err:
+        cm.Comodule(c, 1, Matrix.zeros(field, 2, 1))
+    assert err.value.axiom == "comodule-counit"
+    # a nonzero map from the a-component onto the b-component
+    va, vb = cm.graded_comodule(c, [1, 0]), cm.graded_comodule(c, [0, 1])
+    with pytest.raises(AxiomError) as err:
+        cm.ComoduleMorphism(va, vb, Matrix.from_rows(field, [[2]]))
+    assert err.value.axiom == "comodule-morphism"
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])

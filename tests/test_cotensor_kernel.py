@@ -383,42 +383,46 @@ def test_injective_over_a_base_without_a_form_builds_the_matrix(monkeypatch):
     assert len(matrices) == 1
 
 
-CERTIFIED = {"_annihilated", "_restricted_coaction"}
+CERTIFIED = {"_annihilated", "_restricted_coaction",
+             "coseparability_retraction", "Coalgebra", "Comodule",
+             "ComoduleMorphism"}
 
 
 @pytest.mark.parametrize("doc, certificates", [
     ("04_cotensor", CERTIFIED),
-    ("hyperdoctrine C 2", CERTIFIED | {"is_injective"})],
+    ("hyperdoctrine C 2", CERTIFIED | {"is_injective", "CoalgebraMorphism"})],
     ids=["04_cotensor", "hyperdoctrine-C-2"])
 def test_certificates_make_no_dense_product(monkeypatch, doc, certificates):
-    # A B = 0, the restriction equation and is_injective's comparison are
-    # evaluated from nonzeros; a dense product inside any of them fails.
-    # r rho = id, checked when the retraction is built, is not among them
+    # A B = 0, the restriction equation, r rho = id, is_injective's
+    # comparison and the laws the four constructors check are evaluated
+    # from nonzeros; a dense product inside any of them fails
     inside, products = [], []
     entered = set()
 
-    def watch(name, modules):
-        real = getattr(cm, name)
+    def watch(owner, name, label, also=()):
+        real = getattr(owner, name)
 
-        def wrapper(*args):
-            inside.append(name)
-            entered.add(name)
+        def wrapper(*args, **kwargs):
+            inside.append(label)
+            entered.add(label)
             try:
-                return real(*args)
+                return real(*args, **kwargs)
             finally:
                 inside.pop()
 
-        for module in modules:
+        for module in (owner, *also):
             monkeypatch.setattr(module, name, wrapper)
 
-    watch("_annihilated", [cm])
-    watch("_restricted_coaction", [cm, ix])
-    watch("is_injective", [cm])
-    watch("coseparability_retraction", [cm])
+    for name in ("_annihilated", "is_injective", "coseparability_retraction"):
+        watch(cm, name, name)
+    watch(cm, "_restricted_coaction", "_restricted_coaction", [ix])
+    for cls in (ca.Coalgebra, ca.CoalgebraMorphism, cm.Comodule,
+                cm.ComoduleMorphism):
+        watch(cls, "__init__", cls.__name__)
     real_mul = el._mul
 
     def mul(*args):
-        if inside and inside[-1] != "coseparability_retraction":
+        if inside:
             products.append(inside[-1])
         return real_mul(*args)
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from comodcheck import _core_py
 from comodcheck.exactlin import (Chart, Matrix, ShapeError, Subspace,
+                                 _column_dicts, _difference, _kron_cols,
                                  kron_apply, swap_matrix)
 from comodcheck.fields import GF, QQ
 
@@ -121,6 +122,78 @@ def test_kron_apply_rejects_mismatched_operands():
         kron_apply(3, b, rnd_matrix(rng, 7, 2))
     with pytest.raises(ShapeError):
         kron_apply(a, 2, Matrix.zeros(GF(7), 6, 1))
+
+
+# -- the sparse certificate kernel ---------------------------------------------
+
+def reduced(columns, p):
+    """Columns of unreduced sums reduced mod p (p = 0: as they are) and rid
+    of zero sums."""
+    out = []
+    for col in columns:
+        col = {k: s % p for k, s in col.items()} if p else col
+        out.append({k: s for k, s in col.items() if s})
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(3)], ids=repr)
+def test_kron_cols_matches_kron_apply(field):
+    rng = random.Random(f"kron_cols {field.char}")
+    p = field.char
+    kinds, past_p = set(), False
+    for _ in range(400):
+        ra, ca, rb, cb, d = (rng.randint(0, 4) for _ in range(5))
+        # an int factor stands for the identity of that size
+        a = ca if rng.random() < 0.3 else rnd_entries(rng, field, ra, ca, 0.7)
+        b = cb if rng.random() < 0.3 else rnd_entries(rng, field, rb, cb, 0.7)
+        x = rnd_entries(rng, field, ca * cb, d, 0.7)
+        got = _kron_cols(a if isinstance(a, int) else _column_dicts(a),
+                         b if isinstance(b, int) else _column_dicts(b),
+                         b if isinstance(b, int) else rb, _column_dicts(x))
+        assert reduced(got, p) == _column_dicts(kron_apply(a, b, x))
+        kinds.add((isinstance(a, int), isinstance(b, int)))
+        past_p |= any(s >= p for col in got for s in col.values()) if p \
+            else False
+    assert len(kinds) == 4
+    assert past_p or not p
+
+
+def perturbed(rng, columns, rows, p):
+    """The same matrix with unreduced entries: over F_p each entry moved by
+    a multiple of p and some zeros spelled out as 0 or p, over Q some
+    zeros spelled out as Fraction(0)."""
+    out = []
+    for col in columns:
+        col = {k: s + p * rng.randint(0, 2) for k, s in col.items()}
+        for k in range(rows):
+            if k not in col and rng.random() < 0.2:
+                col[k] = p * rng.randint(0, 1) if p else Fraction(0)
+        out.append(col)
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(3)], ids=repr)
+def test_difference_matches_a_dense_comparison(field):
+    rng = random.Random(f"difference {field.char}")
+    p = field.char
+    outcomes = set()
+    for _ in range(400):
+        rows, cols = rng.randint(0, 5), rng.randint(0, 4)
+        lhs = rnd_entries(rng, field, rows, cols)
+        data = list(lhs.data)
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            if data:
+                i = rng.randrange(len(data))
+                data[i] = field.add(data[i], rng.randint(1, 2))
+        rhs = Matrix(field, rows, cols, data)
+        want = next(((t, i) for t in range(cols) for i in range(rows)
+                     if lhs[i, t] != rhs[i, t]), None)
+        got = _difference(perturbed(rng, _column_dicts(lhs), rows, p),
+                          perturbed(rng, _column_dicts(rhs), rows, p), p)
+        assert got == want
+        assert _difference(_column_dicts(lhs), _column_dicts(lhs), p) is None
+        outcomes.add(want is None)
+    assert outcomes == {True, False}
 
 
 def test_transpose_is_an_involution_on_every_shape():
