@@ -3,8 +3,9 @@
     comodcheck check <file> [--json] [--seed K] [--max-dim D] [--verbose]
 
 Exit codes for ``check``: 0 when every law check passed, 1 when some
-check failed (or could not run), 2 on parse or construction errors, 3 on
-an internal fault, reported as one line on stderr without a traceback.
+check failed (or could not run), 2 on a file that cannot be read as UTF-8
+text and on parse or construction errors, 3 on an internal fault, reported
+as one line on stderr without a traceback.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ def _cmd_check(args) -> int:
             text = fh.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: {args.file} is not UTF-8 text: {exc}", file=sys.stderr)
         return 2
     try:
         doc = parse(text)

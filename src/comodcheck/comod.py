@@ -55,8 +55,9 @@ class Comodule:
     """Finite-dimensional comodule (V, rho) over a fixed base coalgebra.
 
     Both coaction axioms are verified from nonzeros at construction.
-    ``_retraction`` holds r_V once ``coseparability_retraction`` has built
-    and certified it, so each comodule object builds it at most once.
+    ``_retraction`` holds r_V and its column dicts once
+    ``coseparability_retraction`` has built and certified it, so each
+    comodule object builds and reads it at most once.
     """
 
     __slots__ = ("base", "dim", "rho", "_rho_cols", "_retraction")
@@ -243,21 +244,21 @@ def _cotensor_kernel(v: Comodule, w: Comodule) -> Subspace:
         sub, axiom = _cotensor_matrix(v, w).kernel(), "cotensor-kernel"
     else:
         sub, axiom = Subspace(v.field, v.dim * w.dim, _cotensor_idempotent(
-            r, v, w), _canonical=False), "coseparability"
+            v._retraction[1], v, w), _canonical=False), "coseparability"
     if not _annihilated(v, w, sub.columns):
         raise AxiomError(axiom, "A e != 0: a basis vector e of the kernel "
                          "maps outside the cotensor")
     return sub
 
 
-def _cotensor_idempotent(r: Matrix, v: Comodule, w: Comodule) -> Matrix:
+def _cotensor_idempotent(rcols, v: Comodule, w: Comodule) -> Matrix:
     """e = (r_V (x) id_W)(id_V (x) tau rho_W) on V (x) W, from the nonzeros
-    of r_V and rho_W: e[(a2, k), (a, j)] = sum_c r[a2, a*n + c]
-    rho_W[k*n + c, j], never building either Kronecker product."""
+    of r_V (its column dicts ``rcols``) and rho_W:
+    e[(a2, k), (a, j)] = sum_c r[a2, a*n + c] rho_W[k*n + c, j], never
+    building either Kronecker product."""
     f, n = v.field, v.base.dim
     mv, mw = v.dim, w.dim
     size = mv * mw
-    rcols = _column_dicts(r)
     data = [0] * (size * size)
     for j, col in enumerate(w._rho_cols):
         for idx, y in col.items():
@@ -572,8 +573,8 @@ def coseparability_retraction(v: Comodule):
 
     It is built from the nonzeros of rho_V and gamma,
     r[a2, a*n + c] = sum_d rho[a2*n + d, a] gamma[d*n + c], and kept on v
-    once r rho_V = id is checked from nonzeros; a failure raises
-    ``AxiomError``.
+    once r rho_V = id is checked from nonzeros, together with the column
+    dicts that check read; a failure raises ``AxiomError``.
     """
     gamma = coseparability_form(v.base)
     if gamma is None:
@@ -591,12 +592,13 @@ def coseparability_retraction(v: Comodule):
         if f.char:
             data = [x % f.char for x in data]
         r = Matrix(f, m, m * n, data)
-        if _difference(_kron_cols(_column_dicts(r), 1, 1, v._rho_cols),
+        rcols = _column_dicts(r)
+        if _difference(_kron_cols(rcols, 1, 1, v._rho_cols),
                        [{j: 1} for j in range(m)], f.char) is not None:
             raise AxiomError("coseparability",
                              "r rho != id for r = (id x gamma)(rho x id)")
-        v._retraction = r
-    return v._retraction
+        v._retraction = r, rcols
+    return v._retraction[0]
 
 
 def is_injective(v: Comodule) -> bool:
@@ -628,7 +630,7 @@ def is_injective(v: Comodule) -> bool:
             Matrix(v.field, m * m, 1, ident_v.data))
         return system.solve_right(rhs) is not None
     m, n = v.dim, v.base.dim
-    rcols = _column_dicts(r)
+    rcols = v._retraction[1]
     ident = [{t: 1} for t in range(m * n)]
     lhs = _kron_cols(rcols, n, n, _kron_cols(m, v.base._delta_cols, n * n,
                                              ident))

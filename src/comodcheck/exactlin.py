@@ -538,34 +538,41 @@ class Subspace:
 class Chart:
     """Coordinate chart of a subspace of an iterated tensor product.
 
-    A chart knows its flat ambient dimension, the embedding matrix of its
-    basis, and how to compute coordinates of flat vectors in that basis
-    without solving: identity charts read coordinates off directly, kron
-    charts recurse factor-wise through reshapes, and restrictions read the
-    pivot rows of a canonical subspace basis.  Every step verifies
-    membership exactly and returns None for vectors outside the subspace.
-    A restriction stores its embedding; identity and kron charts build
-    theirs only when it is read, since ``_embed`` applies a kron chart's
-    embedding as a block map.
+    A chart knows its flat ambient dimension, the embedding E of its basis
+    (one flat column per coordinate), and the flat rows ``pivots`` at which
+    E is the identity: all rows for an identity chart; i*n_b + j for i in
+    a's pivots and j in b's for ``kron(a, b)``, in coordinate order; and
+    the parent's pivots at the pivots of a canonical ``Subspace`` basis,
+    which is the identity there, for a restriction.  So a member y = E x
+    has x = y[pivots], and ``coords`` reads those rows and keeps them only
+    if E applied to them gives y back: membership is one exact equation,
+    and vectors outside the subspace get None.  A restriction stores its
+    embedding; identity and kron charts build theirs only when it is read,
+    since ``_embed`` applies a kron chart's embedding as a block map.
     """
 
-    __slots__ = ("field", "flat_dim", "dim", "_embedding", "_kind", "_parts")
+    __slots__ = ("field", "flat_dim", "dim", "pivots", "_embedding",
+                 "_kind", "_parts")
 
-    def __init__(self, field, flat_dim, dim, embedding, kind, parts):
+    def __init__(self, field, flat_dim, dim, pivots, embedding, kind,
+                 parts):
         self.field = field
         self.flat_dim = flat_dim
         self.dim = dim
+        self.pivots = pivots
         self._embedding = embedding
         self._kind = kind
         self._parts = parts
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Chart":
-        return cls(field, n, n, None, "id", None)
+        return cls(field, n, n, list(range(n)), None, "id", None)
 
     @classmethod
     def kron(cls, a: "Chart", b: "Chart") -> "Chart":
-        return cls(a.field, a.flat_dim * b.flat_dim, a.dim * b.dim,
+        nb = b.flat_dim
+        return cls(a.field, a.flat_dim * nb, a.dim * b.dim,
+                   [i * nb + j for i in a.pivots for j in b.pivots],
                    None, "kron", (a, b))
 
     @classmethod
@@ -573,7 +580,8 @@ class Chart:
         if sub.ambient != parent.dim:
             raise ShapeError("subspace does not live in the parent chart")
         return cls(parent.field, parent.flat_dim, sub.dim,
-                   parent._embed(sub.basis), "restrict", (parent, sub))
+                   [parent.pivots[q] for q in sub.pivots],
+                   parent._embed(sub.basis), "restrict", None)
 
     @property
     def embedding(self) -> Matrix:
@@ -602,40 +610,5 @@ class Chart:
         """Coordinates of flat column vectors in this chart, or None."""
         if flat.rows != self.flat_dim:
             raise ShapeError("vector does not live in the flat ambient")
-        if self._kind == "id":
-            return flat
-        if self._kind == "restrict":
-            parent, sub = self._parts
-            inner = parent.coords(flat)
-            if inner is None:
-                return None
-            return sub.coords(inner)
-        a, b = self._parts
-        c = flat.cols
-        na, nb = a.flat_dim, b.flat_dim
-        # factor out a: reshape (na*nb) x c as na x (nb*c) for free
-        w = a.coords(Matrix(self.field, na, nb * c, flat.data))
-        if w is None:
-            return None
-        ma = a.dim
-        # transpose the (ma, nb) block structure to pull out the b factor
-        y2 = [0] * (nb * ma * c)
-        wd = w.data
-        for i in range(ma):
-            for j in range(nb):
-                src = i * (nb * c) + j * c
-                dst = j * (ma * c) + i * c
-                y2[dst:dst + c] = wd[src:src + c]
-        v = b.coords(Matrix(self.field, nb, ma * c, y2))
-        if v is None:
-            return None
-        mb = b.dim
-        out = [0] * (ma * mb * c)
-        vd = v.data
-        for j in range(mb):
-            for i in range(ma):
-                src = j * (ma * c) + i * c
-                dst = (i * mb + j) * c
-                out[dst:dst + c] = vd[src:src + c]
-        return Matrix(self.field, ma * mb, c, out)
-
+        cand = flat.take_rows(self.pivots)
+        return cand if self._embed(cand) == flat else None

@@ -60,6 +60,17 @@ def test_missing_file_is_exit_two(tmp_path: Path):
     assert out.returncode == 2
 
 
+def test_undecodable_file_is_exit_two_without_a_traceback(tmp_path: Path):
+    # a UTF-16 byte order mark is not UTF-8: a user error, not a failed check
+    doc = tmp_path / "utf16.cd"
+    doc.write_bytes(b"\xff\xfe" + "field Q\n".encode("utf-16-le"))
+    out = run_cli("check", str(doc))
+    assert out.returncode == 2
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "utf-8" in lines[0] and "Traceback" not in out.stderr
+
+
 def test_json_output_and_determinism(tmp_path: Path):
     path = corpus_path("06_adjunction.cd")
     runs = [run_cli("check", path, "--json", "--seed", "3")

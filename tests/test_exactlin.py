@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from comodcheck import _core_py
+from comodcheck import coalg as ca
+from comodcheck import comod as cm
+from comodcheck import indexed as ix
 from comodcheck.exactlin import (Chart, Matrix, ShapeError, Subspace,
                                  _column_dicts, _difference, _kron_cols,
                                  kron_apply, swap_matrix)
@@ -311,6 +314,79 @@ def test_chart_rejects_outside_vectors():
     k = Chart.kron(a, Chart.identity(F, 2))
     outside = Matrix.from_rows(F, [[0], [0], [0], [1], [0], [0]])
     assert k.coords(outside) is None
+
+
+def nested_charts(field):
+    """Charts as the constructions nest them: by hand, by ``comod.ct``, by
+    ``indexed._pullback_obj`` and in the shape ``beck_maps`` builds."""
+    rng = random.Random(field.char + 29)
+
+    def sub(n, k):
+        return Subspace(field, n, rnd_entries(rng, field, n, k, 0.7),
+                        _canonical=False)
+
+    a = Chart.restrict(Chart.identity(field, 4), sub(4, 2))
+    b = Chart.restrict(Chart.identity(field, 3), sub(3, 2))
+    k = Chart.kron(a, b)
+    yield "kron(restrict, id)", Chart.kron(a, Chart.identity(field, 2))
+    yield "restrict(kron(restrict, restrict))", Chart.restrict(k, sub(4, 3))
+    g_ab = ca.grouplike_coalgebra(field, ["a", "b"])
+    u, v, w = (cm.atom(cm.graded_comodule(g_ab, d))
+               for d in ([1, 2], [2, 1], [1, 1]))
+    uvw = cm.ct(cm.ct(u, v), w)
+    yield "ct(ct(a, b), c)", uvw.chart
+    g_xyz = ca.grouplike_coalgebra(field, ["x", "y", "z"])
+    phi = ca.grouplike_morphism(g_xyz, g_ab, {"x": "a", "y": "a", "z": "b"})
+    yield "pullback of ct(ct(a, b), c)", ix._pullback_obj(
+        phi, uvw, ix.pullback_functor(phi, uvw.module)).chart
+    g_pq = ca.grouplike_coalgebra(field, ["p", "q"])
+    square = ix.PullbackSquare.from_cospan(
+        ca.grouplike_morphism(g_xyz, g_ab, {"x": "a", "y": "b", "z": "b"}),
+        ca.grouplike_morphism(g_pq, g_ab, {"p": "a", "q": "b"}))
+    yield "kron(id, restrict(id))", Chart.kron(
+        Chart.identity(field, 3),
+        Chart.restrict(Chart.identity(field, 6), square.cotensor))
+
+
+FIELDS = pytest.mark.parametrize("field", [QQ, GF(7), GF(3)],
+                                 ids=["Q", "GF7", "GF3"])
+
+
+@FIELDS
+def test_chart_embedding_is_the_identity_at_its_pivots(field):
+    for name, chart in nested_charts(field):
+        assert chart.dim < chart.flat_dim, name
+        assert chart.embedding.take_rows(chart.pivots) \
+            == Matrix.identity(field, chart.dim), name
+
+
+@FIELDS
+def test_chart_coords_agree_with_solving(field):
+    rng = random.Random(field.char + 31)
+    for name, chart in nested_charts(field):
+        for cols in (1, 3):
+            x = rnd_entries(rng, field, chart.dim, cols)
+            y = chart.embedding @ x
+            assert chart.coords(y) == chart.embedding.solve_right(y) == x, \
+                name
+
+
+@FIELDS
+def test_chart_rejects_a_member_changed_off_its_pivots(field):
+    # x = y[pivots] for every member y = E x, so a vector that keeps a
+    # member's pivot rows and differs in one other row is outside the
+    # subspace: only the membership equation E x = y tells them apart
+    rng = random.Random(field.char + 37)
+    for name, chart in nested_charts(field):
+        y = chart.embedding @ rnd_entries(rng, field, chart.dim, 2)
+        row = rng.choice(sorted(set(range(chart.flat_dim))
+                                - set(chart.pivots)))
+        data = list(y.data)
+        data[row * 2 + 1] = field.add(data[row * 2 + 1], 1)
+        outside = Matrix(field, y.rows, 2, data)
+        assert outside.take_rows(chart.pivots) == y.take_rows(chart.pivots)
+        assert chart.coords(outside) is None, name
+        assert chart.embedding.solve_right(outside) is None, name
 
 
 # -- sympy reference ---------------------------------------------------------------
