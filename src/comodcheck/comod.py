@@ -8,7 +8,13 @@ V (x) W -> V (x) C (x) W, carrying the coaction induced by restricting
 id_V (x) rho_W.  ``coherence`` computes its structural isomorphisms
 (associators, unitors, braiding) on explicit bases and verifies the
 coherence diagrams (pentagon, triangle, symmetry hexagon) as exact matrix
-identities, building each cotensor presentation once per call.
+identities, building each cotensor presentation once per call.  The
+structure maps multiply no matrices: each is read as coordinates by
+``Chart.coords`` or ``Subspace.coords`` from column dicts (a chart's
+``columns``, a cotensor basis's ``columns`` with its keys permuted for
+the transposition, ``_kron_cols`` of f and g for ``tensor_morphism``, and
+``_rho_cols`` for the unitor inverses); only the diagrams compose the
+resulting coordinate matrices.
 
 Hom spaces are cotensors too: the base is cocommutative, so the dual V*
 is a comodule V^vee (``dual_comodule``) and Hom^C(V, W) = W (x)_C V^vee
@@ -40,7 +46,8 @@ from __future__ import annotations
 from .coalg import Coalgebra, coseparability_form, grouplike_labels
 from .errors import AxiomError, BaseMismatchError, UnsupportedBaseError
 from .exactlin import (Chart, Matrix, ShapeError, Subspace, _column_dicts,
-                       _difference, _kron_cols, kron_apply, swap_rows)
+                       _dense_columns, _difference, _kron_cols, _swapped,
+                       kron_apply, swap_rows)
 
 __all__ = [
     "Comodule", "ComoduleMorphism", "regular_comodule", "cofree_comodule",
@@ -278,10 +285,9 @@ def _annihilated(v: Comodule, w: Comodule, columns) -> bool:
     are rho_V (x) I_{m_W} and I_{m_V} (x) lambda_W, where lambda_W =
     tau rho_W has rows c*m_W + k, and A B = 0 says they agree on B."""
     n, mv, mw = v.base.dim, v.dim, w.dim
-    lam = [{(i % n) * mw + i // n: y for i, y in col.items()}
-           for col in w._rho_cols]
     return _difference(_kron_cols(v._rho_cols, mw, mw, columns),
-                       _kron_cols(mv, lam, n * mw, columns),
+                       _kron_cols(mv, _swapped(w._rho_cols, mw, n), n * mw,
+                                  columns),
                        v.field.char) is None
 
 
@@ -342,14 +348,9 @@ def _restricted_coaction(base: Coalgebra, right_cols, sub: Subspace,
                  if k in slots and (r := y % p if p else y)} for col in img]
     if _difference(_kron_cols(columns, n, n, rho_cols), img, p) is not None:
         raise AxiomError(name, "induced coaction does not restrict")
-    d = sub.dim
-    data = [0] * (d * n * d)
-    for t, col in enumerate(rho_cols):
-        for sc, y in col.items():
-            data[sc * d + t] = y
     mod = Comodule.__new__(Comodule)
-    mod.base, mod.dim = base, d
-    mod.rho = Matrix(base.field, d * n, d, data)
+    mod.base, mod.dim = base, sub.dim
+    mod.rho = _dense_columns(base.field, sub.dim * n, rho_cols)
     mod._rho_cols, mod._retraction = rho_cols, None
     return mod
 
@@ -404,17 +405,18 @@ def ct(a: _Obj, b: _Obj) -> _Obj:
 
 def _structure_map(src: _Obj, tgt: _Obj, name: str) -> ComoduleMorphism:
     """The canonical identification of two presentations of one subspace."""
-    mat = tgt.chart.coords(src.chart.embedding)
+    mat = tgt.chart.coords(src.chart.columns)
     if mat is None:
         raise AxiomError(name, "presentations span different subspaces")
     return ComoduleMorphism(src.module, tgt.module, mat)
 
 
 def _transposition(src: _Obj, tgt: _Obj) -> ComoduleMorphism:
-    """sigma: A (x) B -> B (x) A from src = ct(a, b) to tgt = ct(b, a)."""
+    """sigma: A (x) B -> B (x) A from src = ct(a, b) to tgt = ct(b, a);
+    tau moves key i*m_B + j of a source basis column to j*m_A + i."""
     a, b, ssub = src.parts
     _, _, tsub = tgt.parts
-    mat = tsub.coords(swap_rows(ssub.basis, 1, a.module.dim, b.module.dim, 1))
+    mat = tsub.coords(_swapped(ssub.columns, a.module.dim, b.module.dim))
     if mat is None:
         raise AxiomError("braiding", "tau does not map between equalizers")
     return ComoduleMorphism(src.module, tgt.module, mat)
@@ -430,7 +432,9 @@ def tensor_morphism(f: ComoduleMorphism, g: ComoduleMorphism,
     if f.source != sa.module or f.target != ta.module \
             or g.source != sb.module or g.target != tb.module:
         raise BaseMismatchError("factor morphisms do not match the objects")
-    mat = tsub.coords(kron_apply(f.matrix, g.matrix, ssub.basis))
+    mat = tsub.coords(_kron_cols(_column_dicts(f.matrix),
+                                 _column_dicts(g.matrix), g.matrix.rows,
+                                 ssub.columns))
     if mat is None:
         raise AxiomError("tensor-morphism",
                          "f (x) g does not map into the target equalizer")
@@ -452,7 +456,7 @@ def _right_unitor(vc: _Obj):
     f = v.field
     fwd = kron_apply(v.dim, v.base.epsilon, sub.basis)
     mor = ComoduleMorphism(vc.module, v, fwd)
-    back = sub.coords(v.rho)
+    back = sub.coords(v._rho_cols)
     if back is None or fwd @ back != Matrix.identity(f, v.dim) \
             or back @ fwd != Matrix.identity(f, vc.module.dim):
         raise AxiomError("right-unitor", "coaction fails to invert id x eps")
@@ -461,13 +465,14 @@ def _right_unitor(vc: _Obj):
 
 def _left_unitor(cv: _Obj):
     """lambda: C (x)_C V -> V on the presentation cv = ct(C, V), with
-    inverse the swapped coaction."""
+    inverse the swapped coaction: key a*n + c of rho_V's columns moves to
+    c*m + a."""
     _, av, sub = cv.parts
     v = av.module
-    f, n = v.field, v.base.dim
-    fwd = kron_apply(v.base.epsilon, v.dim, sub.basis)
+    f, m, n = v.field, v.dim, v.base.dim
+    fwd = kron_apply(v.base.epsilon, m, sub.basis)
     mor = ComoduleMorphism(cv.module, v, fwd)
-    back = sub.coords(swap_rows(v.rho, 1, v.dim, n, 1))
+    back = sub.coords(_swapped(v._rho_cols, m, n))
     if back is None or fwd @ back != Matrix.identity(f, v.dim) \
             or back @ fwd != Matrix.identity(f, cv.module.dim):
         raise AxiomError("left-unitor", "coaction fails to invert eps x id")

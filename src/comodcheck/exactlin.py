@@ -12,6 +12,13 @@ Every law that ``coalg`` and ``comod`` certify is an equation between
 Kronecker-structured maps applied to sparse columns: ``_kron_cols``
 evaluates each side from the column dicts of its factors
 (``_column_dicts``), and ``_difference`` compares the two over Q or F_p.
+Membership is one such equation too.  ``Subspace.coords`` and
+``Chart.coords`` read candidate coordinates at the pivot rows, where the
+basis E is the identity, and check E x = y from nonzeros, so vectors may
+be handed over as column dicts and are never multiplied densely.  A
+``Chart`` stores its embedding as reduced column dicts, compressed-column
+storage after Gustavson (1978), and builds a dense ``embedding`` only as
+a view.
 
 Tensor bookkeeping fixes one global convention used by every module
 downstream: the basis vector e_i (x) e_j of a tensor product of spaces of
@@ -398,12 +405,60 @@ def _difference(lhs, rhs, p: int):
         return None
     for t, (x, y) in enumerate(zip(lhs, rhs)):
         if x != y:
-            x = {k: r for k, s in x.items() if (r := s % p if p else s)}
-            y = {k: r for k, s in y.items() if (r := s % p if p else s)}
+            x, y = _reduced((x, y), p)
             if x != y:
                 return t, min(k for k in x.keys() | y.keys()
                               if x.get(k) != y.get(k))
     return None
+
+
+def _reduced(columns, p: int):
+    """Each {row: sum} column reduced mod p (over F_p) and rid of zero
+    sums."""
+    return [{k: r for k, s in col.items() if (r := s % p if p else s)}
+            for col in columns]
+
+
+def _dense_columns(field: Field, rows: int, columns) -> Matrix:
+    """The rows x len(columns) matrix with the given {row: value}
+    columns."""
+    c = len(columns)
+    data = [0] * (rows * c)
+    for t, col in enumerate(columns):
+        for r, x in col.items():
+            data[r * c + t] = x
+    return Matrix(field, rows, c, data)
+
+
+def _member_coords(field: Field, ambient: int, pivots, vectors, apply):
+    """Coordinates of the columns y of ``vectors`` in a basis E of a
+    subspace of k^ambient that is the identity at the rows ``pivots``, or
+    None when some y is outside it.
+
+    ``vectors`` is a Matrix or a list of {row: value} columns, whose sums
+    may be unreduced; a row outside the ambient raises ``ShapeError``.
+    Each candidate x = y[pivots] is read over y's nonzeros, and
+    membership is the one equation E x = y, with E x evaluated from
+    nonzeros by ``apply`` and compared by ``_difference``: no dense
+    product.  Returns the len(pivots) x len(vectors) matrix of candidates.
+    """
+    if isinstance(vectors, Matrix):
+        if vectors.field != field:
+            raise ShapeError("field mismatch")
+        if vectors.rows != ambient:
+            raise ShapeError("vectors do not live in the ambient space")
+        cols = _column_dicts(vectors)
+    else:
+        cols = vectors
+        if max((max(col) for col in cols if col), default=-1) >= ambient:
+            raise ShapeError("vectors do not live in the ambient space")
+    p = field.char
+    at = {piv: q for q, piv in enumerate(pivots)}
+    cand = [{at[k]: r for k, y in col.items()
+             if k in at and (r := y % p if p else y)} for col in cols]
+    if _difference(apply(cand), cols, p) is not None:
+        return None
+    return _dense_columns(field, len(pivots), cand)
 
 
 def _mul(field: Field, a, b, m, k, n):
@@ -459,6 +514,13 @@ def swap_rows(x: Matrix, m: int, a: int, b: int, k: int) -> Matrix:
     return x.take_rows([((i * a + s) * b + t) * k + r for i in range(m)
                         for t in range(b) for s in range(a)
                         for r in range(k)])
+
+
+def _swapped(columns, a: int, b: int):
+    """tau_{a,b} x for each {row: value} column x of an a (x) b ambient:
+    key i*b + j moves to j*a + i, ``swap_rows`` on nonzeros."""
+    return [{k % b * a + k // b: x for k, x in col.items()}
+            for col in columns]
 
 
 def swap_matrix(field: Field, m: int, n: int) -> Matrix:
@@ -518,17 +580,21 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient})"
 
-    def coords(self, vectors: Matrix):
+    def coords(self, vectors):
         """Coordinates of the given columns in the basis, or None.
 
-        Because the basis restricted to its pivot rows is the identity, the
-        candidate coordinates can be read off and verified with a single
-        multiplication.
+        ``vectors`` is a Matrix or a list of {row: value} columns (sums
+        may be unreduced).  The basis is the identity at its pivot rows,
+        so the candidate coordinates are the entries there; membership is
+        the one sparse equation B x = y, evaluated from the nonzeros of
+        ``columns`` (``_member_coords``).
         """
-        if vectors.rows != self.ambient:
-            raise ShapeError("ambient mismatch")
-        cand = vectors.take_rows(self.pivots)
-        return cand if (self.basis @ cand) == vectors else None
+        return _member_coords(self.field, self.ambient, self.pivots,
+                              vectors, self._apply)
+
+    def _apply(self, cols):
+        """B x for each sparse column x, as unreduced {row: sum} dicts."""
+        return _kron_cols(self.columns, 1, 1, cols)
 
     def annihilator(self) -> Matrix:
         """A matrix Q with kernel exactly this subspace (rows cut it out)."""
@@ -539,28 +605,35 @@ class Chart:
     """Coordinate chart of a subspace of an iterated tensor product.
 
     A chart knows its flat ambient dimension, the embedding E of its basis
-    (one flat column per coordinate), and the flat rows ``pivots`` at which
-    E is the identity: all rows for an identity chart; i*n_b + j for i in
-    a's pivots and j in b's for ``kron(a, b)``, in coordinate order; and
-    the parent's pivots at the pivots of a canonical ``Subspace`` basis,
-    which is the identity there, for a restriction.  So a member y = E x
-    has x = y[pivots], and ``coords`` reads those rows and keeps them only
-    if E applied to them gives y back: membership is one exact equation,
-    and vectors outside the subspace get None.  A restriction stores its
-    embedding; identity and kron charts build theirs only when it is read,
-    since ``_embed`` applies a kron chart's embedding as a block map.
+    as ``columns`` (one reduced {flat row: value} dict per coordinate,
+    with no zero entry), and the flat rows ``pivots`` at which E is the
+    identity: all rows for an identity chart; i*n_b + j for i in a's
+    pivots and j in b's for ``kron(a, b)``, in coordinate order; and the
+    parent's pivots at the pivots of a canonical ``Subspace`` basis, which
+    is the identity there, for a restriction.  So a member y = E x has
+    x = y[pivots], and ``coords`` reads those rows and keeps them only if
+    E applied to them gives y back: membership is one exact equation over
+    nonzeros, and vectors outside the subspace get None.
+
+    A restriction stores its columns: under a kron parent they are
+    ``_kron_cols`` of the parts' columns applied to the subspace's
+    columns, under any other parent a sparse combination of the parent's
+    columns.  Identity and kron charts build theirs only when they are
+    read, since ``_apply`` applies a kron chart's embedding factor by
+    factor.  No chart stores a dense matrix; ``embedding`` is a dense view
+    built on each read.
     """
 
-    __slots__ = ("field", "flat_dim", "dim", "pivots", "_embedding",
+    __slots__ = ("field", "flat_dim", "dim", "pivots", "_columns",
                  "_kind", "_parts")
 
-    def __init__(self, field, flat_dim, dim, pivots, embedding, kind,
+    def __init__(self, field, flat_dim, dim, pivots, columns, kind,
                  parts):
         self.field = field
         self.flat_dim = flat_dim
         self.dim = dim
         self.pivots = pivots
-        self._embedding = embedding
+        self._columns = columns
         self._kind = kind
         self._parts = parts
 
@@ -581,34 +654,43 @@ class Chart:
             raise ShapeError("subspace does not live in the parent chart")
         return cls(parent.field, parent.flat_dim, sub.dim,
                    [parent.pivots[q] for q in sub.pivots],
-                   parent._embed(sub.basis), "restrict", None)
+                   _reduced(parent._apply(sub.columns), parent.field.char),
+                   "restrict", None)
+
+    @property
+    def columns(self):
+        """The embedding as reduced {flat row: value} columns; built on
+        first read for identity and kron charts."""
+        if self._columns is None:
+            self._columns = _reduced(
+                self._apply([{t: 1} for t in range(self.dim)]),
+                self.field.char)
+        return self._columns
 
     @property
     def embedding(self) -> Matrix:
-        """The basis as flat columns; built on first use for identity and
-        kron charts, which ``_embed`` applies without it."""
-        if self._embedding is None:
-            self._embedding = self._embed(
-                Matrix.identity(self.field, self.dim))
-        return self._embedding
+        """The dense flat_dim x dim view of ``columns``, built on each
+        read."""
+        return _dense_columns(self.field, self.flat_dim, self.columns)
 
-    def _factor(self):
-        """This chart as a ``kron_apply`` factor: its dim for identities."""
-        return self.dim if self._kind == "id" else self.embedding
-
-    def _embed(self, coords: Matrix) -> Matrix:
-        """Flat vectors of the given coordinate columns: embedding @ coords,
-        a kron chart's as a block map."""
+    def _apply(self, cols):
+        """E x for each sparse coordinate column x, as unreduced
+        {row: sum} dicts; a kron chart's E as (E_a (x) E_b), from its
+        parts' columns (their dim for an identity part)."""
         if self._kind == "id":
-            return coords
+            return cols
         if self._kind == "kron":
             a, b = self._parts
-            return kron_apply(a._factor(), b._factor(), coords)
-        return self._embedding @ coords
+            return _kron_cols(a._factor(), b._factor(), b.flat_dim, cols)
+        return _kron_cols(self._columns, 1, 1, cols)
 
-    def coords(self, flat: Matrix):
-        """Coordinates of flat column vectors in this chart, or None."""
-        if flat.rows != self.flat_dim:
-            raise ShapeError("vector does not live in the flat ambient")
-        cand = flat.take_rows(self.pivots)
-        return cand if self._embed(cand) == flat else None
+    def _factor(self):
+        """This chart as a ``_kron_cols`` factor: its dim for identities."""
+        return self.dim if self._kind == "id" else self.columns
+
+    def coords(self, flat):
+        """Coordinates of flat column vectors in this chart, or None;
+        ``flat`` is a Matrix or a list of {row: value} columns, read as in
+        ``Subspace.coords``."""
+        return _member_coords(self.field, self.flat_dim, self.pivots, flat,
+                              self._apply)

@@ -386,16 +386,22 @@ def test_injective_over_a_base_without_a_form_builds_the_matrix(monkeypatch):
 CERTIFIED = {"_annihilated", "_restricted_coaction",
              "coseparability_retraction", "Coalgebra", "Comodule",
              "ComoduleMorphism"}
+# coordinates and the presentations they are read in run on nonzeros too
+SPARSE_COORDS = {"Chart.restrict", "Chart.coords", "Subspace.coords"}
+STRUCTURE_MAPS = {"_structure_map", "_transposition", "tensor_morphism"}
 
 
 @pytest.mark.parametrize("doc, certificates", [
-    ("04_cotensor", CERTIFIED),
-    ("hyperdoctrine C 2", CERTIFIED | {"is_injective", "CoalgebraMorphism"})],
+    ("04_cotensor", CERTIFIED | SPARSE_COORDS | STRUCTURE_MAPS),
+    ("hyperdoctrine C 2",
+     CERTIFIED | SPARSE_COORDS | {"is_injective", "CoalgebraMorphism"})],
     ids=["04_cotensor", "hyperdoctrine-C-2"])
 def test_certificates_make_no_dense_product(monkeypatch, doc, certificates):
     # A B = 0, the restriction equation, r rho = id, is_injective's
     # comparison and the laws the four constructors check are evaluated
-    # from nonzeros; a dense product inside any of them fails
+    # from nonzeros, and so are chart restrictions, membership in a chart
+    # or subspace and the structure maps of the coherence diagrams; a
+    # dense product inside any of them fails
     inside, products = [], []
     entered = set()
 
@@ -413,12 +419,16 @@ def test_certificates_make_no_dense_product(monkeypatch, doc, certificates):
         for module in (owner, *also):
             monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("_annihilated", "is_injective", "coseparability_retraction"):
+    for name in ("_annihilated", "is_injective", "coseparability_retraction",
+                 *STRUCTURE_MAPS):
         watch(cm, name, name)
     watch(cm, "_restricted_coaction", "_restricted_coaction", [ix])
     for cls in (ca.Coalgebra, ca.CoalgebraMorphism, cm.Comodule,
                 cm.ComoduleMorphism):
         watch(cls, "__init__", cls.__name__)
+    for label in SPARSE_COORDS:
+        cls, name = label.split(".")
+        watch(getattr(el, cls), name, label)
     real_mul = el._mul
 
     def mul(*args):

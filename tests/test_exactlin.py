@@ -294,18 +294,67 @@ def test_chart_kron_coords_roundtrip():
     assert z is not None and k.embedding @ z == y
 
 
-def test_kron_chart_embedding_is_built_on_demand():
+def test_kron_chart_columns_are_built_on_demand():
+    # restricting a kron chart and reading coordinates in it apply its
+    # parts factor by factor; its own columns are built only when read
     rng = random.Random(5)
     a = Chart.restrict(Chart.identity(F, 3),
                        Subspace(F, 3, rnd_matrix(rng, 3, 2),
                                 _canonical=False))
     for b in (Chart.identity(F, 2), a):
         k = Chart.kron(a, b)
-        assert k._embedding is None
-        assert k.embedding == a.embedding.kron(b.embedding)
+        dense = a.embedding.kron(b.embedding)
         sub = Subspace(F, k.dim, rnd_matrix(rng, k.dim, 2),
                        _canonical=False)
-        assert Chart.restrict(k, sub).embedding == k.embedding @ sub.basis
+        r = Chart.restrict(k, sub)
+        assert k.coords(dense @ sub.basis) == sub.basis
+        assert k._columns is None
+        assert r.columns == _column_dicts(dense @ sub.basis)
+        assert k.columns == _column_dicts(dense)
+        assert k.embedding == dense
+        assert r.embedding == k.embedding @ sub.basis
+
+
+@pytest.mark.parametrize("p", [7, 3])
+def test_stored_chart_columns_are_reduced(p):
+    # the composed sums of a nested restriction reach p and 2p - 1: the
+    # stored columns hold them reduced, and a sum = 0 mod p not at all
+    field = GF(p)
+    a = Chart.restrict(Chart.identity(field, 4), Subspace(
+        field, 4, Matrix.from_rows(field, [[1, 0], [0, 1], [1, 1],
+                                           [1, 2]])))
+    b = Chart.restrict(Chart.identity(field, 3), Subspace(
+        field, 3, Matrix.from_rows(field, [[1, 0], [0, 1], [1, 1]])))
+    k = Chart.kron(b, Chart.identity(field, 2))
+    for parent, column, reduced in (
+            (a, [1, p - 1], {0: 1, 1: p - 1, 3: p - 1}),
+            (k, [1, 0, p - 1, 0], {0: 1, 2: p - 1})):
+        sub = Subspace(field, parent.dim, Matrix.from_rows(
+            field, [[x] for x in column]))
+        sums = parent._apply(sub.columns)[0]
+        assert any(x >= p for x in sums.values())
+        chart = Chart.restrict(parent, sub)
+        assert chart.columns == [reduced] \
+            == _column_dicts(parent.embedding @ sub.basis)
+        assert chart.embedding.take_rows(chart.pivots) \
+            == Matrix.identity(field, 1)
+
+
+def test_coords_reject_rows_outside_the_ambient():
+    # a sparse column with a row past the ambient fails as a Matrix with
+    # the wrong row count does, for charts and subspaces alike
+    sub = Subspace(F, 3, Matrix.from_rows(F, [[1], [0], [2]]))
+    k = Chart.kron(Chart.restrict(Chart.identity(F, 3), sub),
+                   Chart.identity(F, 2))
+    assert sub.coords([{0: 1, 2: 2}]) == Matrix.from_rows(F, [[1]])
+    assert k.coords([{0: 1, 4: 2}]) == Matrix.from_rows(F, [[1], [0]])
+    for space, ambient in ((sub, 3), (k, 6)):
+        with pytest.raises(ShapeError):
+            space.coords([{0: 1}, {ambient: 1}])
+        with pytest.raises(ShapeError):
+            space.coords(Matrix.zeros(F, ambient + 1, 1))
+    with pytest.raises(ShapeError):
+        sub.coords(Matrix.zeros(GF(7), 3, 1))
 
 
 def test_chart_rejects_outside_vectors():
