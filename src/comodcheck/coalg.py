@@ -125,10 +125,11 @@ class CoalgebraMorphism:
     ``u_coflat`` holds whether U(phi) is coflat: None until
     ``indexed.forall`` first decides it, so each morphism object decides
     it at most once.  ``_u`` holds U(phi) once
-    ``indexed.coaction_comodule`` has built it.
+    ``indexed.coaction_comodule`` has built it.  ``columns`` keeps the
+    matrix's column dicts that the preservation checks read.
     """
 
-    __slots__ = ("source", "target", "matrix", "u_coflat", "_u")
+    __slots__ = ("source", "target", "matrix", "columns", "u_coflat", "_u")
 
     def __init__(self, source: Coalgebra, target: Coalgebra, matrix: Matrix):
         if source.field != target.field:
@@ -153,6 +154,7 @@ class CoalgebraMorphism:
         self.source = source
         self.target = target
         self.matrix = matrix
+        self.columns = fcols
         self.u_coflat = None
         self._u = None
 

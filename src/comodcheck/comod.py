@@ -47,7 +47,7 @@ from .coalg import Coalgebra, coseparability_form, grouplike_labels
 from .errors import AxiomError, BaseMismatchError, UnsupportedBaseError
 from .exactlin import (Chart, Matrix, ShapeError, Subspace, _column_dicts,
                        _dense_columns, _difference, _kron_cols, _swapped,
-                       kron_apply, swap_rows)
+                       kron_apply)
 
 __all__ = [
     "Comodule", "ComoduleMorphism", "regular_comodule", "cofree_comodule",
@@ -111,9 +111,10 @@ class Comodule:
 
 
 class ComoduleMorphism:
-    """Linear map intertwining the coactions, verified from nonzeros."""
+    """Linear map intertwining the coactions, verified from nonzeros;
+    ``columns`` keeps the matrix's column dicts that check read."""
 
-    __slots__ = ("source", "target", "matrix")
+    __slots__ = ("source", "target", "matrix", "columns")
 
     def __init__(self, source: Comodule, target: Comodule, matrix: Matrix):
         if source.base != target.base:
@@ -131,6 +132,7 @@ class ComoduleMorphism:
         self.source = source
         self.target = target
         self.matrix = matrix
+        self.columns = fcols
 
     def __matmul__(self, other: "ComoduleMorphism") -> "ComoduleMorphism":
         if other.target != self.source:
@@ -220,7 +222,8 @@ def _cotensor_matrix(v: Comodule, w: Comodule) -> Matrix:
     f, n = v.field, v.base.dim
     mv, mw = v.dim, w.dim
     lhs = v.rho.kron(Matrix.identity(f, mw))
-    rhs = Matrix.identity(f, mv).kron(swap_rows(w.rho, 1, mw, n, 1))
+    lam = _dense_columns(f, n * mw, _swapped(w._rho_cols, 1, mw, n, 1))
+    rhs = Matrix.identity(f, mv).kron(lam)
     return lhs - rhs
 
 
@@ -285,9 +288,9 @@ def _annihilated(v: Comodule, w: Comodule, columns) -> bool:
     are rho_V (x) I_{m_W} and I_{m_V} (x) lambda_W, where lambda_W =
     tau rho_W has rows c*m_W + k, and A B = 0 says they agree on B."""
     n, mv, mw = v.base.dim, v.dim, w.dim
+    lam = _swapped(w._rho_cols, 1, mw, n, 1)
     return _difference(_kron_cols(v._rho_cols, mw, mw, columns),
-                       _kron_cols(mv, _swapped(w._rho_cols, mw, n), n * mw,
-                                  columns),
+                       _kron_cols(mv, lam, n * mw, columns),
                        v.field.char) is None
 
 
@@ -416,7 +419,8 @@ def _transposition(src: _Obj, tgt: _Obj) -> ComoduleMorphism:
     tau moves key i*m_B + j of a source basis column to j*m_A + i."""
     a, b, ssub = src.parts
     _, _, tsub = tgt.parts
-    mat = tsub.coords(_swapped(ssub.columns, a.module.dim, b.module.dim))
+    mat = tsub.coords(_swapped(ssub.columns, 1, a.module.dim,
+                               b.module.dim, 1))
     if mat is None:
         raise AxiomError("braiding", "tau does not map between equalizers")
     return ComoduleMorphism(src.module, tgt.module, mat)
@@ -432,8 +436,7 @@ def tensor_morphism(f: ComoduleMorphism, g: ComoduleMorphism,
     if f.source != sa.module or f.target != ta.module \
             or g.source != sb.module or g.target != tb.module:
         raise BaseMismatchError("factor morphisms do not match the objects")
-    mat = tsub.coords(_kron_cols(_column_dicts(f.matrix),
-                                 _column_dicts(g.matrix), g.matrix.rows,
+    mat = tsub.coords(_kron_cols(f.columns, g.columns, g.target.dim,
                                  ssub.columns))
     if mat is None:
         raise AxiomError("tensor-morphism",
@@ -472,7 +475,7 @@ def _left_unitor(cv: _Obj):
     f, m, n = v.field, v.dim, v.base.dim
     fwd = kron_apply(v.base.epsilon, m, sub.basis)
     mor = ComoduleMorphism(cv.module, v, fwd)
-    back = sub.coords(_swapped(v._rho_cols, m, n))
+    back = sub.coords(_swapped(v._rho_cols, 1, m, n, 1))
     if back is None or fwd @ back != Matrix.identity(f, v.dim) \
             or back @ fwd != Matrix.identity(f, cv.module.dim):
         raise AxiomError("left-unitor", "coaction fails to invert eps x id")

@@ -11,29 +11,22 @@ product loops live in the kernel module ``_backend.core``.
 Every law that ``coalg`` and ``comod`` certify is an equation between
 Kronecker-structured maps applied to sparse columns: ``_kron_cols``
 evaluates each side from the column dicts of its factors
-(``_column_dicts``), and ``_difference`` compares the two over Q or F_p.
-Membership is one such equation too.  ``Subspace.coords`` and
-``Chart.coords`` read candidate coordinates at the pivot rows, where the
-basis E is the identity, and check E x = y from nonzeros, so vectors may
-be handed over as column dicts and are never multiplied densely.  A
-``Chart`` stores its embedding as reduced column dicts, compressed-column
-storage after Gustavson (1978), and builds a dense ``embedding`` only as
-a view.
+(``_column_dicts``), ``_swapped`` permutes tensor factors, and
+``_difference`` compares the two over Q or F_p.  Membership is one such
+equation too: ``Subspace.coords`` and ``Chart.coords`` take column dicts
+only, read candidates at the pivot rows, where the basis E is the
+identity, and check E x = y from nonzeros.  A ``Chart`` stores E as
+reduced column dicts (compressed-column storage, Gustavson 1978).
 
 Tensor bookkeeping fixes one global convention used by every module
 downstream: the basis vector e_i (x) e_j of a tensor product of spaces of
 dimensions (m, n) sits at flat index ``i*n + j`` (left factor major).
-``kron`` realizes maps f (x) g on these bases.  ``kron_apply`` applies
-one to a matrix without building it, since the structure maps downstream
-(id (x) rho, id (x) delta, f (x) id) are Kronecker products of small maps
-whose product would be large and mostly zero.  A column of a matrix with
-m*n rows is the row-major vec X of an m x n block X, and
-(A (x) B) vec X = vec(A X B^T): B acts on the blocks side by side, in one
-batched product, and A on that result as it stands, because an
-(m*q) x d matrix and an m x (q*d) one have the same flat data.  There is
-no solver for unknown matrices: a space of linear maps V -> W is a
-subspace of W (x) V*, so callers describe it by one matrix, either cut out
-as its ``kernel`` (or by ``solve_right``) or spanned as the image of an
+``kron`` realizes maps f (x) g on these bases, and ``kron_apply`` applies
+one to a dense matrix without building it, for the constructors that
+return one (coactions of corestrictions, pairings).  There is no solver
+for unknown matrices: a space of linear maps V -> W is a subspace of
+W (x) V*, so callers describe it by one matrix, either cut out as its
+``kernel`` (or by ``solve_right``) or spanned as the image of an
 idempotent, which ``Subspace`` puts in canonical form.
 """
 
@@ -45,7 +38,7 @@ from ._backend import core
 from .fields import Field
 
 __all__ = ["ShapeError", "Matrix", "Subspace", "Chart", "kron_apply",
-           "swap_rows", "swap_matrix"]
+           "swap_matrix"]
 
 
 class ShapeError(ValueError):
@@ -430,35 +423,31 @@ def _dense_columns(field: Field, rows: int, columns) -> Matrix:
     return Matrix(field, rows, c, data)
 
 
-def _member_coords(field: Field, ambient: int, pivots, vectors, apply):
-    """Coordinates of the columns y of ``vectors`` in a basis E of a
-    subspace of k^ambient that is the identity at the rows ``pivots``, or
-    None when some y is outside it.
+def _transposed(columns, rows: int):
+    """The transpose of the rows x len(columns) matrix with the given
+    {row: value} columns, as its {row: value} columns."""
+    out = [{} for _ in range(rows)]
+    for t, col in enumerate(columns):
+        for r, x in col.items():
+            out[r][t] = x
+    return out
 
-    ``vectors`` is a Matrix or a list of {row: value} columns, whose sums
-    may be unreduced; a row outside the ambient raises ``ShapeError``.
-    Each candidate x = y[pivots] is read over y's nonzeros, and
-    membership is the one equation E x = y, with E x evaluated from
-    nonzeros by ``apply`` and compared by ``_difference``: no dense
-    product.  Returns the len(pivots) x len(vectors) matrix of candidates.
-    """
-    if isinstance(vectors, Matrix):
-        if vectors.field != field:
-            raise ShapeError("field mismatch")
-        if vectors.rows != ambient:
-            raise ShapeError("vectors do not live in the ambient space")
-        cols = _column_dicts(vectors)
-    else:
-        cols = vectors
-        if max((max(col) for col in cols if col), default=-1) >= ambient:
-            raise ShapeError("vectors do not live in the ambient space")
-    p = field.char
+
+def _member_coords(ambient: int, pivots, vectors, apply, p: int):
+    """Coordinates x = y[pivots], as reduced {coordinate: value} columns,
+    of the {row: value} columns y of ``vectors`` (sums may be unreduced)
+    in a basis E of a subspace of k^ambient that is the identity at the
+    rows ``pivots``, kept only if E x = y (E x by ``apply``, compared by
+    ``_difference`` over Q or F_p), else None; a row outside the ambient
+    raises ``ShapeError``."""
+    if max((max(col) for col in vectors if col), default=-1) >= ambient:
+        raise ShapeError("vectors do not live in the ambient space")
     at = {piv: q for q, piv in enumerate(pivots)}
     cand = [{at[k]: r for k, y in col.items()
-             if k in at and (r := y % p if p else y)} for col in cols]
-    if _difference(apply(cand), cols, p) is not None:
+             if k in at and (r := y % p if p else y)} for col in vectors]
+    if _difference(apply(cand), vectors, p) is not None:
         return None
-    return _dense_columns(field, len(pivots), cand)
+    return cand
 
 
 def _mul(field: Field, a, b, m, k, n):
@@ -509,23 +498,23 @@ def kron_apply(a, b, x: Matrix) -> Matrix:
     return Matrix(f, ra * rb, d, data)
 
 
-def swap_rows(x: Matrix, m: int, a: int, b: int, k: int) -> Matrix:
-    """(I_m (x) tau_{a,b} (x) I_k) @ x as a row permutation, tau the swap."""
-    return x.take_rows([((i * a + s) * b + t) * k + r for i in range(m)
-                        for t in range(b) for s in range(a)
-                        for r in range(k)])
+def _swapped(columns, m: int, a: int, b: int, k: int):
+    """(I_m (x) tau_{a,b} (x) I_k) x for each {row: value} column x of an
+    m (x) a (x) b (x) k ambient, tau the swap: key ((i*a + s)*b + t)*k + r
+    moves to ((i*b + t)*a + s)*k + r."""
+    def moved(key):
+        q, r = divmod(key, k)
+        u, t = divmod(q, b)
+        i, s = divmod(u, a)
+        return ((i * b + t) * a + s) * k + r
 
-
-def _swapped(columns, a: int, b: int):
-    """tau_{a,b} x for each {row: value} column x of an a (x) b ambient:
-    key i*b + j moves to j*a + i, ``swap_rows`` on nonzeros."""
-    return [{k % b * a + k // b: x for k, x in col.items()}
-            for col in columns]
+    return [{moved(key): x for key, x in col.items()} for col in columns]
 
 
 def swap_matrix(field: Field, m: int, n: int) -> Matrix:
     """Transposition V (x) W -> W (x) V for dims (m, n): e_i(x)e_j -> e_j(x)e_i."""
-    return swap_rows(Matrix.identity(field, m * n), 1, m, n, 1)
+    return _dense_columns(field, m * n, _swapped(
+        [{t: 1} for t in range(m * n)], 1, m, n, 1))
 
 
 class Subspace:
@@ -581,16 +570,15 @@ class Subspace:
         return f"Subspace(dim {self.dim} of {self.ambient})"
 
     def coords(self, vectors):
-        """Coordinates of the given columns in the basis, or None.
+        """``coord_columns`` as a dim x len(vectors) Matrix, or None."""
+        x = self.coord_columns(vectors)
+        return None if x is None else _dense_columns(self.field, self.dim, x)
 
-        ``vectors`` is a Matrix or a list of {row: value} columns (sums
-        may be unreduced).  The basis is the identity at its pivot rows,
-        so the candidate coordinates are the entries there; membership is
-        the one sparse equation B x = y, evaluated from the nonzeros of
-        ``columns`` (``_member_coords``).
-        """
-        return _member_coords(self.field, self.ambient, self.pivots,
-                              vectors, self._apply)
+    def coord_columns(self, vectors):
+        """``_member_coords`` of {row: value} columns (sums may be
+        unreduced) in the basis, the identity at its pivot rows."""
+        return _member_coords(self.ambient, self.pivots, vectors,
+                              self._apply, self.field.char)
 
     def _apply(self, cols):
         """B x for each sparse column x, as unreduced {row: sum} dicts."""
@@ -611,17 +599,13 @@ class Chart:
     pivots and j in b's for ``kron(a, b)``, in coordinate order; and the
     parent's pivots at the pivots of a canonical ``Subspace`` basis, which
     is the identity there, for a restriction.  So a member y = E x has
-    x = y[pivots], and ``coords`` reads those rows and keeps them only if
-    E applied to them gives y back: membership is one exact equation over
-    nonzeros, and vectors outside the subspace get None.
+    x = y[pivots], and ``coords`` keeps those rows only if E applied to
+    them gives y back.
 
-    A restriction stores its columns: under a kron parent they are
-    ``_kron_cols`` of the parts' columns applied to the subspace's
-    columns, under any other parent a sparse combination of the parent's
-    columns.  Identity and kron charts build theirs only when they are
-    read, since ``_apply`` applies a kron chart's embedding factor by
-    factor.  No chart stores a dense matrix; ``embedding`` is a dense view
-    built on each read.
+    A restriction stores its columns (``_kron_cols`` of the parts' columns
+    under a kron parent, else a sparse combination of the parent's).
+    Identity and kron charts build theirs only when read, since ``_apply``
+    applies a kron chart's E factor by factor.  No chart holds a dense E.
     """
 
     __slots__ = ("field", "flat_dim", "dim", "pivots", "_columns",
@@ -667,12 +651,6 @@ class Chart:
                 self.field.char)
         return self._columns
 
-    @property
-    def embedding(self) -> Matrix:
-        """The dense flat_dim x dim view of ``columns``, built on each
-        read."""
-        return _dense_columns(self.field, self.flat_dim, self.columns)
-
     def _apply(self, cols):
         """E x for each sparse coordinate column x, as unreduced
         {row: sum} dicts; a kron chart's E as (E_a (x) E_b), from its
@@ -688,9 +666,9 @@ class Chart:
         """This chart as a ``_kron_cols`` factor: its dim for identities."""
         return self.dim if self._kind == "id" else self.columns
 
-    def coords(self, flat):
-        """Coordinates of flat column vectors in this chart, or None;
-        ``flat`` is a Matrix or a list of {row: value} columns, read as in
-        ``Subspace.coords``."""
-        return _member_coords(self.field, self.flat_dim, self.pivots, flat,
-                              self._apply)
+    coords = Subspace.coords
+
+    def coord_columns(self, flat):
+        """``_member_coords`` of flat {row: value} columns in this chart."""
+        return _member_coords(self.flat_dim, self.pivots, flat, self._apply,
+                              self.field.char)

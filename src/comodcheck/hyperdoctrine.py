@@ -30,7 +30,7 @@ from .coalg import (Coalgebra, CoalgebraMorphism, counit_morphism,
                     trivial_coalgebra)
 from .comod import Comodule, ComoduleMorphism, cotensor, regular_comodule
 from .errors import (AxiomError, BaseMismatchError, UnsupportedBaseError)
-from .exactlin import Matrix, ShapeError, kron_apply, swap_matrix
+from .exactlin import Matrix, ShapeError, _kron_cols, swap_matrix
 from .indexed import (PullbackSquare, beck_chevalley_check,
                       beck_for_forall_check, coaction_comodule,
                       pullback_functor, sigma, ssmc_check)
@@ -99,7 +99,8 @@ def strong_monoidality_check(o1: CoalgCObject,
     left = U_C(obj)
     k_mod, k_sub = cotensor(U_C(o1), U_C(o2))
     dims = {"product_side": left.dim, "cotensor_side": k_mod.dim}
-    coords = k_sub.coords(kron_apply(u.matrix, v.matrix, d.delta))
+    coords = k_sub.coords(_kron_cols(u.columns, v.columns, v.target.dim,
+                                     d._delta_cols))
     if coords is None:
         return failure("strong-monoidality",
                        "(u x v) delta misses the cotensor equalizer",
@@ -170,8 +171,8 @@ def lnl_morphism_check(f: CoalgebraMorphism,
     x = lf_obj.phi
     u_prime = coaction_comodule(x)
     dims = {"pull_of_image": k_mod.dim, "image_of_pull": u_prime.dim}
-    compare = k_sub.coords(kron_apply(x_tilde.matrix, x.matrix,
-                                      x.source.delta))
+    compare = k_sub.coords(_kron_cols(x_tilde.columns, x.columns,
+                                      x.target.dim, x.source._delta_cols))
     if compare is None:
         return failure("lnl", "(x~ x x) delta misses the equalizer",
                        dims=dims)

@@ -34,7 +34,9 @@ cotensor D1 (x)_C D2) and for forall (the canonical mate), Frobenius
 reciprocity, and strong symmetric monoidal closure of phi^* between
 cosemisimple bases.  Each comparison is an explicit map checked exactly to
 be an invertible comodule morphism; dimension counting alone is never
-accepted for a law with a formula.
+accepted for a law with a formula.  Every comparison map and transpose is
+read as coordinates from column dicts built from nonzeros by
+``_kron_cols`` and ``_swapped``: no law check builds a dense flat vector.
 """
 
 from __future__ import annotations
@@ -48,7 +50,9 @@ from .comod import (Comodule, ComoduleMorphism, _cotensor_kernel, _Obj,
                     regular_comodule)
 from .errors import (AxiomError, BaseMismatchError, HypothesisViolatedError,
                      UnsupportedBaseError)
-from .exactlin import Chart, Matrix, kron_apply, swap_rows
+from .exactlin import (Chart, Matrix, _column_dicts, _dense_columns,
+                       _difference, _kron_cols, _reduced, _swapped,
+                       _transposed, kron_apply)
 from .report import CheckReport, failure
 
 __all__ = [
@@ -121,8 +125,8 @@ def pullback_map(phi: CoalgebraMorphism, f: ComoduleMorphism,
     if tgt is None:
         tgt = pullback_functor(phi, f.target)
     (src_mod, src_sub), (tgt_mod, tgt_sub) = src, tgt
-    mat = tgt_sub.coords(kron_apply(f.matrix, phi.source.dim,
-                                    src_sub.basis))
+    nd = phi.source.dim
+    mat = tgt_sub.coords(_kron_cols(f.columns, nd, nd, src_sub.columns))
     if mat is None:
         raise AxiomError("pullback-functor",
                          "f (x) id does not preserve the equalizer")
@@ -143,7 +147,8 @@ def transpose_hat(phi: CoalgebraMorphism, v: Comodule, f: ComoduleMorphism,
     if pw is None:
         pw = pullback_functor(phi, f.target)
     pw_mod, pw_sub = pw
-    mat = pw_sub.coords(kron_apply(f.matrix, phi.source.dim, v.rho))
+    nd = phi.source.dim
+    mat = pw_sub.coords(_kron_cols(f.columns, nd, nd, v._rho_cols))
     if mat is None:
         raise AxiomError("transpose-hat",
                          "hat(f) does not land in the equalizer subspace")
@@ -159,70 +164,72 @@ def transpose_tilde(phi: CoalgebraMorphism, v: Comodule, w: Comodule,
         raise BaseMismatchError("g is not a morphism V -> phi^* W")
     if sv is None:
         sv = sigma(phi, v)
-    return ComoduleMorphism(sv, w, _tilde_factor(phi, w, pw_sub) @ g.matrix)
+    rec = _dense_columns(w.field, w.dim, _tilde_factor(phi, w, pw_sub))
+    return ComoduleMorphism(sv, w, rec @ g.matrix)
 
 
-def _tilde_factor(phi: CoalgebraMorphism, w: Comodule, pw_sub) -> Matrix:
-    """(id_W (x) eps_D) on the basis of phi^* W: tilde(g) = rec g."""
-    return kron_apply(w.dim, phi.source.epsilon, pw_sub.basis)
+def _tilde_factor(phi: CoalgebraMorphism, w: Comodule, pw_sub):
+    """rec = (id_W (x) eps_D) B, B the basis of phi^* W, as column dicts."""
+    return _reduced(_kron_cols(w.dim, phi.source._eps_cols, 1,
+                               pw_sub.columns), w.field.char)
 
 
-def _hat_factor(v: Comodule) -> Matrix:
-    """R with R[(c, j), a] = rho_V[(a, c), j].  For f: Sigma_phi V -> W,
-    (f (x) id_D) rho_V is a (dim W * dim D) x dim V matrix whose
-    row-major vec is (I_W (x) R) vec f."""
+def _hat_factor(v: Comodule):
+    """R[(c, j), a] = rho_V[(a, c), j] as column dicts: for f: Sigma_phi V
+    -> W, vec((f (x) id_D) rho_V) = (I_W (x) R) vec f (row-major)."""
     m, n = v.dim, v.base.dim
-    data = [0] * (n * m * m)
+    cols = [{} for _ in range(m)]
     for j, col in enumerate(v._rho_cols):
         for idx, x in col.items():
             a, c = divmod(idx, n)
-            data[(c * m + j) * m + a] = x
-    return Matrix(v.field, n * m, m, data)
+            cols[a][c * m + j] = x
+    return cols
 
 
-def _batched_hat(r: Matrix, w_dim: int, pw, x: Matrix) -> Matrix:
-    """hat on every column of x at once.  Column t of x is vec f_t for a
-    map f_t: Sigma_phi V -> W (row-major, dim W x dim V), r is
-    ``_hat_factor(V)`` and pw = pullback_functor(phi, W).
+def _batched_hat(v: Comodule, w_dim: int, pw, x):
+    """vec hat(f_t) for the {row: value} columns x, each vec f_t of a map
+    f_t: Sigma_phi V -> W (row-major), pw = pullback_functor(phi, W).
 
-    (I_W (x) R) x holds the matrices (f_t (x) id) rho_V.  Read as one
-    (dim W * dim D) x (dim V * d) matrix, its column j*d + t is column j
-    of (f_t (x) id) rho_V, so one ``coords`` call in phi^* W gives every
-    hat(f_t), and the same data read with d columns has column t =
-    vec hat(f_t).  Raises ``AxiomError("transpose-hat")`` when some column
-    leaves the equalizer."""
-    f, d = x.field, x.cols
-    m = r.cols
-    flat = kron_apply(w_dim, r, x)
-    coords = pw[1].coords(Matrix(f, pw[1].ambient, m * d, flat.data))
+    Row q*m + j of column t of (I_W (x) R) x, R = ``_hat_factor(V)``, is
+    row q of column j of (f_t (x) id) rho_V; read as column t*m + j in
+    phi^* W, its coordinate s is row s*m + j of vec hat(f_t).  Raises
+    ``AxiomError("transpose-hat")`` when a column leaves the equalizer."""
+    m, n, d = v.dim, v.base.dim, len(x)
+    images = [{} for _ in range(d * m)]
+    for t, col in enumerate(_kron_cols(w_dim, _hat_factor(v), n * m, x)):
+        for key, y in col.items():
+            images[t * m + key % m][key // m] = y
+    coords = pw[1].coord_columns(images)
     if coords is None:
         raise AxiomError("transpose-hat",
                          "hat(f) does not land in the equalizer subspace")
-    return Matrix(f, pw[0].dim * m, d, coords.data)
+    return [{s * m + j: y for j in range(m)
+             for s, y in coords[t * m + j].items()} for t in range(d)]
 
 
-def _batched_tilde(rec: Matrix, v_dim: int, x: Matrix) -> Matrix:
-    """tilde on every column of x at once: column t is vec g_t for
-    g_t: V -> phi^* W, and vec(rec g_t) = (rec (x) I_V) vec g_t, for
-    rec = ``_tilde_factor(phi, W, pw_sub)``."""
-    return kron_apply(rec, v_dim, x)
+def _batched_tilde(rec, v_dim: int, x):
+    """tilde on every column of x at once: column t is the {row: value}
+    dict of vec g_t for g_t: V -> phi^* W, and vec(rec g_t) =
+    (rec (x) I_V) vec g_t, for rec = ``_tilde_factor(phi, W, pw_sub)``."""
+    return _kron_cols(rec, v_dim, v_dim, x)
 
 
-def _in_hom(hom, x: Matrix, what: str) -> None:
-    """Every column of x is the vec of a comodule morphism: it lies in the
-    hom space ``hom``, a canonical subspace read off the cotensor kernel."""
-    if hom.coords(x) is None:
+def _in_hom(hom, x, what: str) -> None:
+    """Every {row: value} column of x is the vec of a comodule morphism:
+    it lies in the hom space ``hom``."""
+    if hom.coord_columns(x) is None:
         raise AxiomError("comodule-morphism",
                          f"{what} is not a comodule morphism")
 
 
-def _residual(hom, x: Matrix, what: str) -> Matrix:
-    """x - basis(hom) for a round trip x of that basis; a round trip that
-    misses must still consist of comodule morphisms (``_in_hom``)."""
-    if x == hom.basis:
-        return Matrix.zeros(x.field, x.rows, x.cols)
+def _residual(hom, x, what: str) -> Matrix:
+    """x - basis(hom) for a round trip x ({row: value} columns) of that
+    basis; one that misses must still lie in ``hom`` (``_in_hom``)."""
+    f = hom.field
+    if _difference(x, hom.columns, f.char) is None:
+        return Matrix.zeros(f, hom.ambient, hom.dim)
     _in_hom(hom, x, what)
-    return x - hom.basis
+    return _dense_columns(f, hom.ambient, _reduced(x, f.char)) - hom.basis
 
 
 class AdjunctionCertificate:
@@ -275,14 +282,13 @@ def adjunction_certificate(phi: CoalgebraMorphism, v: Comodule,
     pw = pullback_functor(phi, w)
     left = hom_space(sv, w)
     right = hom_space(v, pw[0])
-    r = _hat_factor(v)
     rec = _tilde_factor(phi, w, pw[1])
-    hats = _batched_hat(r, w.dim, pw, left.basis)
+    hats = _batched_hat(v, w.dim, pw, left.columns)
     _in_hom(right, hats, "hat(f)")
     back = _residual(left, _batched_tilde(rec, v.dim, hats), "tilde(hat(f))")
-    tildes = _batched_tilde(rec, v.dim, right.basis)
+    tildes = _batched_tilde(rec, v.dim, right.columns)
     _in_hom(left, tildes, "tilde(g)")
-    again = _residual(right, _batched_hat(r, w.dim, pw, tildes),
+    again = _residual(right, _batched_hat(v, w.dim, pw, tildes),
                       "hat(tilde(g))")
     return AdjunctionCertificate(left.dim, right.dim, [back, again])
 
@@ -317,7 +323,8 @@ def forall(phi: CoalgebraMorphism, v: Comodule) -> Comodule:
 def _unit_coords(phi: CoalgebraMorphism, w: Comodule, pw_sub) -> Matrix:
     """eta_W in the coordinates of phi^* W: (id_W (x) phi^T) rho_W, that is
     w -> sum_x pi_phi(x) w (x) x over the group-likes x of the source."""
-    mat = pw_sub.coords(kron_apply(w.dim, phi.matrix.transpose(), w.rho))
+    mat = pw_sub.coords(_kron_cols(w.dim, _transposed(
+        phi.columns, phi.target.dim), phi.source.dim, w._rho_cols))
     if mat is None:
         raise AxiomError("forall-unit", "(id x phi^T) rho_W misses phi^* W")
     return mat
@@ -417,10 +424,10 @@ class PullbackSquare:
     P = (delta (x) gamma) delta_D lands in E with invertible coordinate
     matrix m: then P is an isomorphism of D onto E carrying delta and gamma
     to the projections.  It keeps E (``cotensor``) and t = m^-1, which
-    sends coordinates in E back to D, for the Beck maps.
+    sends coordinates in E back to D, for the Beck maps (and ``_t_cols``).
     """
 
-    __slots__ = ("delta", "gamma", "beta", "alpha", "cotensor", "t")
+    __slots__ = ("delta", "gamma", "beta", "alpha", "cotensor", "t", "_t_cols")
 
     def __init__(self, delta: CoalgebraMorphism, gamma: CoalgebraMorphism,
                  beta: CoalgebraMorphism, alpha: CoalgebraMorphism,
@@ -436,8 +443,9 @@ class PullbackSquare:
         if _cotensor is None:
             _cotensor = _cotensor_kernel(coaction_comodule(beta),
                                          coaction_comodule(alpha))
-        m = _cotensor.coords(kron_apply(delta.matrix, gamma.matrix,
-                                        delta.source.delta))
+        m = _cotensor.coords(_kron_cols(delta.columns, gamma.columns,
+                                        gamma.target.dim,
+                                        delta.source._delta_cols))
         t = None if m is None else m.inverse()
         if t is None:
             raise AxiomError("pullback-square",
@@ -448,6 +456,7 @@ class PullbackSquare:
         self.alpha = alpha
         self.cotensor = _cotensor
         self.t = t
+        self._t_cols = _column_dicts(t)
 
     @classmethod
     def from_cospan(cls, beta: CoalgebraMorphism,
@@ -481,20 +490,22 @@ def beck_maps(square: PullbackSquare, v: Comodule):
     side2_mod = sigma(square.delta, m2_mod)
     side2 = (side2_mod, m2_sub)
     # forward: v (x) d1 |-> sum v0 (x) (t after swap)(v1 (x) d1)
-    step = swap_rows(kron_apply(v.rho, n1, side1[1].basis), v.dim, n2, n1, 1)
+    step = _swapped(_kron_cols(v._rho_cols, n1, n1, side1[1].columns), v.dim,
+                    n2, n1, 1)
     chart = Chart.kron(Chart.identity(f, v.dim),
                        Chart.restrict(Chart.identity(f, n1 * n2),
                                       square.cotensor))
-    coords = chart.coords(step)
+    coords = chart.coord_columns(step)
     if coords is None:
         return None, None, side1, side2
-    phi_mat = side2[1].coords(kron_apply(v.dim, square.t, coords))
+    phi_mat = side2[1].coords(_kron_cols(v.dim, square._t_cols,
+                                         square.t.rows, coords))
     if phi_mat is None:
         return None, None, side1, side2
     phi = ComoduleMorphism(side1[0], side2_mod, phi_mat)
     # backward: v (x) d |-> v (x) delta(d)
-    psi_mat = side1[1].coords(kron_apply(v.dim, square.delta.matrix,
-                                         side2[1].basis))
+    psi_mat = side1[1].coords(_kron_cols(v.dim, square.delta.columns, n1,
+                                         side2[1].columns))
     if psi_mat is None:
         return phi, None, side1, side2
     psi = ComoduleMorphism(side2_mod, side1[0], psi_mat)
@@ -550,14 +561,14 @@ def beck_for_forall_check(square: PullbackSquare, v: Comodule,
     pga = pullback_functor(square.gamma, pa.module)
     dims = {"forall_then_pull": pa.module.dim, "pull_then_forall": lhs.dim}
     d = square.delta.source
-    # d2 (x) d -> eps(d2) sum delta(d_1) (x) d_2, then r_V (x) id_D; a
-    # matrix M followed by eps (x) I_D is eps (x) M
-    regroup = square.alpha.source.epsilon.kron(
-        kron_apply(square.delta.matrix, d.dim, d.delta))
-    flat = kron_apply(rhs.dim, regroup,
-                      _pullback_obj(square.gamma, pa, pga).chart.embedding)
-    g_mat = pv[1].coords(kron_apply(coseparability_retraction(v), d.dim,
-                                    flat))
+    nd, n1 = d.dim, square.delta.target.dim
+    # d2 (x) d -> eps(d2) sum delta(d_1) (x) d_2, then r_V (x) id_D
+    lift = _kron_cols(square.delta.columns, nd, nd, d._delta_cols)
+    flat = _kron_cols(rhs.dim, lift, n1 * nd, _counit_middle(
+        square.alpha.source._eps_cols, rhs.dim, nd,
+        _pullback_obj(square.gamma, pa, pga).chart.columns))
+    coseparability_retraction(v)  # keeps r_V's column dicts on v
+    g_mat = pv[1].coords(_kron_cols(v._retraction[1], nd, nd, flat))
     if g_mat is None:
         return failure("forall-beck", "g misses the equalizer of delta^* V",
                        dims=dims)
@@ -591,14 +602,14 @@ def frobenius_check(phi: CoalgebraMorphism, v: Comodule,
     rhs = ct(atom(sigma(phi, v)), atom(w))
     dims = {"sigma_of_cotensor": lhs.dim, "cotensor_of_sigma": rhs.module.dim}
     # forward: drop c through the counit
-    fwd_mat = rhs.chart.coords(kron_apply(v.dim * w.dim, phi.source.epsilon,
-                                          inner.chart.embedding))
+    fwd_mat = rhs.chart.coords(_kron_cols(
+        v.dim * w.dim, phi.source._eps_cols, 1, inner.chart.columns))
     if fwd_mat is None:
         return failure("frobenius", "phi map misses the target equalizer",
                        dims=dims)
     # backward: v (x) w -> v0 (x) w (x) v1
-    bwd_flat = swap_rows(kron_apply(v.rho, w.dim, rhs.chart.embedding),
-                         v.dim, nc, w.dim, 1)
+    bwd_flat = _swapped(_kron_cols(v._rho_cols, w.dim, w.dim,
+                                   rhs.chart.columns), v.dim, nc, w.dim, 1)
     bwd_mat = inner.chart.coords(bwd_flat)
     if bwd_mat is None:
         return failure("frobenius", "psi map misses the target equalizer",
@@ -617,20 +628,16 @@ def frobenius_check(phi: CoalgebraMorphism, v: Comodule,
 
 # -- strong symmetric monoidal closure of phi^* -------------------------------
 
-def _apply_middle(m: int, b: Matrix, k: int, x: Matrix) -> Matrix:
-    """(I_m (x) b (x) I_k) @ x as a block map: b (x) I_k acts on x read
-    with k times as many columns."""
-    f = x.field
-    y = kron_apply(m, b, Matrix(f, m * b.cols, x.cols * k, x.data))
-    return Matrix(f, y.rows * k, x.cols, y.data)
+def _counit_middle(eps, m: int, k: int, x):
+    """(I_m (x) eps (x) I_k) on columns x, eps by its ``_eps_cols``."""
+    return _kron_cols(m * k, eps, 1, _swapped(x, m, len(eps), k, 1))
 
 
-def _tensor_fwd(phi: CoalgebraMorphism, v_dim: int, w_dim: int,
-                x: Matrix) -> Matrix:
+def _tensor_fwd(phi: CoalgebraMorphism, v_dim: int, w_dim: int, x):
     """v (x) w (x) c -> sum v (x) c1 (x) w (x) c2, flat, on x's columns."""
     nc = phi.source.dim
-    return swap_rows(kron_apply(v_dim * w_dim, phi.source.delta, x),
-                     v_dim, w_dim, nc, nc)
+    return _swapped(_kron_cols(v_dim * w_dim, phi.source._delta_cols,
+                               nc * nc, x), v_dim, w_dim, nc, nc)
 
 
 def _inverse_pair(fwd: ComoduleMorphism, bwd: ComoduleMorphism) -> bool:
@@ -649,11 +656,11 @@ def _tensor_iso(phi: CoalgebraMorphism, v: Comodule, w: Comodule,
     backward: v (x) c (x) w (x) c~ -> v (x) w (x) eps(c) c~.  Returns the
     pair of morphisms, None where a map misses its target.
     """
+    nc = phi.source.dim
     fwd_mat = rhs.chart.coords(_tensor_fwd(phi, v.dim, w.dim,
-                                           lhs.chart.embedding))
-    bwd_mat = lhs.chart.coords(_apply_middle(
-        v.dim, phi.source.epsilon, w.dim * phi.source.dim,
-        rhs.chart.embedding))
+                                           lhs.chart.columns))
+    bwd_mat = lhs.chart.coords(_counit_middle(
+        phi.source._eps_cols, v.dim, w.dim * nc, rhs.chart.columns))
     if fwd_mat is None or bwd_mat is None:
         return None, None
     return (ComoduleMorphism(lhs.module, rhs.module, fwd_mat),
@@ -703,7 +710,8 @@ def ssmc_check(phi: CoalgebraMorphism, v: Comodule,
     reg_c = regular_comodule(phi.source)
     pd_mod, pd_sub = pullback_functor(phi, reg_d)
     unit_fwd = kron_apply(phi.target.epsilon, nc, pd_sub.basis)
-    unit_bwd = pd_sub.coords(kron_apply(phi.matrix, nc, phi.source.delta))
+    unit_bwd = pd_sub.coords(_kron_cols(phi.columns, nc, nc,
+                                        phi.source._delta_cols))
     dims["pull_of_unit"] = pd_mod.dim
     if unit_bwd is None:
         return failure("ssmc", "unit comparison misses the equalizer",
@@ -718,11 +726,11 @@ def ssmc_check(phi: CoalgebraMorphism, v: Comodule,
                        dims=dims)
     details.append("unit-iso")
     # (iii) braiding compatibility, on the flat ambient W x D x V x D
-    br_lhs = swap_rows(pv_pw.chart.embedding @ fwd.matrix, 1,
-                       v.dim * nc, w.dim * nc, 1)
-    br_rhs = _tensor_fwd(phi, w.dim, v.dim, swap_rows(
-        p_vw.chart.embedding, 1, v.dim, w.dim, nc))
-    if br_lhs != br_rhs:
+    br_lhs = _swapped(pv_pw.chart._apply(fwd.columns), 1, v.dim * nc,
+                      w.dim * nc, 1)
+    br_rhs = _tensor_fwd(phi, w.dim, v.dim, _swapped(
+        p_vw.chart.columns, 1, v.dim, w.dim, nc))
+    if _difference(br_lhs, br_rhs, f.char) is not None:
         return failure("ssmc", "braiding is not preserved", dims=dims)
     details.append("braiding")
     # (iv) closedness: phi^*[V, W] -> [phi^* V, phi^* W] sends
@@ -733,13 +741,18 @@ def ssmc_check(phi: CoalgebraMorphism, v: Comodule,
     hom_p, hom_p_sub = internal_hom(pv.module, pw.module)
     dims["hom_of_pulls"] = hom_p.dim
     dims["pull_of_hom"] = p_hom.dim
-    gamma = Matrix(f, nc, nc, coseparability_form(phi.source).data)
-    pair = kron_apply(v.dim, gamma, pv.chart.embedding).transpose()
-    split = swap_rows(kron_apply(hom_sub.basis, phi.source.delta,
-                                 p_hom_sub.basis), w.dim, v.dim, nc, nc)
+    form = coseparability_form(phi.source).data
+    gamma = [{d: x for d in range(nc) if (x := form[d * nc + c])}
+             for c in range(nc)]
+    pair = _transposed(_kron_cols(v.dim, gamma, nc, pv.chart.columns),
+                       v.dim * nc)
+    split = _swapped(_kron_cols(hom_sub.columns, phi.source._delta_cols,
+                                nc * nc, p_hom_sub.columns),
+                     w.dim, v.dim, nc, nc)
     chart = Chart.restrict(Chart.kron(pw.chart, Chart.identity(
         f, pv.module.dim)), hom_p_sub)
-    cmp_mat = chart.coords(kron_apply(w.dim * nc, pair, split))
+    cmp_mat = chart.coords(_kron_cols(w.dim * nc, pair, pv.module.dim,
+                                      split))
     if cmp_mat is None:
         return failure("ssmc", "closedness comparison misses the internal "
                        "hom", dims=dims)
@@ -773,11 +786,11 @@ def composition_isos(phi: CoalgebraMorphism, psi: CoalgebraMorphism,
     psw = _pullback_obj(psi, aw, pullback_functor(psi, w))
     rhs = _pullback_obj(phi, psw, pullback_functor(phi, psw.module))
     dims = {"composite_pull": lhs.module.dim, "iterated_pull": rhs.module.dim}
-    fwd_mat = rhs.chart.coords(kron_apply(
-        w.dim, kron_apply(phi.matrix, nc, phi.source.delta),
-        lhs.chart.embedding))
-    bwd_mat = lhs.chart.coords(_apply_middle(
-        w.dim, psi.source.epsilon, nc, rhs.chart.embedding))
+    lift = _kron_cols(phi.columns, nc, nc, phi.source._delta_cols)
+    fwd_mat = rhs.chart.coords(_kron_cols(w.dim, lift, phi.target.dim * nc,
+                                          lhs.chart.columns))
+    bwd_mat = lhs.chart.coords(_counit_middle(
+        psi.source._eps_cols, w.dim, nc, rhs.chart.columns))
     if fwd_mat is None or bwd_mat is None:
         return strict, None, dims
     pair = (ComoduleMorphism(lhs.module, rhs.module, fwd_mat),

@@ -14,7 +14,7 @@ import pytest
 
 from comodcheck.coalg import Coalgebra, _subcoalgebra
 from comodcheck.comod import ComoduleMorphism, hom_space
-from comodcheck.exactlin import Matrix, Subspace
+from comodcheck.exactlin import Matrix, Subspace, _dense_columns
 from comodcheck.fields import QQ
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -36,6 +36,12 @@ def gx_coalgebra(field=QQ):
 def sqrt2_dual(field=QQ):
     return Coalgebra(field, 2, Matrix.from_rows(field, SQRT2_DELTA),
                      Matrix.from_rows(field, SQRT2_EPS))
+
+
+def chart_embedding(chart):
+    """A chart's flat_dim x dim embedding as a dense matrix, built from its
+    column dicts."""
+    return _dense_columns(chart.field, chart.flat_dim, chart.columns)
 
 
 def count_calls(monkeypatch, module, name):

@@ -387,15 +387,32 @@ CERTIFIED = {"_annihilated", "_restricted_coaction",
              "coseparability_retraction", "Coalgebra", "Comodule",
              "ComoduleMorphism"}
 # coordinates and the presentations they are read in run on nonzeros too
-SPARSE_COORDS = {"Chart.restrict", "Chart.coords", "Subspace.coords"}
+SUBSPACE_COORDS = {"Subspace.coords", "Subspace.coord_columns"}
+CHART_COORDS = {"Chart.restrict", "Chart.coords", "Chart.coord_columns"}
+SPARSE_COORDS = SUBSPACE_COORDS | CHART_COORDS
 STRUCTURE_MAPS = {"_structure_map", "_transposition", "tensor_morphism"}
+# the law checks of indexed and hyperdoctrine read their comparison maps
+# in charts and subspaces (Beck's first step and the adjunction's batched
+# transposes as coordinate columns; the adjunction builds no comodule
+# morphism)
+LAW_CHECKS = CERTIFIED | {"CoalgebraMorphism"}
 
 
 @pytest.mark.parametrize("doc, certificates", [
     ("04_cotensor", CERTIFIED | SPARSE_COORDS | STRUCTURE_MAPS),
-    ("hyperdoctrine C 2",
-     CERTIFIED | SPARSE_COORDS | {"is_injective", "CoalgebraMorphism"})],
-    ids=["04_cotensor", "hyperdoctrine-C-2"])
+    ("hyperdoctrine C 2", LAW_CHECKS | SUBSPACE_COORDS
+     | {"Chart.restrict", "Chart.coord_columns", "is_injective"}),
+    ("06_adjunction", LAW_CHECKS - {"ComoduleMorphism"}
+     | {"Subspace.coord_columns"}),
+    ("07_beck", LAW_CHECKS | SUBSPACE_COORDS
+     | {"Chart.restrict", "Chart.coord_columns"}),
+    ("08_forall_beck", LAW_CHECKS | SUBSPACE_COORDS
+     | {"Chart.restrict", "is_injective"}),
+    ("09_frobenius", LAW_CHECKS | CHART_COORDS),
+    ("10_ssmc", LAW_CHECKS | SPARSE_COORDS),
+    ("11_lnl", LAW_CHECKS | SPARSE_COORDS)],
+    ids=["04_cotensor", "hyperdoctrine-C-2", "06_adjunction", "07_beck",
+         "08_forall_beck", "09_frobenius", "10_ssmc", "11_lnl"])
 def test_certificates_make_no_dense_product(monkeypatch, doc, certificates):
     # A B = 0, the restriction equation, r rho = id, is_injective's
     # comparison and the laws the four constructors check are evaluated
@@ -437,11 +454,11 @@ def test_certificates_make_no_dense_product(monkeypatch, doc, certificates):
         return real_mul(*args)
 
     monkeypatch.setattr(el, "_mul", mul)
-    if doc == "04_cotensor":
-        text = (resources.files("comodcheck") / "corpus"
-                / "04_cotensor.cd").read_text()
+    if doc.startswith("hyperdoctrine"):
+        text = f"field Q\ncoalg C = grouplike {{a, b}}\ncheck {doc}\n"
     else:
-        text = "field Q\ncoalg C = grouplike {a, b}\ncheck hyperdoctrine C 2\n"
+        text = (resources.files("comodcheck") / "corpus"
+                / f"{doc}.cd").read_text()
     reps = runner.run(dsl.parse(text))
     assert reps and all(rep.passed for rep in reps)
     assert certificates <= entered

@@ -14,6 +14,8 @@ from comodcheck.exactlin import (Chart, Matrix, ShapeError, Subspace,
                                  kron_apply, swap_matrix)
 from comodcheck.fields import GF, QQ
 
+from conftest import chart_embedding
+
 F = QQ
 
 
@@ -39,7 +41,8 @@ def test_kernel_rank_one_example():
     k = m.kernel()
     assert k.dim == 1
     assert (m @ k.basis).is_zero()
-    assert k.coords(Matrix.from_rows(F, [[1], [-1]])) is not None
+    assert k.coords(_column_dicts(Matrix.from_rows(F, [[1], [-1]]))) \
+        is not None
 
 
 @given(st.integers(0, 40))
@@ -227,10 +230,10 @@ def test_annihilator_cuts_exactly():
 def test_subspace_coords_reads_pivots():
     w = Subspace(F, 3, Matrix.from_rows(F, [[1, 1], [0, 2], [1, 0]]))
     y = w.basis @ Matrix.from_rows(F, [[Fraction(1, 2)], [3]])
-    c = w.coords(y)
+    c = w.coords(_column_dicts(y))
     assert c is not None and w.basis @ c == y
-    assert w.coords(Matrix.from_rows(F, [[1], [0], [0]])) is None \
-        or w.dim == 3
+    assert w.coords(_column_dicts(Matrix.from_rows(F, [[1], [0], [0]]))) \
+        is None or w.dim == 3
 
 
 def test_subspace_requires_independent_columns():
@@ -289,9 +292,9 @@ def test_chart_kron_coords_roundtrip():
                                 _canonical=False))
     k = Chart.kron(a, b)
     x = rnd_matrix(rng, k.dim, 2)
-    y = k.embedding @ x
-    z = k.coords(y)
-    assert z is not None and k.embedding @ z == y
+    y = chart_embedding(k) @ x
+    z = k.coords(_column_dicts(y))
+    assert z is not None and chart_embedding(k) @ z == y
 
 
 def test_kron_chart_columns_are_built_on_demand():
@@ -303,16 +306,16 @@ def test_kron_chart_columns_are_built_on_demand():
                                 _canonical=False))
     for b in (Chart.identity(F, 2), a):
         k = Chart.kron(a, b)
-        dense = a.embedding.kron(b.embedding)
+        dense = chart_embedding(a).kron(chart_embedding(b))
         sub = Subspace(F, k.dim, rnd_matrix(rng, k.dim, 2),
                        _canonical=False)
         r = Chart.restrict(k, sub)
-        assert k.coords(dense @ sub.basis) == sub.basis
+        assert k.coords(_column_dicts(dense @ sub.basis)) == sub.basis
         assert k._columns is None
         assert r.columns == _column_dicts(dense @ sub.basis)
         assert k.columns == _column_dicts(dense)
-        assert k.embedding == dense
-        assert r.embedding == k.embedding @ sub.basis
+        assert chart_embedding(k) == dense
+        assert chart_embedding(r) == chart_embedding(k) @ sub.basis
 
 
 @pytest.mark.parametrize("p", [7, 3])
@@ -335,14 +338,14 @@ def test_stored_chart_columns_are_reduced(p):
         assert any(x >= p for x in sums.values())
         chart = Chart.restrict(parent, sub)
         assert chart.columns == [reduced] \
-            == _column_dicts(parent.embedding @ sub.basis)
-        assert chart.embedding.take_rows(chart.pivots) \
+            == _column_dicts(chart_embedding(parent) @ sub.basis)
+        assert chart_embedding(chart).take_rows(chart.pivots) \
             == Matrix.identity(field, 1)
 
 
 def test_coords_reject_rows_outside_the_ambient():
-    # a sparse column with a row past the ambient fails as a Matrix with
-    # the wrong row count does, for charts and subspaces alike
+    # a sparse column with a row past the ambient fails, for charts and
+    # subspaces alike
     sub = Subspace(F, 3, Matrix.from_rows(F, [[1], [0], [2]]))
     k = Chart.kron(Chart.restrict(Chart.identity(F, 3), sub),
                    Chart.identity(F, 2))
@@ -351,10 +354,6 @@ def test_coords_reject_rows_outside_the_ambient():
     for space, ambient in ((sub, 3), (k, 6)):
         with pytest.raises(ShapeError):
             space.coords([{0: 1}, {ambient: 1}])
-        with pytest.raises(ShapeError):
-            space.coords(Matrix.zeros(F, ambient + 1, 1))
-    with pytest.raises(ShapeError):
-        sub.coords(Matrix.zeros(GF(7), 3, 1))
 
 
 def test_chart_rejects_outside_vectors():
@@ -362,7 +361,7 @@ def test_chart_rejects_outside_vectors():
                        Subspace(F, 3, Matrix.from_rows(F, [[1], [0], [0]])))
     k = Chart.kron(a, Chart.identity(F, 2))
     outside = Matrix.from_rows(F, [[0], [0], [0], [1], [0], [0]])
-    assert k.coords(outside) is None
+    assert k.coords(_column_dicts(outside)) is None
 
 
 def nested_charts(field):
@@ -405,7 +404,7 @@ FIELDS = pytest.mark.parametrize("field", [QQ, GF(7), GF(3)],
 def test_chart_embedding_is_the_identity_at_its_pivots(field):
     for name, chart in nested_charts(field):
         assert chart.dim < chart.flat_dim, name
-        assert chart.embedding.take_rows(chart.pivots) \
+        assert chart_embedding(chart).take_rows(chart.pivots) \
             == Matrix.identity(field, chart.dim), name
 
 
@@ -415,9 +414,9 @@ def test_chart_coords_agree_with_solving(field):
     for name, chart in nested_charts(field):
         for cols in (1, 3):
             x = rnd_entries(rng, field, chart.dim, cols)
-            y = chart.embedding @ x
-            assert chart.coords(y) == chart.embedding.solve_right(y) == x, \
-                name
+            y = chart_embedding(chart) @ x
+            assert chart.coords(_column_dicts(y)) \
+                == chart_embedding(chart).solve_right(y) == x, name
 
 
 @FIELDS
@@ -427,15 +426,15 @@ def test_chart_rejects_a_member_changed_off_its_pivots(field):
     # subspace: only the membership equation E x = y tells them apart
     rng = random.Random(field.char + 37)
     for name, chart in nested_charts(field):
-        y = chart.embedding @ rnd_entries(rng, field, chart.dim, 2)
+        y = chart_embedding(chart) @ rnd_entries(rng, field, chart.dim, 2)
         row = rng.choice(sorted(set(range(chart.flat_dim))
                                 - set(chart.pivots)))
         data = list(y.data)
         data[row * 2 + 1] = field.add(data[row * 2 + 1], 1)
         outside = Matrix(field, y.rows, 2, data)
         assert outside.take_rows(chart.pivots) == y.take_rows(chart.pivots)
-        assert chart.coords(outside) is None, name
-        assert chart.embedding.solve_right(outside) is None, name
+        assert chart.coords(_column_dicts(outside)) is None, name
+        assert chart_embedding(chart).solve_right(outside) is None, name
 
 
 # -- sympy reference ---------------------------------------------------------------

@@ -13,7 +13,7 @@ from comodcheck import indexed as ix
 from comodcheck import oracle as orc
 from comodcheck.errors import (AxiomError, BaseMismatchError,
                                HypothesisViolatedError)
-from comodcheck.exactlin import Matrix
+from comodcheck.exactlin import Matrix, _column_dicts, _reduced
 from comodcheck.fields import GF, QQ
 from comodcheck.gen import (random_comodule, random_grouplike,
                             random_setmap_morphism)
@@ -182,11 +182,10 @@ def adjunction_cases(field):
     ]
 
 
-def vec_columns(field, maps, rows):
-    """The matrix whose column t is the row-major vec of maps[t]."""
-    return Matrix(field, rows, len(maps), [g.matrix.data[i]
-                                           for i in range(rows)
-                                           for g in maps])
+def vec_columns(maps):
+    """The {row: value} columns whose column t is the row-major vec of
+    maps[t]."""
+    return [{i: x for i, x in enumerate(g.matrix.data) if x} for g in maps]
 
 
 @FIELDS
@@ -197,16 +196,13 @@ def test_batched_transposes_match_the_per_map_transposes(field):
         pw = ix.pullback_functor(phi, w)
         left = hom_morphisms(ix.sigma(phi, v), w)
         right = hom_morphisms(v, pw[0])
-        hats = ix._batched_hat(ix._hat_factor(v), w.dim, pw,
-                               vec_columns(field, left, w.dim * v.dim))
+        hats = ix._batched_hat(v, w.dim, pw, vec_columns(left))
         tildes = ix._batched_tilde(ix._tilde_factor(phi, w, pw[1]), v.dim,
-                                   vec_columns(field, right,
-                                               pw[0].dim * v.dim))
-        assert [hats.column(t).data for t in range(len(left))] == \
-            [ix.transpose_hat(phi, v, f, pw).matrix.data for f in left]
-        assert [tildes.column(t).data for t in range(len(right))] == \
-            [ix.transpose_tilde(phi, v, w, g, pw).matrix.data
-             for g in right]
+                                   vec_columns(right))
+        assert _reduced(hats, field.char) == \
+            vec_columns(ix.transpose_hat(phi, v, f, pw) for f in left)
+        assert _reduced(tildes, field.char) == \
+            vec_columns(ix.transpose_tilde(phi, v, w, g, pw) for g in right)
         cert = ix.adjunction_certificate(phi, v, w)
         assert cert.ok
         assert cert.dim_sigma_side == len(left) == len(right)
@@ -232,8 +228,8 @@ def test_adjunction_rejects_a_planted_doubled_transpose(monkeypatch, field):
     # 2 tilde(g) is still a comodule morphism, so both round trips miss
     # by a nonzero residual and the certificate fails without raising
     real = ix._batched_tilde
-    monkeypatch.setattr(ix, "_batched_tilde",
-                        lambda *args: real(*args).scale(2))
+    monkeypatch.setattr(ix, "_batched_tilde", lambda *args: [
+        {k: 2 * x for k, x in col.items()} for col in real(*args)])
     for phi, v, w in adjunction_cases(field):
         cert = ix.adjunction_certificate(phi, v, w)
         if cert.dim_sigma_side:
@@ -253,8 +249,8 @@ def test_adjunction_rejects_a_planted_hat_off_the_equalizer(monkeypatch,
     real = ix._hat_factor
 
     def ones(v):
-        r = real(v)
-        return Matrix(r.field, r.rows, r.cols, [1] * len(r.data))
+        rows = v.base.dim * v.dim
+        return [dict.fromkeys(range(rows), 1) for _ in real(v)]
 
     monkeypatch.setattr(ix, "_hat_factor", ones)
     with pytest.raises(AxiomError) as err:
@@ -554,28 +550,28 @@ def test_beck_for_forall(g_ab):
     assert rep.dims["forall_then_pull"] == rep.dims["pull_then_forall"]
 
 
-def test_beck_for_forall_rejects_a_planted_wrong_counit(monkeypatch, g_ab):
+def test_beck_for_forall_rejects_a_planted_wrong_counit(g_ab):
     # zero the counit on the component of x: the mate loses that component
     # and is not invertible, although the two sides are still isomorphic
+    # (the mate reads r_V's column dicts where coseparability_retraction
+    # keeps them with r_V, so the plant replaces both once delta^* V,
+    # whose cotensor kernel reads the true r_V, is built)
     beta, alpha = cospan(g_ab)
     square = ix.PullbackSquare.from_cospan(beta, alpha)
     v = cm.graded_comodule(beta.source, [1, 2, 1])
-    real = ix.coseparability_retraction
-
-    def retraction(u):
-        # r (id (x) P) for P the projection of D1 that drops x
-        n = u.base.dim
-        drop_x = Matrix(F, n, n, [int(i == j != 0) for i in range(n)
-                                  for j in range(n)])
-        return real(u) @ Matrix.identity(F, u.dim).kron(drop_x)
-
-    monkeypatch.setattr(ix, "coseparability_retraction", retraction)
-    rep = ix.beck_for_forall_check(square, v)
+    pv = ix.pullback_functor(square.delta, v)
+    rhs, _ = ix.pullback_functor(alpha, ix.forall(beta, v))
+    # r (id (x) P) for P the projection of D1 that drops x
+    n = v.base.dim
+    drop_x = Matrix(F, n, n, [int(i == j != 0) for i in range(n)
+                              for j in range(n)])
+    r = ix.coseparability_retraction(v) @ Matrix.identity(F, v.dim).kron(
+        drop_x)
+    v._retraction = r, _column_dicts(r)
+    rep = ix.beck_for_forall_check(square, v, pv)
     assert rep.verdict == "fail"
     assert "mate is not invertible" in rep.witness["equation"]
-    pv, _ = ix.pullback_functor(square.delta, v)
-    rhs, _ = ix.pullback_functor(alpha, ix.forall(beta, v))
-    assert find_isomorphism(rhs, ix.forall(square.gamma, pv),
+    assert find_isomorphism(rhs, ix.forall(square.gamma, pv[0]),
                             random.Random(0)) is not None
 
 
