@@ -1,8 +1,10 @@
 """Finite-dimensional cocommutative coalgebras and their morphisms.
 
-A coalgebra is stored by structure constants: ``delta`` is the n^2 x n
-matrix whose column i is the comultiplication of the i-th basis vector in
-the fixed tensor basis, and ``epsilon`` is the 1 x n counit row.  All
+A coalgebra is stored by the nonzeros of its structure constants:
+``_delta_cols`` holds one {row: value} dict per basis vector, its
+comultiplication in the fixed tensor basis (column i of the n^2 x n
+matrix of delta), and ``_eps_cols`` one {0: value} dict per basis vector
+for the counit; every constructor builds these dicts directly.  All
 defining axioms (coassociativity, counit laws, cocommutativity) are
 checked exactly at construction and violations raise ``AxiomError`` naming
 the broken law; everything downstream may therefore assume valid data.
@@ -24,8 +26,9 @@ injectivity with an explicit retraction.
 from __future__ import annotations
 
 from .errors import AxiomError, BaseMismatchError, UnsupportedBaseError
-from .exactlin import (Matrix, ShapeError, Subspace, _column_dicts,
-                       _difference, _kron_cols, kron_apply)
+from .exactlin import (Matrix, ShapeError, Subspace, _checked_columns,
+                       _column_dicts, _dense_columns, _difference,
+                       _kron_cols, _member_coords, _swapped)
 from .fields import Field
 
 __all__ = [
@@ -40,31 +43,31 @@ _UNDECIDED = object()
 
 
 class Coalgebra:
-    """Cocommutative coalgebra given by exact structure constants.
+    """Cocommutative coalgebra given by the nonzeros of its structure
+    constants.
 
-    The defining axioms are verified from nonzeros at construction
+    ``delta_cols`` and ``eps_cols`` are the n columns of delta (rows below
+    n^2) and of eps (row 0) as {row: value} dicts whose sums may be
+    unreduced; they are reduced once and stored as ``_delta_cols`` and
+    ``_eps_cols``, the only form of either map, so equal coalgebras store
+    equal dicts.  The defining axioms are verified from those nonzeros
     (structure matrices of the coalgebras arising here are overwhelmingly
-    zero, and the dense triple products would be cubic in the dimension),
-    from ``_delta_cols`` and ``_eps_cols``, which later certificates read.
+    zero, and the dense triple products would be cubic in the dimension).
+    ``delta`` and ``epsilon`` are dense views built on each read.
     ``_cosep`` holds the coseparability form once ``coseparability_form``
     has decided it, so each coalgebra object computes it at most once.
     """
 
-    __slots__ = ("field", "dim", "delta", "epsilon", "labels",
-                 "_delta_cols", "_eps_cols", "_cosep")
+    __slots__ = ("field", "dim", "labels", "_delta_cols", "_eps_cols",
+                 "_cosep")
 
-    def __init__(self, field: Field, dim: int, delta: Matrix,
-                 epsilon: Matrix, labels=None):
-        n = dim
-        if delta.rows != n * n or delta.cols != n:
-            raise ShapeError(f"delta must be {n * n}x{n}")
-        if epsilon.rows != 1 or epsilon.cols != n:
-            raise ShapeError(f"epsilon must be 1x{n}")
+    def __init__(self, field: Field, dim: int, delta_cols, eps_cols,
+                 labels=None):
+        n, p = dim, field.char
+        dcols = _checked_columns(delta_cols, n, n * n, p, "delta")
+        ecols = _checked_columns(eps_cols, n, 1, p, "epsilon")
         if labels is not None and len(labels) != n:
             raise ShapeError("label count must match the dimension")
-        dcols = _column_dicts(delta)
-        ecols = _column_dicts(epsilon)
-        p = field.char
         # cocommutativity: each column is symmetric under (a,b) -> (b,a)
         for j, col in enumerate(dcols):
             for idx, v in col.items():
@@ -87,18 +90,27 @@ class Coalgebra:
                              witness=bad)
         self.field = field
         self.dim = n
-        self.delta = delta
-        self.epsilon = epsilon
         self.labels = tuple(labels) if labels is not None else None
         self._delta_cols = dcols
         self._eps_cols = ecols
         self._cosep = _UNDECIDED
 
+    @property
+    def delta(self) -> Matrix:
+        """The n^2 x n matrix of delta, built on each read."""
+        return _dense_columns(self.field, self.dim * self.dim,
+                              self._delta_cols)
+
+    @property
+    def epsilon(self) -> Matrix:
+        """The 1 x n counit row, built on each read."""
+        return _dense_columns(self.field, 1, self._eps_cols)
+
     def is_grouplike(self) -> bool:
         """True when every standard basis vector is group-like, read off
         the nonzeros of delta: column i is e_i (x) e_i, and eps(e_i) = 1."""
         n = self.dim
-        return all(self.epsilon.data[i] == 1
+        return all(self._eps_cols[i] == {0: 1}
                    and self._delta_cols[i] == {i * n + i: 1}
                    for i in range(n))
 
@@ -110,8 +122,9 @@ class Coalgebra:
         if other is self:
             return True
         return (isinstance(other, Coalgebra) and other.field == self.field
-                and other.dim == self.dim and other.delta == self.delta
-                and other.epsilon == self.epsilon)
+                and other.dim == self.dim
+                and other._delta_cols == self._delta_cols
+                and other._eps_cols == self._eps_cols)
 
     def __repr__(self):
         tag = f" on {list(self.labels)}" if self.labels else ""
@@ -181,8 +194,7 @@ class CoalgebraMorphism:
 
 def trivial_coalgebra(field: Field) -> Coalgebra:
     """The one-dimensional coalgebra with delta(1) = 1 x 1, eps = id."""
-    one = Matrix.from_rows(field, [[1]])
-    return Coalgebra(field, 1, one, one, labels=("*",))
+    return Coalgebra(field, 1, [{0: 1}], [{0: 1}], labels=("*",))
 
 
 def grouplike_coalgebra(field: Field, labels) -> Coalgebra:
@@ -193,12 +205,8 @@ def grouplike_coalgebra(field: Field, labels) -> Coalgebra:
     if len(set(labels)) != len(labels):
         raise ShapeError("duplicate labels")
     n = len(labels)
-    delta = Matrix.zeros(field, n * n, n).data
-    for i in range(n):
-        delta[(i * n + i) * n + i] = 1
-    eps = Matrix(field, 1, n, [1] * n)
-    return Coalgebra(field, n, Matrix(field, n * n, n, delta), eps,
-                     labels=labels)
+    return Coalgebra(field, n, [{i * n + i: 1} for i in range(n)],
+                     [{0: 1} for _ in range(n)], labels=labels)
 
 
 def grouplike_morphism(source: Coalgebra, target: Coalgebra,
@@ -222,7 +230,8 @@ def grouplike_morphism(source: Coalgebra, target: Coalgebra,
 
 def counit_morphism(c: Coalgebra) -> CoalgebraMorphism:
     """The unique morphism into the trivial coalgebra (terminal object)."""
-    return CoalgebraMorphism(c, trivial_coalgebra(c.field), c.epsilon)
+    return CoalgebraMorphism(c, trivial_coalgebra(c.field),
+                             _dense_columns(c.field, 1, c._eps_cols))
 
 
 def _sum_labels(c1: Coalgebra, c2: Coalgebra):
@@ -235,20 +244,18 @@ def _sum_labels(c1: Coalgebra, c2: Coalgebra):
 
 
 def direct_sum(c1: Coalgebra, c2: Coalgebra) -> Coalgebra:
-    """Block-diagonal coalgebra on the concatenated basis."""
+    """Block-diagonal coalgebra on the concatenated basis: key a*n2 + b of
+    c2's delta moves to (n1 + a)*n + n1 + b, c1's keys a*n1 + b to
+    a*n + b."""
     if c1.field != c2.field:
         raise BaseMismatchError("direct sum needs a common field")
-    f = c1.field
     n1, n2, n = c1.dim, c2.dim, c1.dim + c2.dim
-    i1 = Matrix(f, n, n1, [1 if r == j else 0
-                           for r in range(n) for j in range(n1)])
-    i2 = Matrix(f, n, n2, [1 if r == n1 + j else 0
-                           for r in range(n) for j in range(n2)])
-    delta_cols = kron_apply(i1, i1, c1.delta).hstack(
-        kron_apply(i2, i2, c2.delta))
-    # reorder columns to the concatenated basis: they already are
-    eps = c1.epsilon.hstack(c2.epsilon)
-    return Coalgebra(f, n, delta_cols, eps, labels=_sum_labels(c1, c2))
+    delta = [{(key // k + off) * n + off + key % k: x
+              for key, x in col.items()}
+             for off, k, cols in ((0, n1, c1._delta_cols),
+                                  (n1, n2, c2._delta_cols)) for col in cols]
+    return Coalgebra(c1.field, n, delta, c1._eps_cols + c2._eps_cols,
+                     labels=_sum_labels(c1, c2))
 
 
 def product(c1: Coalgebra, c2: Coalgebra):
@@ -259,22 +266,22 @@ def product(c1: Coalgebra, c2: Coalgebra):
     """
     if c1.field != c2.field:
         raise BaseMismatchError("product needs a common field")
-    f = c1.field
-    n1, n2 = c1.dim, c2.dim
-    # the middle swap as a row reindex: row (i1, i2, j1, j2) of the product
-    # is row (i1, j1, i2, j2) of delta1 (x) delta2
-    delta = c1.delta.kron(c2.delta).take_rows(
-        [((i1 * n1 + j1) * n2 + i2) * n2 + j2 for i1 in range(n1)
-         for i2 in range(n2) for j1 in range(n1) for j2 in range(n2)])
-    eps = c1.epsilon.kron(c2.epsilon)
+    f, n1, n2 = c1.field, c1.dim, c2.dim
+    e1, e2 = c1._eps_cols, c2._eps_cols
+    ident = [{t: 1} for t in range(n1 * n2)]
+    # the middle swap on keys: (i1, j1, i2, j2) of delta1 (x) delta2 is
+    # (i1, i2, j1, j2) of the product
+    delta = _swapped(_kron_cols(c1._delta_cols, c2._delta_cols, n2 * n2,
+                                ident), n1, n1, n2, n2)
     labels = None
     if c1.labels is not None and c2.labels is not None:
         labels = tuple((x, y) for x in c1.labels for y in c2.labels)
-    prod = Coalgebra(f, n1 * n2, delta, eps, labels=labels)
-    p1 = CoalgebraMorphism(prod, c1,
-                           Matrix.identity(f, n1).kron(c2.epsilon))
-    p2 = CoalgebraMorphism(prod, c2,
-                           c1.epsilon.kron(Matrix.identity(f, n2)))
+    prod = Coalgebra(f, n1 * n2, delta, _kron_cols(e1, e2, 1, ident),
+                     labels=labels)
+    p1 = CoalgebraMorphism(prod, c1, _dense_columns(
+        f, n1, _kron_cols(n1, e2, 1, ident)))
+    p2 = CoalgebraMorphism(prod, c2, _dense_columns(
+        f, n2, _kron_cols(e1, n2, n2, ident)))
     return prod, p1, p2
 
 
@@ -285,15 +292,17 @@ def pairing(f: CoalgebraMorphism, g: CoalgebraMorphism,
         raise BaseMismatchError("pairing needs a common source")
     if prod is None:
         prod = product(f.target, g.target)[0]
-    mat = kron_apply(f.matrix, g.matrix, f.source.delta)
-    return CoalgebraMorphism(f.source, prod, mat)
+    return CoalgebraMorphism(f.source, prod, _dense_columns(
+        prod.field, prod.dim, _kron_cols(f.columns, g.columns, g.target.dim,
+                                         f.source._delta_cols)))
 
 
 # -- subcoalgebras and pullbacks --------------------------------------------
 
 def _sub_labels(parent: Coalgebra, basis: Matrix):
-    """Labels for a subcoalgebra whose basis consists of basis vectors."""
-    if parent.labels is None:
+    """Labels for a nonzero subcoalgebra whose basis consists of basis
+    vectors."""
+    if parent.labels is None or not basis.cols:
         return None
     picked = []
     for j in range(basis.cols):
@@ -309,24 +318,23 @@ def _subcoalgebra(c: Coalgebra, w: Subspace):
     """The subcoalgebra of c on the subspace w, with its inclusion.
 
     The induced structure constants solve (B (x) B) delta_sub = delta B and
-    eps_sub = eps B for the canonical basis B of w; they are read off the
-    pivot rows and checked exactly, so a w that is not delta-closed raises.
+    eps_sub = eps B for the canonical basis B of w, from nonzeros: delta B
+    is read at the pivot rows p1*n + p2 of B (x) B, where it is the
+    identity, and (B (x) B) delta_sub = delta B is checked exactly
+    (``_member_coords``), so a w that is not delta-closed raises.
     """
-    f = c.field
-    basis = w.basis
-    k = basis.cols
-    if k == 0:
-        sub = Coalgebra(f, 0, Matrix.zeros(f, 0, 0), Matrix.zeros(f, 1, 0))
-        return sub, CoalgebraMorphism(sub, c, Matrix.zeros(f, c.dim, 0))
-    target = c.delta @ basis
-    pivot_rows = [p1 * c.dim + p2 for p1 in w.pivots for p2 in w.pivots]
-    delta_sub = target.take_rows(pivot_rows)
-    if kron_apply(basis, basis, delta_sub) != target:
+    n, b, p = c.dim, w.columns, c.field.char
+    pivot_rows = [p1 * n + p2 for p1 in w.pivots for p2 in w.pivots]
+    delta_sub = _member_coords(
+        n * n, pivot_rows, _kron_cols(c._delta_cols, 1, 1, b),
+        lambda x: _kron_cols(b, b, n, x), p)
+    if delta_sub is None:
         raise AxiomError("subcoalgebra-closure",
                          "subspace is not delta-closed")
-    eps_sub = c.epsilon @ basis
-    sub = Coalgebra(f, k, delta_sub, eps_sub, labels=_sub_labels(c, basis))
-    return sub, CoalgebraMorphism(sub, c, basis)
+    sub = Coalgebra(c.field, w.dim, delta_sub,
+                    _kron_cols(c._eps_cols, 1, 1, b),
+                    labels=_sub_labels(c, w.basis))
+    return sub, CoalgebraMorphism(sub, c, w.basis)
 
 
 def pullback(phi1: CoalgebraMorphism, phi2: CoalgebraMorphism,
@@ -373,10 +381,12 @@ def pullback_mediate(u: CoalgebraMorphism, v: CoalgebraMorphism,
     """Mediating morphism into a pullback (P, u, v) from a cone (q1, q2)."""
     if q1.source != q2.source:
         raise BaseMismatchError("cone legs need a common source")
-    cone = kron_apply(q1.matrix, q2.matrix, q1.source.delta)
+    f, rows, rb = u.source.field, u.target.dim * v.target.dim, v.target.dim
+    cone = _kron_cols(q1.columns, q2.columns, rb, q1.source._delta_cols)
     # <u,v> delta_P is exactly the subcoalgebra inclusion into D1 (x) D2
-    emb = kron_apply(u.matrix, v.matrix, u.source.delta)
-    coords = emb.solve_right(cone)
+    emb = _kron_cols(u.columns, v.columns, rb, u.source._delta_cols)
+    coords = _dense_columns(f, rows, emb).solve_right(
+        _dense_columns(f, rows, cone))
     if coords is None:
         raise AxiomError("pullback-universality",
                          "cone does not factor through the pullback")
@@ -425,9 +435,10 @@ def _inverse_trace_form(c: Coalgebra):
     """
     f, n = c.field, c.dim
     dcols = c._delta_cols
-    t = Matrix(f, n, 1, [f.of(sum(dcols[j].get(k * n + j, 0)
-                                  for j in range(n))) for k in range(n)])
-    inv = Matrix(f, n, n, (c.delta @ t).data).inverse()
+    t = {k: x for k in range(n)
+         if (x := sum(dcols[j].get(k * n + j, 0) for j in range(n)))}
+    g = _dense_columns(f, n * n, _kron_cols(dcols, 1, 1, [t]))
+    inv = Matrix(f, n, n, g.data).inverse()
     return None if inv is None else Matrix(f, 1, n * n, inv.data)
 
 

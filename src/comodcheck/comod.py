@@ -1,7 +1,9 @@
 """Comodules over a fixed cocommutative coalgebra.
 
-A comodule is a coaction matrix rho: V -> V (x) C satisfying the counit
-and coassociativity laws, both checked at construction, and a morphism
+A comodule is a coaction rho: V -> V (x) C, stored as the nonzeros of
+its columns (``_rho_cols``, one {row: value} dict per basis vector of V),
+satisfying the counit and coassociativity laws, both checked at
+construction; every constructor builds those dicts directly.  A morphism
 intertwines two coactions, checked likewise.  The monoidal
 product is the cotensor V (x)_C W: the kernel of the two natural maps
 V (x) W -> V (x) C (x) W, carrying the coaction induced by restricting
@@ -45,9 +47,9 @@ from __future__ import annotations
 
 from .coalg import Coalgebra, coseparability_form, grouplike_labels
 from .errors import AxiomError, BaseMismatchError, UnsupportedBaseError
-from .exactlin import (Chart, Matrix, ShapeError, Subspace, _column_dicts,
-                       _dense_columns, _difference, _kron_cols, _swapped,
-                       kron_apply)
+from .exactlin import (Chart, Matrix, ShapeError, Subspace, _checked_columns,
+                       _column_dicts, _dense_columns, _difference,
+                       _kron_cols, _reduced, _swapped, _transposed)
 
 __all__ = [
     "Comodule", "ComoduleMorphism", "regular_comodule", "cofree_comodule",
@@ -61,20 +63,21 @@ __all__ = [
 class Comodule:
     """Finite-dimensional comodule (V, rho) over a fixed base coalgebra.
 
-    Both coaction axioms are verified from nonzeros at construction.
-    ``_retraction`` holds r_V and its column dicts once
-    ``coseparability_retraction`` has built and certified it, so each
-    comodule object builds and reads it at most once.
+    ``rho_cols`` are the m columns of rho (rows below m*n) as {row: value}
+    dicts whose sums may be unreduced; they are reduced once and stored as
+    ``_rho_cols``, the only form of rho, so equal comodules store equal
+    dicts.  Both coaction axioms are verified from those nonzeros, and
+    ``rho`` is a dense view built on each read.  ``_retraction`` holds the
+    column dicts of r_V once ``coseparability_retraction`` has built and
+    certified it, so each comodule object builds it at most once.
     """
 
-    __slots__ = ("base", "dim", "rho", "_rho_cols", "_retraction")
+    __slots__ = ("base", "dim", "_rho_cols", "_retraction")
 
-    def __init__(self, base: Coalgebra, dim: int, rho: Matrix):
+    def __init__(self, base: Coalgebra, dim: int, rho_cols):
         m, n = dim, base.dim
-        if rho.rows != m * n or rho.cols != m:
-            raise ShapeError(f"rho must be {m * n}x{m}")
         p = base.field.char
-        rcols = _column_dicts(rho)
+        rcols = _checked_columns(rho_cols, m, m * n, p, "rho")
         bad = _difference(_kron_cols(m, base._eps_cols, 1, rcols),
                           [{j: 1} for j in range(m)], p)
         if bad:
@@ -88,13 +91,18 @@ class Comodule:
                              witness=bad)
         self.base = base
         self.dim = m
-        self.rho = rho
         self._rho_cols = rcols
         self._retraction = None
 
     @property
     def field(self):
         return self.base.field
+
+    @property
+    def rho(self) -> Matrix:
+        """The (m*n) x m coaction matrix, built on each read."""
+        return _dense_columns(self.field, self.dim * self.base.dim,
+                              self._rho_cols)
 
     def identity_morphism(self) -> "ComoduleMorphism":
         return ComoduleMorphism(self, self,
@@ -104,7 +112,8 @@ class Comodule:
         if other is self:
             return True
         return (isinstance(other, Comodule) and other.base == self.base
-                and other.dim == self.dim and other.rho == self.rho)
+                and other.dim == self.dim
+                and other._rho_cols == self._rho_cols)
 
     def __repr__(self):
         return f"Comodule(dim {self.dim} over base dim {self.base.dim})"
@@ -157,19 +166,22 @@ class ComoduleMorphism:
 
 def regular_comodule(c: Coalgebra) -> Comodule:
     """C over itself, coaction = comultiplication."""
-    return Comodule(c, c.dim, c.delta)
+    return Comodule(c, c.dim, c._delta_cols)
 
 
 def cofree_comodule(c: Coalgebra, d: int) -> Comodule:
-    """V0 (x) C with coaction id (x) delta; injective for every d."""
+    """V0 (x) C with coaction id (x) delta; injective for every d: column
+    i*n + j is delta(e_j) with its keys moved up by i*n^2."""
     if d < 0:
         raise ShapeError("dimension must be nonnegative")
-    return Comodule(c, d * c.dim,
-                    Matrix.identity(c.field, d).kron(c.delta))
+    nn = c.dim * c.dim
+    return Comodule(c, d * c.dim, [{i * nn + k: x for k, x in col.items()}
+                                   for i in range(d)
+                                   for col in c._delta_cols])
 
 
 def zero_comodule(c: Coalgebra) -> Comodule:
-    return Comodule(c, 0, Matrix.zeros(c.field, 0, 0))
+    return Comodule(c, 0, [])
 
 
 def graded_comodule(c: Coalgebra, dims) -> Comodule:
@@ -180,51 +192,44 @@ def graded_comodule(c: Coalgebra, dims) -> Comodule:
     dims = list(dims)
     if len(dims) != c.dim:
         raise ShapeError("one dimension per label required")
-    m, n = sum(dims), c.dim
-    rho = [0] * (m * n * m)
-    k = 0
-    for x, d in enumerate(dims):
-        for _ in range(d):
-            rho[(k * n + x) * m + k] = 1
-            k += 1
-    return Comodule(c, m, Matrix(c.field, m * n, m, rho))
+    n = c.dim
+    grades = [x for x, d in enumerate(dims) for _ in range(d)]
+    return Comodule(c, len(grades), [{k * n + x: 1}
+                                     for k, x in enumerate(grades)])
 
 
 def direct_sum(v: Comodule, w: Comodule) -> Comodule:
-    """Block coaction on the concatenated space."""
+    """Block coaction on the concatenated space: key a*n + c of rho_W
+    moves to (m_V + a)*n + c."""
     if v.base != w.base:
         raise BaseMismatchError("direct sum needs a common base")
-    f, n = v.field, v.base.dim
-    m1, m2, m = v.dim, w.dim, v.dim + w.dim
-    i1 = Matrix(f, m, m1, [1 if r == j else 0
-                           for r in range(m) for j in range(m1)])
-    i2 = Matrix(f, m, m2, [1 if r == m1 + j else 0
-                           for r in range(m) for j in range(m2)])
-    rho = kron_apply(i1, n, v.rho).hstack(kron_apply(i2, n, w.rho))
-    return Comodule(v.base, m, rho)
+    off = v.dim * v.base.dim
+    return Comodule(v.base, v.dim + w.dim, v._rho_cols + [
+        {k + off: x for k, x in col.items()} for col in w._rho_cols])
 
 
 def conjugate(v: Comodule, s: Matrix) -> Comodule:
-    """Transport the coaction along an invertible change of basis."""
+    """Transport the coaction along an invertible change of basis:
+    (S (x) I_n) rho S^-1, applied to the columns of S^-1."""
     s_inv = s.inverse()
     if s_inv is None:
         raise ShapeError("change of basis must be invertible")
     n = v.base.dim
-    rho = kron_apply(s, n, v.rho) @ s_inv
-    return Comodule(v.base, v.dim, rho)
+    return Comodule(v.base, v.dim, _kron_cols(
+        _column_dicts(s), n, n, _kron_cols(v._rho_cols, 1, 1,
+                                           _column_dicts(s_inv))))
 
 
 # -- cotensor product and hom spaces ------------------------------------------
 
 def _cotensor_matrix(v: Comodule, w: Comodule) -> Matrix:
     """(rho_V (x) id_W) - (id_V (x) tau rho_W): V (x) W -> V (x) C (x) W,
-    whose kernel is V (x)_C W."""
-    f, n = v.field, v.base.dim
-    mv, mw = v.dim, w.dim
-    lhs = v.rho.kron(Matrix.identity(f, mw))
-    lam = _dense_columns(f, n * mw, _swapped(w._rho_cols, 1, mw, n, 1))
-    rhs = Matrix.identity(f, mv).kron(lam)
-    return lhs - rhs
+    whose kernel is V (x)_C W, built from nonzeros for elimination."""
+    rows = v.dim * v.base.dim * w.dim
+    lhs, rhs = _cotensor_halves(v, w, [{t: 1}
+                                       for t in range(v.dim * w.dim)])
+    return (_dense_columns(v.field, rows, lhs)
+            - _dense_columns(v.field, rows, rhs))
 
 
 def _cotensor_kernel(v: Comodule, w: Comodule) -> Subspace:
@@ -254,7 +259,7 @@ def _cotensor_kernel(v: Comodule, w: Comodule) -> Subspace:
         sub, axiom = _cotensor_matrix(v, w).kernel(), "cotensor-kernel"
     else:
         sub, axiom = Subspace(v.field, v.dim * w.dim, _cotensor_idempotent(
-            v._retraction[1], v, w), _canonical=False), "coseparability"
+            r, v, w), _canonical=False), "coseparability"
     if not _annihilated(v, w, sub.columns):
         raise AxiomError(axiom, "A e != 0: a basis vector e of the kernel "
                          "maps outside the cotensor")
@@ -282,15 +287,20 @@ def _cotensor_idempotent(rcols, v: Comodule, w: Comodule) -> Matrix:
     return Matrix(f, size, size, data)
 
 
-def _annihilated(v: Comodule, w: Comodule, columns) -> bool:
-    """A B = 0 for A of ``_cotensor_matrix``, from the nonzeros of B
-    (``columns``), rho_V and rho_W, never building A: the two halves of A
-    are rho_V (x) I_{m_W} and I_{m_V} (x) lambda_W, where lambda_W =
-    tau rho_W has rows c*m_W + k, and A B = 0 says they agree on B."""
+def _cotensor_halves(v: Comodule, w: Comodule, columns):
+    """The two halves of A (``_cotensor_matrix``), rho_V (x) I_{m_W} and
+    I_{m_V} (x) lambda_W, applied to the {row: value} columns x, from the
+    nonzeros of rho_V and rho_W; lambda_W = tau rho_W has rows c*m_W + k."""
     n, mv, mw = v.base.dim, v.dim, w.dim
     lam = _swapped(w._rho_cols, 1, mw, n, 1)
-    return _difference(_kron_cols(v._rho_cols, mw, mw, columns),
-                       _kron_cols(mv, lam, n * mw, columns),
+    return (_kron_cols(v._rho_cols, mw, mw, columns),
+            _kron_cols(mv, lam, n * mw, columns))
+
+
+def _annihilated(v: Comodule, w: Comodule, columns) -> bool:
+    """A B = 0 for A of ``_cotensor_matrix``, from the nonzeros of B
+    (``columns``), never building A: the two halves of A agree on B."""
+    return _difference(*_cotensor_halves(v, w, columns),
                        v.field.char) is None
 
 
@@ -299,12 +309,12 @@ def dual_comodule(v: Comodule) -> Comodule:
     rho_V(e_j) = sum_c rho_c e_j (x) c.  It is a comodule because the base
     is cocommutative; the constructor certifies the axioms."""
     m, n = v.dim, v.base.dim
-    data = [0] * (m * n * m)
+    cols = [{} for _ in range(m)]
     for i, col in enumerate(v._rho_cols):
         for idx, x in col.items():
             j, c = divmod(idx, n)
-            data[(i * n + c) * m + j] = x
-    return Comodule(v.base, m, Matrix(v.field, m * n, m, data))
+            cols[j][i * n + c] = x
+    return Comodule(v.base, m, cols)
 
 
 def hom_space(v: Comodule, w: Comodule) -> Subspace:
@@ -353,7 +363,6 @@ def _restricted_coaction(base: Coalgebra, right_cols, sub: Subspace,
         raise AxiomError(name, "induced coaction does not restrict")
     mod = Comodule.__new__(Comodule)
     mod.base, mod.dim = base, sub.dim
-    mod.rho = _dense_columns(base.field, sub.dim * n, rho_cols)
     mod._rho_cols, mod._retraction = rho_cols, None
     return mod
 
@@ -457,7 +466,8 @@ def _right_unitor(vc: _Obj):
     av, _, sub = vc.parts
     v = av.module
     f = v.field
-    fwd = kron_apply(v.dim, v.base.epsilon, sub.basis)
+    fwd = _dense_columns(f, v.dim, _kron_cols(v.dim, v.base._eps_cols, 1,
+                                              sub.columns))
     mor = ComoduleMorphism(vc.module, v, fwd)
     back = sub.coords(v._rho_cols)
     if back is None or fwd @ back != Matrix.identity(f, v.dim) \
@@ -473,7 +483,8 @@ def _left_unitor(cv: _Obj):
     _, av, sub = cv.parts
     v = av.module
     f, m, n = v.field, v.dim, v.base.dim
-    fwd = kron_apply(v.base.epsilon, m, sub.basis)
+    fwd = _dense_columns(f, m, _kron_cols(v.base._eps_cols, m, m,
+                                          sub.columns))
     mor = ComoduleMorphism(cv.module, v, fwd)
     back = sub.coords(_swapped(v._rho_cols, 1, m, n, 1))
     if back is None or fwd @ back != Matrix.identity(f, v.dim) \
@@ -579,34 +590,26 @@ def coseparability_retraction(v: Comodule):
     or None when the base has none.  Over a group-like base
     r(v (x) x) = pi_x v, the projection onto the component of x.
 
-    It is built from the nonzeros of rho_V and gamma,
+    r_V is returned as its m*n reduced {row: value} columns, built from the
+    nonzeros of rho_V and gamma by ``_kron_cols`` on the basis of V (x) C,
     r[a2, a*n + c] = sum_d rho[a2*n + d, a] gamma[d*n + c], and kept on v
-    once r rho_V = id is checked from nonzeros, together with the column
-    dicts that check read; a failure raises ``AxiomError``.
+    once r rho_V = id is checked from nonzeros; a failure raises
+    ``AxiomError``.
     """
     gamma = coseparability_form(v.base)
     if gamma is None:
         return None
     if v._retraction is None:
-        f, n, m = v.field, v.base.dim, v.dim
-        forms = [{c: x for c in range(n) if (x := gamma.data[d * n + c])}
-                 for d in range(n)]
-        data = [0] * (m * m * n)
-        for a, col in enumerate(v._rho_cols):
-            for idx, x in col.items():
-                a2, d = divmod(idx, n)
-                for c, g in forms[d].items():
-                    data[a2 * m * n + a * n + c] += x * g
-        if f.char:
-            data = [x % f.char for x in data]
-        r = Matrix(f, m, m * n, data)
-        rcols = _column_dicts(r)
+        p, n, m = v.field.char, v.base.dim, v.dim
+        forms = [{0: g} if g else {} for g in gamma.data]
+        rcols = _reduced(_kron_cols(m, forms, 1, _kron_cols(
+            v._rho_cols, n, n, [{t: 1} for t in range(m * n)])), p)
         if _difference(_kron_cols(rcols, 1, 1, v._rho_cols),
-                       [{j: 1} for j in range(m)], f.char) is not None:
+                       [{j: 1} for j in range(m)], p) is not None:
             raise AxiomError("coseparability",
                              "r rho != id for r = (id x gamma)(rho x id)")
-        v._retraction = r, rcols
-    return v._retraction[0]
+        v._retraction = rcols
+    return v._retraction
 
 
 def is_injective(v: Comodule) -> bool:
@@ -629,20 +632,20 @@ def is_injective(v: Comodule) -> bool:
     if r is None:
         # s in Hom^C(V (x) C, V) = V (x)_C (V (x) C)^vee with s rho_V = id;
         # the rows of vec(s rho_V) are id_V (x) rho_V^T
-        m = v.dim
+        m, mn = v.dim, v.dim * v.base.dim
         ident_v = Matrix.identity(v.field, m)
         dual = dual_comodule(cofree_comodule(v.base, m))
-        system = _cotensor_matrix(v, dual).vstack(
-            ident_v.kron(v.rho.transpose()))
+        system = _cotensor_matrix(v, dual).vstack(_dense_columns(
+            v.field, m * m, _kron_cols(m, _transposed(v._rho_cols, mn), m,
+                                       [{t: 1} for t in range(m * mn)])))
         rhs = Matrix.zeros(v.field, system.rows - m * m, 1).vstack(
             Matrix(v.field, m * m, 1, ident_v.data))
         return system.solve_right(rhs) is not None
     m, n = v.dim, v.base.dim
-    rcols = v._retraction[1]
     ident = [{t: 1} for t in range(m * n)]
-    lhs = _kron_cols(rcols, n, n, _kron_cols(m, v.base._delta_cols, n * n,
-                                             ident))
-    if _difference(lhs, _kron_cols(v._rho_cols, 1, 1, rcols),
+    lhs = _kron_cols(r, n, n, _kron_cols(m, v.base._delta_cols, n * n,
+                                         ident))
+    if _difference(lhs, _kron_cols(v._rho_cols, 1, 1, r),
                    v.field.char) is not None:
         raise AxiomError("coseparability", "(r x id)(id x delta) != rho r: "
                          "r is not a comodule map")

@@ -33,7 +33,7 @@ from .coalg import (Coalgebra, CoalgebraMorphism, direct_sum,
                     grouplike_coalgebra, grouplike_morphism, product)
 from .comod import Comodule, graded_comodule
 from .errors import ComodcheckError
-from .exactlin import Matrix
+from .exactlin import Matrix, _column_dicts
 from .fields import GF, QQ, Field, FieldError
 
 __all__ = ["ParseError", "Document", "parse", "print_document"]
@@ -297,8 +297,9 @@ def _parse_coalg(doc, line, line_no, names):
             delta, delta_text = _entries(g.group(2), doc.field, line_no)
             eps, eps_text = _entries(g.group(3), doc.field, line_no)
             doc.coalgebras[name] = Coalgebra(
-                doc.field, dim, Matrix(doc.field, dim * dim, dim, delta),
-                Matrix(doc.field, 1, dim, eps))
+                doc.field, dim,
+                _column_dicts(Matrix(doc.field, dim * dim, dim, delta)),
+                _column_dicts(Matrix(doc.field, 1, dim, eps)))
             doc.defs.append(("coalg", name,
                              ("raw", dim, delta_text, eps_text)))
         else:
@@ -370,9 +371,8 @@ def _parse_comod(doc, line, line_no, names):
         elif (g := _RE_RHO.match(body)):
             dim = int(g.group(1))
             entries, text = _entries(g.group(2), doc.field, line_no)
-            doc.comodules[name] = Comodule(
-                base, dim,
-                Matrix(doc.field, dim * base.dim, dim, entries))
+            doc.comodules[name] = Comodule(base, dim, _column_dicts(
+                Matrix(doc.field, dim * base.dim, dim, entries)))
             doc.defs.append(("comod", name, base_name, ("raw", dim, text)))
         else:
             raise ParseError("bad comodule body", line_no)

@@ -10,9 +10,10 @@ product loops live in the kernel module ``_backend.core``.
 
 Every law that ``coalg`` and ``comod`` certify is an equation between
 Kronecker-structured maps applied to sparse columns: ``_kron_cols``
-evaluates each side from the column dicts of its factors
-(``_column_dicts``), ``_swapped`` permutes tensor factors, and
-``_difference`` compares the two over Q or F_p.  Membership is one such
+evaluates each side from the column dicts of its factors (the stored
+columns of a structure map, a ``Subspace``'s ``columns``), ``_swapped``
+permutes tensor factors, and ``_difference`` compares the two over Q or
+F_p.  Membership is one such
 equation too: ``Subspace.coords`` and ``Chart.coords`` take column dicts
 only, read candidates at the pivot rows, where the basis E is the
 identity, and check E x = y from nonzeros.  A ``Chart`` stores E as
@@ -21,9 +22,9 @@ reduced column dicts (compressed-column storage, Gustavson 1978).
 Tensor bookkeeping fixes one global convention used by every module
 downstream: the basis vector e_i (x) e_j of a tensor product of spaces of
 dimensions (m, n) sits at flat index ``i*n + j`` (left factor major).
-``kron`` realizes maps f (x) g on these bases, and ``kron_apply`` applies
-one to a dense matrix without building it, for the constructors that
-return one (coactions of corestrictions, pairings).  There is no solver
+``kron`` realizes maps f (x) g on these bases for morphism matrices;
+structure maps are column dicts, and every constructor builds its
+columns with ``_kron_cols`` and ``_swapped``.  There is no solver
 for unknown matrices: a space of linear maps V -> W is a subspace of
 W (x) V*, so callers describe it by one matrix, either cut out as its
 ``kernel`` (or by ``solve_right``) or spanned as the image of an
@@ -37,8 +38,7 @@ from fractions import Fraction
 from ._backend import core
 from .fields import Field
 
-__all__ = ["ShapeError", "Matrix", "Subspace", "Chart", "kron_apply",
-           "swap_matrix"]
+__all__ = ["ShapeError", "Matrix", "Subspace", "Chart", "swap_matrix"]
 
 
 class ShapeError(ValueError):
@@ -335,7 +335,7 @@ def _column_dicts(m: Matrix):
 
 def _kron_cols(a, b, rb: int, columns):
     """(a (x) b) x for each sparse column x of ``columns``, as a list of
-    unreduced {row: sum} dicts: ``kron_apply`` on nonzeros.
+    unreduced {row: sum} dicts, never building a (x) b.
 
     A factor is an int n, standing for I_n, or a list of {row: value}
     column dicts; rb is b's row count.  Index i*cb + j of x is
@@ -414,13 +414,24 @@ def _reduced(columns, p: int):
 
 def _dense_columns(field: Field, rows: int, columns) -> Matrix:
     """The rows x len(columns) matrix with the given {row: value}
-    columns."""
-    c = len(columns)
+    columns, whose sums may be unreduced (over F_p each is reduced)."""
+    c, p = len(columns), field.char
     data = [0] * (rows * c)
     for t, col in enumerate(columns):
         for r, x in col.items():
-            data[r * c + t] = x
+            data[r * c + t] = x % p if p else x
     return Matrix(field, rows, c, data)
+
+
+def _checked_columns(columns, count: int, rows: int, p: int, what: str):
+    """The {row: value} columns of a rows x count structure map (sums may
+    be unreduced), reduced once (``_reduced``); a wrong column count or a
+    row outside the map raises ``ShapeError``."""
+    columns = _reduced(columns, p)
+    if len(columns) != count or any(k < 0 or k >= rows
+                                    for col in columns for k in col):
+        raise ShapeError(f"{what} must be {rows}x{count}")
+    return columns
 
 
 def _transposed(columns, rows: int):
@@ -455,47 +466,6 @@ def _mul(field: Field, a, b, m, k, n):
     if field.char:
         return core.mul_mod(a, b, m, k, n, field.char)
     return core.mul_obj(a, b, m, k, n)
-
-
-def kron_apply(a, b, x: Matrix) -> Matrix:
-    """(a (x) b) @ x without building a (x) b; an int n stands for I_n.
-
-    Column t of x is vec X_t for a block X_t with one row per column of a
-    and one column per column of b, and the result column is
-    vec(a X_t b^T).  b multiplies the blocks [X_1 | ... | X_d] side by side
-    (one batched product, its input and output regrouped), and a
-    multiplies that result as it stands: an (I*Q) x d matrix and an
-    I x (Q*d) one have the same flat data.
-    """
-    f, d = x.field, x.cols
-    ra, ca = (a, a) if isinstance(a, int) else (a.rows, a.cols)
-    rb, cb = (b, b) if isinstance(b, int) else (b.rows, b.cols)
-    for m in (a, b):
-        if not isinstance(m, int):
-            x._check_field(m)
-    if ca * cb != x.rows:
-        raise ShapeError(f"cannot apply a {ra * rb}x{ca * cb} tensor product "
-                         f"to {x.rows}x{d}")
-    data = x.data
-    if not isinstance(b, int):
-        if ca == 1:
-            data = _mul(f, b.data, data, rb, cb, d)
-        else:
-            # Z[j, i*d + t] = X_t[i, j]; then W = b Z back to (i, k, t) order
-            z = []
-            for j in range(cb):
-                for i in range(ca):
-                    s = (i * cb + j) * d
-                    z += data[s:s + d]
-            w = _mul(f, b.data, z, rb, cb, ca * d)
-            data = []
-            for i in range(ca):
-                for k in range(rb):
-                    s = (k * ca + i) * d
-                    data += w[s:s + d]
-    if not isinstance(a, int):
-        data = _mul(f, a.data, data, ra, ca, rb * d)
-    return Matrix(f, ra * rb, d, data)
 
 
 def _swapped(columns, m: int, a: int, b: int, k: int):

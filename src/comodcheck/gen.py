@@ -97,24 +97,25 @@ def random_comodule(rng: random.Random, base: Coalgebra, max_dim: int = 4,
 def corrupt_coalgebra(rng: random.Random, c: Coalgebra):
     """Structure constants obtained by corrupting a valid coalgebra.
 
-    Returns (delta, epsilon) guaranteed to violate at least one axiom
-    (corruptions are retried until the constructor rejects them).
+    Returns (delta, epsilon) as column dicts, guaranteed to violate at
+    least one axiom (corruptions are retried until the constructor rejects
+    them).  The corrupted entry is drawn at a row-major index of the
+    n^2 x n delta or the 1 x n epsilon.
     """
     n = c.dim
     f = c.field
     while True:
-        delta = list(c.delta.data)
-        eps = list(c.epsilon.data)
+        delta = [dict(col) for col in c._delta_cols]
+        eps = [dict(col) for col in c._eps_cols]
         which = rng.randrange(2)
         if which == 0 and n > 0:
-            idx = rng.randrange(len(delta))
-            delta[idx] = f.of(delta[idx] + rng.choice([1, 2, -1]))
+            row, j = divmod(rng.randrange(n * n * n), n)
+            delta[j][row] = f.of(delta[j].get(row, 0)
+                                 + rng.choice([1, 2, -1]))
         elif n > 0:
-            idx = rng.randrange(len(eps))
-            eps[idx] = f.of(eps[idx] + rng.choice([1, -1]))
-        dm = Matrix(f, n * n, n, delta)
-        em = Matrix(f, 1, n, eps)
+            j = rng.randrange(n)
+            eps[j][0] = f.of(eps[j].get(0, 0) + rng.choice([1, -1]))
         try:
-            Coalgebra(f, n, dm, em)
+            Coalgebra(f, n, delta, eps)
         except Exception:
-            return dm, em
+            return delta, eps

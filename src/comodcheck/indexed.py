@@ -52,7 +52,7 @@ from .errors import (AxiomError, BaseMismatchError, HypothesisViolatedError,
                      UnsupportedBaseError)
 from .exactlin import (Chart, Matrix, _column_dicts, _dense_columns,
                        _difference, _kron_cols, _reduced, _swapped,
-                       _transposed, kron_apply)
+                       _transposed)
 from .report import CheckReport, failure
 
 __all__ = [
@@ -72,8 +72,8 @@ def sigma(phi: CoalgebraMorphism, v: Comodule) -> Comodule:
     """Corestriction along phi: same space, coaction (id (x) phi) rho."""
     if v.base != phi.source:
         raise BaseMismatchError("comodule is not based on the source of phi")
-    return Comodule(phi.target, v.dim,
-                    kron_apply(v.dim, phi.matrix, v.rho))
+    return Comodule(phi.target, v.dim, _kron_cols(
+        v.dim, phi.columns, phi.target.dim, v._rho_cols))
 
 
 def sigma_map(phi: CoalgebraMorphism,
@@ -88,8 +88,8 @@ def coaction_comodule(phi: CoalgebraMorphism) -> Comodule:
     built once per morphism object and kept on it (``phi._u``)."""
     if phi._u is None:
         d = phi.source
-        phi._u = Comodule(phi.target, d.dim,
-                          kron_apply(d.dim, phi.matrix, d.delta))
+        phi._u = Comodule(phi.target, d.dim, _kron_cols(
+            d.dim, phi.columns, phi.target.dim, d._delta_cols))
     return phi._u
 
 
@@ -229,7 +229,7 @@ def _residual(hom, x, what: str) -> Matrix:
     if _difference(x, hom.columns, f.char) is None:
         return Matrix.zeros(f, hom.ambient, hom.dim)
     _in_hom(hom, x, what)
-    return _dense_columns(f, hom.ambient, _reduced(x, f.char)) - hom.basis
+    return _dense_columns(f, hom.ambient, x) - hom.basis
 
 
 class AdjunctionCertificate:
@@ -341,8 +341,9 @@ def forall_counit(phi: CoalgebraMorphism, v: Comodule,
     r_V(v (x) x) = pi_x v of V (x) D restricted to phi^* forall V, for
     pfv = pullback_functor(phi, forall(phi, V))."""
     pfv_mod, pfv_sub = pfv
-    return ComoduleMorphism(pfv_mod, v,
-                            coseparability_retraction(v) @ pfv_sub.basis)
+    return ComoduleMorphism(pfv_mod, v, _dense_columns(
+        v.field, v.dim, _kron_cols(coseparability_retraction(v), 1, 1,
+                                   pfv_sub.columns)))
 
 
 def forall_transpose_fwd(phi: CoalgebraMorphism, w: Comodule, pw,
@@ -425,6 +426,8 @@ class PullbackSquare:
     matrix m: then P is an isomorphism of D onto E carrying delta and gamma
     to the projections.  It keeps E (``cotensor``) and t = m^-1, which
     sends coordinates in E back to D, for the Beck maps (and ``_t_cols``).
+    ``_cotensor`` is E when the legs are the canonical ones read off it
+    (``from_cospan``); both facts are then checked already and t = I.
     """
 
     __slots__ = ("delta", "gamma", "beta", "alpha", "cotensor", "t", "_t_cols")
@@ -438,18 +441,21 @@ class PullbackSquare:
             raise BaseMismatchError("beta and alpha need a common target")
         if delta.target != beta.source or gamma.target != alpha.source:
             raise BaseMismatchError("square legs do not match")
-        if beta.matrix @ delta.matrix != alpha.matrix @ gamma.matrix:
-            raise AxiomError("pullback-square", "square does not commute")
-        if _cotensor is None:
+        if _cotensor is not None:
+            t = Matrix.identity(delta.source.field, delta.source.dim)
+        else:
+            if beta.matrix @ delta.matrix != alpha.matrix @ gamma.matrix:
+                raise AxiomError("pullback-square",
+                                 "square does not commute")
             _cotensor = _cotensor_kernel(coaction_comodule(beta),
                                          coaction_comodule(alpha))
-        m = _cotensor.coords(_kron_cols(delta.columns, gamma.columns,
-                                        gamma.target.dim,
-                                        delta.source._delta_cols))
-        t = None if m is None else m.inverse()
-        if t is None:
-            raise AxiomError("pullback-square",
-                             "apex is not the pullback of the cospan")
+            m = _cotensor.coords(_kron_cols(delta.columns, gamma.columns,
+                                            gamma.target.dim,
+                                            delta.source._delta_cols))
+            t = None if m is None else m.inverse()
+            if t is None:
+                raise AxiomError("pullback-square",
+                                 "apex is not the pullback of the cospan")
         self.delta = delta
         self.gamma = gamma
         self.beta = beta
@@ -461,9 +467,13 @@ class PullbackSquare:
     @classmethod
     def from_cospan(cls, beta: CoalgebraMorphism,
                     alpha: CoalgebraMorphism) -> "PullbackSquare":
-        """The canonical pullback square.  Its legs are read off the
-        cotensor kernel, which is built once and then certifies them, so t
-        is the identity."""
+        """The canonical pullback square.  Its legs u, v are read off the
+        cotensor kernel E, which is built once and certifies them, and
+        ``coalg.pullback`` checks beta u = alpha v.  t is the identity with
+        no coordinates computed: (u (x) v) delta_P = (p1 (x) p2)
+        (B (x) B) delta_P = (p1 (x) p2) delta B = B, by the closure
+        equation ``_subcoalgebra`` checks on E's basis B and the counit
+        laws of the factors, (p1 (x) p2) delta = id on the product."""
         if beta.target != alpha.target:
             raise BaseMismatchError("pullback needs a common codomain")
         cotensor = _cotensor_kernel(coaction_comodule(beta),
@@ -567,8 +577,8 @@ def beck_for_forall_check(square: PullbackSquare, v: Comodule,
     flat = _kron_cols(rhs.dim, lift, n1 * nd, _counit_middle(
         square.alpha.source._eps_cols, rhs.dim, nd,
         _pullback_obj(square.gamma, pa, pga).chart.columns))
-    coseparability_retraction(v)  # keeps r_V's column dicts on v
-    g_mat = pv[1].coords(_kron_cols(v._retraction[1], nd, nd, flat))
+    g_mat = pv[1].coords(_kron_cols(coseparability_retraction(v), nd, nd,
+                                    flat))
     if g_mat is None:
         return failure("forall-beck", "g misses the equalizer of delta^* V",
                        dims=dims)
@@ -709,7 +719,8 @@ def ssmc_check(phi: CoalgebraMorphism, v: Comodule,
     reg_d = regular_comodule(phi.target)
     reg_c = regular_comodule(phi.source)
     pd_mod, pd_sub = pullback_functor(phi, reg_d)
-    unit_fwd = kron_apply(phi.target.epsilon, nc, pd_sub.basis)
+    unit_fwd = _dense_columns(f, nc, _kron_cols(
+        phi.target._eps_cols, nc, nc, pd_sub.columns))
     unit_bwd = pd_sub.coords(_kron_cols(phi.columns, nc, nc,
                                         phi.source._delta_cols))
     dims["pull_of_unit"] = pd_mod.dim

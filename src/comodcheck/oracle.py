@@ -108,12 +108,13 @@ def to_graded(v: Comodule) -> GradedVectorSpace:
     if labels is None:
         raise UnsupportedBaseError("to_graded needs a group-like base")
     f, n, m = v.field, v.base.dim, v.dim
+    rho = v.rho
     dims = []
     for x in range(n):
         sx = [0] * (m * n * m)
         for i in range(m):
             sx[(i * n + x) * m + i] = 1
-        dims.append((v.rho - Matrix(f, m * n, m, sx)).kernel().dim)
+        dims.append((rho - Matrix(f, m * n, m, sx)).kernel().dim)
     if sum(dims) != m:
         raise AxiomError("grading",
                          "coaction is not diagonalizable over the labels")
@@ -127,14 +128,10 @@ def from_graded(c: Coalgebra, g: GradedVectorSpace) -> Comodule:
         raise UnsupportedBaseError("from_graded needs a group-like base")
     if labels != g.labels:
         raise ShapeError("label sets differ")
-    m, n = g.total, c.dim
-    rho = [0] * (m * n * m)
-    k = 0
-    for x, d in enumerate(g.dims):
-        for _ in range(d):
-            rho[(k * n + x) * m + k] = 1
-            k += 1
-    return Comodule(c, m, Matrix(c.field, m * n, m, rho))
+    n = c.dim
+    grades = [x for x, d in enumerate(g.dims) for _ in range(d)]
+    return Comodule(c, g.total, [{k * n + x: 1}
+                                 for k, x in enumerate(grades)])
 
 
 def setmap_of_morphism(phi) -> SetMap:

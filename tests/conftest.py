@@ -14,7 +14,8 @@ import pytest
 
 from comodcheck.coalg import Coalgebra, _subcoalgebra
 from comodcheck.comod import ComoduleMorphism, hom_space
-from comodcheck.exactlin import Matrix, Subspace, _dense_columns
+from comodcheck.exactlin import (Matrix, ShapeError, Subspace, _column_dicts,
+                                 _dense_columns, _mul)
 from comodcheck.fields import QQ
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -28,14 +29,61 @@ SQRT2_DELTA = [[1, 0], [0, 1], [0, 1], [2, 0]]
 SQRT2_EPS = [[1, 0]]
 
 
+def columns(field, rows):
+    """The {row: value} column dicts of the matrix with the given rows, as
+    the ``Coalgebra`` and ``Comodule`` constructors take them."""
+    return _column_dicts(Matrix.from_rows(field, rows))
+
+
 def gx_coalgebra(field=QQ):
-    return Coalgebra(field, 2, Matrix.from_rows(field, GX_DELTA),
-                     Matrix.from_rows(field, GX_EPS))
+    return Coalgebra(field, 2, columns(field, GX_DELTA),
+                     columns(field, GX_EPS))
 
 
 def sqrt2_dual(field=QQ):
-    return Coalgebra(field, 2, Matrix.from_rows(field, SQRT2_DELTA),
-                     Matrix.from_rows(field, SQRT2_EPS))
+    return Coalgebra(field, 2, columns(field, SQRT2_DELTA),
+                     columns(field, SQRT2_EPS))
+
+
+def kron_apply(a, b, x):
+    """(a (x) b) @ x without building a (x) b; an int n stands for I_n.
+
+    A dense test-only reference for the sparse kernel ``_kron_cols``.
+    Column t of x is vec X_t for a block X_t with one row per column of a
+    and one column per column of b, and the result column is
+    vec(a X_t b^T): b multiplies the blocks side by side (one batched
+    product, its input and output regrouped), and a multiplies that result
+    as it stands.
+    """
+    f, d = x.field, x.cols
+    ra, ca = (a, a) if isinstance(a, int) else (a.rows, a.cols)
+    rb, cb = (b, b) if isinstance(b, int) else (b.rows, b.cols)
+    for m in (a, b):
+        if not isinstance(m, int) and m.field != f:
+            raise ShapeError("field mismatch")
+    if ca * cb != x.rows:
+        raise ShapeError(f"cannot apply a {ra * rb}x{ca * cb} tensor product "
+                         f"to {x.rows}x{d}")
+    data = x.data
+    if not isinstance(b, int):
+        if ca == 1:
+            data = _mul(f, b.data, data, rb, cb, d)
+        else:
+            # Z[j, i*d + t] = X_t[i, j]; then W = b Z back to (i, k, t) order
+            z = []
+            for j in range(cb):
+                for i in range(ca):
+                    s = (i * cb + j) * d
+                    z += data[s:s + d]
+            w = _mul(f, b.data, z, rb, cb, ca * d)
+            data = []
+            for i in range(ca):
+                for k in range(rb):
+                    s = (k * ca + i) * d
+                    data += w[s:s + d]
+    if not isinstance(a, int):
+        data = _mul(f, a.data, data, ra, ca, rb * d)
+    return Matrix(f, ra * rb, d, data)
 
 
 def chart_embedding(chart):

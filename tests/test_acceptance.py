@@ -19,13 +19,13 @@ from comodcheck import dsl, runner
 from comodcheck import indexed as ix
 from comodcheck import oracle as orc
 from comodcheck.errors import AxiomError
-from comodcheck.exactlin import Matrix
+from comodcheck.exactlin import Matrix, _column_dicts
 from comodcheck.fields import QQ
 from comodcheck.gen import (corrupt_coalgebra, random_coalgebra,
                             random_comodule, random_grouplike,
                             random_setmap_morphism, rng_for)
 
-from conftest import find_isomorphism
+from conftest import columns, find_isomorphism
 
 F = QQ
 
@@ -44,7 +44,9 @@ def test_criterion_01_axiom_suite():
     rng = rng_for(101, "axioms")
     for _ in range(100):
         c = random_coalgebra(rng, F, max_labels=5)
-        ca.Coalgebra(F, c.dim, c.delta, c.epsilon)  # re-validated
+        # re-validated from the dense views
+        ca.Coalgebra(F, c.dim, _column_dicts(c.delta),
+                     _column_dicts(c.epsilon))
     named = set()
     for _ in range(10):
         c = random_coalgebra(rng, F, max_labels=4)
@@ -98,8 +100,7 @@ def test_criterion_04_sigma_pullback_adjunction():
         cert = ix.adjunction_certificate(phi, v, w)
         assert cert.ok
     # non-group-like cosemisimple bases built from sums
-    k2 = ca.Coalgebra(F, 2, Matrix.from_rows(F, SQRT2_DELTA),
-                      Matrix.from_rows(F, [[1, 0]]))
+    k2 = ca.Coalgebra(F, 2, columns(F, SQRT2_DELTA), columns(F, [[1, 0]]))
     gu = ca.grouplike_coalgebra(F, ["u"])
     ks = ca.direct_sum(k2, gu)
     assert ca.is_cosemisimple(ks) and not ks.is_grouplike()
@@ -185,9 +186,8 @@ def test_criterion_08_injectivity():
         v = random_comodule(rng, base, max_dim=2, max_total=6,
                             conjugated=bool(rng.randrange(2)))
         assert cm.is_injective(v)
-    gx = ca.Coalgebra(F, 2, Matrix.from_rows(F, GX_DELTA),
-                      Matrix.from_rows(F, [[1, 0]]))
-    one = cm.Comodule(gx, 1, Matrix.from_rows(F, [[1], [0]]))
+    gx = ca.Coalgebra(F, 2, columns(F, GX_DELTA), columns(F, [[1, 0]]))
+    one = cm.Comodule(gx, 1, columns(F, [[1], [0]]))
     assert not cm.is_injective(one)
     assert cm.is_injective(cm.regular_comodule(gx))
     assert cm.is_coflat(cm.regular_comodule(gx)) \

@@ -27,12 +27,12 @@ from comodcheck import dsl, runner
 from comodcheck import exactlin as el
 from comodcheck import indexed as ix
 from comodcheck.errors import AxiomError
-from comodcheck.exactlin import Matrix, Subspace, _column_dicts, kron_apply
+from comodcheck.exactlin import Matrix, Subspace, _column_dicts
 from comodcheck.fields import GF, QQ
 from comodcheck.gen import (random_coalgebra, random_comodule,
                             random_invertible, random_setmap_morphism)
 
-from conftest import count_calls, gx_coalgebra, sqrt2_dual
+from conftest import count_calls, gx_coalgebra, kron_apply, sqrt2_dual
 
 FIELDS = [QQ, GF(7), GF(3)]
 

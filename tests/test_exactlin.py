@@ -11,10 +11,10 @@ from comodcheck import comod as cm
 from comodcheck import indexed as ix
 from comodcheck.exactlin import (Chart, Matrix, ShapeError, Subspace,
                                  _column_dicts, _difference, _kron_cols,
-                                 kron_apply, swap_matrix)
+                                 swap_matrix)
 from comodcheck.fields import GF, QQ
 
-from conftest import chart_embedding
+from conftest import chart_embedding, kron_apply
 
 F = QQ
 

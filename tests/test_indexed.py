@@ -13,13 +13,14 @@ from comodcheck import indexed as ix
 from comodcheck import oracle as orc
 from comodcheck.errors import (AxiomError, BaseMismatchError,
                                HypothesisViolatedError)
-from comodcheck.exactlin import Matrix, _column_dicts, _reduced
+from comodcheck.exactlin import (Matrix, Subspace, _column_dicts,
+                                 _dense_columns, _reduced)
 from comodcheck.fields import GF, QQ
 from comodcheck.gen import (random_comodule, random_grouplike,
                             random_setmap_morphism)
 
 from conftest import (count_calls, find_isomorphism, gx_coalgebra,
-                      hom_morphisms, sqrt2_dual)
+                      hom_morphisms, kron_apply, sqrt2_dual)
 
 F = QQ
 
@@ -503,6 +504,41 @@ def test_from_cospan_builds_one_cotensor_kernel(monkeypatch, g_ab):
     assert sum(map(len, calls)) == 1
 
 
+def test_from_cospan_takes_t_as_the_identity(monkeypatch, g_ab):
+    # the legs read off the cotensor kernel need no coordinates and no
+    # inverse: (u (x) v) delta_P = B follows from the closure equation and
+    # the counit laws
+    beta, alpha = cospan(g_ab)
+    calls = [count_calls(monkeypatch, Subspace, "coords"),
+             count_calls(monkeypatch, Matrix, "inverse")]
+    square = ix.PullbackSquare.from_cospan(beta, alpha)
+    assert calls == [[], []]
+    assert square._t_cols == [{t: 1} for t in range(square.t.rows)]
+    delta, gamma = square.delta, square.gamma
+    assert kron_apply(delta.matrix, gamma.matrix, delta.source.delta) \
+        == square.cotensor.basis
+
+
+def test_from_cospan_rejects_a_kernel_that_is_not_delta_closed(monkeypatch,
+                                                                g_ab):
+    # t = I rests on the closure equation that coalg.pullback checks on
+    # the kernel: a planted kernel spanned by the sum of two group-like
+    # pairs is not delta-closed and must still fail
+    beta, alpha = cospan(g_ab)
+    real = ix._cotensor_kernel
+
+    def planted(v, w):
+        sub = real(v, w)
+        summed = {**sub.columns[0], **sub.columns[1]}
+        return Subspace(sub.field, sub.ambient,
+                        _dense_columns(sub.field, sub.ambient, [summed]))
+
+    monkeypatch.setattr(ix, "_cotensor_kernel", planted)
+    with pytest.raises(AxiomError) as exc:
+        ix.PullbackSquare.from_cospan(beta, alpha)
+    assert exc.value.axiom == "subcoalgebra-closure"
+
+
 def test_beck_phi_naturality(g_ab):
     beta, alpha = cospan(g_ab)
     square = ix.PullbackSquare.from_cospan(beta, alpha)
@@ -553,9 +589,9 @@ def test_beck_for_forall(g_ab):
 def test_beck_for_forall_rejects_a_planted_wrong_counit(g_ab):
     # zero the counit on the component of x: the mate loses that component
     # and is not invertible, although the two sides are still isomorphic
-    # (the mate reads r_V's column dicts where coseparability_retraction
-    # keeps them with r_V, so the plant replaces both once delta^* V,
-    # whose cotensor kernel reads the true r_V, is built)
+    # (the mate reads r_V's column dicts from the memo where
+    # coseparability_retraction keeps them, so the plant replaces them once
+    # delta^* V, whose cotensor kernel reads the true r_V, is built)
     beta, alpha = cospan(g_ab)
     square = ix.PullbackSquare.from_cospan(beta, alpha)
     v = cm.graded_comodule(beta.source, [1, 2, 1])
@@ -565,9 +601,9 @@ def test_beck_for_forall_rejects_a_planted_wrong_counit(g_ab):
     n = v.base.dim
     drop_x = Matrix(F, n, n, [int(i == j != 0) for i in range(n)
                               for j in range(n)])
-    r = ix.coseparability_retraction(v) @ Matrix.identity(F, v.dim).kron(
-        drop_x)
-    v._retraction = r, _column_dicts(r)
+    r = _dense_columns(F, v.dim, ix.coseparability_retraction(v)) \
+        @ Matrix.identity(F, v.dim).kron(drop_x)
+    v._retraction = _column_dicts(r)
     rep = ix.beck_for_forall_check(square, v, pv)
     assert rep.verdict == "fail"
     assert "mate is not invertible" in rep.witness["equation"]

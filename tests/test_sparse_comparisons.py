@@ -23,14 +23,13 @@ from comodcheck import comod as cm
 from comodcheck import indexed as ix
 from comodcheck.errors import AxiomError
 from comodcheck.exactlin import (Chart, Matrix, _column_dicts,
-                                 _dense_columns, _reduced, _swapped,
-                                 kron_apply)
+                                 _dense_columns, _reduced, _swapped)
 from comodcheck.fields import GF, QQ
 from comodcheck.gen import (random_comodule, random_grouplike,
                             random_invertible, random_setmap_morphism)
 
 from conftest import chart_embedding as dense
-from conftest import hom_morphisms
+from conftest import hom_morphisms, kron_apply
 
 FIELDS = pytest.mark.parametrize("field", [QQ, GF(7), GF(3)],
                                  ids=["Q", "F7", "F3"])
@@ -105,8 +104,9 @@ def moved(rng, c):
     """c in a random basis, and the isomorphism from it to c."""
     p = random_invertible(rng, c.field, c.dim)
     p_inv = p.inverse()
-    d = ca.Coalgebra(c.field, c.dim, p_inv.kron(p_inv) @ c.delta @ p,
-                     c.epsilon @ p)
+    d = ca.Coalgebra(c.field, c.dim,
+                     _column_dicts(p_inv.kron(p_inv) @ c.delta @ p),
+                     _column_dicts(c.epsilon @ p))
     return d, ca.CoalgebraMorphism(d, c, p)
 
 
@@ -327,8 +327,8 @@ def test_forall_beck_mate_matches_the_dense_formula(field, monkeypatch):
             kron_apply(square.delta.matrix, d.dim, d.delta))
         flat = kron_apply(rhs.dim, regroup, dense(
             ix._pullback_obj(square.gamma, pa, pga).chart))
-        g = solve(pv[1].basis, kron_apply(cm.coseparability_retraction(v),
-                                          d.dim, flat))
+        r = _dense_columns(field, v.dim, cm.coseparability_retraction(v))
+        g = solve(pv[1].basis, kron_apply(r, d.dim, flat))
         assert built(made, 0, pga[0], pv[0]) == g
         monkeypatch.undo()
 
