@@ -1,12 +1,13 @@
 """Hot elimination/multiplication kernels of ``exactlin``.
 
-The products take and return flat row-major Python lists of exact
-scalars.  The eliminations read such a list into sparse rows, one
-``{column: value}`` dict per nonzero row, eliminate on those and write the
-echelon form back as a flat list: the systems of this domain are mostly
-zero, and a row with a zero in the pivot column is never touched.
+The eliminations run on sparse rows, one ``{column: value}`` dict per
+nonzero row (the systems of this domain are mostly zero), and ``rref_rows``
+reduces them over Q or F_p.  ``bareiss_echelon`` and ``rref_mod`` wrap the
+row kernels for the flat row-major lists that ``Matrix`` and the products
+use.
 """
 
+from fractions import Fraction
 from math import gcd, lcm
 
 
@@ -73,26 +74,40 @@ def _take_pivot(bucket, key):
 
 
 def bareiss_echelon(data, rows, cols):
-    """Fraction-free row echelon form of a matrix over Q.
+    """``_bareiss_rows`` of a flat matrix, as a new flat list of ints."""
+    echelon, pivots = _bareiss_rows(_sparse_rows(data, rows, cols), cols)
+    return _dense(echelon, rows, cols), pivots
 
-    Returns ``(echelon, pivots)`` where ``echelon`` is a new flat list of
-    ints and ``pivots`` the list of pivot column indices (one per nonzero
-    row, in order).  Each row is scaled to integers as it is read, which
+
+def rref_mod(data, rows, cols, p):
+    """``rref_rows`` of a flat matrix over F_p, as a new flat list."""
+    echelon, pivots = rref_rows(_sparse_rows(data, rows, cols), cols, p)
+    return _dense(echelon, rows, cols), pivots
+
+
+def _bareiss_rows(rows, cols):
+    """Fraction-free row echelon form over Q of {column: value} rows.
+
+    Returns ``(echelon, pivots)``: new integer rows, one per pivot column
+    in ``pivots``.  Each row is scaled to integers as it is read, which
     changes neither its row space nor the pivot columns.  The rows wait in
-    buckets keyed by their first nonzero column.  At pivot column c only
-    the rows of bucket c change: each, with x in column c, becomes
+    buckets keyed by their least column.  At pivot column c only the rows
+    of bucket c change: each, with x in column c, becomes
     (piv/g)*row - (x/g)*pivot_row, g = gcd(piv, x), divided by its
     content.  That is the primitive integer row in the direction of the
     rational Gauss step, so it is never longer than Bareiss's row of
     minors for the same sequence of pivot rows.
     """
     lead = {}
-    for row in _sparse_rows(data, rows, cols):
+    for row in rows:
+        row = {j: x for j, x in row.items() if x}
+        if not row:
+            continue
         if set(map(type, row.values())) != {int}:
             l = lcm(*[x.denominator for x in row.values()])
             row = {j: x.numerator * (l // x.denominator)
                    for j, x in row.items()}
-        lead.setdefault(next(iter(row)), []).append(row)
+        lead.setdefault(min(row), []).append(row)
     echelon, pivots = [], []
     for c in range(cols):
         bucket = lead.pop(c, None)
@@ -125,21 +140,18 @@ def bareiss_echelon(data, rows, cols):
                 if g != 1:
                     row = {j: v // g for j, v in row.items()}
                 lead.setdefault(min(row), []).append(row)
-    return _dense(echelon, rows, cols), pivots
+    return echelon, pivots
 
 
-def rref_mod(data, rows, cols, p):
-    """Reduced row echelon form over F_p.  Returns ``(rref, pivots)``.
-
-    The forward pass updates only the rows with a nonzero in the pivot
-    column, as in ``bareiss_echelon``; the backward pass then clears each
-    pivot column above its pivot, last pivot first.
-    """
+def _forward_mod(rows, cols, p):
+    """Row echelon form over F_p of {column: value} rows (values may be
+    unreduced), each pivot scaled to 1; only the rows with a nonzero in
+    the pivot column are updated, as in ``_bareiss_rows``."""
     lead = {}
-    for row in _sparse_rows(data, rows, cols):
-        row = {j: x % p for j, x in row.items() if x % p}
+    for row in rows:
+        row = {j: r for j, x in row.items() if (r := x % p)}
         if row:
-            lead.setdefault(next(iter(row)), []).append(row)
+            lead.setdefault(min(row), []).append(row)
     echelon, pivots = [], []
     for c in range(cols):
         bucket = lead.pop(c, None)
@@ -155,24 +167,44 @@ def rref_mod(data, rows, cols, p):
             continue
         rest = [(j, y) for j, y in prow.items() if j != c]
         for row in bucket:
-            x = row.pop(c)
-            _subtract_mod(row, x, rest, p)
+            _subtract(row, row.pop(c), rest, p)
             if row:
                 lead.setdefault(min(row), []).append(row)
-    for r in range(len(echelon) - 1, 0, -1):
-        c = pivots[r]
-        rest = [(j, y) for j, y in echelon[r].items() if j != c]
-        for row in echelon[:r]:
-            x = row.pop(c, 0)
+    return echelon, pivots
+
+
+def rref_rows(rows, cols, p):
+    """Reduced row echelon form ``(rref, pivots)`` of {column: value} rows
+    (keys in any order, sums unreduced) over Q (p = 0) or F_p: one row
+    per pivot column, with no zero entry.  After the forward pass of the
+    field, one backward pass, last pivot first, scales each pivot row to 1
+    (over Q ``x // piv`` when exact, else a ``Fraction``) and clears its
+    pivot column in the rows above.
+    """
+    echelon, pivots = (_forward_mod(rows, cols, p) if p
+                       else _bareiss_rows(rows, cols))
+    for r in range(len(echelon) - 1, -1, -1):
+        c, row = pivots[r], echelon[r]
+        piv = row[c]
+        if piv != 1:
+            row = echelon[r] = {j: x // piv if x % piv == 0
+                                else Fraction(x, piv)
+                                for j, x in row.items()}
+        rest = [(j, y) for j, y in row.items() if j != c]
+        for above in echelon[:r]:
+            x = above.pop(c, 0)
             if x:
-                _subtract_mod(row, x, rest, p)
-    return _dense(echelon, rows, cols), pivots
+                _subtract(above, x, rest, p)
+    return echelon, pivots
 
 
-def _subtract_mod(row, x, rest, p):
-    """row -= x * rest in place over F_p, dropping the zeros."""
+def _subtract(row, x, rest, p):
+    """row -= x * rest in place over Q (p = 0) or F_p, dropping the
+    zeros."""
     for j, y in rest:
-        v = (row.get(j, 0) - x * y) % p
+        v = row.get(j, 0) - x * y
+        if p:
+            v %= p
         if v:
             row[j] = v
         else:

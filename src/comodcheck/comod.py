@@ -23,9 +23,9 @@ is a comodule V^vee (``dual_comodule``) and Hom^C(V, W) = W (x)_C V^vee
 inside W (x) V*.  Every kernel-defined object (cotensor, pullback, hom)
 is read off ``_cotensor_kernel``: the image of an idempotent built from
 the retraction r_V over a base with a coseparability form gamma, else the
-kernel of one matrix A, ``_cotensor_matrix``; A B = 0 certifies its basis
-B on both paths (for a hom space, the intertwining equation of every basis
-map).  Injectivity is decided by a splitting: rho_V embeds V into the
+kernel of one matrix A, read off its sparse rows; A B = 0 certifies the
+basis B on both paths (for a hom space, the intertwining equation of every
+basis map).  Injectivity is decided by a splitting: rho_V embeds V into the
 cofree comodule V (x) C, which is injective, so V is injective iff that
 embedding splits.  Over a base with gamma the splitting is r_V, checked by
 two exact equations; otherwise a splitting is solved for in
@@ -49,7 +49,8 @@ from .coalg import Coalgebra, coseparability_form, grouplike_labels
 from .errors import AxiomError, BaseMismatchError, UnsupportedBaseError
 from .exactlin import (Chart, Matrix, ShapeError, Subspace, _checked_columns,
                        _column_dicts, _dense_columns, _difference,
-                       _kron_cols, _reduced, _swapped, _transposed)
+                       _kron_cols, _null_space, _reduced, _swapped,
+                       _transposed)
 
 __all__ = [
     "Comodule", "ComoduleMorphism", "regular_comodule", "cofree_comodule",
@@ -222,25 +223,33 @@ def conjugate(v: Comodule, s: Matrix) -> Comodule:
 
 # -- cotensor product and hom spaces ------------------------------------------
 
-def _cotensor_matrix(v: Comodule, w: Comodule) -> Matrix:
-    """(rho_V (x) id_W) - (id_V (x) tau rho_W): V (x) W -> V (x) C (x) W,
-    whose kernel is V (x)_C W, built from nonzeros for elimination."""
-    rows = v.dim * v.base.dim * w.dim
+def _cotensor_columns(v: Comodule, w: Comodule):
+    """The columns of A = (rho_V (x) id_W) - (id_V (x) tau rho_W):
+    V (x) W -> V (x) C (x) W, whose kernel is V (x)_C W, as {row: value}
+    dicts whose sums may be unreduced, from the two ``_cotensor_halves``."""
     lhs, rhs = _cotensor_halves(v, w, [{t: 1}
                                        for t in range(v.dim * w.dim)])
-    return (_dense_columns(v.field, rows, lhs)
-            - _dense_columns(v.field, rows, rhs))
+    for col, sub in zip(lhs, rhs):
+        for k, x in sub.items():
+            col[k] = col.get(k, 0) - x
+    return lhs
+
+
+def _cotensor_matrix(v: Comodule, w: Comodule) -> Matrix:
+    """A of ``_cotensor_columns`` as a dense matrix, for a solve."""
+    return _dense_columns(v.field, v.dim * v.base.dim * w.dim,
+                          _cotensor_columns(v, w))
 
 
 def _cotensor_kernel(v: Comodule, w: Comodule) -> Subspace:
     """V (x)_C W = ker A for A = rho_V (x) id_W - id_V (x) lambda_W, where
-    lambda_W = tau rho_W (``_cotensor_matrix``), as a canonical subspace.
+    lambda_W = tau rho_W (``_cotensor_columns``), as a canonical subspace.
 
     Over a base with a coseparability form it is read off as the image of
     the idempotent e = (r_V (x) id_W)(id_V (x) lambda_W), for the retraction
-    r_V of ``coseparability_retraction``; eliminating the square e replaces
-    eliminating A, which is n times taller.  Two exact equations prove
-    ker A = im e:
+    r_V of ``coseparability_retraction``: ``Subspace`` reduces the columns
+    of e, which are n times fewer entries than A's rows.  Two exact
+    equations prove ker A = im e:
 
     - ker A in im e: r_V rho_V = id (checked when r_V is built), so for
       x in ker A, e x = (r_V (x) id)(rho_V (x) id) x = x;
@@ -249,16 +258,18 @@ def _cotensor_kernel(v: Comodule, w: Comodule) -> Subspace:
       B, rho_V and rho_W, with no product of matrices.
 
     A failure of either raises ``AxiomError("coseparability")``.  Without
-    a coseparability form (N, for one) ker A is eliminated, and A B = 0
-    certifies its basis all the same (else "cotensor-kernel").  B's
-    columns are read once (``Subspace.columns``) and serve the restriction
-    equation of ``_restricted_coaction`` too.
+    a coseparability form (N, for one) ker A is read off the rows of A,
+    its columns transposed (``_null_space``), and A B = 0 certifies its
+    basis all the same (else "cotensor-kernel").  B's columns serve the
+    restriction equation of ``_restricted_coaction`` too.
     """
-    r = coseparability_retraction(v)
+    r, size = coseparability_retraction(v), v.dim * w.dim
     if r is None:
-        sub, axiom = _cotensor_matrix(v, w).kernel(), "cotensor-kernel"
+        sub, axiom = _null_space(v.field, _transposed(
+            _cotensor_columns(v, w), v.dim * v.base.dim * w.dim),
+            size), "cotensor-kernel"
     else:
-        sub, axiom = Subspace(v.field, v.dim * w.dim, _cotensor_idempotent(
+        sub, axiom = Subspace(v.field, size, _cotensor_idempotent(
             r, v, w), _canonical=False), "coseparability"
     if not _annihilated(v, w, sub.columns):
         raise AxiomError(axiom, "A e != 0: a basis vector e of the kernel "
@@ -266,29 +277,18 @@ def _cotensor_kernel(v: Comodule, w: Comodule) -> Subspace:
     return sub
 
 
-def _cotensor_idempotent(rcols, v: Comodule, w: Comodule) -> Matrix:
-    """e = (r_V (x) id_W)(id_V (x) tau rho_W) on V (x) W, from the nonzeros
-    of r_V (its column dicts ``rcols``) and rho_W:
-    e[(a2, k), (a, j)] = sum_c r[a2, a*n + c] rho_W[k*n + c, j], never
-    building either Kronecker product."""
-    f, n = v.field, v.base.dim
-    mv, mw = v.dim, w.dim
-    size = mv * mw
-    data = [0] * (size * size)
-    for j, col in enumerate(w._rho_cols):
-        for idx, y in col.items():
-            k, c = divmod(idx, n)
-            for a in range(mv):
-                for a2, x in rcols[a * n + c].items():
-                    pos = (a2 * mw + k) * size + a * mw + j
-                    data[pos] += x * y
-    if f.char:
-        data = [x % f.char for x in data]
-    return Matrix(f, size, size, data)
+def _cotensor_idempotent(rcols, v: Comodule, w: Comodule):
+    """The columns of e = (r_V (x) id_W)(id_V (x) lambda_W) on V (x) W as
+    unreduced {row: sum} dicts, from the nonzeros of r_V (its columns
+    ``rcols``) and rho_W, never building e or either Kronecker product."""
+    n, mv, mw = v.base.dim, v.dim, w.dim
+    lam = _swapped(w._rho_cols, 1, mw, n, 1)
+    return _kron_cols(rcols, mw, mw, _kron_cols(
+        mv, lam, n * mw, [{t: 1} for t in range(mv * mw)]))
 
 
 def _cotensor_halves(v: Comodule, w: Comodule, columns):
-    """The two halves of A (``_cotensor_matrix``), rho_V (x) I_{m_W} and
+    """The two halves of A (``_cotensor_columns``), rho_V (x) I_{m_W} and
     I_{m_V} (x) lambda_W, applied to the {row: value} columns x, from the
     nonzeros of rho_V and rho_W; lambda_W = tau rho_W has rows c*m_W + k."""
     n, mv, mw = v.base.dim, v.dim, w.dim
@@ -298,7 +298,7 @@ def _cotensor_halves(v: Comodule, w: Comodule, columns):
 
 
 def _annihilated(v: Comodule, w: Comodule, columns) -> bool:
-    """A B = 0 for A of ``_cotensor_matrix``, from the nonzeros of B
+    """A B = 0 for A of ``_cotensor_columns``, from the nonzeros of B
     (``columns``), never building A: the two halves of A agree on B."""
     return _difference(*_cotensor_halves(v, w, columns),
                        v.field.char) is None
@@ -590,8 +590,8 @@ def coseparability_retraction(v: Comodule):
     or None when the base has none.  Over a group-like base
     r(v (x) x) = pi_x v, the projection onto the component of x.
 
-    r_V is returned as its m*n reduced {row: value} columns, built from the
-    nonzeros of rho_V and gamma by ``_kron_cols`` on the basis of V (x) C,
+    r_V is returned as its m*n reduced {row: value} columns, built from
+    the nonzeros of rho_V and of gamma's rows,
     r[a2, a*n + c] = sum_d rho[a2*n + d, a] gamma[d*n + c], and kept on v
     once r rho_V = id is checked from nonzeros; a failure raises
     ``AxiomError``.
@@ -601,9 +601,17 @@ def coseparability_retraction(v: Comodule):
         return None
     if v._retraction is None:
         p, n, m = v.field.char, v.base.dim, v.dim
-        forms = [{0: g} if g else {} for g in gamma.data]
-        rcols = _reduced(_kron_cols(m, forms, 1, _kron_cols(
-            v._rho_cols, n, n, [{t: 1} for t in range(m * n)])), p)
+        g = gamma.data
+        forms = [{c: g[d * n + c] for c in range(n) if g[d * n + c]}
+                 for d in range(n)]
+        rcols = [{} for _ in range(m * n)]
+        for a, col in enumerate(v._rho_cols):
+            for idx, x in col.items():
+                a2, d = divmod(idx, n)
+                for c, y in forms[d].items():
+                    out = rcols[a * n + c]
+                    out[a2] = out.get(a2, 0) + x * y
+        rcols = _reduced(rcols, p)
         if _difference(_kron_cols(rcols, 1, 1, v._rho_cols),
                        [{j: 1} for j in range(m)], p) is not None:
             raise AxiomError("coseparability",

@@ -1,12 +1,15 @@
 """Exact linear algebra over Q and F_p.
 
 Matrices are immutable flat row-major arrays of exact scalars (see
-``fields``).  Elimination runs on sparse rows, and a row with a zero in
-the pivot column is left as it is.  Over Q each row is scaled to integers
-as it is read and updated fraction-free, then divided by its content, so
-entries stay as short as the primitive row of each Gauss step; over F_p
-it is Gauss-Jordan with modular inverses.  The elimination and dense
-product loops live in the kernel module ``_backend.core``.
+``fields``).  Elimination runs on sparse {column: value} rows in the
+kernel module ``_backend.core``, and a row with a zero in the pivot
+column is left as it is.  Over Q each row is scaled to integers as it is
+read and updated fraction-free, then divided by its content, so entries
+stay as short as the primitive row of each Gauss step; over F_p it is
+Gauss-Jordan with modular inverses.  A ``Subspace`` is its canonical
+basis, the reduced rows of one ``rref_rows`` of a spanning set read as
+rows, and a kernel is read off the reduced rows of its matrix
+(``_null_space``), so neither is ever transposed or stored dense.
 
 Every law that ``coalg`` and ``comod`` certify is an equation between
 Kronecker-structured maps applied to sparse columns: ``_kron_cols``
@@ -26,14 +29,12 @@ dimensions (m, n) sits at flat index ``i*n + j`` (left factor major).
 structure maps are column dicts, and every constructor builds its
 columns with ``_kron_cols`` and ``_swapped``.  There is no solver
 for unknown matrices: a space of linear maps V -> W is a subspace of
-W (x) V*, so callers describe it by one matrix, either cut out as its
-``kernel`` (or by ``solve_right``) or spanned as the image of an
-idempotent, which ``Subspace`` puts in canonical form.
+W (x) V*, so callers describe it either cut out as a kernel (from the
+rows of its matrix, or by ``solve_right``) or spanned by the columns of
+an idempotent, which ``Subspace`` puts in canonical form.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from ._backend import core
 from .fields import Field
@@ -94,13 +95,6 @@ class Matrix:
     def column(self, j: int) -> "Matrix":
         return Matrix(self.field, self.rows, 1,
                       [self.data[i * self.cols + j] for i in range(self.rows)])
-
-    def take_rows(self, indices) -> "Matrix":
-        c = self.cols
-        data = []
-        for i in indices:
-            data.extend(self.data[i * c:(i + 1) * c])
-        return Matrix(self.field, len(indices), c, data)
 
     def is_zero(self) -> bool:
         return not any(self.data)
@@ -164,13 +158,6 @@ class Matrix:
         return Matrix(self.field, self.rows, self.cols,
                       [mul(a, x) for x in self.data])
 
-    def transpose(self) -> "Matrix":
-        c = self.cols
-        data = []
-        for j in range(c):
-            data += self.data[j::c]
-        return Matrix(self.field, c, self.rows, data)
-
     def hstack(self, other: "Matrix") -> "Matrix":
         self._check_field(other)
         if self.rows != other.rows:
@@ -194,11 +181,11 @@ class Matrix:
         """Row echelon form with pivot columns.
 
         Over Q the kernel scales each row to integers as it reads it
-        (kernels, row spaces and solution sets are unchanged by row
-        scaling) and returns an integer echelon form; over F_p it returns
-        the reduced form.  Pivot columns are the same for every echelon
-        form, and so are the rref, the free-variable kernel basis and the
-        solution with free variables 0 built from it below.
+        (row spaces and solution sets are unchanged by row scaling) and
+        returns an integer echelon form; over F_p it returns the reduced
+        form.  Pivot columns are the same for every echelon form, and so
+        is the solution with free variables 0 that ``solve_right`` builds
+        from it.
         """
         if self.field.char:
             data, pivots = core.rref_mod(self.data, self.rows, self.cols,
@@ -213,52 +200,15 @@ class Matrix:
 
     def rref(self):
         """Fully reduced row echelon form, returned as (Matrix, pivots)."""
-        data, pivots = self._echelon()
-        f, c = self.field, self.cols
-        if not f.char:
-            # normalize pivots to 1 and eliminate upwards, exact division
-            for r in range(len(pivots) - 1, -1, -1):
-                pc = pivots[r]
-                rc = r * c
-                piv = data[rc + pc]
-                data[rc + pc] = 1
-                for j in range(pc + 1, c):
-                    if data[rc + j]:
-                        data[rc + j] = Fraction(data[rc + j], piv) \
-                            if data[rc + j] % piv else data[rc + j] // piv
-                for i in range(r):
-                    x = data[i * c + pc]
-                    if x:
-                        ic = i * c
-                        data[ic + pc] = 0
-                        for j in range(pc + 1, c):
-                            if data[rc + j]:
-                                data[ic + j] -= x * data[rc + j]
-        return Matrix(f, self.rows, c, data), pivots
+        rows, pivots = core.rref_rows(core._sparse_rows(
+            self.data, self.rows, self.cols), self.cols, self.field.char)
+        return Matrix(self.field, self.rows, self.cols,
+                      core._dense(rows, self.rows, self.cols)), pivots
 
     def kernel(self) -> "Subspace":
         """Basis of the null space {x : A x = 0}."""
-        data, pivots = self._echelon()
-        f, c = self.field, self.cols
-        pivset = set(pivots)
-        free = [j for j in range(c) if j not in pivset]
-        basis_cols = []
-        for fc in free:
-            x = [0] * c
-            x[fc] = 1
-            for r in range(len(pivots) - 1, -1, -1):
-                pc = pivots[r]
-                rc = r * c
-                s = 0
-                for j in range(pc + 1, c):
-                    if data[rc + j] and x[j]:
-                        s += data[rc + j] * x[j]
-                if s:
-                    x[pc] = f.div(f.neg(s), data[rc + pc])
-            basis_cols.append(x)
-        basis = Matrix(f, c, len(free),
-                       [col[i] for i in range(c) for col in basis_cols])
-        return Subspace(f, c, basis, _canonical=False)
+        return _null_space(self.field, core._sparse_rows(
+            self.data, self.rows, self.cols), self.cols)
 
     def solve_right(self, b: "Matrix"):
         """One exact solution X of A X = B, or None if inconsistent."""
@@ -487,51 +437,63 @@ def swap_matrix(field: Field, m: int, n: int) -> Matrix:
         [{t: 1} for t in range(m * n)], 1, m, n, 1))
 
 
-class Subspace:
-    """Subspace of k^ambient, stored as a canonical column basis.
+def _null_space(field: Field, rows, cols: int) -> "Subspace":
+    """{x : R x = 0} for the {column: value} rows of R (sums may be
+    unreduced), as a canonical ``Subspace``: for each free column t of the
+    reduced rows, the vector e_t - sum_r R[r][t] e_{pivot r}."""
+    p = field.char
+    reduced, pivots = core.rref_rows(rows, cols, p)
+    free = sorted(set(range(cols)).difference(pivots))
+    basis = {t: {t: 1} for t in free}
+    for c, row in zip(pivots, reduced):
+        for t, x in row.items():
+            if t != c:
+                basis[t][c] = -x % p if p else -x
+    return Subspace(field, cols, list(basis.values()), _canonical=False)
 
-    The basis is the unique one whose transpose is in reduced row echelon
-    form, so equal subspaces have equal bases and the pivot coordinates of
-    any member vector are literally its coordinates in the basis.
-    ``columns`` is the basis read once into its nonzeros, on first use.
+
+class Subspace:
+    """Subspace of k^ambient, stored as its canonical basis ``columns``:
+    the rows of the reduced row echelon form of any spanning set read as
+    rows, one {row: value} dict per basis vector.  So equal subspaces store
+    equal columns, and the pivot coordinates of a member vector are its
+    coordinates in the basis.  The constructor reduces a spanning set of
+    {row: value} columns (sums may be unreduced) by one ``rref_rows``,
+    which with ``_canonical`` must find them independent; ``basis`` is a
+    dense view built on each read.
     """
 
-    __slots__ = ("field", "ambient", "basis", "pivots", "_columns")
+    __slots__ = ("field", "ambient", "columns", "pivots")
 
-    def __init__(self, field: Field, ambient: int, basis: Matrix,
+    def __init__(self, field: Field, ambient: int, columns,
                  _canonical: bool = True):
-        if basis.rows != ambient:
+        if max((max(col) for col in columns if col), default=-1) >= ambient:
             raise ShapeError("basis does not live in the ambient space")
-        if _canonical:
-            if basis.rank() != basis.cols:
-                raise ShapeError("basis columns are not independent")
-        rref_t, pivots = basis.transpose().rref()
-        rows = rref_t.take_rows(range(len(pivots)))
+        reduced, pivots = core.rref_rows(columns, ambient, field.char)
+        if _canonical and len(pivots) != len(columns):
+            raise ShapeError("basis columns are not independent")
         self.field = field
         self.ambient = ambient
-        self.basis = rows.transpose()
+        self.columns = reduced
         self.pivots = pivots
-        self._columns = None
 
     @classmethod
     def full(cls, field: Field, ambient: int) -> "Subspace":
-        return cls(field, ambient, Matrix.identity(field, ambient))
+        return cls(field, ambient, [{t: 1} for t in range(ambient)])
 
     @property
     def dim(self) -> int:
-        return self.basis.cols
+        return len(self.columns)
 
     @property
-    def columns(self):
-        """The basis as one {row: value} dict per column."""
-        if self._columns is None:
-            self._columns = _column_dicts(self.basis)
-        return self._columns
+    def basis(self) -> Matrix:
+        """The ambient x dim basis matrix, built on each read."""
+        return _dense_columns(self.field, self.ambient, self.columns)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and other.field == self.field
                 and other.ambient == self.ambient
-                and other.basis == self.basis)
+                and other.columns == self.columns)
 
     def __hash__(self):
         raise TypeError("subspaces are not hashable")
@@ -553,10 +515,6 @@ class Subspace:
     def _apply(self, cols):
         """B x for each sparse column x, as unreduced {row: sum} dicts."""
         return _kron_cols(self.columns, 1, 1, cols)
-
-    def annihilator(self) -> Matrix:
-        """A matrix Q with kernel exactly this subspace (rows cut it out)."""
-        return self.basis.transpose().kernel().basis.transpose()
 
 
 class Chart:

@@ -58,11 +58,23 @@ def random_setmap_morphism(rng: random.Random, src: Coalgebra,
 
 def random_graded_dims(rng: random.Random, n: int, max_dim: int,
                        max_total: int | None = None) -> list[int]:
+    """n random dimensions in [0, max_dim].  If they sum past max_total,
+    the largest are lowered to a common level (water filling): every
+    entry is capped at the least level that still leaves a sum past
+    max_total, and the excess left comes off the entries at that level,
+    one unit each, in label order, as lowering the first largest entry
+    one unit at a time would."""
     dims = [rng.randint(0, max_dim) for _ in range(n)]
-    if max_total is not None:
-        while sum(dims) > max_total:
-            i = max(range(n), key=lambda j: dims[j])
-            dims[i] -= 1
+    if max_total is None or sum(dims) <= max_total:
+        return dims
+    level = max(dims)
+    while sum(min(d, level - 1) for d in dims) > max_total:
+        level -= 1
+    dims = [min(d, level) for d in dims]
+    excess = sum(dims) - max_total
+    for i, d in enumerate(dims):
+        if d == level and excess:
+            dims[i], excess = level - 1, excess - 1
     return dims
 
 

@@ -86,6 +86,21 @@ def kron_apply(a, b, x):
     return Matrix(f, ra * rb, d, data)
 
 
+def transpose(m):
+    """The transpose of a dense matrix: a test-only reference."""
+    c = m.cols
+    return Matrix(m.field, c, m.rows,
+                  [x for j in range(c) for x in m.data[j::c]])
+
+
+def take_rows(m, indices):
+    """The rows of a dense matrix at ``indices``, in that order: a
+    test-only reference."""
+    c = m.cols
+    return Matrix(m.field, len(indices), c,
+                  [x for i in indices for x in m.data[i * c:(i + 1) * c]])
+
+
 def chart_embedding(chart):
     """A chart's flat_dim x dim embedding as a dense matrix, built from its
     column dicts."""
@@ -147,6 +162,13 @@ def find_isomorphism(v, w, rng, tries=64):
     return None
 
 
+def annihilator(w):
+    """A matrix Q with kernel exactly the subspace w (its rows cut w out):
+    a dense test-only reference, the transposed kernel of w's transposed
+    basis."""
+    return transpose(transpose(w.basis).kernel().basis)
+
+
 def largest_subcoalgebra_in(c, w):
     """Largest subcoalgebra of c inside the subspace w, with its inclusion.
 
@@ -159,12 +181,13 @@ def largest_subcoalgebra_in(c, w):
     f = c.field
     ident = Matrix.identity(f, c.dim)
     while w.dim:
-        q = w.annihilator()
+        q = annihilator(w)
         cond = q.kron(ident).vstack(ident.kron(q)) @ c.delta @ w.basis
         coords = cond.kernel()
         if coords.dim == w.dim:
             break
-        w = Subspace(f, c.dim, w.basis @ coords.basis, _canonical=False)
+        w = Subspace(f, c.dim, _column_dicts(w.basis @ coords.basis),
+                     _canonical=False)
     return _subcoalgebra(c, w)
 
 

@@ -131,7 +131,7 @@ def test_largest_subcoalgebra_whole_space():
 
 def test_largest_subcoalgebra_single_grouplike():
     g2 = ca.grouplike_coalgebra(F, ["a", "b"])
-    w = Subspace(F, 2, Matrix.from_rows(F, [[1], [0]]))
+    w = Subspace(F, 2, _column_dicts(Matrix.from_rows(F, [[1], [0]])))
     sub, incl = largest_subcoalgebra_in(g2, w)
     assert sub.dim == 1 and sub.labels == ("a",)
     assert incl.matrix == Matrix.from_rows(F, [[1], [0]])
@@ -139,7 +139,7 @@ def test_largest_subcoalgebra_single_grouplike():
 
 def test_largest_subcoalgebra_refinement_to_zero():
     gx = gx_coalgebra()
-    w = Subspace(F, 2, Matrix.from_rows(F, [[0], [1]]))
+    w = Subspace(F, 2, _column_dicts(Matrix.from_rows(F, [[0], [1]])))
     sub, incl = largest_subcoalgebra_in(gx, w)
     assert sub.dim == 0
 
@@ -152,7 +152,7 @@ def test_largest_subcoalgebra_terminates_under_dimension():
         m = Matrix(F, c.dim, cols,
                    [F.of(rng.randint(-2, 2)) for _ in range(c.dim * cols)])
         sub, incl = largest_subcoalgebra_in(
-            c, Subspace(F, c.dim, m, _canonical=False))
+            c, Subspace(F, c.dim, _column_dicts(m), _canonical=False))
         assert 0 <= sub.dim <= c.dim
 
 

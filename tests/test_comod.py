@@ -260,7 +260,7 @@ def test_a_subspace_that_is_no_subcomodule_fails_the_restriction(
     # the line through e_0 + e_1 of graded {a: 1, b: 1} is no subcomodule:
     # rho(e_0 + e_1) = e_0 (x) a + e_1 (x) b leaves it (x) C
     v = cm.graded_comodule(g2, [1, 1])
-    line = Subspace(F, 2, Matrix(F, 2, 1, [1, 1]))
+    line = Subspace(F, 2, _column_dicts(Matrix(F, 2, 1, [1, 1])))
     with pytest.raises(AxiomError) as exc:
         cm._restricted_coaction(g2, v._rho_cols, line, "planted-coaction")
     assert exc.value.axiom == "planted-coaction"

@@ -14,7 +14,8 @@ from comodcheck.exactlin import (Chart, Matrix, ShapeError, Subspace,
                                  swap_matrix)
 from comodcheck.fields import GF, QQ
 
-from conftest import chart_embedding, kron_apply
+from conftest import (annihilator, chart_embedding, columns, kron_apply,
+                      take_rows, transpose)
 
 F = QQ
 
@@ -206,11 +207,11 @@ def test_transpose_is_an_involution_on_every_shape():
     rng = random.Random(4)
     for rows, cols in [(0, 3), (3, 0), (1, 4), (4, 1), (3, 5)]:
         m = rnd_matrix(rng, rows, cols)
-        t = m.transpose()
+        t = transpose(m)
         assert (t.rows, t.cols) == (cols, rows)
         assert all(t[j, i] == m[i, j]
                    for i in range(rows) for j in range(cols))
-        assert t.transpose() == m
+        assert transpose(t) == m
 
 
 def test_swap_matrix_inverse_pair():
@@ -221,14 +222,16 @@ def test_swap_matrix_inverse_pair():
 # -- subspaces ------------------------------------------------------------------
 
 def test_annihilator_cuts_exactly():
-    w = Subspace(F, 4, Matrix.from_rows(F, [[1, 0], [2, 1], [0, 0], [1, 3]]))
-    q = w.annihilator()
+    w = Subspace(F, 4, _column_dicts(
+        Matrix.from_rows(F, [[1, 0], [2, 1], [0, 0], [1, 3]])))
+    q = annihilator(w)
     assert (q @ w.basis).is_zero()
     assert q.kernel() == w
 
 
 def test_subspace_coords_reads_pivots():
-    w = Subspace(F, 3, Matrix.from_rows(F, [[1, 1], [0, 2], [1, 0]]))
+    w = Subspace(F, 3, _column_dicts(
+        Matrix.from_rows(F, [[1, 1], [0, 2], [1, 0]])))
     y = w.basis @ Matrix.from_rows(F, [[Fraction(1, 2)], [3]])
     c = w.coords(_column_dicts(y))
     assert c is not None and w.basis @ c == y
@@ -238,7 +241,7 @@ def test_subspace_coords_reads_pivots():
 
 def test_subspace_requires_independent_columns():
     with pytest.raises(ShapeError):
-        Subspace(F, 2, Matrix.from_rows(F, [[1, 2], [1, 2]]))
+        Subspace(F, 2, _column_dicts(Matrix.from_rows(F, [[1, 2], [1, 2]])))
 
 
 # -- solving --------------------------------------------------------------------
@@ -247,14 +250,14 @@ def test_solve_right_unsolvable():
     # X @ 0 = I has no solution; vec(X @ R) = kron(I, R^T) vec(X)
     zero = Matrix.zeros(F, 2, 2)
     rhs = Matrix(F, 4, 1, Matrix.identity(F, 2).data)
-    assert Matrix.identity(F, 2).kron(zero.transpose()).solve_right(rhs) \
+    assert Matrix.identity(F, 2).kron(transpose(zero)).solve_right(rhs) \
         is None
 
 
 def test_solve_right_retraction_of_injective():
     inj = Matrix.from_rows(F, [[1, 0], [0, 1], [1, 1]])  # injective 3x2
     rhs = Matrix(F, 4, 1, Matrix.identity(F, 2).data)
-    x = Matrix.identity(F, 2).kron(inj.transpose()).solve_right(rhs)
+    x = Matrix.identity(F, 2).kron(transpose(inj)).solve_right(rhs)
     assert x is not None
     assert Matrix(F, 2, 3, x.data) @ inj == Matrix.identity(F, 2)
 
@@ -285,10 +288,10 @@ def test_inverse():
 def test_chart_kron_coords_roundtrip():
     rng = random.Random(3)
     a = Chart.restrict(Chart.identity(F, 4),
-                       Subspace(F, 4, rnd_matrix(rng, 4, 2),
+                       Subspace(F, 4, _column_dicts(rnd_matrix(rng, 4, 2)),
                                 _canonical=False))
     b = Chart.restrict(Chart.identity(F, 3),
-                       Subspace(F, 3, rnd_matrix(rng, 3, 2),
+                       Subspace(F, 3, _column_dicts(rnd_matrix(rng, 3, 2)),
                                 _canonical=False))
     k = Chart.kron(a, b)
     x = rnd_matrix(rng, k.dim, 2)
@@ -302,12 +305,12 @@ def test_kron_chart_columns_are_built_on_demand():
     # parts factor by factor; its own columns are built only when read
     rng = random.Random(5)
     a = Chart.restrict(Chart.identity(F, 3),
-                       Subspace(F, 3, rnd_matrix(rng, 3, 2),
+                       Subspace(F, 3, _column_dicts(rnd_matrix(rng, 3, 2)),
                                 _canonical=False))
     for b in (Chart.identity(F, 2), a):
         k = Chart.kron(a, b)
         dense = chart_embedding(a).kron(chart_embedding(b))
-        sub = Subspace(F, k.dim, rnd_matrix(rng, k.dim, 2),
+        sub = Subspace(F, k.dim, _column_dicts(rnd_matrix(rng, k.dim, 2)),
                        _canonical=False)
         r = Chart.restrict(k, sub)
         assert k.coords(_column_dicts(dense @ sub.basis)) == sub.basis
@@ -324,29 +327,28 @@ def test_stored_chart_columns_are_reduced(p):
     # stored columns hold them reduced, and a sum = 0 mod p not at all
     field = GF(p)
     a = Chart.restrict(Chart.identity(field, 4), Subspace(
-        field, 4, Matrix.from_rows(field, [[1, 0], [0, 1], [1, 1],
-                                           [1, 2]])))
+        field, 4, columns(field, [[1, 0], [0, 1], [1, 1], [1, 2]])))
     b = Chart.restrict(Chart.identity(field, 3), Subspace(
-        field, 3, Matrix.from_rows(field, [[1, 0], [0, 1], [1, 1]])))
+        field, 3, columns(field, [[1, 0], [0, 1], [1, 1]])))
     k = Chart.kron(b, Chart.identity(field, 2))
     for parent, column, reduced in (
             (a, [1, p - 1], {0: 1, 1: p - 1, 3: p - 1}),
             (k, [1, 0, p - 1, 0], {0: 1, 2: p - 1})):
-        sub = Subspace(field, parent.dim, Matrix.from_rows(
-            field, [[x] for x in column]))
+        sub = Subspace(field, parent.dim,
+                       columns(field, [[x] for x in column]))
         sums = parent._apply(sub.columns)[0]
         assert any(x >= p for x in sums.values())
         chart = Chart.restrict(parent, sub)
         assert chart.columns == [reduced] \
             == _column_dicts(chart_embedding(parent) @ sub.basis)
-        assert chart_embedding(chart).take_rows(chart.pivots) \
+        assert take_rows(chart_embedding(chart), chart.pivots) \
             == Matrix.identity(field, 1)
 
 
 def test_coords_reject_rows_outside_the_ambient():
     # a sparse column with a row past the ambient fails, for charts and
     # subspaces alike
-    sub = Subspace(F, 3, Matrix.from_rows(F, [[1], [0], [2]]))
+    sub = Subspace(F, 3, columns(F, [[1], [0], [2]]))
     k = Chart.kron(Chart.restrict(Chart.identity(F, 3), sub),
                    Chart.identity(F, 2))
     assert sub.coords([{0: 1, 2: 2}]) == Matrix.from_rows(F, [[1]])
@@ -358,7 +360,7 @@ def test_coords_reject_rows_outside_the_ambient():
 
 def test_chart_rejects_outside_vectors():
     a = Chart.restrict(Chart.identity(F, 3),
-                       Subspace(F, 3, Matrix.from_rows(F, [[1], [0], [0]])))
+                       Subspace(F, 3, columns(F, [[1], [0], [0]])))
     k = Chart.kron(a, Chart.identity(F, 2))
     outside = Matrix.from_rows(F, [[0], [0], [0], [1], [0], [0]])
     assert k.coords(_column_dicts(outside)) is None
@@ -370,7 +372,8 @@ def nested_charts(field):
     rng = random.Random(field.char + 29)
 
     def sub(n, k):
-        return Subspace(field, n, rnd_entries(rng, field, n, k, 0.7),
+        return Subspace(field, n,
+                        _column_dicts(rnd_entries(rng, field, n, k, 0.7)),
                         _canonical=False)
 
     a = Chart.restrict(Chart.identity(field, 4), sub(4, 2))
@@ -404,7 +407,7 @@ FIELDS = pytest.mark.parametrize("field", [QQ, GF(7), GF(3)],
 def test_chart_embedding_is_the_identity_at_its_pivots(field):
     for name, chart in nested_charts(field):
         assert chart.dim < chart.flat_dim, name
-        assert chart_embedding(chart).take_rows(chart.pivots) \
+        assert take_rows(chart_embedding(chart), chart.pivots) \
             == Matrix.identity(field, chart.dim), name
 
 
@@ -432,7 +435,8 @@ def test_chart_rejects_a_member_changed_off_its_pivots(field):
         data = list(y.data)
         data[row * 2 + 1] = field.add(data[row * 2 + 1], 1)
         outside = Matrix(field, y.rows, 2, data)
-        assert outside.take_rows(chart.pivots) == y.take_rows(chart.pivots)
+        assert take_rows(outside, chart.pivots) \
+            == take_rows(y, chart.pivots)
         assert chart.coords(_column_dicts(outside)) is None, name
         assert chart_embedding(chart).solve_right(outside) is None, name
 
@@ -498,7 +502,7 @@ def test_rank_rref_kernel_match_sympy(field):
         assert ker.dim == null.shape[0] == m.cols - ref.rank()
         if ker.dim:
             null_rref, _ = null.rref()
-            assert list(ker.basis.transpose().data) == from_sympy(null_rref, p)
+            assert transpose(ker.basis).data == from_sympy(null_rref, p)
 
 
 def gauss_jordan(m):
@@ -614,7 +618,7 @@ def test_kernels_match_sympy_and_gauss_jordan(field):
             basis_rows += row
         canonical, _ = gauss_jordan(
             Matrix(field, len(free), cols, basis_rows))
-        assert ker.basis.transpose().data == canonical
+        assert transpose(ker.basis).data == canonical
         # solve_right: the solution with free variables 0, or None
         x = Matrix(field, cols, 2,
                    [field.of(rng.randint(-4, 4)) for _ in range(cols * 2)])

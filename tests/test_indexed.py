@@ -530,8 +530,7 @@ def test_from_cospan_rejects_a_kernel_that_is_not_delta_closed(monkeypatch,
     def planted(v, w):
         sub = real(v, w)
         summed = {**sub.columns[0], **sub.columns[1]}
-        return Subspace(sub.field, sub.ambient,
-                        _dense_columns(sub.field, sub.ambient, [summed]))
+        return Subspace(sub.field, sub.ambient, [summed])
 
     monkeypatch.setattr(ix, "_cotensor_kernel", planted)
     with pytest.raises(AxiomError) as exc:

@@ -29,7 +29,7 @@ from comodcheck.gen import (random_comodule, random_grouplike,
                             random_invertible, random_setmap_morphism)
 
 from conftest import chart_embedding as dense
-from conftest import hom_morphisms, kron_apply
+from conftest import hom_morphisms, kron_apply, take_rows, transpose
 
 FIELDS = pytest.mark.parametrize("field", [QQ, GF(7), GF(3)],
                                  ids=["Q", "F7", "F3"])
@@ -40,9 +40,9 @@ FIELDS = pytest.mark.parametrize("field", [QQ, GF(7), GF(3)],
 def swap_rows(x, m, a, b, k):
     """(I_m (x) tau_{a,b} (x) I_k) @ x as a row permutation, tau the
     swap."""
-    return x.take_rows([((i * a + s) * b + t) * k + r for i in range(m)
-                        for t in range(b) for s in range(a)
-                        for r in range(k)])
+    return take_rows(x, [((i * a + s) * b + t) * k + r for i in range(m)
+                         for t in range(b) for s in range(a)
+                         for r in range(k)])
 
 
 def apply_middle(m, b, k, x):
@@ -210,7 +210,7 @@ def test_pullback_maps_transposes_and_unit_match_the_dense_formulas(field):
         if ca.grouplike_labels(phi.source) is not None:
             assert ix._unit_coords(phi, w, pw[1]) == solve(
                 pw[1].basis,
-                kron_apply(w.dim, phi.matrix.transpose(), w.rho))
+                kron_apply(w.dim, transpose(phi.matrix), w.rho))
 
 
 @FIELDS
@@ -391,7 +391,7 @@ def test_tensor_isos_and_closedness_match_the_dense_formulas(field,
         p_hom, p_hom_sub = ix.pullback_functor(phi, hom_mod)
         hom_p, hom_p_sub = cm.internal_hom(pv.module, pw.module)
         gamma = Matrix(f, nc, nc, ca.coseparability_form(phi.source).data)
-        pair = kron_apply(v.dim, gamma, dense(pv.chart)).transpose()
+        pair = transpose(kron_apply(v.dim, gamma, dense(pv.chart)))
         split = swap_rows(kron_apply(hom_sub.basis, phi.source.delta,
                                      p_hom_sub.basis), w.dim, v.dim, nc, nc)
         chart = Chart.restrict(Chart.kron(pw.chart, Chart.identity(

@@ -35,7 +35,7 @@ from comodcheck.gen import (random_comodule, random_grouplike,
                             random_invertible, random_setmap_morphism)
 
 from conftest import (count_calls, gx_coalgebra, kron_apply,
-                      largest_subcoalgebra_in, sqrt2_dual)
+                      largest_subcoalgebra_in, sqrt2_dual, take_rows)
 
 FIELDS = pytest.mark.parametrize("field", [QQ, GF(7), GF(3)],
                                  ids=["Q", "F7", "F3"])
@@ -99,8 +99,8 @@ def dense_product(c1, c2):
     """delta, eps and the two projections of C1 (x) C2: the middle swap as
     a row reindex of delta1 (x) delta2."""
     f, n1, n2 = c1.field, c1.dim, c2.dim
-    delta = c1.delta.kron(c2.delta).take_rows(
-        [((i1 * n1 + j1) * n2 + i2) * n2 + j2 for i1 in range(n1)
+    delta = take_rows(c1.delta.kron(c2.delta), [
+        ((i1 * n1 + j1) * n2 + i2) * n2 + j2 for i1 in range(n1)
          for i2 in range(n2) for j1 in range(n1) for j2 in range(n2)])
     return (delta, c1.epsilon.kron(c2.epsilon),
             Matrix.identity(f, n1).kron(c2.epsilon),
@@ -119,8 +119,8 @@ def dense_subcoalgebra(c, w):
     (B (x) B) delta_sub != delta B."""
     basis = w.basis
     target = c.delta @ basis
-    delta_sub = target.take_rows([p1 * c.dim + p2 for p1 in w.pivots
-                                  for p2 in w.pivots])
+    delta_sub = take_rows(target, [p1 * c.dim + p2 for p1 in w.pivots
+                                   for p2 in w.pivots])
     if kron_apply(basis, basis, delta_sub) != target:
         return None
     return delta_sub, c.epsilon @ basis
@@ -207,13 +207,12 @@ def subspaces(rng, c):
     """The whole space, the span of one basis vector, the largest
     subcoalgebra inside random subspaces, and the random subspaces."""
     f, n = c.field, c.dim
-    out = [Subspace.full(f, n), Subspace(f, n, Matrix(
-        f, n, 1, [int(i == 0) for i in range(n)]))]
+    out = [Subspace.full(f, n), Subspace(f, n, [{0: 1}])]
     for k in (1, n - 1):
-        w = Subspace(f, n, Matrix(f, n, k, [f.of(rng.randint(-2, 2))
-                                            for _ in range(n * k)]),
+        w = Subspace(f, n, _column_dicts(Matrix(
+            f, n, k, [f.of(rng.randint(-2, 2)) for _ in range(n * k)])),
                      _canonical=False)
-        out += [w, Subspace(f, n, largest_subcoalgebra_in(c, w)[1].matrix)]
+        out += [w, Subspace(f, n, largest_subcoalgebra_in(c, w)[1].columns)]
     return out
 
 
