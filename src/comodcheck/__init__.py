@@ -8,8 +8,9 @@ forall, and the LNL hyperdoctrine over tensor powers, and machine-checks
 every law (coherence, adjunctions, Beck-Chevalley, Frobenius, strong
 monoidal closure, hyperdoctrine conditions) on concrete instances.
 
-All arithmetic is exact and pure Python: elimination and products run
-from one set of kernels in ``comodcheck._core_py``.
+All arithmetic is exact and pure Python: elimination runs from one set
+of kernels in ``comodcheck._core_py``, and maps are composed and inverted
+from the nonzeros of their columns.
 """
 
 from .fields import GF, QQ, Field

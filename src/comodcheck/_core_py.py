@@ -1,10 +1,12 @@
-"""Hot elimination/multiplication kernels of ``exactlin``.
+"""Hot elimination kernels of ``exactlin``, and the dense products.
 
 The eliminations run on sparse rows, one ``{column: value}`` dict per
 nonzero row (the systems of this domain are mostly zero), and ``rref_rows``
 reduces them over Q or F_p.  ``bareiss_echelon`` and ``rref_mod`` wrap the
-row kernels for the flat row-major lists that ``Matrix`` and the products
-use.
+row kernels for the flat row-major lists that ``Matrix`` uses.
+``mul_obj`` and ``mul_mod`` are flat dense products that no module of the
+package calls: the test suite's dense references use them, and the
+benchmark tracer (``perfbench/spans.py``) wraps them by name.
 """
 
 from fractions import Fraction

@@ -9,7 +9,10 @@ defining axioms (coassociativity, counit laws, cocommutativity) are
 checked exactly at construction and violations raise ``AxiomError`` naming
 the broken law; everything downstream may therefore assume valid data.
 Cocommutativity is a permutation test on the nonzeros of delta; the other
-laws, and a morphism's, go through ``exactlin._kron_cols``.
+laws, and a morphism's, go through ``exactlin._kron_cols``.  A morphism
+is stored as the column dicts of its matrix, composed by ``_kron_cols``
+and tested for invertibility by one ``rref_rows``, so no coalgebra
+operation multiplies two dense matrices.
 
 The category operations implemented here follow the classical recipe: the
 product of cocommutative coalgebras lives on the tensor product with
@@ -18,17 +21,17 @@ of D1 -> C <- D2 is the cotensor D1 (x)_C D2 inside it, one kernel (dual to
 the pushout A1 (x)_B A2 of the commutative dual algebras).  A
 coseparability form gamma: C (x) C -> k (``coseparability_form``) is built
 directly on a group-like basis and is the inverse of the trace form of C*
-on any other; it exists exactly when C is cosemisimple, which decides
-cosemisimplicity over Q and lets ``comod.is_injective`` certify
-injectivity with an explicit retraction.
+on any other, and is kept as its rows; it exists exactly when C is
+cosemisimple, which decides cosemisimplicity over Q and lets
+``comod.is_injective`` certify injectivity with an explicit retraction.
 """
 
 from __future__ import annotations
 
 from .errors import AxiomError, BaseMismatchError, UnsupportedBaseError
 from .exactlin import (Matrix, ShapeError, Subspace, _checked_columns,
-                       _column_dicts, _dense_columns, _difference,
-                       _kron_cols, _member_coords, _swapped)
+                       _dense_columns, _difference, _inverse, _invertible,
+                       _kron_cols, _member_coords, _solve, _swapped)
 from .fields import Field
 
 __all__ = [
@@ -115,8 +118,8 @@ class Coalgebra:
                    for i in range(n))
 
     def identity_morphism(self) -> "CoalgebraMorphism":
-        return CoalgebraMorphism(self, self, Matrix.identity(self.field,
-                                                             self.dim))
+        return CoalgebraMorphism(self, self,
+                                 [{t: 1} for t in range(self.dim)])
 
     def __eq__(self, other):
         if other is self:
@@ -135,23 +138,24 @@ class CoalgebraMorphism:
     """Linear map preserving comultiplication and counit, verified from
     nonzeros.
 
-    ``u_coflat`` holds whether U(phi) is coflat: None until
-    ``indexed.forall`` first decides it, so each morphism object decides
-    it at most once.  ``_u`` holds U(phi) once
-    ``indexed.coaction_comodule`` has built it.  ``columns`` keeps the
-    matrix's column dicts that the preservation checks read.
+    ``columns`` are the source.dim columns of its target.dim x source.dim
+    matrix as {row: value} dicts (sums may be unreduced); they are reduced
+    once and stored, the only form of the map, so equal morphisms store
+    equal dicts.  Composition, the isomorphism test and equality read
+    them; ``matrix`` is a dense view built on each read.  ``u_coflat``
+    holds whether U(phi) is coflat: None until ``indexed.forall`` first
+    decides it, so each morphism object decides it at most once.  ``_u``
+    holds U(phi) once ``indexed.coaction_comodule`` has built it.
     """
 
-    __slots__ = ("source", "target", "matrix", "columns", "u_coflat", "_u")
+    __slots__ = ("source", "target", "columns", "u_coflat", "_u")
 
-    def __init__(self, source: Coalgebra, target: Coalgebra, matrix: Matrix):
+    def __init__(self, source: Coalgebra, target: Coalgebra, columns):
         if source.field != target.field:
             raise BaseMismatchError("source and target over different fields")
-        if matrix.rows != target.dim or matrix.cols != source.dim:
-            raise ShapeError(
-                f"matrix must be {target.dim}x{source.dim}")
         p = source.field.char
-        fcols = _column_dicts(matrix)
+        fcols = _checked_columns(columns, source.dim, target.dim, p,
+                                 "matrix")
         bad = _difference(_kron_cols(target._delta_cols, 1, 1, fcols),
                           _kron_cols(fcols, fcols, target.dim,
                                      source._delta_cols), p)
@@ -166,25 +170,30 @@ class CoalgebraMorphism:
                              "eps_target f != eps_source", witness=bad)
         self.source = source
         self.target = target
-        self.matrix = matrix
         self.columns = fcols
         self.u_coflat = None
         self._u = None
 
+    @property
+    def matrix(self) -> Matrix:
+        """The target.dim x source.dim matrix, built on each read."""
+        return _dense_columns(self.source.field, self.target.dim,
+                              self.columns)
+
     def __matmul__(self, other: "CoalgebraMorphism") -> "CoalgebraMorphism":
         if other.target != self.source:
             raise BaseMismatchError("morphisms do not compose")
-        return CoalgebraMorphism(other.source, self.target,
-                                 self.matrix @ other.matrix)
+        return CoalgebraMorphism(other.source, self.target, _kron_cols(
+            self.columns, 1, 1, other.columns))
 
     def is_isomorphism(self) -> bool:
-        return self.matrix.is_invertible()
+        return _invertible(self.source.field, self.target.dim, self.columns)
 
     def __eq__(self, other):
         return (isinstance(other, CoalgebraMorphism)
                 and other.source == self.source
                 and other.target == self.target
-                and other.matrix == self.matrix)
+                and other.columns == self.columns)
 
     def __repr__(self):
         return (f"CoalgebraMorphism({self.source.dim} -> {self.target.dim})")
@@ -215,23 +224,20 @@ def grouplike_morphism(source: Coalgebra, target: Coalgebra,
     if source.labels is None or target.labels is None:
         raise UnsupportedBaseError("both coalgebras need labels")
     tgt_index = {x: i for i, x in enumerate(target.labels)}
-    data = [0] * (target.dim * source.dim)
-    for j, x in enumerate(source.labels):
+    columns = []
+    for x in source.labels:
         if x not in mapping:
             raise ShapeError(f"label {x!r} has no image")
         y = mapping[x]
         if y not in tgt_index:
             raise ShapeError(f"image label {y!r} not in target")
-        data[tgt_index[y] * source.dim + j] = 1
-    return CoalgebraMorphism(source, target,
-                             Matrix(source.field, target.dim, source.dim,
-                                    data))
+        columns.append({tgt_index[y]: 1})
+    return CoalgebraMorphism(source, target, columns)
 
 
 def counit_morphism(c: Coalgebra) -> CoalgebraMorphism:
     """The unique morphism into the trivial coalgebra (terminal object)."""
-    return CoalgebraMorphism(c, trivial_coalgebra(c.field),
-                             _dense_columns(c.field, 1, c._eps_cols))
+    return CoalgebraMorphism(c, trivial_coalgebra(c.field), c._eps_cols)
 
 
 def _sum_labels(c1: Coalgebra, c2: Coalgebra):
@@ -278,10 +284,8 @@ def product(c1: Coalgebra, c2: Coalgebra):
         labels = tuple((x, y) for x in c1.labels for y in c2.labels)
     prod = Coalgebra(f, n1 * n2, delta, _kron_cols(e1, e2, 1, ident),
                      labels=labels)
-    p1 = CoalgebraMorphism(prod, c1, _dense_columns(
-        f, n1, _kron_cols(n1, e2, 1, ident)))
-    p2 = CoalgebraMorphism(prod, c2, _dense_columns(
-        f, n2, _kron_cols(e1, n2, n2, ident)))
+    p1 = CoalgebraMorphism(prod, c1, _kron_cols(n1, e2, 1, ident))
+    p2 = CoalgebraMorphism(prod, c2, _kron_cols(e1, n2, n2, ident))
     return prod, p1, p2
 
 
@@ -292,25 +296,22 @@ def pairing(f: CoalgebraMorphism, g: CoalgebraMorphism,
         raise BaseMismatchError("pairing needs a common source")
     if prod is None:
         prod = product(f.target, g.target)[0]
-    return CoalgebraMorphism(f.source, prod, _dense_columns(
-        prod.field, prod.dim, _kron_cols(f.columns, g.columns, g.target.dim,
-                                         f.source._delta_cols)))
+    return CoalgebraMorphism(f.source, prod, _kron_cols(
+        f.columns, g.columns, g.target.dim, f.source._delta_cols))
 
 
 # -- subcoalgebras and pullbacks --------------------------------------------
 
-def _sub_labels(parent: Coalgebra, basis: Matrix):
-    """Labels for a nonzero subcoalgebra whose basis consists of basis
-    vectors."""
-    if parent.labels is None or not basis.cols:
+def _sub_labels(parent: Coalgebra, columns):
+    """Labels for a nonzero subcoalgebra whose basis, given by its reduced
+    {row: value} columns, consists of basis vectors."""
+    if parent.labels is None or not columns:
         return None
     picked = []
-    for j in range(basis.cols):
-        col = basis.column(j).data
-        ones = [i for i, x in enumerate(col) if x == 1]
-        if len(ones) != 1 or any(x not in (0, 1) for x in col):
+    for col in columns:
+        if list(col.values()) != [1]:
             return None
-        picked.append(parent.labels[ones[0]])
+        picked.append(parent.labels[next(iter(col))])
     return tuple(picked)
 
 
@@ -333,8 +334,8 @@ def _subcoalgebra(c: Coalgebra, w: Subspace):
                          "subspace is not delta-closed")
     sub = Coalgebra(c.field, w.dim, delta_sub,
                     _kron_cols(c._eps_cols, 1, 1, b),
-                    labels=_sub_labels(c, w.basis))
-    return sub, CoalgebraMorphism(sub, c, w.basis)
+                    labels=_sub_labels(c, b))
+    return sub, CoalgebraMorphism(sub, c, b)
 
 
 def pullback(phi1: CoalgebraMorphism, phi2: CoalgebraMorphism,
@@ -370,7 +371,9 @@ def pullback(phi1: CoalgebraMorphism, phi2: CoalgebraMorphism,
     sub, incl = _subcoalgebra(prod, _kernel)
     u = p1 @ incl
     v = p2 @ incl
-    if phi1.matrix @ u.matrix != phi2.matrix @ v.matrix:
+    if _difference(_kron_cols(phi1.columns, 1, 1, u.columns),
+                   _kron_cols(phi2.columns, 1, 1, v.columns),
+                   sub.field.char) is not None:
         raise AxiomError("pullback", "square does not commute")
     return sub, u, v
 
@@ -381,12 +384,11 @@ def pullback_mediate(u: CoalgebraMorphism, v: CoalgebraMorphism,
     """Mediating morphism into a pullback (P, u, v) from a cone (q1, q2)."""
     if q1.source != q2.source:
         raise BaseMismatchError("cone legs need a common source")
-    f, rows, rb = u.source.field, u.target.dim * v.target.dim, v.target.dim
+    rows, rb = u.target.dim * v.target.dim, v.target.dim
     cone = _kron_cols(q1.columns, q2.columns, rb, q1.source._delta_cols)
     # <u,v> delta_P is exactly the subcoalgebra inclusion into D1 (x) D2
     emb = _kron_cols(u.columns, v.columns, rb, u.source._delta_cols)
-    coords = _dense_columns(f, rows, emb).solve_right(
-        _dense_columns(f, rows, cone))
+    coords = _solve(u.source.field.char, rows, emb, cone)
     if coords is None:
         raise AxiomError("pullback-universality",
                          "cone does not factor through the pullback")
@@ -396,8 +398,8 @@ def pullback_mediate(u: CoalgebraMorphism, v: CoalgebraMorphism,
 # -- coseparability and cosemisimplicity ------------------------------------
 
 def coseparability_form(c: Coalgebra):
-    """A coseparability form gamma: C (x) C -> k as a 1 x n^2 row, or None
-    when C has none.
+    """A coseparability form gamma: C (x) C -> k as its n rows
+    {c: gamma(e_d (x) e_c)} for d < n, reduced, or None when C has none.
 
     gamma satisfies gamma delta = eps and
     (id (x) gamma)(delta (x) id) = (gamma (x) id)(id (x) delta) (Larson,
@@ -409,20 +411,14 @@ def coseparability_form(c: Coalgebra):
     coalgebra object.
     """
     if c._cosep is _UNDECIDED:
-        n = c.dim
-        if c.is_grouplike():
-            data = [0] * (n * n)
-            for g in range(n):
-                data[g * n + g] = 1
-            c._cosep = Matrix(c.field, 1, n * n, data)
-        else:
-            c._cosep = _inverse_trace_form(c)
+        c._cosep = ([{d: 1} for d in range(c.dim)] if c.is_grouplike()
+                    else _inverse_trace_form(c))
     return c._cosep
 
 
 def _inverse_trace_form(c: Coalgebra):
-    """gamma[a*n + b] = (G^-1)[a, b] for the trace form G of C*, or None
-    when G is singular.
+    """The rows of gamma(e_a (x) e_b) = (G^-1)[a, b] for the trace form G
+    of C*, or None when G is singular.
 
     C* is commutative (multiplication delta^T, unit eps^T), so over a
     perfect field it is semisimple iff G[i, j] = tr(L_{e_i* e_j*}) is
@@ -431,15 +427,18 @@ def _inverse_trace_form(c: Coalgebra):
     commutes with C* and multiplies out to 1, since on every simple factor
     (a separable field extension) G is the field trace.  As a form on
     C (x) C that element is G^-1.  With t[k] = tr(L_{e_k*}) =
-    sum_j delta[k*n + j, j], G read row by row is delta t.
+    sum_j delta[k*n + j, j], G read row by row is delta t.  G is symmetric
+    (C* is commutative), so its columns are its rows and so are G^-1's:
+    ``_inverse`` of the columns of G gives the rows of gamma.
     """
-    f, n = c.field, c.dim
-    dcols = c._delta_cols
+    n, dcols = c.dim, c._delta_cols
     t = {k: x for k in range(n)
          if (x := sum(dcols[j].get(k * n + j, 0) for j in range(n)))}
-    g = _dense_columns(f, n * n, _kron_cols(dcols, 1, 1, [t]))
-    inv = Matrix(f, n, n, g.data).inverse()
-    return None if inv is None else Matrix(f, 1, n * n, inv.data)
+    g = [{} for _ in range(n)]
+    for key, x in _kron_cols(dcols, 1, 1, [t])[0].items():
+        a, b = divmod(key, n)
+        g[b][a] = x
+    return _inverse(c.field, n, g)
 
 
 def is_cosemisimple(c: Coalgebra) -> bool:

@@ -4,19 +4,21 @@ A comodule is a coaction rho: V -> V (x) C, stored as the nonzeros of
 its columns (``_rho_cols``, one {row: value} dict per basis vector of V),
 satisfying the counit and coassociativity laws, both checked at
 construction; every constructor builds those dicts directly.  A morphism
-intertwines two coactions, checked likewise.  The monoidal
-product is the cotensor V (x)_C W: the kernel of the two natural maps
+intertwines two coactions, checked likewise, and is stored as the column
+dicts of its matrix.  The monoidal product is the cotensor V (x)_C W:
+the kernel of the two natural maps
 V (x) W -> V (x) C (x) W, carrying the coaction induced by restricting
 id_V (x) rho_W.  ``coherence`` computes its structural isomorphisms
 (associators, unitors, braiding) on explicit bases and verifies the
 coherence diagrams (pentagon, triangle, symmetry hexagon) as exact matrix
 identities, building each cotensor presentation once per call.  The
-structure maps multiply no matrices: each is read as coordinates by
-``Chart.coords`` or ``Subspace.coords`` from column dicts (a chart's
+structure maps multiply no matrices: each is read as coordinate columns
+by ``Chart.coords`` or ``Subspace.coords`` from column dicts (a chart's
 ``columns``, a cotensor basis's ``columns`` with its keys permuted for
 the transposition, ``_kron_cols`` of f and g for ``tensor_morphism``, and
-``_rho_cols`` for the unitor inverses); only the diagrams compose the
-resulting coordinate matrices.
+``_rho_cols`` for the unitor inverses), and the diagrams and the unitors'
+inverse pairs compose those columns with ``_kron_cols`` (``_composite``)
+and compare them with ``_difference``.
 
 Hom spaces are cotensors too: the base is cocommutative, so the dual V*
 is a comodule V^vee (``dual_comodule``) and Hom^C(V, W) = W (x)_C V^vee
@@ -48,9 +50,9 @@ from __future__ import annotations
 from .coalg import Coalgebra, coseparability_form, grouplike_labels
 from .errors import AxiomError, BaseMismatchError, UnsupportedBaseError
 from .exactlin import (Chart, Matrix, ShapeError, Subspace, _checked_columns,
-                       _column_dicts, _dense_columns, _difference,
-                       _kron_cols, _null_space, _reduced, _swapped,
-                       _transposed)
+                       _dense_columns, _difference, _inverse, _inverse_pair,
+                       _invertible, _is_identity, _kron_cols, _null_space,
+                       _reduced, _swapped, _transposed)
 
 __all__ = [
     "Comodule", "ComoduleMorphism", "regular_comodule", "cofree_comodule",
@@ -107,7 +109,7 @@ class Comodule:
 
     def identity_morphism(self) -> "ComoduleMorphism":
         return ComoduleMorphism(self, self,
-                                Matrix.identity(self.field, self.dim))
+                                [{t: 1} for t in range(self.dim)])
 
     def __eq__(self, other):
         if other is self:
@@ -121,43 +123,51 @@ class Comodule:
 
 
 class ComoduleMorphism:
-    """Linear map intertwining the coactions, verified from nonzeros;
-    ``columns`` keeps the matrix's column dicts that check read."""
+    """Linear map intertwining the coactions, verified from nonzeros.
 
-    __slots__ = ("source", "target", "matrix", "columns")
+    ``columns`` are the source.dim columns of its target.dim x source.dim
+    matrix as {row: value} dicts (sums may be unreduced), reduced once and
+    stored as the only form of the map; composition, the isomorphism test
+    and equality read them, and ``matrix`` is a dense view built on each
+    read."""
 
-    def __init__(self, source: Comodule, target: Comodule, matrix: Matrix):
+    __slots__ = ("source", "target", "columns")
+
+    def __init__(self, source: Comodule, target: Comodule, columns):
         if source.base != target.base:
             raise BaseMismatchError("morphism needs a common base coalgebra")
-        if matrix.rows != target.dim or matrix.cols != source.dim:
-            raise ShapeError(f"matrix must be {target.dim}x{source.dim}")
-        n = source.base.dim
-        fcols = _column_dicts(matrix)
+        n, p = source.base.dim, source.field.char
+        fcols = _checked_columns(columns, source.dim, target.dim, p,
+                                 "matrix")
         bad = _difference(_kron_cols(fcols, n, n, source._rho_cols),
-                          _kron_cols(target._rho_cols, 1, 1, fcols),
-                          source.field.char)
+                          _kron_cols(target._rho_cols, 1, 1, fcols), p)
         if bad:
             raise AxiomError("comodule-morphism", "(f x id) rho_V != rho_W f",
                              witness=bad)
         self.source = source
         self.target = target
-        self.matrix = matrix
         self.columns = fcols
+
+    @property
+    def matrix(self) -> Matrix:
+        """The target.dim x source.dim matrix, built on each read."""
+        return _dense_columns(self.source.field, self.target.dim,
+                              self.columns)
 
     def __matmul__(self, other: "ComoduleMorphism") -> "ComoduleMorphism":
         if other.target != self.source:
             raise BaseMismatchError("morphisms do not compose")
-        return ComoduleMorphism(other.source, self.target,
-                                self.matrix @ other.matrix)
+        return ComoduleMorphism(other.source, self.target, _kron_cols(
+            self.columns, 1, 1, other.columns))
 
     def is_isomorphism(self) -> bool:
-        return self.matrix.is_invertible()
+        return _invertible(self.source.field, self.target.dim, self.columns)
 
     def __eq__(self, other):
         return (isinstance(other, ComoduleMorphism)
                 and other.source == self.source
                 and other.target == self.target
-                and other.matrix == self.matrix)
+                and other.columns == self.columns)
 
     def __repr__(self):
         return f"ComoduleMorphism({self.source.dim} -> {self.target.dim})"
@@ -209,16 +219,17 @@ def direct_sum(v: Comodule, w: Comodule) -> Comodule:
         {k + off: x for k, x in col.items()} for col in w._rho_cols])
 
 
-def conjugate(v: Comodule, s: Matrix) -> Comodule:
-    """Transport the coaction along an invertible change of basis:
-    (S (x) I_n) rho S^-1, applied to the columns of S^-1."""
-    s_inv = s.inverse()
+def conjugate(v: Comodule, s) -> Comodule:
+    """Transport the coaction along an invertible change of basis S, given
+    by its {row: value} columns: (S (x) I_n) rho S^-1, applied to the
+    columns of S^-1 (``exactlin._inverse``)."""
+    m, n = v.dim, v.base.dim
+    s = _checked_columns(s, m, m, v.field.char, "change of basis")
+    s_inv = _inverse(v.field, m, s)
     if s_inv is None:
         raise ShapeError("change of basis must be invertible")
-    n = v.base.dim
-    return Comodule(v.base, v.dim, _kron_cols(
-        _column_dicts(s), n, n, _kron_cols(v._rho_cols, 1, 1,
-                                           _column_dicts(s_inv))))
+    return Comodule(v.base, m, _kron_cols(
+        s, n, n, _kron_cols(v._rho_cols, 1, 1, s_inv)))
 
 
 # -- cotensor product and hom spaces ------------------------------------------
@@ -417,10 +428,10 @@ def ct(a: _Obj, b: _Obj) -> _Obj:
 
 def _structure_map(src: _Obj, tgt: _Obj, name: str) -> ComoduleMorphism:
     """The canonical identification of two presentations of one subspace."""
-    mat = tgt.chart.coords(src.chart.columns)
-    if mat is None:
+    cols = tgt.chart.coords(src.chart.columns)
+    if cols is None:
         raise AxiomError(name, "presentations span different subspaces")
-    return ComoduleMorphism(src.module, tgt.module, mat)
+    return ComoduleMorphism(src.module, tgt.module, cols)
 
 
 def _transposition(src: _Obj, tgt: _Obj) -> ComoduleMorphism:
@@ -428,11 +439,11 @@ def _transposition(src: _Obj, tgt: _Obj) -> ComoduleMorphism:
     tau moves key i*m_B + j of a source basis column to j*m_A + i."""
     a, b, ssub = src.parts
     _, _, tsub = tgt.parts
-    mat = tsub.coords(_swapped(ssub.columns, 1, a.module.dim,
-                               b.module.dim, 1))
-    if mat is None:
+    cols = tsub.coords(_swapped(ssub.columns, 1, a.module.dim,
+                                b.module.dim, 1))
+    if cols is None:
         raise AxiomError("braiding", "tau does not map between equalizers")
-    return ComoduleMorphism(src.module, tgt.module, mat)
+    return ComoduleMorphism(src.module, tgt.module, cols)
 
 
 def tensor_morphism(f: ComoduleMorphism, g: ComoduleMorphism,
@@ -445,12 +456,22 @@ def tensor_morphism(f: ComoduleMorphism, g: ComoduleMorphism,
     if f.source != sa.module or f.target != ta.module \
             or g.source != sb.module or g.target != tb.module:
         raise BaseMismatchError("factor morphisms do not match the objects")
-    mat = tsub.coords(_kron_cols(f.columns, g.columns, g.target.dim,
-                                 ssub.columns))
-    if mat is None:
+    cols = tsub.coords(_kron_cols(f.columns, g.columns, g.target.dim,
+                                  ssub.columns))
+    if cols is None:
         raise AxiomError("tensor-morphism",
                          "f (x) g does not map into the target equalizer")
-    return ComoduleMorphism(src.module, tgt.module, mat)
+    return ComoduleMorphism(src.module, tgt.module, cols)
+
+
+def _composite(*maps):
+    """The columns of the composite maps[0] ... maps[-1] of morphisms, the
+    last applied first, as unreduced {row: sum} dicts: each factor is
+    applied to the columns so far by ``_kron_cols``, from nonzeros."""
+    cols = maps[-1].columns
+    for mor in reversed(maps[:-1]):
+        cols = _kron_cols(mor.columns, 1, 1, cols)
+    return cols
 
 
 def braiding(a: _Obj, b: _Obj):
@@ -465,13 +486,10 @@ def _right_unitor(vc: _Obj):
     the coaction."""
     av, _, sub = vc.parts
     v = av.module
-    f = v.field
-    fwd = _dense_columns(f, v.dim, _kron_cols(v.dim, v.base._eps_cols, 1,
-                                              sub.columns))
-    mor = ComoduleMorphism(vc.module, v, fwd)
+    mor = ComoduleMorphism(vc.module, v, _kron_cols(
+        v.dim, v.base._eps_cols, 1, sub.columns))
     back = sub.coords(v._rho_cols)
-    if back is None or fwd @ back != Matrix.identity(f, v.dim) \
-            or back @ fwd != Matrix.identity(f, vc.module.dim):
+    if back is None or not _inverse_pair(mor.columns, back, v.field.char):
         raise AxiomError("right-unitor", "coaction fails to invert id x eps")
     return mor, ComoduleMorphism(v, vc.module, back)
 
@@ -482,13 +500,11 @@ def _left_unitor(cv: _Obj):
     c*m + a."""
     _, av, sub = cv.parts
     v = av.module
-    f, m, n = v.field, v.dim, v.base.dim
-    fwd = _dense_columns(f, m, _kron_cols(v.base._eps_cols, m, m,
-                                          sub.columns))
-    mor = ComoduleMorphism(cv.module, v, fwd)
+    m, n = v.dim, v.base.dim
+    mor = ComoduleMorphism(cv.module, v, _kron_cols(
+        v.base._eps_cols, m, m, sub.columns))
     back = sub.coords(_swapped(v._rho_cols, 1, m, n, 1))
-    if back is None or fwd @ back != Matrix.identity(f, v.dim) \
-            or back @ fwd != Matrix.identity(f, cv.module.dim):
+    if back is None or not _inverse_pair(mor.columns, back, v.field.char):
         raise AxiomError("left-unitor", "coaction fails to invert eps x id")
     return mor, ComoduleMorphism(v, cv.module, back)
 
@@ -539,6 +555,9 @@ def coherence(u: Comodule, v: Comodule, w: Comodule, x: Comodule):
     def sigma(p, q):
         return _transposition(t(p, q), t(q, p))
 
+    def commutes(lhs, rhs):
+        return _difference(lhs, rhs, u.field.char) is None
+
     a, b, c, d = obj(u), obj(v), obj(w), obj(x)
     i = obj(regular_comodule(u.base))
     alpha_abc, sigma_ab = alpha(a, b, c), sigma(a, b)
@@ -556,28 +575,27 @@ def coherence(u: Comodule, v: Comodule, w: Comodule, x: Comodule):
                          t(a, t(b, t(c, d))), t(a, t(bc, d)))
     e3 = tensor_morphism(alpha_abc, x.identity_morphism(),
                          t(t(a, bc), d), t(t(ab, c), d))
-    if e3.matrix @ alpha(a, bc, d).matrix @ e1.matrix \
-            != alpha(ab, c, d).matrix @ alpha(a, b, t(c, d)).matrix:
+    if not commutes(_composite(e3, alpha(a, bc, d), e1),
+                    _composite(alpha(ab, c, d), alpha(a, b, t(c, d)))):
         return isos, "pentagon"
     # triangle: (rho_u x 1) alpha = 1 x lambda_v on u (x) (C (x) v)
     left = tensor_morphism(rho, v.identity_morphism(), t(t(a, i), b), ab)
     right = tensor_morphism(u.identity_morphism(), _left_unitor(t(i, b))[0],
                             t(a, t(i, b)), ab)
-    if left.matrix @ alpha(a, i, b).matrix != right.matrix:
+    if not commutes(_composite(left, alpha(a, i, b)), right.columns):
         return isos, "triangle"
     # symmetry: the braiding is an involution, rho = lambda sigma on
     # u (x) C, and the hexagon
-    if sigma(b, a).matrix @ sigma_ab.matrix \
-            != Matrix.identity(u.field, ab.module.dim):
+    if not _is_identity(_composite(sigma(b, a), sigma_ab), u.field.char):
         return isos, "symmetry"
-    if lam.matrix @ sigma(a, i).matrix != rho.matrix:
+    if not commutes(_composite(lam, sigma(a, i)), rho.columns):
         return isos, "symmetry"
-    lhs = alpha(c, a, b).matrix @ sigma(ab, c).matrix @ alpha_abc.matrix
+    lhs = _composite(alpha(c, a, b), sigma(ab, c), alpha_abc)
     e1 = tensor_morphism(u.identity_morphism(), sigma(b, c), t(a, bc),
                          t(a, t(c, b)))
     e2 = tensor_morphism(sigma(a, c), v.identity_morphism(), t(t(a, c), b),
                          t(t(c, a), b))
-    if lhs != e2.matrix @ alpha(a, c, b).matrix @ e1.matrix:
+    if not commutes(lhs, _composite(e2, alpha(a, c, b), e1)):
         return isos, "symmetry"
     return isos, None
 
@@ -592,7 +610,7 @@ def coseparability_retraction(v: Comodule):
 
     r_V is returned as its m*n reduced {row: value} columns, built from
     the nonzeros of rho_V and of gamma's rows,
-    r[a2, a*n + c] = sum_d rho[a2*n + d, a] gamma[d*n + c], and kept on v
+    r[a2, a*n + c] = sum_d rho[a2*n + d, a] gamma(e_d (x) e_c), kept on v
     once r rho_V = id is checked from nonzeros; a failure raises
     ``AxiomError``.
     """
@@ -601,14 +619,11 @@ def coseparability_retraction(v: Comodule):
         return None
     if v._retraction is None:
         p, n, m = v.field.char, v.base.dim, v.dim
-        g = gamma.data
-        forms = [{c: g[d * n + c] for c in range(n) if g[d * n + c]}
-                 for d in range(n)]
         rcols = [{} for _ in range(m * n)]
         for a, col in enumerate(v._rho_cols):
             for idx, x in col.items():
                 a2, d = divmod(idx, n)
-                for c, y in forms[d].items():
+                for c, y in gamma[d].items():
                     out = rcols[a * n + c]
                     out[a2] = out.get(a2, 0) + x * y
         rcols = _reduced(rcols, p)

@@ -33,7 +33,7 @@ from .coalg import (Coalgebra, CoalgebraMorphism, direct_sum,
                     grouplike_coalgebra, grouplike_morphism, product)
 from .comod import Comodule, graded_comodule
 from .errors import ComodcheckError
-from .exactlin import Matrix, _column_dicts
+from .exactlin import ShapeError
 from .fields import GF, QQ, Field, FieldError
 
 __all__ = ["ParseError", "Document", "parse", "print_document"]
@@ -160,6 +160,16 @@ def _entries(body: str, field: Field, line: int):
             raise ParseError(f"bad scalar literal {piece!r}", line) from None
         strings.append(str(q))
     return values, tuple(strings)
+
+
+def _literal_columns(rows: int, cols: int, values):
+    """The {row: value} columns of a rows x cols matrix literal, whose
+    values are listed in row-major order."""
+    if len(values) != rows * cols:
+        raise ShapeError(f"{rows}x{cols} matrix needs {rows * cols} "
+                         f"entries, got {len(values)}")
+    return [{r: x for r in range(rows) if (x := values[r * cols + j])}
+            for j in range(cols)]
 
 
 def parse(text: str) -> Document:
@@ -298,8 +308,8 @@ def _parse_coalg(doc, line, line_no, names):
             eps, eps_text = _entries(g.group(3), doc.field, line_no)
             doc.coalgebras[name] = Coalgebra(
                 doc.field, dim,
-                _column_dicts(Matrix(doc.field, dim * dim, dim, delta)),
-                _column_dicts(Matrix(doc.field, 1, dim, eps)))
+                _literal_columns(dim * dim, dim, delta),
+                _literal_columns(1, dim, eps))
             doc.defs.append(("coalg", name,
                              ("raw", dim, delta_text, eps_text)))
         else:
@@ -322,7 +332,7 @@ def _parse_morph(doc, line, line_no, names):
         if (g := _RE_MATRIX_BODY.match(body)):
             entries, text = _entries(g.group(1), doc.field, line_no)
             doc.morphisms[name] = CoalgebraMorphism(
-                src, tgt, Matrix(doc.field, tgt.dim, src.dim, entries))
+                src, tgt, _literal_columns(tgt.dim, src.dim, entries))
             doc.defs.append(("morph", name, src_name, tgt_name,
                              ("matrix", text)))
         else:
@@ -371,8 +381,8 @@ def _parse_comod(doc, line, line_no, names):
         elif (g := _RE_RHO.match(body)):
             dim = int(g.group(1))
             entries, text = _entries(g.group(2), doc.field, line_no)
-            doc.comodules[name] = Comodule(base, dim, _column_dicts(
-                Matrix(doc.field, dim * base.dim, dim, entries)))
+            doc.comodules[name] = Comodule(base, dim, _literal_columns(
+                dim * base.dim, dim, entries))
             doc.defs.append(("comod", name, base_name, ("raw", dim, text)))
         else:
             raise ParseError("bad comodule body", line_no)

@@ -14,22 +14,24 @@ rows, and a kernel is read off the reduced rows of its matrix
 Every law that ``coalg`` and ``comod`` certify is an equation between
 Kronecker-structured maps applied to sparse columns: ``_kron_cols``
 evaluates each side from the column dicts of its factors (the stored
-columns of a structure map, a ``Subspace``'s ``columns``), ``_swapped``
-permutes tensor factors, and ``_difference`` compares the two over Q or
-F_p.  Membership is one such
+columns of a structure map or a morphism, a ``Subspace``'s ``columns``),
+``_swapped`` permutes tensor factors, and ``_difference`` compares the
+two over Q or F_p.  A composite of morphisms is ``_kron_cols(a, 1, 1, b)``
+and an inverse is one ``rref_rows`` of [A | I] (``_inverse``), so no
+product of two dense matrices is ever formed.  Membership is one such
 equation too: ``Subspace.coords`` and ``Chart.coords`` take column dicts
-only, read candidates at the pivot rows, where the basis E is the
-identity, and check E x = y from nonzeros.  A ``Chart`` stores E as
-reduced column dicts (compressed-column storage, Gustavson 1978).
+and return column dicts, read candidates at the pivot rows, where the
+basis E is the identity, and check E x = y from nonzeros.  A ``Chart``
+stores E as reduced column dicts (compressed-column storage, Gustavson
+1978).
 
 Tensor bookkeeping fixes one global convention used by every module
 downstream: the basis vector e_i (x) e_j of a tensor product of spaces of
 dimensions (m, n) sits at flat index ``i*n + j`` (left factor major).
-``kron`` realizes maps f (x) g on these bases for morphism matrices;
-structure maps are column dicts, and every constructor builds its
-columns with ``_kron_cols`` and ``_swapped``.  There is no solver
-for unknown matrices: a space of linear maps V -> W is a subspace of
-W (x) V*, so callers describe it either cut out as a kernel (from the
+Structure maps and morphisms are column dicts, and every constructor
+builds its columns with ``_kron_cols`` and ``_swapped``.  There is no
+solver for unknown matrices: a space of linear maps V -> W is a subspace
+of W (x) V*, so callers describe it either cut out as a kernel (from the
 rows of its matrix, or by ``solve_right``) or spanned by the columns of
 an idempotent, which ``Subspace`` puts in canonical form.
 """
@@ -39,7 +41,7 @@ from __future__ import annotations
 from ._backend import core
 from .fields import Field
 
-__all__ = ["ShapeError", "Matrix", "Subspace", "Chart", "swap_matrix"]
+__all__ = ["ShapeError", "Matrix", "Subspace", "Chart"]
 
 
 class ShapeError(ValueError):
@@ -92,10 +94,6 @@ class Matrix:
         i, j = ij
         return self.data[i * self.cols + j]
 
-    def column(self, j: int) -> "Matrix":
-        return Matrix(self.field, self.rows, 1,
-                      [self.data[i * self.cols + j] for i in range(self.rows)])
-
     def is_zero(self) -> bool:
         return not any(self.data)
 
@@ -118,15 +116,6 @@ class Matrix:
         if self.field != other.field:
             raise ShapeError("field mismatch")
 
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        self._check_field(other)
-        if self.cols != other.rows:
-            raise ShapeError(f"cannot compose {self.rows}x{self.cols} "
-                             f"with {other.rows}x{other.cols}")
-        return Matrix(self.field, self.rows, other.cols,
-                      _mul(self.field, self.data, other.data,
-                           self.rows, self.cols, other.cols))
-
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_field(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -146,11 +135,6 @@ class Matrix:
                       [(x - y) % p for x, y in zip(self.data, other.data)]
                       if p else
                       [x - y for x, y in zip(self.data, other.data)])
-
-    def __neg__(self) -> "Matrix":
-        neg = self.field.neg
-        return Matrix(self.field, self.rows, self.cols,
-                      [neg(x) for x in self.data])
 
     def scale(self, a) -> "Matrix":
         a = self.field.of(a)
@@ -235,52 +219,6 @@ class Matrix:
             for i in range(ca):
                 out[i * b.cols + k] = x[i]
         return Matrix(f, ca, b.cols, out)
-
-    def inverse(self):
-        """Exact inverse, or None when not square or singular."""
-        if self.rows != self.cols:
-            return None
-        inv = self.solve_right(Matrix.identity(self.field, self.rows))
-        if inv is None:
-            return None
-        return inv if (inv @ self) == Matrix.identity(self.field, self.rows) \
-            else None
-
-    def is_invertible(self) -> bool:
-        return self.rows == self.cols and self.rank() == self.rows
-
-    # -- tensor structure ---------------------------------------------------
-
-    def kron(self, other: "Matrix") -> "Matrix":
-        """Kronecker product realizing f (x) g on the fixed tensor bases."""
-        self._check_field(other)
-        ra, ca, rb, cb = self.rows, self.cols, other.rows, other.cols
-        mul = self.field.mul
-        data = [0] * (ra * rb * ca * cb)
-        ocols = ca * cb
-        for i in range(ra):
-            for j in range(ca):
-                a = self.data[i * ca + j]
-                if not a:
-                    continue
-                for k in range(rb):
-                    orow = (i * rb + k) * ocols + j * cb
-                    brow = k * cb
-                    for l in range(cb):
-                        bkl = other.data[brow + l]
-                        if bkl:
-                            data[orow + l] = mul(a, bkl)
-        return Matrix(self.field, ra * rb, ca * cb, data)
-
-
-def _column_dicts(m: Matrix):
-    """Sparse view: one {row: value} dict per column, in one data pass."""
-    cols = [dict() for _ in range(m.cols)]
-    c = m.cols
-    for idx, v in enumerate(m.data):
-        if v:
-            cols[idx % c][idx // c] = v
-    return cols
 
 
 def _kron_cols(a, b, rb: int, columns):
@@ -411,11 +349,60 @@ def _member_coords(ambient: int, pivots, vectors, apply, p: int):
     return cand
 
 
-def _mul(field: Field, a, b, m, k, n):
-    """Flat product of an m x k and a k x n flat list, by the kernels."""
-    if field.char:
-        return core.mul_mod(a, b, m, k, n, field.char)
-    return core.mul_obj(a, b, m, k, n)
+def _solve(p: int, rows: int, lhs, rhs):
+    """One exact solution X of E X = Y over Q (p = 0) or F_p, as reduced
+    {row: value} columns, from the {row: value} columns of E and Y (each
+    with ``rows`` rows, sums may be unreduced), or None when some column
+    of Y is not in the image of E.  The rows of [E | Y] are reduced by one
+    ``rref_rows``; a pivot in Y's half means no solution, else row r of
+    X is the Y half of the pivot row of column r, and a free variable
+    is 0."""
+    k = len(lhs)
+    reduced, pivots = core.rref_rows(_transposed(lhs + rhs, rows),
+                                     k + len(rhs), p)
+    if pivots and pivots[-1] >= k:
+        return None
+    out = [{} for _ in rhs]
+    for c, row in zip(pivots, reduced):
+        for j, x in row.items():
+            if j >= k:
+                out[j - k][c] = x
+    return out
+
+
+def _inverse(field: Field, n: int, columns):
+    """The inverse of the n x n matrix with the given {row: value}
+    columns, as its reduced columns (``_solve`` of A X = I), or None when
+    the matrix is not square or is singular; inv A = I is checked from
+    nonzeros."""
+    if len(columns) != n:
+        return None
+    p = field.char
+    inv = _solve(p, n, columns, [{t: 1} for t in range(n)])
+    if inv is None or not _is_identity(_kron_cols(inv, 1, 1, columns), p):
+        return None
+    return inv
+
+
+def _invertible(field: Field, n: int, columns) -> bool:
+    """True when the {row: value} columns are those of an invertible
+    n x n matrix: n of them, and one ``rref_rows`` finds n pivots."""
+    return len(columns) == n and len(
+        core.rref_rows(columns, n, field.char)[1]) == n
+
+
+def _is_identity(columns, p: int) -> bool:
+    """True when the {row: sum} columns are those of the identity over Q
+    (p = 0) or F_p, compared by ``_difference``."""
+    return _difference(columns, [{t: 1} for t in range(len(columns))],
+                       p) is None
+
+
+def _inverse_pair(a, b, p: int) -> bool:
+    """a b = id and b a = id over Q (p = 0) or F_p, from the {row: value}
+    columns of a and b."""
+    return (_is_identity(_kron_cols(a, 1, 1, b), p)
+            and _is_identity(_kron_cols(b, 1, 1, a), p))
 
 
 def _swapped(columns, m: int, a: int, b: int, k: int):
@@ -429,12 +416,6 @@ def _swapped(columns, m: int, a: int, b: int, k: int):
         return ((i * b + t) * a + s) * k + r
 
     return [{moved(key): x for key, x in col.items()} for col in columns]
-
-
-def swap_matrix(field: Field, m: int, n: int) -> Matrix:
-    """Transposition V (x) W -> W (x) V for dims (m, n): e_i(x)e_j -> e_j(x)e_i."""
-    return _dense_columns(field, m * n, _swapped(
-        [{t: 1} for t in range(m * n)], 1, m, n, 1))
 
 
 def _null_space(field: Field, rows, cols: int) -> "Subspace":
@@ -477,10 +458,6 @@ class Subspace:
         self.columns = reduced
         self.pivots = pivots
 
-    @classmethod
-    def full(cls, field: Field, ambient: int) -> "Subspace":
-        return cls(field, ambient, [{t: 1} for t in range(ambient)])
-
     @property
     def dim(self) -> int:
         return len(self.columns)
@@ -502,11 +479,6 @@ class Subspace:
         return f"Subspace(dim {self.dim} of {self.ambient})"
 
     def coords(self, vectors):
-        """``coord_columns`` as a dim x len(vectors) Matrix, or None."""
-        x = self.coord_columns(vectors)
-        return None if x is None else _dense_columns(self.field, self.dim, x)
-
-    def coord_columns(self, vectors):
         """``_member_coords`` of {row: value} columns (sums may be
         unreduced) in the basis, the identity at its pivot rows."""
         return _member_coords(self.ambient, self.pivots, vectors,
@@ -594,9 +566,7 @@ class Chart:
         """This chart as a ``_kron_cols`` factor: its dim for identities."""
         return self.dim if self._kind == "id" else self.columns
 
-    coords = Subspace.coords
-
-    def coord_columns(self, flat):
+    def coords(self, flat):
         """``_member_coords`` of flat {row: value} columns in this chart."""
         return _member_coords(self.flat_dim, self.pivots, flat, self._apply,
                               self.field.char)

@@ -16,7 +16,7 @@ from .coalg import (Coalgebra, CoalgebraMorphism, direct_sum,
                     grouplike_morphism, product)
 from .comod import Comodule, conjugate, graded_comodule
 from .errors import UnsupportedBaseError
-from .exactlin import Matrix
+from .exactlin import _invertible
 from .fields import Field
 
 
@@ -78,16 +78,16 @@ def random_graded_dims(rng: random.Random, n: int, max_dim: int,
     return dims
 
 
-def random_invertible(rng: random.Random, field: Field, n: int) -> Matrix:
-    """A random invertible matrix with small entries."""
-    if n == 0:
-        return Matrix.zeros(field, 0, 0)
+def random_invertible(rng: random.Random, field: Field, n: int):
+    """A random invertible n x n matrix with small entries, drawn row by
+    row, as its {row: value} column dicts."""
     while True:
         rows = [[field.of(rng.randint(-2, 2)) for _ in range(n)]
                 for _ in range(n)]
-        m = Matrix.from_rows(field, rows)
-        if m.is_invertible():
-            return m
+        cols = [{i: row[j] for i, row in enumerate(rows) if row[j]}
+                for j in range(n)]
+        if _invertible(field, n, cols):
+            return cols
 
 
 def random_comodule(rng: random.Random, base: Coalgebra, max_dim: int = 4,

@@ -30,7 +30,7 @@ from .coalg import (Coalgebra, CoalgebraMorphism, counit_morphism,
                     trivial_coalgebra)
 from .comod import Comodule, ComoduleMorphism, cotensor, regular_comodule
 from .errors import (AxiomError, BaseMismatchError, UnsupportedBaseError)
-from .exactlin import Matrix, ShapeError, _kron_cols, swap_matrix
+from .exactlin import ShapeError, _difference, _kron_cols, _swapped
 from .indexed import (PullbackSquare, beck_chevalley_check,
                       beck_for_forall_check, coaction_comodule,
                       pullback_functor, sigma, ssmc_check)
@@ -95,7 +95,6 @@ def strong_monoidality_check(o1: CoalgCObject,
     """
     obj, u, v = coalgC_product(o1, o2)
     d = obj.domain
-    f = d.field
     left = U_C(obj)
     k_mod, k_sub = cotensor(U_C(o1), U_C(o2))
     dims = {"product_side": left.dim, "cotensor_side": k_mod.dim}
@@ -310,9 +309,9 @@ def hyperdoctrine_condition2_check(f: CoalgebraMorphism, src: BasePower,
         raise BaseMismatchError("f is not a morphism src -> tgt")
     if v.base != prod_i:
         raise BaseMismatchError("comodule is not based on I x C")
-    f_times_id = CoalgebraMorphism(
-        prod_j, prod_i, f.matrix.kron(Matrix.identity(f.matrix.field,
-                                                      tgt.base.dim)))
+    n = tgt.base.dim
+    f_times_id = CoalgebraMorphism(prod_j, prod_i, _kron_cols(
+        f.columns, n, n, [{t: 1} for t in range(f.source.dim * n)]))
     square = PullbackSquare(delta=f_times_id, gamma=pi_j, beta=pi_i,
                             alpha=f)
     pv = pullback_functor(f_times_id, v)
@@ -335,15 +334,16 @@ def condition3_symmetry_check(i: BasePower, v: Comodule) -> CheckReport:
     I x C -> I through the transposition isomorphism."""
     prod_ic, p_i, _ = i.step
     prod_ci, q_c, q_i = i.swapped
-    field = i.base.field
-    swap = swap_matrix(field, i.base.dim, i.coalgebra.dim)
+    swap = _swapped([{t: 1} for t in range(prod_ci.dim)], 1, i.base.dim,
+                    i.coalgebra.dim, 1)
     try:
         swap_mor = CoalgebraMorphism(prod_ci, prod_ic, swap)
     except AxiomError as exc:
         return failure("hyperdoctrine-3", f"transposition: {exc}")
     if not swap_mor.is_isomorphism():
         return failure("hyperdoctrine-3", "transposition not invertible")
-    if p_i.matrix @ swap_mor.matrix != q_i.matrix:
+    if _difference(_kron_cols(p_i.columns, 1, 1, swap_mor.columns),
+                   q_i.columns, prod_ci.field.char) is not None:
         return failure("hyperdoctrine-3",
                        "projections do not match through the swap")
     if v.base != prod_ci:

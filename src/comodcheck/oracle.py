@@ -141,13 +141,11 @@ def setmap_of_morphism(phi) -> SetMap:
     if src is None or tgt is None:
         raise UnsupportedBaseError("both coalgebras must be group-like")
     mapping = {}
-    for j, x in enumerate(src):
-        col = phi.matrix.column(j).data
-        ones = [i for i, e in enumerate(col) if e == 1]
-        if len(ones) != 1 or sum(1 for e in col if e) != 1:
+    for x, col in zip(src, phi.columns):
+        if list(col.values()) != [1]:
             raise UnsupportedBaseError("morphism is not induced by a map "
                                        "of labels")
-        mapping[x] = tgt[ones[0]]
+        mapping[x] = tgt[next(iter(col))]
     return SetMap(src, tgt, mapping)
 
 

@@ -333,7 +333,7 @@ _EXECUTORS = {
 # -- operation coverage registry ------------------------------------------------
 
 OPERATION_INVENTORY = (
-    "exactlin.Matrix.kernel", "exactlin.Matrix.kron",
+    "exactlin.Matrix.kernel", "exactlin._kron_cols",
     "coalg.trivial_coalgebra", "coalg.grouplike_coalgebra",
     "coalg.direct_sum", "coalg.product", "coalg.pairing", "coalg.pullback",
     "coalg.coseparability_form", "coalg.is_cosemisimple",
@@ -351,49 +351,49 @@ OPERATION_INVENTORY = (
     "oracle.to_graded", "oracle.graded_cotensor", "oracle.graded_pullback",
     "oracle.graded_sigma", "oracle.graded_forall",
     "oracle.set_fiber_product",
-    "dslcli.parse", "dslcli.run",
+    "dsl.parse", "runner.run",
 )
 
 CHECK_OPERATIONS = {
-    "axioms": {"exactlin.Matrix.kron", "coalg.grouplike_coalgebra",
-               "coalg.direct_sum", "coalg.product", "dslcli.parse",
-               "dslcli.run"},
+    "axioms": {"exactlin._kron_cols", "coalg.grouplike_coalgebra",
+               "coalg.direct_sum", "coalg.product", "dsl.parse",
+               "runner.run"},
     "cosemisimple": {"coalg.is_cosemisimple", "coalg.coseparability_form",
-                     "dslcli.parse", "dslcli.run"},
+                     "dsl.parse", "runner.run"},
     "injective": {"comod.is_injective", "comod.cofree_comodule",
-                  "coalg.coseparability_form", "dslcli.parse", "dslcli.run"},
+                  "coalg.coseparability_form", "dsl.parse", "runner.run"},
     "cotensor": {"comod.cotensor", "comod.coherence",
                  "comod.regular_comodule", "exactlin.Matrix.kernel",
-                 "exactlin.Matrix.kron", "oracle.to_graded",
-                 "oracle.graded_cotensor", "dslcli.parse", "dslcli.run"},
+                 "exactlin._kron_cols", "oracle.to_graded",
+                 "oracle.graded_cotensor", "dsl.parse", "runner.run"},
     "hom": {"comod.hom_space", "exactlin.Matrix.kernel", "oracle.to_graded",
-            "dslcli.parse", "dslcli.run"},
+            "dsl.parse", "runner.run"},
     "adjunction": {"indexed.sigma", "indexed.pullback_functor",
                    "indexed.transpose_hat", "indexed.transpose_tilde",
                    "comod.hom_space", "oracle.graded_sigma",
-                   "dslcli.parse", "dslcli.run"},
+                   "dsl.parse", "runner.run"},
     "beck": {"coalg.pullback", "coalg.product",
              "indexed.beck_chevalley_check",
              "oracle.set_fiber_product", "oracle.graded_sigma",
-             "oracle.graded_pullback", "dslcli.parse", "dslcli.run"},
+             "oracle.graded_pullback", "dsl.parse", "runner.run"},
     "forall-beck": {"indexed.forall", "indexed.beck_for_forall_check",
                     "comod.is_coflat", "coalg.coseparability_form",
                     "oracle.graded_forall",
                     "oracle.graded_pullback", "oracle.set_fiber_product",
-                    "coalg.pullback", "dslcli.parse", "dslcli.run"},
+                    "coalg.pullback", "dsl.parse", "runner.run"},
     "frobenius": {"indexed.frobenius_check", "indexed.sigma",
                   "indexed.pullback_functor", "comod.cotensor",
-                  "dslcli.parse", "dslcli.run"},
+                  "dsl.parse", "runner.run"},
     "ssmc": {"indexed.ssmc_check", "comod.internal_hom",
              "indexed.pullback_functor", "comod.cotensor",
              "coalg.is_cosemisimple", "coalg.coseparability_form",
-             "dslcli.parse", "dslcli.run"},
+             "dsl.parse", "runner.run"},
     "lnl": {"hyperdoctrine.U_C", "hyperdoctrine.L_f",
             "hyperdoctrine.lnl_morphism_check",
             "hyperdoctrine.coalgC_product",
             "hyperdoctrine.strong_monoidality_check", "coalg.pullback",
-            "coalg.pairing", "indexed.ssmc_check", "dslcli.parse",
-            "dslcli.run"},
+            "coalg.pairing", "indexed.ssmc_check", "dsl.parse",
+            "runner.run"},
     "hyperdoctrine": {"hyperdoctrine.base_powers",
                       "hyperdoctrine.hyperdoctrine_condition2_check",
                       "indexed.beck_chevalley_check",
@@ -401,6 +401,6 @@ CHECK_OPERATIONS = {
                       "indexed.sigma", "comod.is_coflat",
                       "coalg.coseparability_form", "coalg.trivial_coalgebra",
                       "coalg.product", "coalg.pairing",
-                      "coalg.is_cosemisimple", "dslcli.parse",
-                      "dslcli.run"},
+                      "coalg.is_cosemisimple", "dsl.parse",
+                      "runner.run"},
 }

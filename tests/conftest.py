@@ -12,10 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from comodcheck.coalg import Coalgebra, _subcoalgebra
+from comodcheck._backend import core
+from comodcheck.coalg import Coalgebra, _subcoalgebra, coseparability_form
 from comodcheck.comod import ComoduleMorphism, hom_space
-from comodcheck.exactlin import (Matrix, ShapeError, Subspace, _column_dicts,
-                                 _dense_columns, _mul)
+from comodcheck.exactlin import Matrix, ShapeError, Subspace, _dense_columns
 from comodcheck.fields import QQ
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -29,10 +29,86 @@ SQRT2_DELTA = [[1, 0], [0, 1], [0, 1], [2, 0]]
 SQRT2_EPS = [[1, 0]]
 
 
+def column_dicts(m):
+    """The {row: value} column dicts of a dense matrix, in one data pass:
+    the form every structure map and morphism constructor takes."""
+    cols = [{} for _ in range(m.cols)]
+    c = m.cols
+    for idx, v in enumerate(m.data):
+        if v:
+            cols[idx % c][idx // c] = v
+    return cols
+
+
 def columns(field, rows):
     """The {row: value} column dicts of the matrix with the given rows, as
     the ``Coalgebra`` and ``Comodule`` constructors take them."""
-    return _column_dicts(Matrix.from_rows(field, rows))
+    return column_dicts(Matrix.from_rows(field, rows))
+
+
+def _mul(field, a, b, m, k, n):
+    """Flat product of an m x k and a k x n flat list by the dense
+    kernels of ``_backend.core``."""
+    if field.char:
+        return core.mul_mod(a, b, m, k, n, field.char)
+    return core.mul_obj(a, b, m, k, n)
+
+
+def matmul(*factors):
+    """The dense product factors[0] ... factors[-1]: a test-only
+    reference for the sparse compositions."""
+    out = factors[0]
+    for m in factors[1:]:
+        if out.field != m.field or out.cols != m.rows:
+            raise ShapeError(f"cannot compose {out.rows}x{out.cols} "
+                             f"with {m.rows}x{m.cols}")
+        out = Matrix(out.field, out.rows, m.cols, _mul(
+            out.field, out.data, m.data, out.rows, out.cols, m.cols))
+    return out
+
+
+def kron(a, b):
+    """The dense Kronecker product a (x) b on the fixed tensor bases: a
+    test-only reference."""
+    if a.field != b.field:
+        raise ShapeError("field mismatch")
+    rb, cb = b.rows, b.cols
+    out = Matrix.zeros(a.field, a.rows * rb, a.cols * cb).data
+    for i in range(a.rows):
+        for j in range(a.cols):
+            x = a[i, j]
+            if x:
+                for k in range(rb):
+                    for l in range(cb):
+                        out[(i * rb + k) * a.cols * cb + j * cb + l] = \
+                            a.field.mul(x, b[k, l])
+    return Matrix(a.field, a.rows * rb, a.cols * cb, out)
+
+
+def is_invertible(m):
+    """Square with full rank, by dense elimination: a test-only
+    reference."""
+    return m.rows == m.cols and m.rank() == m.rows
+
+
+def inverse(m):
+    """The exact inverse of a dense matrix by ``solve_right``, or None
+    when it is not square or singular: a test-only reference."""
+    if m.rows != m.cols:
+        return None
+    ident = Matrix.identity(m.field, m.rows)
+    inv = m.solve_right(ident)
+    return inv if inv is not None and matmul(inv, m) == ident else None
+
+
+def swap_matrix(field, m, n):
+    """The dense transposition V (x) W -> W (x) V for dims (m, n),
+    e_i (x) e_j -> e_j (x) e_i: a test-only reference."""
+    data = [0] * (m * n * m * n)
+    for i in range(m):
+        for j in range(n):
+            data[(j * m + i) * m * n + i * n + j] = 1
+    return Matrix(field, m * n, m * n, data)
 
 
 def gx_coalgebra(field=QQ):
@@ -43,6 +119,18 @@ def gx_coalgebra(field=QQ):
 def sqrt2_dual(field=QQ):
     return Coalgebra(field, 2, columns(field, SQRT2_DELTA),
                      columns(field, SQRT2_EPS))
+
+
+def form_matrix(c):
+    """The coseparability form of c as a dense 1 x n^2 row, read from the
+    rows {e: gamma(e_d (x) e_e)} that ``coseparability_form`` returns, or
+    None when c has none."""
+    rows = coseparability_form(c)
+    if rows is None:
+        return None
+    n = c.dim
+    return Matrix(c.field, 1, n * n, [row.get(e, 0) for row in rows
+                                      for e in range(n)])
 
 
 def kron_apply(a, b, x):
@@ -126,8 +214,8 @@ def hom_morphisms(v, w):
     ``ComoduleMorphism`` re-checks its intertwining equation, a test-side
     check independent of the kernel certificate."""
     basis = hom_space(v, w).basis
-    return [ComoduleMorphism(v, w, Matrix(v.field, w.dim, v.dim,
-                                          basis.column(t).data))
+    return [ComoduleMorphism(v, w, column_dicts(Matrix(
+        v.field, w.dim, v.dim, basis.data[t::basis.cols])))
             for t in range(basis.cols)]
 
 
@@ -143,10 +231,9 @@ def find_isomorphism(v, w, rng, tries=64):
         return None
     basis = hom_morphisms(v, w)
     if not basis:
-        return None if v.dim else ComoduleMorphism(v, w, Matrix.zeros(
-            v.field, 0, 0))
+        return None if v.dim else ComoduleMorphism(v, w, [])
     for mor in basis:
-        if mor.matrix.is_invertible():
+        if is_invertible(mor.matrix):
             return mor
     p = v.field.char
     for t in range(tries):
@@ -157,8 +244,8 @@ def find_isomorphism(v, w, rng, tries=64):
         for c, mor in zip(coeffs, basis):
             if c:
                 mat = mat + mor.matrix.scale(c)
-        if mat.is_invertible():
-            return ComoduleMorphism(v, w, mat)
+        if is_invertible(mat):
+            return ComoduleMorphism(v, w, column_dicts(mat))
     return None
 
 
@@ -182,11 +269,12 @@ def largest_subcoalgebra_in(c, w):
     ident = Matrix.identity(f, c.dim)
     while w.dim:
         q = annihilator(w)
-        cond = q.kron(ident).vstack(ident.kron(q)) @ c.delta @ w.basis
+        cond = matmul(kron(q, ident).vstack(kron(ident, q)), c.delta,
+                      w.basis)
         coords = cond.kernel()
         if coords.dim == w.dim:
             break
-        w = Subspace(f, c.dim, _column_dicts(w.basis @ coords.basis),
+        w = Subspace(f, c.dim, column_dicts(matmul(w.basis, coords.basis)),
                      _canonical=False)
     return _subcoalgebra(c, w)
 

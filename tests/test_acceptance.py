@@ -19,13 +19,13 @@ from comodcheck import dsl, runner
 from comodcheck import indexed as ix
 from comodcheck import oracle as orc
 from comodcheck.errors import AxiomError
-from comodcheck.exactlin import Matrix, _column_dicts
+from comodcheck.exactlin import Matrix
 from comodcheck.fields import QQ
 from comodcheck.gen import (corrupt_coalgebra, random_coalgebra,
                             random_comodule, random_grouplike,
                             random_setmap_morphism, rng_for)
 
-from conftest import columns, find_isomorphism
+from conftest import column_dicts, columns, find_isomorphism
 
 F = QQ
 
@@ -45,8 +45,8 @@ def test_criterion_01_axiom_suite():
     for _ in range(100):
         c = random_coalgebra(rng, F, max_labels=5)
         # re-validated from the dense views
-        ca.Coalgebra(F, c.dim, _column_dicts(c.delta),
-                     _column_dicts(c.epsilon))
+        ca.Coalgebra(F, c.dim, column_dicts(c.delta),
+                     column_dicts(c.epsilon))
     named = set()
     for _ in range(10):
         c = random_coalgebra(rng, F, max_labels=4)
@@ -105,7 +105,7 @@ def test_criterion_04_sigma_pullback_adjunction():
     ks = ca.direct_sum(k2, gu)
     assert ca.is_cosemisimple(ks) and not ks.is_grouplike()
     inc = ca.CoalgebraMorphism(k2, ks,
-                               Matrix.from_rows(F, [[1, 0], [0, 1], [0, 0]]))
+                               columns(F, [[1, 0], [0, 1], [0, 0]]))
     eps = ca.counit_morphism(ks)
     regs = cm.regular_comodule(ks)
     cases = [

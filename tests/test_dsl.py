@@ -1,3 +1,4 @@
+import importlib
 import inspect
 import json
 from fractions import Fraction
@@ -108,6 +109,21 @@ def test_syntax_error_carries_position():
     assert err.value.line == 2 and err.value.col == 7
 
 
+@pytest.mark.parametrize("body, message", [
+    ("coalg R = raw dim=2 delta=[1, 0, 0, 1, 0, 1, 2] eps=[1, 0]",
+     "4x2 matrix needs 8 entries, got 7"),
+    ("morph g : C -> C {matrix [1, 0, 0]}",
+     "2x2 matrix needs 4 entries, got 3"),
+    ("comod W over C {dim 2 rho=[1, 0, 0, 0, 0, 0, 0]}",
+     "4x2 matrix needs 8 entries, got 7")])
+def test_a_literal_with_a_wrong_entry_count_names_its_shape(body, message):
+    # raw literals are read straight into column dicts; the count error
+    # keeps the matrix shape it names
+    with pytest.raises(ParseError) as exc:
+        parse(f"field Q\ncoalg C = grouplike {{a, b}}\n{body}\n")
+    assert str(exc.value) == f"line 3, col 1: {message}"
+
+
 def test_construction_error_names_axiom():
     bad = ("field Q\n"
            "coalg B = raw dim=2 delta=[1, 0, 0, 0, 0, 0, 0, 1] eps=[1, 0]\n")
@@ -182,6 +198,19 @@ def test_registry_covers_every_operation():
     missing = [op for op in runner.OPERATION_INVENTORY if op not in covered]
     assert not missing, f"operations unreachable from checks: {missing}"
     assert set(runner.CHECK_OPERATIONS) == set(dsl.CHECK_KINDS)
+
+
+def test_registry_names_real_code():
+    # every name in the registry is module.attribute[.attribute] of a
+    # comodcheck module, importable and callable
+    names = set(runner.OPERATION_INVENTORY).union(
+        *runner.CHECK_OPERATIONS.values())
+    for name in sorted(names):
+        module, *attrs = name.split(".")
+        obj = importlib.import_module(f"comodcheck.{module}")
+        for attr in attrs:
+            obj = getattr(obj, attr)
+        assert callable(obj), name
 
 
 def test_corpus_documents_parse_and_round_trip():

@@ -14,7 +14,7 @@ from comodcheck.exactlin import Matrix
 from comodcheck.fields import QQ
 from comodcheck.gen import random_comodule
 
-from conftest import count_calls, gx_coalgebra
+from conftest import columns, count_calls, gx_coalgebra
 
 F = QQ
 
@@ -49,8 +49,7 @@ def test_u_over_trivial_base_is_forgetful(g_ab):
 def test_slice_objects_allow_non_cosemisimple_domain(g_ab):
     gx = gx_coalgebra()
     # gx admits a morphism to the group-likes sending g to a
-    mat = Matrix.from_rows(F, [[1, 0], [0, 0]])
-    phi = ca.CoalgebraMorphism(gx, g_ab, mat)
+    phi = ca.CoalgebraMorphism(gx, g_ab, columns(F, [[1, 0], [0, 0]]))
     obj = hd.CoalgCObject(phi)
     assert hd.U_C(obj).dim == 2
 

@@ -13,14 +13,14 @@ from comodcheck import indexed as ix
 from comodcheck import oracle as orc
 from comodcheck.errors import (AxiomError, BaseMismatchError,
                                HypothesisViolatedError)
-from comodcheck.exactlin import (Matrix, Subspace, _column_dicts,
-                                 _dense_columns, _reduced)
+from comodcheck.exactlin import Matrix, Subspace, _dense_columns, _reduced
 from comodcheck.fields import GF, QQ
 from comodcheck.gen import (random_comodule, random_grouplike,
                             random_setmap_morphism)
 
-from conftest import (count_calls, find_isomorphism, gx_coalgebra,
-                      hom_morphisms, kron_apply, sqrt2_dual)
+from conftest import (column_dicts, columns, count_calls, find_isomorphism,
+                      gx_coalgebra, hom_morphisms, kron, kron_apply, matmul,
+                      sqrt2_dual)
 
 F = QQ
 
@@ -105,8 +105,8 @@ def test_composition_isos_are_an_exact_inverse_pair(phi, g_ab, g_xyz):
         rhs, _ = ix.pullback_functor(phi, ix.pullback_functor(psi, w)[0])
         assert (fwd.source, fwd.target) == (bwd.target, bwd.source) \
             == (lhs, rhs)
-        assert fwd.matrix @ bwd.matrix == Matrix.identity(F, rhs.dim)
-        assert bwd.matrix @ fwd.matrix == Matrix.identity(F, lhs.dim)
+        assert matmul(fwd.matrix, bwd.matrix) == Matrix.identity(F, rhs.dim)
+        assert matmul(bwd.matrix, fwd.matrix) == Matrix.identity(F, lhs.dim)
         assert dims == {"composite_pull": lhs.dim, "iterated_pull": rhs.dim}
 
 
@@ -144,7 +144,7 @@ def test_adjunction_on_non_grouplike_cosemisimple_base():
     ks = ca.direct_sum(k2, gu)
     assert ca.is_cosemisimple(ks) and not ks.is_grouplike()
     inc = ca.CoalgebraMorphism(
-        k2, ks, Matrix.from_rows(F, [[1, 0], [0, 1], [0, 0]]))
+        k2, ks, columns(F, [[1, 0], [0, 1], [0, 0]]))
     v = cm.regular_comodule(k2)
     w = cm.direct_sum(cm.regular_comodule(ks), cm.regular_comodule(ks))
     cert = ix.adjunction_certificate(inc, v, w)
@@ -171,7 +171,7 @@ def adjunction_cases(field):
     k2 = sqrt2_dual(field)
     ks = ca.direct_sum(k2, ca.grouplike_coalgebra(field, ["u"]))
     inc = ca.CoalgebraMorphism(
-        k2, ks, Matrix.from_rows(field, [[1, 0], [0, 1], [0, 0]]))
+        k2, ks, columns(field, [[1, 0], [0, 1], [0, 0]]))
     eps = ca.counit_morphism(ks)
     regk, regs = cm.regular_comodule(k2), cm.regular_comodule(ks)
     return cases + [
@@ -292,7 +292,7 @@ def test_transpose_naturality(phi, g_xyz, g_ab):
             sh = ix.sigma_map(phi, h)
             lhs = ix.transpose_hat(phi, v1, f @ sh, pw)
             rhs = ix.transpose_hat(phi, v2, f, pw)
-            assert lhs.matrix == rhs.matrix @ h.matrix
+            assert lhs.matrix == matmul(rhs.matrix, h.matrix)
 
 
 def test_sigma_triangles(phi, g_xyz, g_ab):
@@ -309,7 +309,8 @@ def test_sigma_triangles_reject_a_planted_wrong_counit(monkeypatch, phi,
 
     def tilde(*args):
         eps = real(*args)
-        return cm.ComoduleMorphism(eps.source, eps.target, eps.matrix.scale(2))
+        return cm.ComoduleMorphism(eps.source, eps.target,
+                                   column_dicts(eps.matrix.scale(2)))
 
     monkeypatch.setattr(ix, "transpose_tilde", tilde)
     v = cm.graded_comodule(g_xyz, [1, 2, 1])
@@ -334,7 +335,7 @@ def test_forall_gating_on_non_coflat():
     gx = gx_coalgebra()
     triv = ca.trivial_coalgebra(F)
     # picks the group-like g: U(phi) is the non-injective simple comodule
-    phi_bad = ca.CoalgebraMorphism(triv, gx, Matrix.from_rows(F, [[1], [0]]))
+    phi_bad = ca.CoalgebraMorphism(triv, gx, columns(F, [[1], [0]]))
     with pytest.raises(HypothesisViolatedError):
         ix.forall(phi_bad, cm.regular_comodule(triv))
 
@@ -397,7 +398,8 @@ def test_forall_triangles_reject_a_planted_wrong_unit(monkeypatch, phi,
 
     def unit(*args):
         eta = real(*args)
-        return cm.ComoduleMorphism(eta.source, eta.target, eta.matrix.scale(2))
+        return cm.ComoduleMorphism(eta.source, eta.target,
+                                   column_dicts(eta.matrix.scale(2)))
 
     monkeypatch.setattr(ix, "forall_unit", unit)
     v = cm.graded_comodule(g_xyz, [1, 2, 1])
@@ -418,7 +420,7 @@ def test_forall_triangles_decide_coflatness_once(monkeypatch, phi, g_xyz,
 def test_non_coflat_decision_is_kept_on_the_morphism(monkeypatch):
     gx = gx_coalgebra()
     triv = ca.trivial_coalgebra(F)
-    phi_bad = ca.CoalgebraMorphism(triv, gx, Matrix.from_rows(F, [[1], [0]]))
+    phi_bad = ca.CoalgebraMorphism(triv, gx, columns(F, [[1], [0]]))
     calls = count_calls(monkeypatch, cm, "is_injective")
     for _ in range(2):
         with pytest.raises(HypothesisViolatedError):
@@ -440,8 +442,8 @@ def cospan(g_ab):
 def test_pullback_square_validation(g_ab):
     beta, alpha = cospan(g_ab)
     square = ix.PullbackSquare.from_cospan(beta, alpha)
-    assert square.beta.matrix @ square.delta.matrix \
-        == square.alpha.matrix @ square.gamma.matrix
+    assert matmul(square.beta.matrix, square.delta.matrix) \
+        == matmul(square.alpha.matrix, square.gamma.matrix)
 
 
 def test_commuting_square_that_is_not_a_pullback_is_rejected():
@@ -490,7 +492,7 @@ def test_from_cospan_builds_one_canonical_pullback(monkeypatch, g_ab):
     calls = count_calls(monkeypatch, ix, "coalg_pullback")
     square = ix.PullbackSquare.from_cospan(beta, alpha)
     assert len(calls) == 1
-    assert square.t == Matrix.identity(F, square.delta.source.dim)
+    assert square.t == [{t: 1} for t in range(square.delta.source.dim)]
     assert ix.beck_chevalley_check(
         square, cm.graded_comodule(alpha.source, [1, 2])).passed
 
@@ -510,10 +512,10 @@ def test_from_cospan_takes_t_as_the_identity(monkeypatch, g_ab):
     # the counit laws
     beta, alpha = cospan(g_ab)
     calls = [count_calls(monkeypatch, Subspace, "coords"),
-             count_calls(monkeypatch, Matrix, "inverse")]
+             count_calls(monkeypatch, ix, "_inverse")]
     square = ix.PullbackSquare.from_cospan(beta, alpha)
     assert calls == [[], []]
-    assert square._t_cols == [{t: 1} for t in range(square.t.rows)]
+    assert square.t == [{t: 1} for t in range(square.delta.source.dim)]
     delta, gamma = square.delta, square.gamma
     assert kron_apply(delta.matrix, gamma.matrix, delta.source.delta) \
         == square.cotensor.basis
@@ -553,9 +555,9 @@ def test_beck_phi_naturality(g_ab):
                               ix.sigma_map(square.alpha, h),
                               src=side1a, tgt=side1b)
         sh2m = ix.pullback_map(square.gamma, h)
-        lhs = phi2.matrix @ sh1.matrix
+        lhs = matmul(phi2.matrix, sh1.matrix)
         rhs = sh2m.matrix  # underlying matrix of Sigma_delta(gamma^* h)
-        assert lhs == rhs @ phi1.matrix
+        assert lhs == matmul(rhs, phi1.matrix)
 
 
 def test_beck_oracle_agreement(g_ab):
@@ -600,9 +602,9 @@ def test_beck_for_forall_rejects_a_planted_wrong_counit(g_ab):
     n = v.base.dim
     drop_x = Matrix(F, n, n, [int(i == j != 0) for i in range(n)
                               for j in range(n)])
-    r = _dense_columns(F, v.dim, ix.coseparability_retraction(v)) \
-        @ Matrix.identity(F, v.dim).kron(drop_x)
-    v._retraction = _column_dicts(r)
+    r = matmul(_dense_columns(F, v.dim, ix.coseparability_retraction(v)),
+               kron(Matrix.identity(F, v.dim), drop_x))
+    v._retraction = column_dicts(r)
     rep = ix.beck_for_forall_check(square, v, pv)
     assert rep.verdict == "fail"
     assert "mate is not invertible" in rep.witness["equation"]
@@ -753,7 +755,7 @@ def test_ssmc_closedness_over_non_grouplike_bases():
 def test_ssmc_closedness_fails_on_a_zero_pairing(monkeypatch):
     p1 = sqrt2_by_grouplike_projection()
     monkeypatch.setattr(ix, "coseparability_form",
-                        lambda c: Matrix.zeros(c.field, 1, c.dim * c.dim))
+                        lambda c: [{} for _ in range(c.dim)])
     reg = cm.regular_comodule(p1.target)
     rep = ix.ssmc_check(p1, cm.direct_sum(reg, reg), reg)
     assert rep.verdict == "fail"
@@ -803,9 +805,9 @@ def test_ssmc_braiding_catches_a_rescaled_tensor_iso(monkeypatch, phi,
     def rescaled(*args):
         fwd, bwd = real(*args)
         return (cm.ComoduleMorphism(fwd.source, fwd.target,
-                                    fwd.matrix.scale(2)),
-                cm.ComoduleMorphism(bwd.source, bwd.target,
-                                    bwd.matrix.scale(Fraction(1, 2))))
+                                    column_dicts(fwd.matrix.scale(2))),
+                cm.ComoduleMorphism(bwd.source, bwd.target, column_dicts(
+                    bwd.matrix.scale(Fraction(1, 2)))))
 
     monkeypatch.setattr(ix, "_tensor_iso", rescaled)
     rep = ix.ssmc_check(phi, cm.graded_comodule(g_ab, [2, 1]),

@@ -22,14 +22,15 @@ from comodcheck import coalg as ca
 from comodcheck import comod as cm
 from comodcheck import indexed as ix
 from comodcheck.errors import AxiomError
-from comodcheck.exactlin import (Chart, Matrix, _column_dicts,
-                                 _dense_columns, _reduced, _swapped)
+from comodcheck.exactlin import (Chart, Matrix, _dense_columns, _reduced,
+                                 _swapped)
 from comodcheck.fields import GF, QQ
 from comodcheck.gen import (random_comodule, random_grouplike,
                             random_invertible, random_setmap_morphism)
 
 from conftest import chart_embedding as dense
-from conftest import hom_morphisms, kron_apply, take_rows, transpose
+from conftest import (column_dicts, form_matrix, hom_morphisms, inverse,
+                      kron, kron_apply, matmul, take_rows, transpose)
 
 FIELDS = pytest.mark.parametrize("field", [QQ, GF(7), GF(3)],
                                  ids=["Q", "F7", "F3"])
@@ -78,14 +79,14 @@ def as_matrix(field, rows, columns):
 
 
 def recorded(monkeypatch):
-    """(source, target, matrix) of every comodule morphism ``indexed``
+    """(source, target, columns) of every comodule morphism ``indexed``
     builds from here on."""
     made = []
     real = ix.ComoduleMorphism
 
-    def record(source, target, matrix):
-        made.append((source, target, matrix))
-        return real(source, target, matrix)
+    def record(source, target, columns):
+        made.append((source, target, columns))
+        return real(source, target, columns)
 
     monkeypatch.setattr(ix, "ComoduleMorphism", record)
     return made
@@ -95,7 +96,7 @@ def built(made, i, source, target):
     """The matrix of the i-th morphism recorded, which must run from
     source to target."""
     assert made[i][:2] == (source, target)
-    return made[i][2]
+    return _dense_columns(source.field, target.dim, made[i][2])
 
 
 # -- instances ----------------------------------------------------------------
@@ -103,23 +104,27 @@ def built(made, i, source, target):
 def moved(rng, c):
     """c in a random basis, and the isomorphism from it to c."""
     p = random_invertible(rng, c.field, c.dim)
-    p_inv = p.inverse()
+    dense_p = _dense_columns(c.field, c.dim, p)
+    p_inv = inverse(dense_p)
     d = ca.Coalgebra(c.field, c.dim,
-                     _column_dicts(p_inv.kron(p_inv) @ c.delta @ p),
-                     _column_dicts(c.epsilon @ p))
+                     column_dicts(matmul(kron(p_inv, p_inv), c.delta,
+                                         dense_p)),
+                     column_dicts(matmul(c.epsilon, dense_p)))
     return d, ca.CoalgebraMorphism(d, c, p)
 
 
 def moved_morphism(phi, source_iso, target_iso):
     """phi: D -> C read between the moved bases of D and C."""
-    back = target_iso.matrix.inverse()
+    back = inverse(target_iso.matrix)
     return ca.CoalgebraMorphism(source_iso.source, target_iso.source,
-                                back @ phi.matrix @ source_iso.matrix)
+                                column_dicts(matmul(back, phi.matrix,
+                                                    source_iso.matrix)))
 
 
 def moved_comodule(v, iso):
     """V over C as a comodule over the moved basis of C."""
-    back = ca.CoalgebraMorphism(iso.target, iso.source, iso.matrix.inverse())
+    back = ca.CoalgebraMorphism(iso.target, iso.source,
+                                column_dicts(inverse(iso.matrix)))
     return ix.sigma(back, v)
 
 
@@ -157,7 +162,7 @@ def random_morphism(rng, v, w):
     mat = Matrix.zeros(f, w.dim, v.dim)
     for g in hom_morphisms(v, w):
         mat = mat + g.matrix.scale(rng.randint(-2, 2))
-    return cm.ComoduleMorphism(v, w, mat)
+    return cm.ComoduleMorphism(v, w, column_dicts(mat))
 
 
 # -- the one permutation of tensor factors -------------------------------------
@@ -172,7 +177,7 @@ def test_swapped_matches_swap_rows(field):
                    [field.of(rng.randint(-3, 3)) if rng.random() < 0.4
                     else 0 for _ in range(rows * cols)])
         assert _dense_columns(field, rows, _swapped(
-            _column_dicts(x), m, a, b, k)) == swap_rows(x, m, a, b, k)
+            column_dicts(x), m, a, b, k)) == swap_rows(x, m, a, b, k)
 
 
 # -- pullbacks, transposes and the forall unit --------------------------------
@@ -208,7 +213,8 @@ def test_pullback_maps_transposes_and_unit_match_the_dense_formulas(field):
             == kron_apply(rec, m, right.basis)
         # the unit of phi^* -| forall on group-like bases
         if ca.grouplike_labels(phi.source) is not None:
-            assert ix._unit_coords(phi, w, pw[1]) == solve(
+            assert as_matrix(field, pw[0].dim, ix._unit_coords(
+                phi, w, pw[1])) == solve(
                 pw[1].basis,
                 kron_apply(w.dim, transpose(phi.matrix), w.rho))
 
@@ -227,7 +233,7 @@ def test_a_hat_off_the_equalizer_fails_on_both_sides(field):
     assert solve(pw[1].basis, Matrix(field, pw[1].ambient, v.dim, kron_apply(
         w.dim, hat_factor(v), ones).data)) is None
     with pytest.raises(AxiomError) as err:
-        ix._batched_hat(v, w.dim, pw, _column_dicts(ones))
+        ix._batched_hat(v, w.dim, pw, column_dicts(ones))
     assert err.value.axiom == "transpose-hat"
 
 
@@ -258,8 +264,8 @@ def test_pullback_square_t_matches_the_dense_formula(field):
         delta, gamma = square.delta, square.gamma
         m = solve(square.cotensor.basis, kron_apply(
             delta.matrix, gamma.matrix, delta.source.delta))
-        assert square.t == m.inverse()
-        assert square._t_cols == _column_dicts(square.t)
+        assert _dense_columns(field, m.rows, square.t) == inverse(m)
+        assert square.t == column_dicts(inverse(m))
 
 
 def dense_beck(square, v):
@@ -275,7 +281,8 @@ def dense_beck(square, v):
                                       square.cotensor))
     coords = solve(dense(chart), step)
     phi = None if coords is None else solve(
-        side2[1].basis, kron_apply(v.dim, square.t, coords))
+        side2[1].basis, kron_apply(v.dim, _dense_columns(
+            f, square.delta.source.dim, square.t), coords))
     psi = solve(side1[1].basis, kron_apply(v.dim, square.delta.matrix,
                                            side2[1].basis))
     return phi, psi
@@ -302,10 +309,7 @@ def test_a_beck_map_off_the_equalizer_fails_on_both_sides(field):
         ca.grouplike_morphism(ca.grouplike_coalgebra(field, ["p", "q"]),
                               g_ab, {"p": "a", "q": "b"}))
     v = cm.graded_comodule(square.alpha.source, [1, 1])
-    n = square.t.rows
-    square.t = Matrix(field, n, n, [int(i == 0) for i in range(n)
-                                    for _ in range(n)])
-    square._t_cols = _column_dicts(square.t)
+    square.t = [{0: 1} for _ in range(square.delta.source.dim)]
     assert dense_beck(square, v)[0] is None
     assert ix.beck_maps(square, v)[:2] == (None, None)
 
@@ -323,8 +327,8 @@ def test_forall_beck_mate_matches_the_dense_formula(field, monkeypatch):
                               ix.pullback_functor(square.alpha, rhs))
         pga = ix.pullback_functor(square.gamma, pa.module)
         d = square.delta.source
-        regroup = square.alpha.source.epsilon.kron(
-            kron_apply(square.delta.matrix, d.dim, d.delta))
+        regroup = kron(square.alpha.source.epsilon,
+                       kron_apply(square.delta.matrix, d.dim, d.delta))
         flat = kron_apply(rhs.dim, regroup, dense(
             ix._pullback_obj(square.gamma, pa, pga).chart))
         r = _dense_columns(field, v.dim, cm.coseparability_retraction(v))
@@ -390,7 +394,7 @@ def test_tensor_isos_and_closedness_match_the_dense_formulas(field,
         hom_mod, hom_sub = cm.internal_hom(v, w)
         p_hom, p_hom_sub = ix.pullback_functor(phi, hom_mod)
         hom_p, hom_p_sub = cm.internal_hom(pv.module, pw.module)
-        gamma = Matrix(f, nc, nc, ca.coseparability_form(phi.source).data)
+        gamma = Matrix(f, nc, nc, form_matrix(phi.source).data)
         pair = transpose(kron_apply(v.dim, gamma, dense(pv.chart)))
         split = swap_rows(kron_apply(hom_sub.basis, phi.source.delta,
                                      p_hom_sub.basis), w.dim, v.dim, nc, nc)

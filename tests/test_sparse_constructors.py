@@ -17,7 +17,6 @@ reject it too.
 """
 
 import random
-import sys
 from fractions import Fraction
 from importlib import resources
 
@@ -28,14 +27,15 @@ from comodcheck import comod as cm
 from comodcheck import dsl, runner
 from comodcheck import indexed as ix
 from comodcheck.errors import AxiomError
-from comodcheck.exactlin import (Matrix, ShapeError, Subspace,
-                                 _column_dicts, _dense_columns)
+from comodcheck._backend import core
+from comodcheck.exactlin import Matrix, ShapeError, Subspace, _dense_columns
 from comodcheck.fields import GF, QQ
 from comodcheck.gen import (random_comodule, random_grouplike,
                             random_invertible, random_setmap_morphism)
 
-from conftest import (count_calls, gx_coalgebra, kron_apply,
-                      largest_subcoalgebra_in, sqrt2_dual, take_rows)
+from conftest import (column_dicts, count_calls, form_matrix, gx_coalgebra,
+                      inverse, kron, kron_apply, largest_subcoalgebra_in,
+                      matmul, sqrt2_dual, take_rows, transpose)
 
 FIELDS = pytest.mark.parametrize("field", [QQ, GF(7), GF(3)],
                                  ids=["Q", "F7", "F3"])
@@ -46,10 +46,12 @@ FIELDS = pytest.mark.parametrize("field", [QQ, GF(7), GF(3)],
 def moved(rng, c):
     """c in a random basis, and the isomorphism from it to c."""
     p = random_invertible(rng, c.field, c.dim)
-    p_inv = p.inverse()
+    dense_p = _dense_columns(c.field, c.dim, p)
+    p_inv = inverse(dense_p)
     d = ca.Coalgebra(c.field, c.dim,
-                     _column_dicts(p_inv.kron(p_inv) @ c.delta @ p),
-                     _column_dicts(c.epsilon @ p))
+                     column_dicts(matmul(kron(p_inv, p_inv), c.delta,
+                                         dense_p)),
+                     column_dicts(matmul(c.epsilon, dense_p)))
     return d, ca.CoalgebraMorphism(d, c, p)
 
 
@@ -99,12 +101,12 @@ def dense_product(c1, c2):
     """delta, eps and the two projections of C1 (x) C2: the middle swap as
     a row reindex of delta1 (x) delta2."""
     f, n1, n2 = c1.field, c1.dim, c2.dim
-    delta = take_rows(c1.delta.kron(c2.delta), [
+    delta = take_rows(kron(c1.delta, c2.delta), [
         ((i1 * n1 + j1) * n2 + i2) * n2 + j2 for i1 in range(n1)
          for i2 in range(n2) for j1 in range(n1) for j2 in range(n2)])
-    return (delta, c1.epsilon.kron(c2.epsilon),
-            Matrix.identity(f, n1).kron(c2.epsilon),
-            c1.epsilon.kron(Matrix.identity(f, n2)))
+    return (delta, kron(c1.epsilon, c2.epsilon),
+            kron(Matrix.identity(f, n1), c2.epsilon),
+            kron(c1.epsilon, Matrix.identity(f, n2)))
 
 
 def dense_sum(c1, c2):
@@ -118,12 +120,12 @@ def dense_subcoalgebra(c, w):
     """(delta_sub, eps_sub) read at the pivot rows, or None when
     (B (x) B) delta_sub != delta B."""
     basis = w.basis
-    target = c.delta @ basis
+    target = matmul(c.delta, basis)
     delta_sub = take_rows(target, [p1 * c.dim + p2 for p1 in w.pivots
                                    for p2 in w.pivots])
     if kron_apply(basis, basis, delta_sub) != target:
         return None
-    return delta_sub, c.epsilon @ basis
+    return delta_sub, matmul(c.epsilon, basis)
 
 
 def dense_trace_form_inverse(c):
@@ -131,16 +133,16 @@ def dense_trace_form_inverse(c):
     delta = c.delta
     t = Matrix(f, n, 1, [f.of(sum(delta[k * n + j, j] for j in range(n)))
                          for k in range(n)])
-    inv = Matrix(f, n, n, (delta @ t).data).inverse()
-    return None if inv is None else Matrix(f, 1, n * n, inv.data)
+    inv = inverse(Matrix(f, n, n, matmul(delta, t).data))
+    # gamma's rows {b: G^-1[a, b]}
+    return None if inv is None else column_dicts(transpose(inv))
 
 
 def dense_retraction(v):
     """r = (id_V (x) gamma)(rho_V (x) id_C)."""
     f, m, n = v.field, v.dim, v.base.dim
-    gamma = ca.coseparability_form(v.base)
-    return Matrix.identity(f, m).kron(gamma) \
-        @ v.rho.kron(Matrix.identity(f, n))
+    return matmul(kron(Matrix.identity(f, m), form_matrix(v.base)),
+                  kron(v.rho, Matrix.identity(f, n)))
 
 
 def dense_dual(v):
@@ -207,9 +209,10 @@ def subspaces(rng, c):
     """The whole space, the span of one basis vector, the largest
     subcoalgebra inside random subspaces, and the random subspaces."""
     f, n = c.field, c.dim
-    out = [Subspace.full(f, n), Subspace(f, n, [{0: 1}])]
+    out = [Subspace(f, n, [{t: 1} for t in range(n)]),
+           Subspace(f, n, [{0: 1}])]
     for k in (1, n - 1):
-        w = Subspace(f, n, _column_dicts(Matrix(
+        w = Subspace(f, n, column_dicts(Matrix(
             f, n, k, [f.of(rng.randint(-2, 2)) for _ in range(n * k)])),
                      _canonical=False)
         out += [w, Subspace(f, n, largest_subcoalgebra_in(c, w)[1].columns)]
@@ -260,13 +263,14 @@ def test_comodule_constructors_match_the_dense_formulas(field):
         assert cm.regular_comodule(c).rho == c.delta
         for d in (0, 1, 3):
             assert cm.cofree_comodule(c, d).rho \
-                == Matrix.identity(f, d).kron(c.delta)
+                == kron(Matrix.identity(f, d), c.delta)
         mods = comodules(rng, c)
         for v in mods:
             assert cm.dual_comodule(v).rho == dense_dual(v)
             s = random_invertible(rng, f, v.dim)
+            dense_s = _dense_columns(f, v.dim, s)
             assert cm.conjugate(v, s).rho \
-                == kron_apply(s, n, v.rho) @ s.inverse()
+                == matmul(kron_apply(dense_s, n, v.rho), inverse(dense_s))
         for v, w in zip(mods, mods[1:]):
             m = v.dim + w.dim
             i1, i2 = injection(f, m, v.dim, 0), injection(f, m, w.dim, v.dim)
@@ -298,14 +302,14 @@ def test_retraction_and_forall_counit_match_the_dense_formulas(field):
                 continue
             want = dense_retraction(v)
             assert _dense_columns(field, v.dim, r) == want
-            assert r == _column_dicts(want)
+            assert r == column_dicts(want)
             checked += 1
     assert checked
     for phi in morphisms(rng, field)[:2]:
         for v in comodules(rng, phi.source):
             pfv = ix.pullback_functor(phi, ix.forall(phi, v))
             assert ix.forall_counit(phi, v, pfv).matrix \
-                == dense_retraction(v) @ pfv[1].basis
+                == matmul(dense_retraction(v), pfv[1].basis)
 
 
 @FIELDS
@@ -367,7 +371,7 @@ def test_equality_agrees_with_dense_equality(field):
         for w in mods:
             assert (v == w) == (v.base == w.base and v.dim == w.dim
                                 and v.rho == w.rho)
-            assert v._rho_cols == _column_dicts(v.rho)
+            assert v._rho_cols == column_dicts(v.rho)
 
 
 def test_a_column_outside_the_map_raises_shape_error():
@@ -390,9 +394,8 @@ def test_a_column_outside_the_map_raises_shape_error():
                          ids=["04_cotensor", "hyperdoctrine-C-2"])
 def test_structure_maps_are_never_read_back_from_a_matrix(monkeypatch, doc):
     # Delta, eps, rho and r_V are built as column dicts: no constructor or
-    # retraction scans a dense matrix into them, and none keeps a Matrix
-    # (a coalgebra's _cosep memo holds gamma, the 1 x n^2 coseparability
-    # form, which is not a structure map)
+    # retraction scans a dense matrix into sparse rows, and none keeps a
+    # Matrix (a coalgebra's _cosep memo holds gamma's rows as dicts too)
     inside, scans, objects = [], [], []
 
     def watch(owner, name, modules=(), scanned=True):
@@ -413,9 +416,9 @@ def test_structure_maps_are_never_read_back_from_a_matrix(monkeypatch, doc):
             monkeypatch.setattr(module, name, wrapper)
 
     def scan(real):
-        def wrapper(m):
+        def wrapper(*args):
             scans.append(list(inside))
-            return real(m)
+            return real(*args)
         return wrapper
 
     for cls in (ca.Coalgebra, cm.Comodule):
@@ -424,11 +427,9 @@ def test_structure_maps_are_never_read_back_from_a_matrix(monkeypatch, doc):
     # restricted coactions are built without __init__; they read the
     # cotensor basis, which is a subspace, not a structure map
     watch(cm, "_restricted_coaction", [ix], scanned=False)
-    for name, module in list(sys.modules.items()):
-        if name.startswith("comodcheck") and \
-                hasattr(module, "_column_dicts"):
-            monkeypatch.setattr(module, "_column_dicts",
-                                scan(module._column_dicts))
+    # the one reader of a dense matrix into sparse rows left in the
+    # package
+    monkeypatch.setattr(core, "_sparse_rows", scan(core._sparse_rows))
     retractions = count_calls(monkeypatch, cm, "_cotensor_idempotent")
     if doc.startswith("hyperdoctrine"):
         text = f"field Q\ncoalg C = grouplike {{a, b}}\ncheck {doc}\n"
@@ -447,7 +448,6 @@ def test_structure_maps_are_never_read_back_from_a_matrix(monkeypatch, doc):
             continue
         for slot in type(obj).__slots__:
             value = getattr(obj, slot, None)
-            if slot != "_cosep":
-                assert not isinstance(value, Matrix), slot
+            assert not isinstance(value, Matrix), slot
             if slot == "_retraction" and value is not None:
                 assert all(isinstance(col, dict) for col in value)

@@ -36,7 +36,7 @@ from comodcheck.fields import GF, QQ
 from comodcheck.gen import (random_comodule, random_graded_dims,
                             random_grouplike, random_invertible)
 
-from conftest import SRC, gx_coalgebra, sqrt2_dual
+from conftest import SRC, form_matrix, gx_coalgebra, matmul, sqrt2_dual
 
 FIELDS = pytest.mark.parametrize("field", [QQ, GF(7), GF(3)],
                                  ids=["Q", "F7", "F3"])
@@ -183,7 +183,7 @@ def test_kernels_from_the_rows_of_a_match_the_dense_kernel(field):
                 sub = cm._cotensor_kernel(v, w)
                 a = cm._cotensor_matrix(v, w)
                 assert sub == a.kernel()
-                assert (a @ sub.basis).is_zero()
+                assert matmul(a, sub.basis).is_zero()
                 assert sub.dim == a.cols - a.rank()
 
 
@@ -218,9 +218,9 @@ def test_subspaces_hold_no_matrix_and_transpose_none(monkeypatch, doc):
 
     for name in ("__init__", "rank", "_echelon"):
         spy(Matrix, name)
-    for name in ("_column_dicts", "_dense_columns", "_mul"):
-        spy(el, name)
-    spy(core, "rref_rows")
+    spy(el, "_dense_columns")
+    for name in ("mul_obj", "mul_mod", "rref_rows"):
+        spy(core, name)
     monkeypatch.setattr(Subspace, "__init__", init)
     real_idempotent = cm._cotensor_idempotent
 
@@ -245,9 +245,59 @@ def test_subspaces_hold_no_matrix_and_transpose_none(monkeypatch, doc):
     assert all(type(col) is dict for e in idempotents for col in e)
 
 
+def guarded_documents():
+    """Every corpus document, ``hyperdoctrine C 2`` and the cotensor of
+    graded comodules (3, 3) and (3, 1) over {a, b}."""
+    corpus = resources.files("comodcheck") / "corpus"
+    docs = [(p.name[:-3], p.read_text())
+            for p in sorted(corpus.iterdir(), key=lambda p: p.name)
+            if p.name.endswith(".cd")]
+    head = "field Q\ncoalg C = grouplike {a, b}\n"
+    return docs + [
+        ("hyperdoctrine-C-2", head + "check hyperdoctrine C 2\n"),
+        ("cotensor-33-31", head + "comod V over C {graded {a: 3, b: 3}}\n"
+         "comod W over C {graded {a: 3, b: 1}}\ncheck cotensor V W\n")]
+
+
+@pytest.mark.parametrize("text", [text for _, text in guarded_documents()],
+                         ids=[name for name, _ in guarded_documents()])
+def test_no_check_runs_a_dense_product_or_reads_a_morphism_matrix(
+        monkeypatch, text):
+    # morphisms are their columns: every composition, inverse pair and
+    # comparison is evaluated from nonzeros, so no check calls the flat
+    # product kernels or builds the dense view of a morphism
+    calls = []
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    def spy_view(cls):
+        real = cls.matrix.fget
+
+        def view(self):
+            calls.append(f"{cls.__name__}.matrix")
+            return real(self)
+        monkeypatch.setattr(cls, "matrix", property(view))
+
+    for name in ("mul_obj", "mul_mod"):
+        spy(core, name)
+    for cls in (ca.CoalgebraMorphism, cm.ComoduleMorphism):
+        spy_view(cls)
+    reps = runner.run(dsl.parse(text))
+    assert reps and all(rep.verdict != "error" for rep in reps)
+    assert calls == []
+
+
 def test_the_benchmark_tracer_still_fits_the_package():
     # perfbench/spans.py wraps the flat kernel names on _backend.core and
-    # every public callable; run it, read-only, on one corpus document
+    # every public callable; run it, read-only, on two corpus documents:
+    # the cotensor builds subspaces, and the injectivity solve without a
+    # coseparability form runs a flat elimination kernel
     script = f"""
 import contextlib, importlib.util, io, json, sys
 sys.path.insert(0, {SRC!r})
@@ -261,9 +311,11 @@ missing = [k for k in spans.KERNELS if not callable(
     getattr(_backend.core, k, None))]
 tracer = spans.Tracer()
 tracer.install()
-doc = resources.files("comodcheck") / "corpus" / "04_cotensor.cd"
-with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["check", str(doc), "--json"])
+code = 0
+for name in ("03_injective.cd", "04_cotensor.cd"):
+    doc = resources.files("comodcheck") / "corpus" / name
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = code or cli.main(["check", str(doc), "--json"])
 print(json.dumps({{"code": code, "missing": missing,
                   "subspaces": tracer.count("exactlin.Subspace.__init__"),
                   "kernels": tracer.count("exactlin.bareiss")
@@ -309,8 +361,7 @@ def retraction_on_every_identity_column(v):
     """r_V = (I_m (x) gamma)(rho_V (x) I_n) applied by ``_kron_cols`` to
     all m*n identity columns."""
     p, n, m = v.field.char, v.base.dim, v.dim
-    gamma = ca.coseparability_form(v.base)
-    forms = [{0: g} if g else {} for g in gamma.data]
+    forms = [{0: g} if g else {} for g in form_matrix(v.base).data]
     return _reduced(_kron_cols(m, forms, 1, _kron_cols(
         v._rho_cols, n, n, [{t: 1} for t in range(m * n)])), p)
 
