@@ -1,12 +1,13 @@
-"""Hot elimination kernels of ``exactlin``, and the dense products.
+"""The elimination kernel of ``exactlin``, and the flat adapters.
 
 The eliminations run on sparse rows, one ``{column: value}`` dict per
-nonzero row (the systems of this domain are mostly zero), and ``rref_rows``
-reduces them over Q or F_p.  ``bareiss_echelon`` and ``rref_mod`` wrap the
-row kernels for the flat row-major lists that ``Matrix`` uses.
-``mul_obj`` and ``mul_mod`` are flat dense products that no module of the
-package calls: the test suite's dense references use them, and the
-benchmark tracer (``perfbench/spans.py``) wraps them by name.
+nonzero row (the systems of this domain are mostly zero), and
+``rref_rows`` reduces them over Q or F_p: it is the one elimination of
+the package.  ``bareiss_echelon`` and ``rref_mod`` wrap the row kernels
+for flat row-major lists, and ``mul_obj`` and ``mul_mod`` are flat dense
+products.  No module of the package calls these four: the test suite's
+dense references do, and the benchmark tracer (``perfbench/spans.py``)
+looks them up by name.
 """
 
 from fractions import Fraction
@@ -179,24 +180,25 @@ def rref_rows(rows, cols, p):
     """Reduced row echelon form ``(rref, pivots)`` of {column: value} rows
     (keys in any order, sums unreduced) over Q (p = 0) or F_p: one row
     per pivot column, with no zero entry.  After the forward pass of the
-    field, one backward pass, last pivot first, scales each pivot row to 1
-    (over Q ``x // piv`` when exact, else a ``Fraction``) and clears its
-    pivot column in the rows above.
+    field, one backward pass takes the rows last first.  A reduced row
+    holds no pivot column but its own, so the pivot columns a row holds
+    are fixed before its reduction starts: it subtracts, for each, that
+    multiple of the reduced row of the column, and is then scaled to 1
+    at its pivot (over Q ``x // piv`` when exact, else a ``Fraction``).
+    So the pass touches only the nonzeros it reaches.
     """
     echelon, pivots = (_forward_mod(rows, cols, p) if p
                        else _bareiss_rows(rows, cols))
+    at = {c: r for r, c in enumerate(pivots)}
     for r in range(len(echelon) - 1, -1, -1):
         c, row = pivots[r], echelon[r]
+        for s, x in [(at[j], x) for j, x in row.items()
+                     if j != c and j in at]:
+            _subtract(row, x, echelon[s].items(), p)
         piv = row[c]
         if piv != 1:
-            row = echelon[r] = {j: x // piv if x % piv == 0
-                                else Fraction(x, piv)
-                                for j, x in row.items()}
-        rest = [(j, y) for j, y in row.items() if j != c]
-        for above in echelon[:r]:
-            x = above.pop(c, 0)
-            if x:
-                _subtract(above, x, rest, p)
+            echelon[r] = {j: x // piv if x % piv == 0 else Fraction(x, piv)
+                          for j, x in row.items()}
     return echelon, pivots
 
 

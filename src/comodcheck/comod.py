@@ -52,7 +52,7 @@ from .errors import AxiomError, BaseMismatchError, UnsupportedBaseError
 from .exactlin import (Chart, Matrix, ShapeError, Subspace, _checked_columns,
                        _dense_columns, _difference, _inverse, _inverse_pair,
                        _invertible, _is_identity, _kron_cols, _null_space,
-                       _reduced, _swapped, _transposed)
+                       _reduced, _solve, _swapped, _transposed)
 
 __all__ = [
     "Comodule", "ComoduleMorphism", "regular_comodule", "cofree_comodule",
@@ -244,12 +244,6 @@ def _cotensor_columns(v: Comodule, w: Comodule):
         for k, x in sub.items():
             col[k] = col.get(k, 0) - x
     return lhs
-
-
-def _cotensor_matrix(v: Comodule, w: Comodule) -> Matrix:
-    """A of ``_cotensor_columns`` as a dense matrix, for a solve."""
-    return _dense_columns(v.field, v.dim * v.base.dim * w.dim,
-                          _cotensor_columns(v, w))
 
 
 def _cotensor_kernel(v: Comodule, w: Comodule) -> Subspace:
@@ -648,22 +642,25 @@ def is_injective(v: Comodule) -> bool:
     (m*n) x (m*n) matrix.
     Either failing is an internal fault and raises ``AxiomError``.
     Without a coseparability form (N, for one) a splitting s is solved for
-    exactly: the cotensor equations of Hom^C(V (x) C, V) together with
-    s rho_V = id.
+    exactly, by one ``_solve`` on columns: the cotensor equations of
+    Hom^C(V (x) C, V) (``_cotensor_columns``) with the rows of
+    s rho_V = id stacked below them.
     """
     r = coseparability_retraction(v)
     if r is None:
         # s in Hom^C(V (x) C, V) = V (x)_C (V (x) C)^vee with s rho_V = id;
-        # the rows of vec(s rho_V) are id_V (x) rho_V^T
+        # the rows of vec(s rho_V) are id_V (x) rho_V^T, stacked below
+        # the top = (m*n)^2 cotensor rows
         m, mn = v.dim, v.dim * v.base.dim
-        ident_v = Matrix.identity(v.field, m)
         dual = dual_comodule(cofree_comodule(v.base, m))
-        system = _cotensor_matrix(v, dual).vstack(_dense_columns(
-            v.field, m * m, _kron_cols(m, _transposed(v._rho_cols, mn), m,
-                                       [{t: 1} for t in range(m * mn)])))
-        rhs = Matrix.zeros(v.field, system.rows - m * m, 1).vstack(
-            Matrix(v.field, m * m, 1, ident_v.data))
-        return system.solve_right(rhs) is not None
+        top = mn * mn
+        system = _cotensor_columns(v, dual)
+        lower = _kron_cols(m, _transposed(v._rho_cols, mn), m,
+                           [{t: 1} for t in range(m * mn)])
+        for col, low in zip(system, lower):
+            col.update({top + k: x for k, x in low.items()})
+        return _solve(v.field.char, top + m * m, system,
+                      [{top + i * m + i: 1 for i in range(m)}]) is not None
     m, n = v.dim, v.base.dim
     ident = [{t: 1} for t in range(m * n)]
     lhs = _kron_cols(r, n, n, _kron_cols(m, v.base._delta_cols, n * n,

@@ -1,14 +1,16 @@
 """Exact linear algebra over Q and F_p.
 
 Matrices are immutable flat row-major arrays of exact scalars (see
-``fields``).  Elimination runs on sparse {column: value} rows in the
-kernel module ``_backend.core``, and a row with a zero in the pivot
-column is left as it is.  Over Q each row is scaled to integers as it is
-read and updated fraction-free, then divided by its content, so entries
-stay as short as the primitive row of each Gauss step; over F_p it is
-Gauss-Jordan with modular inverses.  A ``Subspace`` is its canonical
-basis, the reduced rows of one ``rref_rows`` of a spanning set read as
-rows, and a kernel is read off the reduced rows of its matrix
+``fields``), the dense views of the stored columns.  Every solve, rank,
+kernel and inverse is one ``rref_rows`` of sparse {column: value} rows in
+the kernel module ``_backend.core``, ``Matrix``'s own included, and a row
+with a zero in the pivot column is left as it is.  Over Q each row is
+scaled to integers as it is read and updated fraction-free, then divided
+by its content, so entries stay as short as the primitive row of each
+Gauss step; over F_p it is Gauss-Jordan with modular inverses.  The
+backward pass touches only the nonzeros it reaches.  A ``Subspace`` is
+its canonical basis, the reduced rows of one ``rref_rows`` of a spanning
+set read as rows, and a kernel is read off the reduced rows of its matrix
 (``_null_space``), so neither is ever transposed or stored dense.
 
 Every law that ``coalg`` and ``comod`` certify is an equation between
@@ -32,8 +34,9 @@ Structure maps and morphisms are column dicts, and every constructor
 builds its columns with ``_kron_cols`` and ``_swapped``.  There is no
 solver for unknown matrices: a space of linear maps V -> W is a subspace
 of W (x) V*, so callers describe it either cut out as a kernel (from the
-rows of its matrix, or by ``solve_right``) or spanned by the columns of
-an idempotent, which ``Subspace`` puts in canonical form.
+rows of its matrix, ``_null_space``, or as the columns of a system that
+``_solve`` solves) or spanned by the columns of an idempotent, which
+``Subspace`` puts in canonical form.
 """
 
 from __future__ import annotations
@@ -161,64 +164,39 @@ class Matrix:
 
     # -- elimination -------------------------------------------------------
 
-    def _echelon(self):
-        """Row echelon form with pivot columns.
+    def _rows(self):
+        """The nonzero rows as {column: value} dicts."""
+        return core._sparse_rows(self.data, self.rows, self.cols)
 
-        Over Q the kernel scales each row to integers as it reads it
-        (row spaces and solution sets are unchanged by row scaling) and
-        returns an integer echelon form; over F_p it returns the reduced
-        form.  Pivot columns are the same for every echelon form, and so
-        is the solution with free variables 0 that ``solve_right`` builds
-        from it.
-        """
-        if self.field.char:
-            data, pivots = core.rref_mod(self.data, self.rows, self.cols,
-                                         self.field.char)
-        else:
-            data, pivots = core.bareiss_echelon(self.data, self.rows,
-                                                self.cols)
-        return data, pivots
+    def _columns(self):
+        """Every column as a {row: value} dict."""
+        c = self.cols
+        return [{i: x for i in range(self.rows) if (x := self.data[i * c + j])}
+                for j in range(c)]
 
     def rank(self) -> int:
-        return len(self._echelon()[1])
+        return len(core.rref_rows(self._rows(), self.cols,
+                                  self.field.char)[1])
 
     def rref(self):
         """Fully reduced row echelon form, returned as (Matrix, pivots)."""
-        rows, pivots = core.rref_rows(core._sparse_rows(
-            self.data, self.rows, self.cols), self.cols, self.field.char)
+        rows, pivots = core.rref_rows(self._rows(), self.cols,
+                                      self.field.char)
         return Matrix(self.field, self.rows, self.cols,
                       core._dense(rows, self.rows, self.cols)), pivots
 
     def kernel(self) -> "Subspace":
         """Basis of the null space {x : A x = 0}."""
-        return _null_space(self.field, core._sparse_rows(
-            self.data, self.rows, self.cols), self.cols)
+        return _null_space(self.field, self._rows(), self.cols)
 
     def solve_right(self, b: "Matrix"):
-        """One exact solution X of A X = B, or None if inconsistent."""
+        """One exact solution X of A X = B (``_solve``: free variables 0),
+        or None if inconsistent."""
         self._check_field(b)
         if b.rows != self.rows:
             raise ShapeError("right-hand side row mismatch")
-        aug = self.hstack(b)
-        data, pivots = aug._echelon()
-        ca, w = self.cols, aug.cols
-        if pivots and pivots[-1] >= ca:
-            return None
-        f = self.field
-        out = [0] * (ca * b.cols)
-        for k in range(b.cols):
-            x = [0] * ca
-            for r in range(len(pivots) - 1, -1, -1):
-                pc = pivots[r]
-                rc = r * w
-                s = 0
-                for j in range(pc + 1, ca):
-                    if data[rc + j] and x[j]:
-                        s += data[rc + j] * x[j]
-                x[pc] = f.div(f.sub(data[rc + ca + k], s), data[rc + pc])
-            for i in range(ca):
-                out[i * b.cols + k] = x[i]
-        return Matrix(f, ca, b.cols, out)
+        x = _solve(self.field.char, self.rows, self._columns(), b._columns())
+        return None if x is None else _dense_columns(self.field, self.cols, x)
 
 
 def _kron_cols(a, b, rb: int, columns):

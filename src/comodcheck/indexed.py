@@ -55,9 +55,9 @@ from .comod import (Comodule, ComoduleMorphism, _composite,
                     is_coflat, regular_comodule)
 from .errors import (AxiomError, BaseMismatchError, HypothesisViolatedError,
                      UnsupportedBaseError)
-from .exactlin import (Chart, Matrix, _dense_columns, _difference,
-                       _inverse, _inverse_pair, _is_identity, _kron_cols,
-                       _reduced, _swapped, _transposed)
+from .exactlin import (Chart, _difference, _inverse, _inverse_pair,
+                       _is_identity, _kron_cols, _reduced, _swapped,
+                       _transposed)
 from .report import CheckReport, failure
 
 __all__ = [
@@ -227,22 +227,24 @@ def _in_hom(hom, x, what: str) -> None:
                          f"{what} is not a comodule morphism")
 
 
-def _residual(hom, x, what: str) -> Matrix:
-    """x - basis(hom) for a round trip x ({row: value} columns) of that
-    basis; one that misses must still lie in ``hom`` (``_in_hom``)."""
-    f = hom.field
-    if _difference(x, hom.columns, f.char) is None:
-        return Matrix.zeros(f, hom.ambient, hom.dim)
-    _in_hom(hom, x, what)
-    return _dense_columns(f, hom.ambient, x) - hom.basis
+def _residual(hom, x, what: str):
+    """The ``_difference`` witness (column, row) of a round trip x
+    ({row: value} columns) of the basis of ``hom`` against that basis, or
+    None when they are equal; one that misses must still lie in ``hom``
+    (``_in_hom``)."""
+    witness = _difference(x, hom.columns, hom.field.char)
+    if witness is not None:
+        _in_hom(hom, x, what)
+    return witness
 
 
 class AdjunctionCertificate:
     """Round-trip evidence for Sigma_phi -| phi^* on one pair (V, W).
 
-    Carries the two hom-space dimensions and the two round-trip residuals,
-    tilde(hat(L)) - L and hat(tilde(B)) - B on the hom bases L and B (both
-    zero on success).
+    Carries the two hom-space dimensions and the two round-trip residuals
+    of tilde(hat(L)) = L and hat(tilde(B)) = B on the hom bases L and B:
+    each the ``_difference`` witness (column, row) where the round trip
+    misses its basis, or None (both None on success).
     """
 
     __slots__ = ("dim_sigma_side", "dim_pullback_side", "residuals")
@@ -254,7 +256,7 @@ class AdjunctionCertificate:
 
     @property
     def round_trips_ok(self):
-        return all(r.is_zero() for r in self.residuals)
+        return all(r is None for r in self.residuals)
 
     @property
     def ok(self):

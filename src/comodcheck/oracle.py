@@ -15,7 +15,7 @@ from __future__ import annotations
 from .coalg import Coalgebra, grouplike_labels
 from .comod import Comodule
 from .errors import AxiomError, UnsupportedBaseError
-from .exactlin import Matrix, ShapeError
+from .exactlin import ShapeError, _null_space, _transposed
 
 __all__ = [
     "GradedVectorSpace", "SetMap", "to_graded", "from_graded",
@@ -101,20 +101,23 @@ def to_graded(v: Comodule) -> GradedVectorSpace:
     """Grading of a comodule over a group-like base.
 
     The component at label x is the simultaneous eigenspace
-    {v : rho(v) = v (x) x}; a valid comodule is the direct sum of these,
-    anything else is an internal error.
+    {v : rho(v) = v (x) x}, of dimension that of ``_null_space`` on the
+    sparse rows of rho - (I (x) x); a valid comodule is the direct sum of
+    these, anything else is an internal error.
     """
     labels = grouplike_labels(v.base)
     if labels is None:
         raise UnsupportedBaseError("to_graded needs a group-like base")
-    f, n, m = v.field, v.base.dim, v.dim
-    rho = v.rho
+    n, m = v.base.dim, v.dim
+    rows = _transposed(v._rho_cols, m * n)
     dims = []
     for x in range(n):
-        sx = [0] * (m * n * m)
+        # row i*n + x of I (x) x is e_i
+        shifted = list(rows)
         for i in range(m):
-            sx[(i * n + x) * m + i] = 1
-        dims.append((rho - Matrix(f, m * n, m, sx)).kernel().dim)
+            row = shifted[i * n + x] = dict(rows[i * n + x])
+            row[i] = row.get(i, 0) - 1
+        dims.append(_null_space(v.field, shifted, m).dim)
     if sum(dims) != m:
         raise AxiomError("grading",
                          "coaction is not diagonalizable over the labels")

@@ -333,7 +333,7 @@ _EXECUTORS = {
 # -- operation coverage registry ------------------------------------------------
 
 OPERATION_INVENTORY = (
-    "exactlin.Matrix.kernel", "exactlin._kron_cols",
+    "exactlin._null_space", "exactlin._kron_cols",
     "coalg.trivial_coalgebra", "coalg.grouplike_coalgebra",
     "coalg.direct_sum", "coalg.product", "coalg.pairing", "coalg.pullback",
     "coalg.coseparability_form", "coalg.is_cosemisimple",
@@ -363,10 +363,10 @@ CHECK_OPERATIONS = {
     "injective": {"comod.is_injective", "comod.cofree_comodule",
                   "coalg.coseparability_form", "dsl.parse", "runner.run"},
     "cotensor": {"comod.cotensor", "comod.coherence",
-                 "comod.regular_comodule", "exactlin.Matrix.kernel",
+                 "comod.regular_comodule", "exactlin._null_space",
                  "exactlin._kron_cols", "oracle.to_graded",
                  "oracle.graded_cotensor", "dsl.parse", "runner.run"},
-    "hom": {"comod.hom_space", "exactlin.Matrix.kernel", "oracle.to_graded",
+    "hom": {"comod.hom_space", "exactlin._null_space", "oracle.to_graded",
             "dsl.parse", "runner.run"},
     "adjunction": {"indexed.sigma", "indexed.pullback_functor",
                    "indexed.transpose_hat", "indexed.transpose_tilde",

@@ -14,7 +14,7 @@ import pytest
 
 from comodcheck._backend import core
 from comodcheck.coalg import Coalgebra, _subcoalgebra, coseparability_form
-from comodcheck.comod import ComoduleMorphism, hom_space
+from comodcheck.comod import ComoduleMorphism, _cotensor_columns, hom_space
 from comodcheck.exactlin import Matrix, ShapeError, Subspace, _dense_columns
 from comodcheck.fields import QQ
 
@@ -99,6 +99,13 @@ def inverse(m):
     ident = Matrix.identity(m.field, m.rows)
     inv = m.solve_right(ident)
     return inv if inv is not None and matmul(inv, m) == ident else None
+
+
+def cotensor_matrix(v, w):
+    """The cotensor equations A of ``comod._cotensor_columns`` as a dense
+    matrix, whose kernel is V (x)_C W: a test-only reference."""
+    return _dense_columns(v.field, v.dim * v.base.dim * w.dim,
+                          _cotensor_columns(v, w))
 
 
 def swap_matrix(field, m, n):

@@ -4,9 +4,9 @@ certificates evaluated from nonzeros.
 Over a base with a coseparability form, ``comod._cotensor_kernel`` returns
 the image of e = (r_V (x) id)(id (x) tau rho_W), certified by r_V rho_V =
 id and A B = 0.  Each test compares it with the independent reference, the
-elimination ``_cotensor_matrix(v, w).kernel()``, or plants a fault that one
-of the two equations must catch.  Without a form the kernel is that
-elimination, certified by the same A B = 0.
+elimination ``cotensor_matrix(v, w).kernel()`` of the dense A, or plants a
+fault that one of the two equations must catch.  Without a form the kernel
+is that elimination, certified by the same A B = 0.
 
 ``_annihilated`` (A B = 0) and ``_restricted_coaction`` evaluate their
 equations column by column from the nonzeros of B and of the coactions.
@@ -32,14 +32,15 @@ from comodcheck.fields import GF, QQ
 from comodcheck.gen import (random_coalgebra, random_comodule,
                             random_invertible, random_setmap_morphism)
 
-from conftest import (column_dicts, count_calls, gx_coalgebra, kron_apply,
-                      matmul, sqrt2_dual, take_rows, transpose)
+from conftest import (column_dicts, cotensor_matrix, count_calls,
+                      gx_coalgebra, kron, kron_apply, matmul, sqrt2_dual,
+                      take_rows, transpose)
 
 FIELDS = [QQ, GF(7), GF(3)]
 
 
 def reference(v, w):
-    return cm._cotensor_matrix(v, w).kernel()
+    return cotensor_matrix(v, w).kernel()
 
 
 def assert_matches_reference(v, w):
@@ -341,9 +342,8 @@ def test_the_retraction_is_built_once_per_comodule():
 def test_hyperdoctrine_two_runs_no_tall_elimination(monkeypatch):
     # every base is group-like: each kernel is one elimination of at most
     # m_V m_W columns of the idempotent, and the cotensor matrix A is never
-    # built, neither dense nor as rows
-    matrices = [count_calls(monkeypatch, cm, "_cotensor_matrix"),
-                count_calls(monkeypatch, cm, "_cotensor_columns")]
+    # built
+    matrices = count_calls(monkeypatch, cm, "_cotensor_columns")
     sides, shapes = [], []
     real_kernel, real_rref = cm._cotensor_kernel, core.rref_rows
 
@@ -365,7 +365,7 @@ def test_hyperdoctrine_two_runs_no_tall_elimination(monkeypatch):
     doc = dsl.parse("field Q\ncoalg C = grouplike {a, b}\n"
                     "check hyperdoctrine C 2\n")
     assert [rep.verdict for rep in runner.run(doc)] == ["pass"]
-    assert matrices == [[], []]
+    assert matrices == []
     assert shapes
     assert all(rows <= cols == side for rows, cols, side in shapes)
 
@@ -382,10 +382,60 @@ def test_injective_over_a_base_without_a_form_builds_the_matrix(monkeypatch):
                     "coalg KN = sum(K, N)\n"
                     f"comod R over KN {{dim 4 rho=[{rho}]}}\n"
                     "check injective R\n")
-    matrices = count_calls(monkeypatch, cm, "_cotensor_matrix")
+    matrices = count_calls(monkeypatch, cm, "_cotensor_columns")
     reps = runner.run(doc)
     assert [(rep.verdict, rep.value) for rep in reps] == [("pass", True)]
     assert len(matrices) == 1
+
+
+def dense_splitting_system(v):
+    """The splitting system of ``is_injective`` without a coseparability
+    form, built dense: the cotensor equations of Hom^C(V (x) C, V) stacked
+    on the rows id_V (x) rho_V^T of s rho_V = id, and the right side 0
+    stacked on vec(id_V)."""
+    f, m = v.field, v.dim
+    dual = cm.dual_comodule(cm.cofree_comodule(v.base, m))
+    ident = Matrix.identity(f, m)
+    system = cotensor_matrix(v, dual).vstack(kron(ident, transpose(v.rho)))
+    rhs = Matrix.zeros(f, system.rows - m * m, 1).vstack(
+        Matrix(f, m * m, 1, ident.data))
+    return system, rhs
+
+
+def sympy_rank(m):
+    """The rank of a dense matrix by sympy."""
+    from sympy.polys.domains import GF as SymGF, QQ as SymQQ
+    from sympy.polys.matrices import DomainMatrix
+
+    dom = SymGF(m.field.char) if m.field.char else SymQQ
+    return DomainMatrix([[dom.convert(m[i, j]) for j in range(m.cols)]
+                         for i in range(m.rows)], (m.rows, m.cols),
+                        dom).rank()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=repr)
+def test_injectivity_without_a_form_matches_the_dense_solve(field):
+    # the splitting s is solved for on columns; the dense system gives the
+    # same verdict on the regular comodules of N and sum(K, N), their
+    # doubles, each in a random basis, and the non-injective S over N: a
+    # solution by Matrix.solve_right, checked by a dense product, or none,
+    # confirmed by sympy's ranks
+    pytest.importorskip("sympy")
+    rng = random.Random(f"splitting {field.char}")
+    n = gx_coalgebra(field)
+    cases = [(v, True) for base in (n, ca.direct_sum(sqrt2_dual(field), n))
+             for v in regular_sums(rng, base)]
+    cases.append((cm.Comodule(n, 1, [{0: 1}]), False))
+    for v, injective in cases:
+        assert cm.coseparability_retraction(v) is None
+        system, rhs = dense_splitting_system(v)
+        sol = system.solve_right(rhs)
+        if injective:
+            assert sol is not None and matmul(system, sol) == rhs
+        else:
+            assert sol is None
+            assert sympy_rank(system) < sympy_rank(system.hstack(rhs))
+        assert cm.is_injective(v) == injective
 
 
 CERTIFIED = {"_annihilated", "_restricted_coaction",

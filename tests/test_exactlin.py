@@ -512,6 +512,50 @@ def test_rank_rref_kernel_match_sympy(field):
             assert transpose(ker.basis).data == from_sympy(null_rref, p)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(3)],
+                         ids=["Q", "F7", "F3"])
+def test_rref_rows_clears_dense_fill_above_the_pivots(field):
+    # rows mixed from an echelon form that is dense past each pivot: the
+    # forward pass leaves rows that hold several later pivot columns, so
+    # the backward pass subtracts several reduced rows from each; the
+    # result is sympy's rref
+    pytest.importorskip("sympy")
+    p = field.char
+    rng = random.Random(f"dense fill {p}")
+    unit = (1, 2, -1, -2)
+    held = 0
+    for rank, cols in ((5, 5), (7, 11), (10, 16), (12, 12)):
+        pivots = sorted(rng.sample(range(cols), rank))
+        upper = [{c: field.of(rng.choice(unit)),
+                  **{j: field.of(rng.choice(unit + (3, -5)))
+                     for j in range(c + 1, cols)}} for c in pivots]
+        rows = []
+        for _ in range(rank + 2):
+            row = {}
+            for u in rng.sample(upper, rng.randint(1, rank)):
+                x = rng.choice(unit)
+                for j, y in u.items():
+                    row[j] = row.get(j, 0) + x * y
+            rows.append(row)
+        rows += upper[::-1]
+        echelon, forward = (_core_py._forward_mod(rows, cols, p) if p
+                            else _core_py._bareiss_rows(rows, cols))
+        at = set(forward)
+        held = max(held, *(len(at.intersection(row)) - 1
+                           for row in echelon))
+        reduced, got = _core_py.rref_rows(rows, cols, p)
+        m = Matrix(field, len(rows), cols, [field.of(row.get(j, 0))
+                                            for row in rows
+                                            for j in range(cols)])
+        ref_rref, ref_pivots = to_sympy(m).rref()
+        assert got == list(ref_pivots) == pivots
+        assert _core_py._dense(reduced, len(rows), cols) \
+            == from_sympy(ref_rref, p)
+        assert all(x and (not p or 0 < x < p)
+                   for row in reduced for x in row.values())
+    assert held >= 4
+
+
 def gauss_jordan(m):
     """Reduced row echelon form and pivots by naive dense Gauss-Jordan in
     the field's own arithmetic: Fractions over Q, inverses mod p."""

@@ -5,9 +5,10 @@ import pytest
 from comodcheck import coalg as ca
 from comodcheck import comod as cm
 from comodcheck import oracle as orc
-from comodcheck.errors import UnsupportedBaseError
-from comodcheck.fields import QQ
-from comodcheck.gen import random_comodule
+from comodcheck.errors import AxiomError, UnsupportedBaseError
+from comodcheck.exactlin import Matrix
+from comodcheck.fields import GF, QQ
+from comodcheck.gen import random_coalgebra, random_comodule
 
 from conftest import find_isomorphism, sqrt2_dual
 
@@ -28,6 +29,44 @@ def test_to_graded_examples(g2):
 def test_to_graded_requires_grouplike():
     with pytest.raises(UnsupportedBaseError):
         orc.to_graded(cm.regular_comodule(sqrt2_dual()))
+
+
+def dense_graded_dims(v):
+    """Each eigenspace dimension as the kernel of the dense rho - S_x,
+    S_x = I (x) x: a test-only reference for ``to_graded``."""
+    f, n, m = v.field, v.base.dim, v.dim
+    dims = []
+    for x in range(n):
+        sx = [0] * (m * n * m)
+        for i in range(m):
+            sx[(i * n + x) * m + i] = 1
+        dims.append((v.rho - Matrix(f, m * n, m, sx)).kernel().dim)
+    return dims
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(3)],
+                         ids=["Q", "F7", "F3"])
+def test_to_graded_matches_the_dense_eigenspaces(field):
+    rng = random.Random(f"eigenspaces {field.char}")
+    for _ in range(12):
+        base = random_coalgebra(rng, field, max_labels=4)
+        v = random_comodule(rng, base, max_dim=3, conjugated=True)
+        assert list(orc.to_graded(v).dims) == dense_graded_dims(v)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(3)],
+                         ids=["Q", "F7", "F3"])
+def test_to_graded_rejects_a_planted_coaction_with_too_few_eigenvectors(
+        field):
+    # rho e_0 = e_0 (x) a, rho e_1 = (e_0 + e_1) (x) b is not coassociative;
+    # its eigenspaces are <e_0> at a and 0 at b, which do not add up to V
+    c = ca.grouplike_coalgebra(field, ["a", "b"])
+    v = cm.graded_comodule(c, [1, 1])
+    v._rho_cols = [{0: 1}, {1: 1, 3: 1}]
+    assert dense_graded_dims(v) == [1, 0]
+    with pytest.raises(AxiomError) as err:
+        orc.to_graded(v)
+    assert err.value.axiom == "grading"
 
 
 def test_round_trip_up_to_isomorphism(g2):

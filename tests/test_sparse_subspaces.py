@@ -6,7 +6,7 @@ canonical basis, with no transpose and no dense copy; a kernel is read off
 the reduced rows of its matrix, and a cotensor kernel without a
 coseparability form off the rows of A, transposed from its columns.  Each
 is compared here with an independent reference: sympy's rref, the dense
-``_cotensor_matrix(v, w).kernel()``, and equal subspaces spanned in other
+``cotensor_matrix(v, w).kernel()``, and equal subspaces spanned in other
 orders and scalings.  The guards check what runs: no ``Subspace`` holds a
 ``Matrix``, and building one transposes, slices or scans no matrix.
 
@@ -36,7 +36,8 @@ from comodcheck.fields import GF, QQ
 from comodcheck.gen import (random_comodule, random_graded_dims,
                             random_grouplike, random_invertible)
 
-from conftest import SRC, form_matrix, gx_coalgebra, matmul, sqrt2_dual
+from conftest import (SRC, cotensor_matrix, form_matrix, gx_coalgebra,
+                      matmul, sqrt2_dual)
 
 FIELDS = pytest.mark.parametrize("field", [QQ, GF(7), GF(3)],
                                  ids=["Q", "F7", "F3"])
@@ -181,7 +182,7 @@ def test_kernels_from_the_rows_of_a_match_the_dense_kernel(field):
             assert cm.coseparability_retraction(v) is None
             for w in comods[::2]:
                 sub = cm._cotensor_kernel(v, w)
-                a = cm._cotensor_matrix(v, w)
+                a = cotensor_matrix(v, w)
                 assert sub == a.kernel()
                 assert matmul(a, sub.basis).is_zero()
                 assert sub.dim == a.cols - a.rank()
@@ -216,7 +217,7 @@ def test_subspaces_hold_no_matrix_and_transpose_none(monkeypatch, doc):
             return real(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapper)
 
-    for name in ("__init__", "rank", "_echelon"):
+    for name in ("__init__", "rank"):
         spy(Matrix, name)
     spy(el, "_dense_columns")
     for name in ("mul_obj", "mul_mod", "rref_rows"):
@@ -264,8 +265,10 @@ def guarded_documents():
 def test_no_check_runs_a_dense_product_or_reads_a_morphism_matrix(
         monkeypatch, text):
     # morphisms are their columns: every composition, inverse pair and
-    # comparison is evaluated from nonzeros, so no check calls the flat
-    # product kernels or builds the dense view of a morphism
+    # comparison is evaluated from nonzeros, and every solve, rank and
+    # kernel is one rref_rows of sparse rows, so no check calls the flat
+    # product or elimination kernels, eliminates or subtracts a dense
+    # Matrix or builds the dense view of a morphism
     calls = []
 
     def spy(owner, name):
@@ -284,8 +287,10 @@ def test_no_check_runs_a_dense_product_or_reads_a_morphism_matrix(
             return real(self)
         monkeypatch.setattr(cls, "matrix", property(view))
 
-    for name in ("mul_obj", "mul_mod"):
+    for name in ("mul_obj", "mul_mod", "bareiss_echelon", "rref_mod"):
         spy(core, name)
+    for name in ("rank", "rref", "kernel", "solve_right", "__sub__"):
+        spy(Matrix, name)
     for cls in (ca.CoalgebraMorphism, cm.ComoduleMorphism):
         spy_view(cls)
     reps = runner.run(dsl.parse(text))
@@ -297,7 +302,7 @@ def test_the_benchmark_tracer_still_fits_the_package():
     # perfbench/spans.py wraps the flat kernel names on _backend.core and
     # every public callable; run it, read-only, on two corpus documents:
     # the cotensor builds subspaces, and the injectivity solve without a
-    # coseparability form runs a flat elimination kernel
+    # coseparability form is one rref_rows, so no flat kernel runs
     script = f"""
 import contextlib, importlib.util, io, json, sys
 sys.path.insert(0, {SRC!r})
@@ -326,7 +331,7 @@ print(json.dumps({{"code": code, "missing": missing,
     assert out.returncode == 0, out.stderr
     got = json.loads(out.stdout.strip().splitlines()[-1])
     assert got["code"] == 0 and got["missing"] == []
-    assert got["subspaces"] > 0 and got["kernels"] > 0
+    assert got["subspaces"] > 0 and got["kernels"] == 0
 
 
 # -- the loops the sparse builds replaced -------------------------------------
