@@ -19,11 +19,11 @@ product of cocommutative coalgebras lives on the tensor product with
 comultiplication (id (x) swap (x) id)(delta1 (x) delta2), and the pullback
 of D1 -> C <- D2 is the cotensor D1 (x)_C D2 inside it, one kernel (dual to
 the pushout A1 (x)_B A2 of the commutative dual algebras).  A
-coseparability form gamma: C (x) C -> k (``coseparability_form``) is built
-directly on a group-like basis and is the inverse of the trace form of C*
-on any other, and is kept as its rows; it exists exactly when C is
-cosemisimple, which decides cosemisimplicity over Q and lets
-``comod.is_injective`` certify injectivity with an explicit retraction.
+coseparability form gamma: C (x) C -> k (``coseparability_form``), [g = h]
+on a group-like basis and the inverse trace form of C* on any other, is
+kept as its rows once its two laws hold exactly.  It exists iff C is
+cosemisimple, which decides cosemisimplicity over Q, and it certifies the
+injectivity of every comodule over C (``comod.is_injective``).
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ class Coalgebra:
     zero, and the dense triple products would be cubic in the dimension).
     ``delta`` and ``epsilon`` are dense views built on each read.
     ``_cosep`` holds the coseparability form once ``coseparability_form``
-    has decided it, so each coalgebra object computes it at most once.
+    has decided and certified it, so each object does so at most once.
     """
 
     __slots__ = ("field", "dim", "labels", "_delta_cols", "_eps_cols",
@@ -401,19 +401,37 @@ def coseparability_form(c: Coalgebra):
     """A coseparability form gamma: C (x) C -> k as its n rows
     {c: gamma(e_d (x) e_c)} for d < n, reduced, or None when C has none.
 
-    gamma satisfies gamma delta = eps and
-    (id (x) gamma)(delta (x) id) = (gamma (x) id)(id (x) delta) (Larson,
-    "Coseparable Hopf algebras"; Doi, "Homological coalgebra").  It exists
-    iff the dual algebra is separable; C is cocommutative and Q and F_p are
-    perfect, so iff C is cosemisimple.  A group-like basis has
-    gamma(g (x) h) = [g = h]; any other basis takes the inverse of the
-    trace form (``_inverse_trace_form``).  The answer is kept on the
-    coalgebra object.
+    gamma delta = eps and gamma is bicolinear (Larson, "Coseparable Hopf
+    algebras"; Doi, "Homological coalgebra").  It exists iff the dual
+    algebra is separable, so (C cocommutative, Q and F_p perfect) iff C is
+    cosemisimple.  A group-like basis has gamma(g (x) h) = [g = h], whose
+    laws the exact ``is_grouplike`` test gives; any other takes the inverse
+    trace form, certified by ``_certified_form`` once per object.
     """
     if c._cosep is _UNDECIDED:
         c._cosep = ([{d: 1} for d in range(c.dim)] if c.is_grouplike()
-                    else _inverse_trace_form(c))
+                    else _certified_form(c, _inverse_trace_form(c)))
     return c._cosep
+
+
+def _certified_form(c: Coalgebra, gamma):
+    """gamma's rows, or None, once gamma delta = eps and bicolinearity hold
+    exactly on the n^2 columns of C (x) C (``_kron_cols``, ``_difference``);
+    else ``AxiomError("coseparability-form")``."""
+    if gamma is None:
+        return None
+    n, p, dcols = c.dim, c.field.char, c._delta_cols
+    # gamma as the n^2 columns of a 1 x n^2 row
+    g = [{0: row[e]} if e in row else {} for row in gamma for e in range(n)]
+    ident = [{t: 1} for t in range(n * n)]
+    bad = (_difference(_kron_cols(g, 1, 1, dcols), c._eps_cols, p)
+           or _difference(_kron_cols(n, g, 1, _kron_cols(dcols, n, n, ident)),
+                          _kron_cols(g, n, n, _kron_cols(n, dcols, n * n,
+                                                         ident)), p))
+    if bad:
+        raise AxiomError("coseparability-form", "gamma delta != eps or "
+                         "gamma is not bicolinear", witness=bad)
+    return gamma
 
 
 def _inverse_trace_form(c: Coalgebra):
@@ -422,14 +440,11 @@ def _inverse_trace_form(c: Coalgebra):
 
     C* is commutative (multiplication delta^T, unit eps^T), so over a
     perfect field it is semisimple iff G[i, j] = tr(L_{e_i* e_j*}) is
-    nondegenerate.  For a semisimple C* the Casimir element
-    sum_i e_i* (x) G^-1 e_i* of G is a separability idempotent: it
-    commutes with C* and multiplies out to 1, since on every simple factor
-    (a separable field extension) G is the field trace.  As a form on
-    C (x) C that element is G^-1.  With t[k] = tr(L_{e_k*}) =
-    sum_j delta[k*n + j, j], G read row by row is delta t.  G is symmetric
-    (C* is commutative), so its columns are its rows and so are G^-1's:
-    ``_inverse`` of the columns of G gives the rows of gamma.
+    nondegenerate, and then G^-1 is the Casimir element of G, a
+    separability idempotent (on each simple factor G is the field trace).
+    With t[k] = tr(L_{e_k*}) = sum_j delta[k*n + j, j], G read row by row
+    is delta t; G is symmetric, so ``_inverse`` of its columns gives the
+    rows of gamma.
     """
     n, dcols = c.dim, c._delta_cols
     t = {k: x for k in range(n)

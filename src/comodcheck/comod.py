@@ -27,19 +27,17 @@ is read off ``_cotensor_kernel``: the image of an idempotent built from
 the retraction r_V over a base with a coseparability form gamma, else the
 kernel of one matrix A, read off its sparse rows; A B = 0 certifies the
 basis B on both paths (for a hom space, the intertwining equation of every
-basis map).  Injectivity is decided by a splitting: rho_V embeds V into the
-cofree comodule V (x) C, which is injective, so V is injective iff that
-embedding splits.  Over a base with gamma the splitting is r_V, checked by
-two exact equations; otherwise a splitting is solved for in
-Hom^C(V (x) C, V).  Coflatness agrees with injectivity at finite dimension.
+basis map).  V is injective iff rho_V: V -> V (x) C splits.  Over a base
+with gamma every V is, by gamma's laws, certified once per coalgebra;
+otherwise a splitting is solved for in Hom^C(V (x) C, V).  Coflatness
+agrees with injectivity at finite dimension.
 
 Every certificate here (the comodule and morphism laws, A B = 0, the
 restriction equation (B (x) I_n) rho = (id (x) rho_W) B of a cotensor's
-coaction, r rho = id and the splitting equation of ``is_injective``) is
-evaluated by ``exactlin._kron_cols`` from the column dicts of its factors
-(``_rho_cols``, ``_delta_cols``, ``Subspace.columns``), in the
-sparse-column style of Gustavson (1978), and compared by
-``exactlin._difference``; none multiplies two matrices.
+coaction and r rho = id) is evaluated by ``exactlin._kron_cols`` from the
+column dicts of its factors (``_rho_cols``, ``_delta_cols``,
+``Subspace.columns``), in the sparse-column style of Gustavson (1978), and
+compared by ``exactlin._difference``; none multiplies two matrices.
 
 The internal hom is that cotensor on every base: [V, W] = W (x)_C V^vee,
 whose underlying space is Hom^C(V, W).
@@ -597,16 +595,13 @@ def coherence(u: Comodule, v: Comodule, w: Comodule, x: Comodule):
 # -- injectivity --------------------------------------------------------------
 
 def coseparability_retraction(v: Comodule):
-    """r = (id_V (x) gamma)(rho_V (x) id_C): V (x) C -> V for the
-    coseparability form gamma of the base (``coalg.coseparability_form``),
-    or None when the base has none.  Over a group-like base
-    r(v (x) x) = pi_x v, the projection onto the component of x.
+    """r = (id_V (x) gamma)(rho_V (x) id_C): V (x) C -> V for the base's
+    coseparability form gamma, or None when it has none; over a group-like
+    base r(v (x) x) = pi_x v, the projection onto the component of x.
 
-    r_V is returned as its m*n reduced {row: value} columns, built from
-    the nonzeros of rho_V and of gamma's rows,
-    r[a2, a*n + c] = sum_d rho[a2*n + d, a] gamma(e_d (x) e_c), kept on v
-    once r rho_V = id is checked from nonzeros; a failure raises
-    ``AxiomError``.
+    Its m*n reduced columns, r[a2, a*n + c] = sum_d rho[a2*n + d, a]
+    gamma(e_d (x) e_c), are kept on v once r rho_V = id holds (else
+    ``AxiomError``): ``_cotensor_kernel``'s ker A in im e rests on it.
     """
     gamma = coseparability_form(v.base)
     if gamma is None:
@@ -621,8 +616,7 @@ def coseparability_retraction(v: Comodule):
                     out = rcols[a * n + c]
                     out[a2] = out.get(a2, 0) + x * y
         rcols = _reduced(rcols, p)
-        if _difference(_kron_cols(rcols, 1, 1, v._rho_cols),
-                       [{j: 1} for j in range(m)], p) is not None:
+        if not _is_identity(_kron_cols(rcols, 1, 1, v._rho_cols), p):
             raise AxiomError("coseparability",
                              "r rho != id for r = (id x gamma)(rho x id)")
         v._retraction = rcols
@@ -630,46 +624,36 @@ def coseparability_retraction(v: Comodule):
 
 
 def is_injective(v: Comodule) -> bool:
-    """Decide injectivity: rho_V embeds V into the cofree comodule V (x) C,
-    which is injective, so V is injective iff that embedding splits.
+    """Decide injectivity: V is injective iff rho_V, its embedding into the
+    cofree (so injective) comodule V (x) C, splits.
 
-    When the base has a coseparability form, the retraction r of
-    ``coseparability_retraction`` is a splitting, certified by two exact
-    equations: r rho_V = id (checked when r is built) and
-    (r (x) id)(id_V (x) delta) = rho_V r.  The second is compared from
-    the nonzeros of r, delta and rho_V, the left side as r (x) I_n applied
-    to the columns of I_m (x) delta; neither side is built as an
-    (m*n) x (m*n) matrix.
-    Either failing is an internal fault and raises ``AxiomError``.
-    Without a coseparability form (N, for one) a splitting s is solved for
-    exactly, by one ``_solve`` on columns: the cotensor equations of
-    Hom^C(V (x) C, V) (``_cotensor_columns``) with the rows of
-    s rho_V = id stacked below them.
+    Over a base with a form gamma (``coalg.coseparability_form``, whose
+    laws are certified once per coalgebra) every V is (Doi, "Homological
+    coalgebra"), split by r = (id_V (x) gamma)(rho_V (x) id_C).  In Sweedler
+    notation, coassociativity of rho_V and gamma's bicolinearity give
+    (r (x) id)(id_V (x) delta)(v (x) c) = v_0 (x) gamma(v_1, c_1) c_2
+    = v_0 (x) v_1 gamma(v_2, c) = rho_V r(v (x) c), and with gamma delta =
+    eps, r rho_V(v) = v_0 gamma(v_1, v_2) = v.  So the answer is True with
+    no per-comodule equation: V's axioms are checked when V is built.  Without
+    a form (N, for one) a splitting s is solved for exactly, by one
+    ``_solve`` on columns: the cotensor equations of Hom^C(V (x) C, V)
+    (``_cotensor_columns``) with the rows of s rho_V = id below them.
     """
-    r = coseparability_retraction(v)
-    if r is None:
-        # s in Hom^C(V (x) C, V) = V (x)_C (V (x) C)^vee with s rho_V = id;
-        # the rows of vec(s rho_V) are id_V (x) rho_V^T, stacked below
-        # the top = (m*n)^2 cotensor rows
-        m, mn = v.dim, v.dim * v.base.dim
-        dual = dual_comodule(cofree_comodule(v.base, m))
-        top = mn * mn
-        system = _cotensor_columns(v, dual)
-        lower = _kron_cols(m, _transposed(v._rho_cols, mn), m,
-                           [{t: 1} for t in range(m * mn)])
-        for col, low in zip(system, lower):
-            col.update({top + k: x for k, x in low.items()})
-        return _solve(v.field.char, top + m * m, system,
-                      [{top + i * m + i: 1 for i in range(m)}]) is not None
-    m, n = v.dim, v.base.dim
-    ident = [{t: 1} for t in range(m * n)]
-    lhs = _kron_cols(r, n, n, _kron_cols(m, v.base._delta_cols, n * n,
-                                         ident))
-    if _difference(lhs, _kron_cols(v._rho_cols, 1, 1, r),
-                   v.field.char) is not None:
-        raise AxiomError("coseparability", "(r x id)(id x delta) != rho r: "
-                         "r is not a comodule map")
-    return True
+    if coseparability_form(v.base) is not None:
+        return True
+    # s in Hom^C(V (x) C, V) = V (x)_C (V (x) C)^vee with s rho_V = id;
+    # the rows of vec(s rho_V) are id_V (x) rho_V^T, stacked below the
+    # top = (m*n)^2 cotensor rows
+    m, mn = v.dim, v.dim * v.base.dim
+    dual = dual_comodule(cofree_comodule(v.base, m))
+    top = mn * mn
+    system = _cotensor_columns(v, dual)
+    lower = _kron_cols(m, _transposed(v._rho_cols, mn), m,
+                       [{t: 1} for t in range(m * mn)])
+    for col, low in zip(system, lower):
+        col.update({top + k: x for k, x in low.items()})
+    return _solve(v.field.char, top + m * m, system,
+                  [{top + i * m + i: 1 for i in range(m)}]) is not None
 
 
 def is_coflat(v: Comodule) -> bool:

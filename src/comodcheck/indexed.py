@@ -15,17 +15,17 @@ For group-like bases phi^* also has a right adjoint "forall".  There a
 fiber's product of components is their sum, so forall_phi is Sigma_phi,
 and the adjunction phi^* -| forall_phi is carried by two explicit maps:
 the unit eta_W = (id_W (x) phi^T) rho_W, w -> sum_x pi_phi(x) w (x) x,
-and the counit eps_V, the coseparability retraction
-r_V = (id_V (x) gamma_D)(rho_V (x) id_D) of ``comod.is_injective``
-restricted to phi^* Sigma_phi V.  forall is guarded by the coflatness
-hypothesis on U(phi), decided once per morphism object, on first use, and
-kept on the morphism (``u_coflat``); callers that share one morphism
-object therefore share the decision.  When the base is coseparable, as
-every power of a group-like base is, the decision is the retraction
-certificate of ``comod.is_injective``; otherwise it is an exact splitting
-solve.  Since forall_phi = Sigma_phi there, ``adjoint_triple_identities``
-certifies the triangle identities of both adjunctions of
-Sigma_phi -| phi^* -| forall_phi from three pullbacks, each built once.
+and the counit eps_V, the retraction r_V = (id_V (x) gamma_D)(rho_V (x) id_D)
+(``comod.coseparability_retraction``) restricted to phi^* Sigma_phi V.
+forall is guarded by the coflatness hypothesis on U(phi), decided once per
+morphism object, on first use, and kept on the morphism (``u_coflat``);
+callers that share one morphism object therefore share the decision.  When
+the base is coseparable, as every power of a group-like base is, the
+decision is its form's certificate (``coalg.coseparability_form``), checked
+once per coalgebra; otherwise it is an exact splitting solve.  Since
+forall_phi = Sigma_phi there, ``adjoint_triple_identities`` certifies the
+triangle identities of both adjunctions of Sigma_phi -| phi^* -| forall_phi
+from three pullbacks, each built once.
 
 The law checks verify, per instance and in exact arithmetic, the canonical
 isomorphisms of the calculus: Beck-Chevalley along pullback squares for

@@ -140,6 +140,21 @@ def form_matrix(c):
                                       for e in range(n)])
 
 
+def retraction_splits(v):
+    """The per-comodule splitting certificate that ``comod.is_injective``
+    no longer evaluates, as dense products: True when
+    r = (id (x) gamma)(rho (x) id) has r rho = id and
+    (r (x) id)(id (x) delta) = rho r.  A test-only reference, for a
+    comodule whose base has a coseparability form."""
+    f, m, n = v.field, v.dim, v.base.dim
+    ident = Matrix.identity
+    r = matmul(kron(ident(f, m), form_matrix(v.base)),
+               kron(v.rho, ident(f, n)))
+    return (matmul(r, v.rho) == ident(f, m)
+            and matmul(kron(r, ident(f, n)),
+                       kron(ident(f, m), v.base.delta)) == matmul(v.rho, r))
+
+
 def kron_apply(a, b, x):
     """(a (x) b) @ x without building a (x) b; an int n stands for I_n.
 

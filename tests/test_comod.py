@@ -9,6 +9,7 @@ from comodcheck import coalg as ca
 from comodcheck._backend import core
 from comodcheck import comod as cm
 from comodcheck import dsl, indexed, runner
+from comodcheck import hyperdoctrine as hd
 from comodcheck import oracle as orc
 from comodcheck.errors import AxiomError
 from comodcheck.exactlin import Matrix, Subspace
@@ -17,7 +18,7 @@ from comodcheck.gen import random_comodule, random_invertible
 
 from conftest import (chart_embedding, column_dicts, columns, count_calls,
                       find_isomorphism, gx_coalgebra, hom_morphisms,
-                      inverse, kron, matmul, sqrt2_dual)
+                      inverse, kron, matmul, retraction_splits, sqrt2_dual)
 
 F = QQ
 
@@ -577,6 +578,101 @@ def test_certificate_agrees_with_the_splitting_solve(monkeypatch):
     assert len(solves) == len(comodules) and all(certified)
 
 
+def corpus_comodules():
+    docs = sorted(resources.files("comodcheck").joinpath("corpus").iterdir(),
+                  key=lambda path: path.name)
+    return [v for path in docs
+            for v in dsl.parse(path.read_text()).comodules.values()]
+
+
+def test_retired_splitting_equation_holds_wherever_the_form_answers():
+    # is_injective answers True from the base's certified form alone; the
+    # two per-comodule equations it once checked, r rho = id and
+    # (r (x) id)(id (x) delta) = rho r, hold on every comodule it so
+    # answers: the corpus, U(p_I) at each power of C^(x)2, and sums of
+    # regular comodules of K and K x K in random bases
+    rng = random.Random(27)
+    c = ca.grouplike_coalgebra(F, "ab")
+    comodules = corpus_comodules() + [
+        indexed.coaction_comodule(power.step[1])
+        for power in hd.base_powers(c, 2)]
+    for field in (QQ, GF(7)):
+        k = sqrt2_dual(field)
+        comodules += regular_sums(rng, k, 2, 2) \
+            + regular_sums(rng, ca.product(k, k)[0], 1, 1)
+    checked = 0
+    for v in comodules:
+        if ca.coseparability_form(v.base) is not None:
+            assert cm.is_injective(v) and retraction_splits(v)
+            checked += 1
+    assert checked >= 25
+
+
+CORPUS_INJECTIVE = (resources.files("comodcheck") / "corpus"
+                    / "03_injective.cd").read_text()
+K_INJECTIVE = ("field Q\ncoalg K = raw dim=2 delta=[1, 0, 0, 1, 0, 1, 2, 0] "
+               "eps=[1, 0]\n"
+               "comod R over K {dim 2 rho=[1, 0, 0, 1, 0, 1, 2, 0]}\n"
+               "check injective R\ncheck injective R\ncheck cosemisimple K\n")
+
+
+def test_injectivity_over_a_form_builds_no_retraction(monkeypatch):
+    # over a base with a coseparability form is_injective builds no r_V
+    # and applies no Kronecker product; gamma's laws are checked once per
+    # coalgebra object
+    inside, seen = [], []
+    real = cm.is_injective
+
+    def injective(v):
+        inside.append(v)
+        try:
+            return real(v)
+        finally:
+            inside.pop()
+
+    def watch(name):
+        wrapped = getattr(cm, name)
+
+        def wrapper(*args):
+            if inside:
+                seen.append(inside[-1])
+            return wrapped(*args)
+        monkeypatch.setattr(cm, name, wrapper)
+
+    monkeypatch.setattr(cm, "is_injective", injective)
+    watch("coseparability_retraction")
+    watch("_kron_cols")
+    decided = count_calls(monkeypatch, cm, "is_injective")
+    certified = count_calls(monkeypatch, ca, "_certified_form")
+    for text in ("field Q\ncoalg C = grouplike {a, b}\n"
+                 "check hyperdoctrine C 2\n", CORPUS_INJECTIVE, K_INJECTIVE):
+        reps = runner.run(dsl.parse(text))
+        assert reps and all(rep.verdict == "pass" for rep in reps)
+    with_form = [v for (v,) in decided
+                 if ca.coseparability_form(v.base) is not None]
+    assert len(with_form) >= 6
+    # only the no-form solve (R and S over N) applies _kron_cols
+    assert seen and all(ca.coseparability_form(v.base) is None
+                        for v in seen)
+    objects = [id(c) for c, _ in certified]
+    assert len(objects) == len(set(objects))
+    assert [gamma is not None for _, gamma in certified] == [False, True]
+
+
+def test_tensor_morphism_rejects_a_planted_target_equalizer():
+    # f (x) g restricted to V (x)_C V lands in V (x)_C V, not in the
+    # equalizer V (x)_C V' of V' = V with its components swapped
+    c = ca.grouplike_coalgebra(F, "ab")
+    v = cm.graded_comodule(c, [1, 1])
+    a, flip = cm.atom(v), cm.atom(cm.conjugate(v, [{1: 1}, {0: 1}]))
+    src, ident = cm.ct(a, a), v.identity_morphism()
+    assert cm.tensor_morphism(ident, ident, src, src).is_isomorphism()
+    planted = cm._Obj(src.module, src.chart, (a, a, cm.ct(a, flip).parts[2]))
+    with pytest.raises(AxiomError) as exc:
+        cm.tensor_morphism(ident, ident, src, planted)
+    assert exc.value.axiom == "tensor-morphism"
+
+
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
 def test_structure_maps_are_applied_without_building_kronecker_products(
         monkeypatch, field):
@@ -616,30 +712,47 @@ def test_structure_maps_are_applied_without_building_kronecker_products(
 
 
 PLANTED_FORMS = {
-    # r rho = 2 id
-    "scaled": (lambda gamma: [{c: 2 * x for c, x in row.items()}
-                              for row in gamma], "r rho != id"),
-    # r rho = id still holds, but r is not a comodule map: gamma(a (x) b)
-    # is raised by 1
-    "off-diagonal": (lambda gamma: [{**gamma[0], 1: gamma[0].get(1, 0) + 1},
-                                    *gamma[1:]],
-                     "not a comodule map"),
+    # G^-1 plus an antisymmetric form: delta is symmetric, so
+    # gamma delta = eps still holds, but gamma is no longer bicolinear
+    "antisymmetric": lambda gamma: [{**gamma[0], 1: gamma[0].get(1, 0) + 1},
+                                    {**gamma[1], 0: gamma[1].get(0, 0) - 1},
+                                    *gamma[2:]],
+    # gamma(e_d (x) e_c) = [d = c], the group-like form: gamma delta != eps
+    "identity": lambda gamma: [{d: 1} for d in range(len(gamma))],
+    # G^-1 with gamma(e_0 (x) e_1) raised by 1: no longer bicolinear
+    "off-diagonal": lambda gamma: [{**gamma[0], 1: gamma[0].get(1, 0) + 1},
+                                   *gamma[1:]],
+    # 2 G^-1: gamma delta = 2 eps
+    "scaled": lambda gamma: [{c: 2 * x for c, x in row.items()}
+                             for row in gamma],
 }
 
 
 @pytest.mark.parametrize("plant", sorted(PLANTED_FORMS))
 def test_wrong_coseparability_form_fails_the_check(monkeypatch, plant):
-    wrong, message = PLANTED_FORMS[plant]
-    real = ca.coseparability_form
-    monkeypatch.setattr(cm, "coseparability_form",
-                        lambda c: wrong(real(c)))
-    doc = dsl.parse("field Q\ncoalg C = grouplike {a, b}\n"
-                    "comod V over C {graded {a: 1, b: 2}}\n"
-                    "check injective V\n")
-    rep = runner.run(doc)[0]
-    assert rep.verdict == "fail" and rep.value is None
-    assert rep.witness["equation"].startswith("coseparability: ")
-    assert message in rep.witness["equation"]
+    # gamma is certified once per coalgebra, where the inverse trace form
+    # is built: a wrong one on K or K x K, over Q or F_7, fails its laws,
+    # and check injective reports the law, although it reads no r_V
+    real = ca._inverse_trace_form
+    monkeypatch.setattr(ca, "_inverse_trace_form",
+                        lambda c: PLANTED_FORMS[plant](real(c)))
+    for spec, field in (("Q", QQ), ("Fp 7", GF(7))):
+        k = sqrt2_dual(field)
+        for name, c in (("K", k), ("P", ca.product(k, k)[0])):
+            with pytest.raises(AxiomError) as exc:
+                ca.coseparability_form(c)
+            assert exc.value.axiom == "coseparability-form"
+            rho = ", ".join(str(x) for x in c.delta.data)
+            doc = dsl.parse(
+                f"field {spec}\n"
+                "coalg K = raw dim=2 delta=[1, 0, 0, 1, 0, 1, 2, 0] "
+                "eps=[1, 0]\ncoalg P = product(K, K)\n"
+                f"comod R over {name} {{dim {c.dim} rho=[{rho}]}}\n"
+                "check injective R\n")
+            rep = runner.run(doc)[0]
+            assert rep.verdict == "fail" and rep.value is None
+            assert rep.witness["equation"].startswith(
+                "coseparability-form: ")
 
 
 # -- grading and isomorphism search -------------------------------------------------------

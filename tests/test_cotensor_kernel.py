@@ -470,7 +470,7 @@ LAW_CHECKS = CERTIFIED | {"CoalgebraMorphism"}
          "08_forall_beck", "09_frobenius", "10_ssmc", "11_lnl"])
 def test_certificates_make_no_dense_product(monkeypatch, doc, certificates):
     # A B = 0, the restriction equation, r rho = id, is_injective's
-    # comparison and the laws the four constructors check are evaluated
+    # decision and the laws the four constructors check are evaluated
     # from nonzeros, and so are chart restrictions, membership in a chart
     # or subspace and the structure maps of the coherence diagrams; a
     # dense product inside any of them fails

@@ -9,7 +9,7 @@ from comodcheck import hyperdoctrine as hd
 from comodcheck import indexed as ix
 from comodcheck import dsl, runner
 from comodcheck import oracle as orc
-from comodcheck.errors import UnsupportedBaseError
+from comodcheck.errors import AxiomError, UnsupportedBaseError
 from comodcheck.exactlin import Matrix
 from comodcheck.fields import QQ
 from comodcheck.gen import random_comodule
@@ -195,6 +195,17 @@ def test_power_morphisms(g_ab):
     assert (swap @ swap).matrix == Matrix.identity(F, 4)
     terminal = hd.power_morphism(bp2, hd.base_power(g_ab, 0), ())
     assert terminal.target.dim == 1
+
+
+def test_power_morphism_rejects_a_planted_wrong_target(g_ab):
+    # a power whose coalgebra is not the one its chain of products builds:
+    # the assembled morphism lands on C, not on the recorded coalgebra
+    bp1, bp2 = hd.base_powers(g_ab, 2)[1:]
+    planted = hd.BasePower(g_ab, 1, ca.grouplike_coalgebra(F, "xyz"),
+                           bp1.projections, bp1.chain)
+    with pytest.raises(AxiomError) as exc:
+        hd.power_morphism(bp2, planted, (0,))
+    assert exc.value.axiom == "power-morphism"
 
 
 # -- quantifiers along projections ------------------------------------------------------------

@@ -118,6 +118,23 @@ def test_pullback_functorial_on_morphisms(phi, g_ab):
         assert lifted.source.dim == 5 and lifted.target.dim == 3
 
 
+def swapped_components(w):
+    """W on the same space with the components of its two basis vectors
+    exchanged: a different comodule over C = {a, b}."""
+    return cm.conjugate(w, [{1: 1}, {0: 1}])
+
+
+def test_pullback_map_rejects_a_planted_target_equalizer(phi, g_ab):
+    # phi^* W' for W' = W with swapped components cuts another equalizer
+    # out of W (x) D, which id_W (x) id_D does not preserve
+    w = cm.graded_comodule(g_ab, [1, 1])
+    planted = ix.pullback_functor(phi, swapped_components(w))
+    assert ix.pullback_map(phi, w.identity_morphism()).is_isomorphism()
+    with pytest.raises(AxiomError) as exc:
+        ix.pullback_map(phi, w.identity_morphism(), tgt=planted)
+    assert exc.value.axiom == "pullback-functor"
+
+
 # -- hat/tilde transposes ---------------------------------------------------------------
 
 def test_unit_of_adjunction_is_hat_of_identity(phi, g_xyz):
@@ -405,6 +422,17 @@ def test_forall_triangles_reject_a_planted_wrong_unit(monkeypatch, phi,
     v = cm.graded_comodule(g_xyz, [1, 2, 1])
     w = cm.graded_comodule(g_ab, [2, 1])
     assert ix.adjoint_triple_identities(phi, v, w) == "forall"
+
+
+def test_forall_unit_rejects_a_planted_pullback(phi, g_ab):
+    # eta_W = (id (x) phi^T) rho_W lies in phi^* W, not in phi^* W' for W'
+    # = W with swapped components
+    w = cm.graded_comodule(g_ab, [1, 1])
+    assert ix.forall_unit(phi, w, ix.pullback_functor(phi, w)).matrix.rank() \
+        == w.dim
+    with pytest.raises(AxiomError) as exc:
+        ix.forall_unit(phi, w, ix.pullback_functor(phi, swapped_components(w)))
+    assert exc.value.axiom == "forall-unit"
 
 
 def test_forall_triangles_decide_coflatness_once(monkeypatch, phi, g_xyz,
