@@ -11,14 +11,17 @@ V (x) W -> V (x) C (x) W, carrying the coaction induced by restricting
 id_V (x) rho_W.  ``coherence`` computes its structural isomorphisms
 (associators, unitors, braiding) on explicit bases and verifies the
 coherence diagrams (pentagon, triangle, symmetry hexagon) as exact matrix
-identities, building each cotensor presentation once per call.  The
-structure maps multiply no matrices: each is read as coordinate columns
-by ``Chart.coords`` or ``Subspace.coords`` from column dicts (a chart's
-``columns``, a cotensor basis's ``columns`` with its keys permuted for
-the transposition, ``_kron_cols`` of f and g for ``tensor_morphism``, and
-``_rho_cols`` for the unitor inverses), and the diagrams and the unitors'
-inverse pairs compose those columns with ``_kron_cols`` (``_composite``)
-and compare them with ``_difference``.
+identities, building each cotensor once per distinct pair of module
+values in a call.  The structure maps' intertwining is implied by the
+certificates they are read through (the cotensors' restriction equations
+and A B = 0, and ``coords``' exact E x = y), so only the unitors' forward
+maps check it again.  The structure maps multiply no matrices: each is
+read as coordinate columns by ``Chart.coords`` or ``Subspace.coords``
+from column dicts (a chart's ``columns``, a cotensor basis's ``columns``
+with its keys permuted for the transposition, ``_kron_cols`` of f and g
+for ``tensor_morphism``, and ``_rho_cols`` for the unitor inverses), and
+the diagrams and the unitors' inverse pairs compose those columns with
+``_kron_cols`` (``_composite``) and compare them with ``_difference``.
 
 Hom spaces are cotensors too: the base is cocommutative, so the dual V*
 is a comodule V^vee (``dual_comodule``) and Hom^C(V, W) = W (x)_C V^vee
@@ -106,8 +109,10 @@ class Comodule:
                               self._rho_cols)
 
     def identity_morphism(self) -> "ComoduleMorphism":
-        return ComoduleMorphism(self, self,
-                                [{t: 1} for t in range(self.dim)])
+        """id_V, built by ``ComoduleMorphism._implied``: its intertwining
+        equation would compare rho with itself."""
+        return ComoduleMorphism._implied(self, self,
+                                         [{t: 1} for t in range(self.dim)])
 
     def __eq__(self, other):
         if other is self:
@@ -145,6 +150,17 @@ class ComoduleMorphism:
         self.source = source
         self.target = target
         self.columns = fcols
+
+    @classmethod
+    def _implied(cls, source: Comodule, target: Comodule, columns):
+        """A morphism whose intertwining its caller's certificates imply:
+        the columns get the shape check of ``_checked_columns`` and no
+        (f x id) rho_V = rho_W f.  Each caller states why it holds."""
+        mor = cls.__new__(cls)
+        mor.source, mor.target = source, target
+        mor.columns = _checked_columns(columns, source.dim, target.dim,
+                                       source.field.char, "matrix")
+        return mor
 
     @property
     def matrix(self) -> Matrix:
@@ -413,34 +429,57 @@ def atom(v: Comodule) -> _Obj:
 
 def ct(a: _Obj, b: _Obj) -> _Obj:
     """Cotensor of two presented comodules, presented in the joint ambient."""
-    module, sub = cotensor(a.module, b.module)
+    return _presented(a, b, *cotensor(a.module, b.module))
+
+
+def _presented(a: _Obj, b: _Obj, module: Comodule, sub: Subspace) -> _Obj:
+    """The cotensor (module, sub) of a's and b's modules, presented in the
+    joint ambient: the kron chart restricted to sub."""
     return _Obj(module, Chart.restrict(Chart.kron(a.chart, b.chart), sub),
                 parts=(a, b, sub))
 
 
 def _structure_map(src: _Obj, tgt: _Obj, name: str) -> ComoduleMorphism:
-    """The canonical identification of two presentations of one subspace."""
+    """The canonical identification M of two presentations of one subspace.
+
+    Its intertwining is implied (``ComoduleMorphism._implied``): by
+    induction over ``ct``, every presentation X has (E_X (x) I) rho_X =
+    (id (x) rho_last) E_X on the flat ambient, by the restriction equation
+    (B (x) I) rho = (id (x) rho_right) B with E_X = (E_a (x) E_b) B;
+    ``coords`` certifies E_tgt M = E_src exactly, and E_tgt (x) I is
+    injective."""
     cols = tgt.chart.coords(src.chart.columns)
     if cols is None:
         raise AxiomError(name, "presentations span different subspaces")
-    return ComoduleMorphism(src.module, tgt.module, cols)
+    return ComoduleMorphism._implied(src.module, tgt.module, cols)
 
 
 def _transposition(src: _Obj, tgt: _Obj) -> ComoduleMorphism:
     """sigma: A (x) B -> B (x) A from src = ct(a, b) to tgt = ct(b, a);
-    tau moves key i*m_B + j of a source basis column to j*m_A + i."""
+    tau moves key i*m_B + j of a source basis column to j*m_A + i.
+
+    Its intertwining is implied (``ComoduleMorphism._implied``): ``coords``
+    certifies B' sigma = tau B exactly; on im B the certified A B = 0 gives
+    (tau (x) I)(id (x) rho_b) = (id (x) rho_a) tau, so (B' (x) I)(sigma
+    (x) I) rho_src = (B' (x) I) rho_tgt sigma, and B' (x) I is
+    injective."""
     a, b, ssub = src.parts
     _, _, tsub = tgt.parts
     cols = tsub.coords(_swapped(ssub.columns, 1, a.module.dim,
                                 b.module.dim, 1))
     if cols is None:
         raise AxiomError("braiding", "tau does not map between equalizers")
-    return ComoduleMorphism(src.module, tgt.module, cols)
+    return ComoduleMorphism._implied(src.module, tgt.module, cols)
 
 
 def tensor_morphism(f: ComoduleMorphism, g: ComoduleMorphism,
                     src: _Obj, tgt: _Obj) -> ComoduleMorphism:
-    """f (x) g restricted to the cotensor subobjects src -> tgt."""
+    """f (x) g restricted to the cotensor subobjects src -> tgt.
+
+    Its intertwining is implied (``ComoduleMorphism._implied``): ``coords``
+    certifies B_t M = (f (x) g) B_s exactly, so with g's intertwining
+    (B_t (x) I)(M (x) I) rho_src = (id (x) rho_tb)(f (x) g) B_s =
+    (B_t (x) I) rho_tgt M, and B_t (x) I is injective."""
     if src.parts is None or tgt.parts is None:
         raise ShapeError("tensor_morphism needs cotensor objects")
     sa, sb, ssub = src.parts
@@ -453,7 +492,7 @@ def tensor_morphism(f: ComoduleMorphism, g: ComoduleMorphism,
     if cols is None:
         raise AxiomError("tensor-morphism",
                          "f (x) g does not map into the target equalizer")
-    return ComoduleMorphism(src.module, tgt.module, cols)
+    return ComoduleMorphism._implied(src.module, tgt.module, cols)
 
 
 def _composite(*maps):
@@ -475,7 +514,9 @@ def braiding(a: _Obj, b: _Obj):
 
 def _right_unitor(vc: _Obj):
     """rho: V (x)_C C -> V on the presentation vc = ct(V, C), with inverse
-    the coaction."""
+    the coaction.  The forward map is fully checked; the inverse's
+    intertwining is implied (``ComoduleMorphism._implied``), as it is the
+    exact two-sided inverse (``_inverse_pair``) of a morphism."""
     av, _, sub = vc.parts
     v = av.module
     mor = ComoduleMorphism(vc.module, v, _kron_cols(
@@ -483,13 +524,15 @@ def _right_unitor(vc: _Obj):
     back = sub.coords(v._rho_cols)
     if back is None or not _inverse_pair(mor.columns, back, v.field.char):
         raise AxiomError("right-unitor", "coaction fails to invert id x eps")
-    return mor, ComoduleMorphism(v, vc.module, back)
+    return mor, ComoduleMorphism._implied(v, vc.module, back)
 
 
 def _left_unitor(cv: _Obj):
     """lambda: C (x)_C V -> V on the presentation cv = ct(C, V), with
     inverse the swapped coaction: key a*n + c of rho_V's columns moves to
-    c*m + a."""
+    c*m + a.  The forward map is fully checked; the inverse's
+    intertwining is implied (``ComoduleMorphism._implied``), as it is the
+    exact two-sided inverse (``_inverse_pair``) of a morphism."""
     _, av, sub = cv.parts
     v = av.module
     m, n = v.dim, v.base.dim
@@ -498,7 +541,7 @@ def _left_unitor(cv: _Obj):
     back = sub.coords(_swapped(v._rho_cols, 1, m, n, 1))
     if back is None or not _inverse_pair(mor.columns, back, v.field.char):
         raise AxiomError("left-unitor", "coaction fails to invert eps x id")
-    return mor, ComoduleMorphism(v, cv.module, back)
+    return mor, ComoduleMorphism._implied(v, cv.module, back)
 
 
 def right_unitor(v: Comodule):
@@ -520,24 +563,39 @@ def coherence(u: Comodule, v: Comodule, w: Comodule, x: Comodule):
     on (u, v, w).  The associator and the braiding are eliminated once
     each; a unitor is invertible because ``_left_unitor`` and
     ``_right_unitor`` check its exact inverse pair, fwd back = id and
-    back fwd = id, so it is not eliminated again.  A table
-    local to the call makes one atom per distinct comodule object and one
-    ``ct`` per distinct (left, right) pair, which every map on that
-    presentation shares.  Returns (isomorphisms, failing) where failing
+    back fwd = id, so it is not eliminated again.  Tables local to the
+    call make one atom per distinct comodule object, one presentation per
+    distinct (left, right) pair of presentations, which every map on it
+    shares, and one ``cotensor`` per distinct pair of module values (base
+    object, dim and ``_rho_cols``, each column as a frozenset of its
+    items): a new pair of presentations of value-equal modules only
+    restricts its kron chart to the shared subspace, as its kernel,
+    A B = 0, restriction equation and r rho = id are those already
+    checked.  The structure maps are built by ``ComoduleMorphism._implied``
+    (each docstring says why its intertwining holds); only the unitors'
+    forward maps check it.  Returns (isomorphisms, failing) where failing
     names the first diagram that does not commute ("pentagon", "triangle"
     or "symmetry"), or is None; the braiding's source is u (x)_C v.
     """
     atoms = {}
     table = {}
+    values = {}
 
     def obj(m):
         if id(m) not in atoms:
             atoms[id(m)] = atom(m)
         return atoms[id(m)]
 
+    def value(m):
+        return (id(m.base), m.dim,
+                tuple(frozenset(col.items()) for col in m._rho_cols))
+
     def t(left, right):
         if (left, right) not in table:
-            table[left, right] = ct(left, right)
+            key = value(left.module), value(right.module)
+            if key not in values:
+                values[key] = cotensor(left.module, right.module)
+            table[left, right] = _presented(left, right, *values[key])
         return table[left, right]
 
     def alpha(p, q, r):

@@ -155,6 +155,15 @@ def retraction_splits(v):
                        kron(ident(f, m), v.base.delta)) == matmul(v.rho, r))
 
 
+def intertwines(mor):
+    """(f (x) id) rho_V = rho_W f for a comodule morphism f: V -> W, as
+    dense products: the equation ``ComoduleMorphism._implied`` does not
+    evaluate, a test-only reference."""
+    f, n = mor.source.field, mor.source.base.dim
+    return (matmul(kron(mor.matrix, Matrix.identity(f, n)), mor.source.rho)
+            == matmul(mor.target.rho, mor.matrix))
+
+
 def kron_apply(a, b, x):
     """(a (x) b) @ x without building a (x) b; an int n stands for I_n.
 

@@ -11,14 +11,15 @@ from comodcheck import comod as cm
 from comodcheck import dsl, indexed, runner
 from comodcheck import hyperdoctrine as hd
 from comodcheck import oracle as orc
-from comodcheck.errors import AxiomError
+from comodcheck.errors import AxiomError, BaseMismatchError
 from comodcheck.exactlin import Matrix, Subspace
 from comodcheck.fields import GF, QQ
 from comodcheck.gen import random_comodule, random_invertible
 
 from conftest import (chart_embedding, column_dicts, columns, count_calls,
                       find_isomorphism, gx_coalgebra, hom_morphisms,
-                      inverse, kron, matmul, retraction_splits, sqrt2_dual)
+                      intertwines, inverse, kron, matmul, retraction_splits,
+                      sqrt2_dual)
 
 F = QQ
 
@@ -355,19 +356,126 @@ def test_coherence_checks_build_each_cotensor_once(monkeypatch, g3, args):
     assert all(isos[name].is_isomorphism()
                for name in ("associator", "left_unitor", "right_unitor",
                             "braiding"))
-    pairs = [(id(a), id(b)) for a, b in calls]
-    assert len(pairs) == len(set(pairs))
+    assert not value_equal_pairs(calls)
+
+
+def value_equal_pairs(calls):
+    """The pairs of ``cotensor`` calls on (left, right) modules equal by
+    value (``Comodule.__eq__``: base, dim and coaction dicts)."""
+    return [(i, j) for j, (c, d) in enumerate(calls)
+            for i, (a, b) in enumerate(calls[:j]) if a == c and b == d]
+
+
+def corpus_doc(name):
+    return dsl.parse((resources.files("comodcheck") / "corpus"
+                      / name).read_text())
 
 
 def test_cotensor_document_builds_each_pair_once(monkeypatch):
-    # two checks of 19 (left, right) pairs each: V (x) W and 18 more for
-    # the diagrams on (V, W, W, V) and the unit C
-    doc = dsl.parse((resources.files("comodcheck") / "corpus"
-                     / "04_cotensor.cd").read_text())
+    # two checks of 13 pairs of module values each: V (x) W and 12 more for
+    # the diagrams on (V, W, W, V) and the unit C, shared by the 19 pairs
+    # of presentations of each check
     calls = count_calls(monkeypatch, cm, "cotensor")
-    assert [rep.verdict for rep in runner.run(doc, seed=0)] == ["pass"] * 2
-    pairs = [(id(a), id(b)) for a, b in calls]
-    assert len(pairs) == len(set(pairs)) == 38
+    assert [rep.verdict for rep in runner.run(corpus_doc("04_cotensor.cd"),
+                                              seed=0)] == ["pass"] * 2
+    assert len(calls) == 26
+    assert not value_equal_pairs(calls)
+
+
+def test_value_equal_arguments_share_their_cotensors(monkeypatch, g2):
+    # w2 and v2 are new objects equal by value to w and v, their coaction
+    # dicts built in reverse insertion order: coherence builds the same
+    # cotensors for (v, w, w2, v2) as for (v, w, w, v), and the same maps
+    rng = random.Random(4)
+    v, w = (random_comodule(rng, g2, max_dim=2, conjugated=True)
+            for _ in range(2))
+    w2, v2 = (cm.Comodule(g2, m.dim, [{k: col[k] for k in reversed(col)}
+                                      for col in m._rho_cols])
+              for m in (w, v))
+    assert w2 is not w and w2 == w and v2 is not v and v2 == v
+    calls = count_calls(monkeypatch, cm, "cotensor")
+    isos, failing = cm.coherence(v, w, w, v)
+    count = len(calls)
+    isos2, failing2 = cm.coherence(v, w, w2, v2)
+    assert failing is None and failing2 is None
+    assert len(calls) - count == count
+    assert not value_equal_pairs(calls[count:])
+    assert sorted(isos2) == sorted(isos)
+    assert all(isos2[name].columns == isos[name].columns
+               and isos2[name] == isos[name] for name in isos)
+
+
+def test_value_equal_modules_over_another_base_share_no_cotensor(
+        monkeypatch):
+    # graded {a: 1, b: 2} over Q and over F_5 store equal coaction dicts;
+    # the value table keys the base object too, so the pentagon's first
+    # new pair W (x) X_5 is not read off the earlier W (x) X_Q: cotensor
+    # is called on it and refuses the mixed bases
+    w = cm.graded_comodule(ca.grouplike_coalgebra(F, "ab"), [2, 1])
+    xq, x5 = (cm.graded_comodule(ca.grouplike_coalgebra(f, "ab"), [1, 2])
+              for f in (F, GF(5)))
+    assert xq._rho_cols == x5._rho_cols
+    calls = count_calls(monkeypatch, cm, "cotensor")
+    with pytest.raises(BaseMismatchError):
+        cm.coherence(w, xq, w, x5)
+    assert calls[-1][0] is w and calls[-1][1] is x5
+
+
+IMPLIED_SITES = {"identity_morphism", "_structure_map", "_transposition",
+                 "tensor_morphism", "_left_unitor", "_right_unitor"}
+
+
+def test_every_implied_morphism_intertwines(monkeypatch, g3):
+    # ComoduleMorphism._implied skips (f x id) rho_V = rho_W f, which the
+    # certificates at its six call sites imply; the dense reference
+    # checks it on every morphism those sites build
+    built = []
+    real = cm.ComoduleMorphism._implied.__func__
+
+    def spy(cls, source, target, columns):
+        mor = real(cls, source, target, columns)
+        built.append((sys._getframe(1).f_code.co_name, mor))
+        return mor
+
+    monkeypatch.setattr(cm.ComoduleMorphism, "_implied", classmethod(spy))
+    for name in ("04_cotensor.cd", "13_prime_field.cd"):
+        reps = runner.run(corpus_doc(name), seed=0)
+        assert reps and all(rep.passed for rep in reps)
+    # the g3 triples of test_pentagon_triangle_symmetry
+    u, v, w = (cm.graded_comodule(g3, dims)
+               for dims in ([1, 1, 0], [2, 0, 1], [1, 2, 1]))
+    assert cm.coherence(u, v, w, u)[1] is None
+    # F_5, with coactions in a basis that scrambles the grading
+    rng = random.Random(5)
+    g = ca.grouplike_coalgebra(GF(5), "ab")
+    v, w = (random_comodule(rng, g, max_dim=2, conjugated=True)
+            for _ in range(2))
+    assert cm.coherence(v, w, w, v)[1] is None
+    # the (3, 3)/(3, 1) and (2, 1, 1)/(1, 2, 1) rungs of the coherence
+    # workload
+    for c, vd, wd in ((ca.grouplike_coalgebra(F, "ab"), [3, 3], [3, 1]),
+                      (g3, [2, 1, 1], [1, 2, 1])):
+        v, w = cm.graded_comodule(c, vd), cm.graded_comodule(c, wd)
+        assert cm.coherence(v, w, w, v)[1] is None
+    assert {site for site, _ in built} == IMPLIED_SITES
+    assert all(intertwines(mor) for _, mor in built)
+
+
+def test_coherence_checks_intertwining_only_for_the_unitors(monkeypatch):
+    # every structure map's intertwining is implied; only the unitors'
+    # forward maps, the morphisms the unitor inverses invert, check it:
+    # lambda and rho on u, and lambda on v for the triangle
+    callers = []
+    real = cm.ComoduleMorphism.__init__
+
+    def spy(self, *args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        real(self, *args)
+
+    monkeypatch.setattr(cm.ComoduleMorphism, "__init__", spy)
+    reps = runner.run(corpus_doc("04_cotensor.cd"), seed=0)
+    assert [rep.verdict for rep in reps] == ["pass"] * 2
+    assert callers == ["_left_unitor", "_right_unitor", "_left_unitor"] * 2
 
 
 @pytest.mark.parametrize("failing, name", [
@@ -671,6 +779,35 @@ def test_tensor_morphism_rejects_a_planted_target_equalizer():
     with pytest.raises(AxiomError) as exc:
         cm.tensor_morphism(ident, ident, src, planted)
     assert exc.value.axiom == "tensor-morphism"
+
+
+def test_structure_map_rejects_presentations_of_different_subspaces():
+    # V (x)_C V and V (x)_C V', for V' = V with its components swapped, are
+    # two lines' worth of V (x) V with no common vector: the structure map
+    # must fail its E_tgt M = E_src certificate, on which its implied
+    # intertwining rests
+    c = ca.grouplike_coalgebra(F, "ab")
+    v = cm.graded_comodule(c, [1, 1])
+    a, flip = cm.atom(v), cm.atom(cm.conjugate(v, [{1: 1}, {0: 1}]))
+    src, other = cm.ct(a, a), cm.ct(a, flip)
+    assert cm._structure_map(src, src, "associator").is_isomorphism()
+    with pytest.raises(AxiomError) as exc:
+        cm._structure_map(src, other, "associator")
+    assert exc.value.axiom == "associator"
+
+
+def test_transposition_rejects_a_planted_target_equalizer():
+    # tau maps V (x)_C V onto itself, not into the equalizer V (x)_C V' of
+    # V' = V with its components swapped
+    c = ca.grouplike_coalgebra(F, "ab")
+    v = cm.graded_comodule(c, [1, 1])
+    a, flip = cm.atom(v), cm.atom(cm.conjugate(v, [{1: 1}, {0: 1}]))
+    src = cm.ct(a, a)
+    assert cm._transposition(src, src).is_isomorphism()
+    planted = cm._Obj(src.module, src.chart, (a, a, cm.ct(a, flip).parts[2]))
+    with pytest.raises(AxiomError) as exc:
+        cm._transposition(src, planted)
+    assert exc.value.axiom == "braiding"
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "GF7"])
