@@ -71,7 +71,7 @@ def _non_negative(text: str) -> int:
         f"expected a non-negative integer, got {text!r}")
 
 
-def main(argv=None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="comodcheck",
         description="exact verifier for coalgebra/comodule categorical laws")
@@ -88,8 +88,16 @@ def main(argv=None) -> int:
                               "instances (default 4)")
     p_check.add_argument("--verbose", action="store_true")
     p_check.set_defaults(func=_cmd_check)
+    return parser
 
-    args = parser.parse_args(argv)
+
+# Built once per process: ``main`` only parses, so a caller that runs many
+# documents in one process does not rebuild the tree for each.
+_PARSER = _build_parser()
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
     return args.func(args)
 
 

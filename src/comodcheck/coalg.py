@@ -6,8 +6,13 @@ comultiplication in the fixed tensor basis (column i of the n^2 x n
 matrix of delta), and ``_eps_cols`` one {0: value} dict per basis vector
 for the counit; every constructor builds these dicts directly.  All
 defining axioms (coassociativity, counit laws, cocommutativity) are
-checked exactly at construction and violations raise ``AxiomError`` naming
-the broken law; everything downstream may therefore assume valid data.
+checked exactly at construction of every coalgebra and violations raise
+``AxiomError`` naming the broken law; everything downstream may therefore
+assume valid data.  A declared morphism has its laws checked likewise; a
+derived one (identities, composites, the counit map, product projections,
+pairings, subcoalgebra inclusions) inherits its certificate through
+``CoalgebraMorphism._implied``, which keeps the shape check, and each such
+constructor's docstring derives the laws it skips.
 Cocommutativity is a permutation test on the nonzeros of delta; the other
 laws, and a morphism's, go through ``exactlin._kron_cols``.  A morphism
 is stored as the column dicts of its matrix, composed by ``_kron_cols``
@@ -118,8 +123,10 @@ class Coalgebra:
                    for i in range(n))
 
     def identity_morphism(self) -> "CoalgebraMorphism":
-        return CoalgebraMorphism(self, self,
-                                 [{t: 1} for t in range(self.dim)])
+        """id_C, built by ``CoalgebraMorphism._implied``: its laws are
+        implied, as each would compare a structure map with itself."""
+        return CoalgebraMorphism._implied(self, self,
+                                          [{t: 1} for t in range(self.dim)])
 
     def __eq__(self, other):
         if other is self:
@@ -174,6 +181,19 @@ class CoalgebraMorphism:
         self.u_coflat = None
         self._u = None
 
+    @classmethod
+    def _implied(cls, source: Coalgebra, target: Coalgebra, columns):
+        """A morphism whose laws its caller's certificates imply: the
+        columns get the shape check of ``_checked_columns`` and neither
+        the comultiplication nor the counit equation.  Each caller states
+        why they hold."""
+        mor = cls.__new__(cls)
+        mor.source, mor.target = source, target
+        mor.u_coflat = mor._u = None
+        mor.columns = _checked_columns(columns, source.dim, target.dim,
+                                       source.field.char, "matrix")
+        return mor
+
     @property
     def matrix(self) -> Matrix:
         """The target.dim x source.dim matrix, built on each read."""
@@ -181,10 +201,14 @@ class CoalgebraMorphism:
                               self.columns)
 
     def __matmul__(self, other: "CoalgebraMorphism") -> "CoalgebraMorphism":
+        """The composite, built by ``CoalgebraMorphism._implied``: its laws
+        are implied by the factors', delta f g = (f (x) f) delta g =
+        (f g (x) f g) delta and eps f g = eps g = eps."""
         if other.target != self.source:
             raise BaseMismatchError("morphisms do not compose")
-        return CoalgebraMorphism(other.source, self.target, _kron_cols(
-            self.columns, 1, 1, other.columns))
+        return CoalgebraMorphism._implied(other.source, self.target,
+                                          _kron_cols(self.columns, 1, 1,
+                                                     other.columns))
 
     def is_isomorphism(self) -> bool:
         return _invertible(self.source.field, self.target.dim, self.columns)
@@ -236,8 +260,11 @@ def grouplike_morphism(source: Coalgebra, target: Coalgebra,
 
 
 def counit_morphism(c: Coalgebra) -> CoalgebraMorphism:
-    """The unique morphism into the trivial coalgebra (terminal object)."""
-    return CoalgebraMorphism(c, trivial_coalgebra(c.field), c._eps_cols)
+    """The unique morphism into the trivial coalgebra (terminal object),
+    eps itself.  Its laws are implied (``CoalgebraMorphism._implied``):
+    (eps (x) eps) delta = eps is C's counit law, and eps_1 eps = eps."""
+    return CoalgebraMorphism._implied(c, trivial_coalgebra(c.field),
+                                      c._eps_cols)
 
 
 def _sum_labels(c1: Coalgebra, c2: Coalgebra):
@@ -268,7 +295,11 @@ def product(c1: Coalgebra, c2: Coalgebra):
     """Categorical product: (C1 (x) C2, (id x tau x id)(delta1 x delta2)).
 
     Returns the product with its two projections id (x) eps2 and
-    eps1 (x) id.
+    eps1 (x) id.  The product keeps its full check; the projections' laws
+    are implied (``CoalgebraMorphism._implied``): (p1 (x) p1) delta(a (x) b)
+    = a_1 eps(b_1) (x) a_2 eps(b_2) = a_1 (x) a_2 eps(b) = delta p1(a (x) b)
+    by C2's counit law, and eps1 p1 = eps1 (x) eps2 is the product's
+    counit; p2 likewise by C1's counit law.
     """
     if c1.field != c2.field:
         raise BaseMismatchError("product needs a common field")
@@ -284,19 +315,29 @@ def product(c1: Coalgebra, c2: Coalgebra):
         labels = tuple((x, y) for x in c1.labels for y in c2.labels)
     prod = Coalgebra(f, n1 * n2, delta, _kron_cols(e1, e2, 1, ident),
                      labels=labels)
-    p1 = CoalgebraMorphism(prod, c1, _kron_cols(n1, e2, 1, ident))
-    p2 = CoalgebraMorphism(prod, c2, _kron_cols(e1, n2, n2, ident))
+    p1 = CoalgebraMorphism._implied(prod, c1, _kron_cols(n1, e2, 1, ident))
+    p2 = CoalgebraMorphism._implied(prod, c2, _kron_cols(e1, n2, n2, ident))
     return prod, p1, p2
 
 
 def pairing(f: CoalgebraMorphism, g: CoalgebraMorphism,
             prod: Coalgebra | None = None) -> CoalgebraMorphism:
-    """The mediating morphism <f, g> = (f (x) g) delta into the product."""
+    """The mediating morphism <f, g> = (f (x) g) delta into the product
+    ``prod``, which is ``product(f.target, g.target)[0]`` when omitted and
+    must equal it when given.
+
+    Its laws are implied (``CoalgebraMorphism._implied``): f and g are
+    coalgebra maps, so delta_prod <f, g> = (f (x) g (x) f (x) g)
+    (id (x) tau (x) id)(delta (x) delta) delta and (<f, g> (x) <f, g>) delta
+    = (f (x) g (x) f (x) g)(delta (x) delta) delta, and the two agree as
+    delta^(3) of the source D is symmetric, by D's coassociativity and its
+    cocommutativity, checked when D was built; (eps (x) eps)(f (x) g) delta
+    = (eps (x) eps) delta = eps is D's counit law."""
     if f.source != g.source:
         raise BaseMismatchError("pairing needs a common source")
     if prod is None:
         prod = product(f.target, g.target)[0]
-    return CoalgebraMorphism(f.source, prod, _kron_cols(
+    return CoalgebraMorphism._implied(f.source, prod, _kron_cols(
         f.columns, g.columns, g.target.dim, f.source._delta_cols))
 
 
@@ -322,7 +363,10 @@ def _subcoalgebra(c: Coalgebra, w: Subspace):
     eps_sub = eps B for the canonical basis B of w, from nonzeros: delta B
     is read at the pivot rows p1*n + p2 of B (x) B, where it is the
     identity, and (B (x) B) delta_sub = delta B is checked exactly
-    (``_member_coords``), so a w that is not delta-closed raises.
+    (``_member_coords``), so a w that is not delta-closed raises.  The
+    subcoalgebra keeps its full check; the inclusion B's laws are implied
+    (``CoalgebraMorphism._implied``): its comultiplication law is that
+    exact closure equation, and eps B = eps_sub by construction.
     """
     n, b, p = c.dim, w.columns, c.field.char
     pivot_rows = [p1 * n + p2 for p1 in w.pivots for p2 in w.pivots]
@@ -335,7 +379,7 @@ def _subcoalgebra(c: Coalgebra, w: Subspace):
     sub = Coalgebra(c.field, w.dim, delta_sub,
                     _kron_cols(c._eps_cols, 1, 1, b),
                     labels=_sub_labels(c, b))
-    return sub, CoalgebraMorphism(sub, c, b)
+    return sub, CoalgebraMorphism._implied(sub, c, b)
 
 
 def pullback(phi1: CoalgebraMorphism, phi2: CoalgebraMorphism,

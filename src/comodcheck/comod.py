@@ -2,25 +2,30 @@
 
 A comodule is a coaction rho: V -> V (x) C, stored as the nonzeros of
 its columns (``_rho_cols``, one {row: value} dict per basis vector of V),
-satisfying the counit and coassociativity laws, both checked at
-construction; every constructor builds those dicts directly.  A morphism
-intertwines two coactions, checked likewise, and is stored as the column
-dicts of its matrix.  The monoidal product is the cotensor V (x)_C W:
-the kernel of the two natural maps
-V (x) W -> V (x) C (x) W, carrying the coaction induced by restricting
-id_V (x) rho_W.  ``coherence`` computes its structural isomorphisms
-(associators, unitors, braiding) on explicit bases and verifies the
-coherence diagrams (pentagon, triangle, symmetry hexagon) as exact matrix
-identities, building each cotensor once per distinct pair of module
-values in a call.  The structure maps' intertwining is implied by the
-certificates they are read through (the cotensors' restriction equations
-and A B = 0, and ``coords``' exact E x = y), so only the unitors' forward
-maps check it again.  The structure maps multiply no matrices: each is
-read as coordinate columns by ``Chart.coords`` or ``Subspace.coords``
+satisfying the counit and coassociativity laws; every constructor builds
+those dicts directly.  A morphism intertwines two coactions and is stored
+as the column dicts of its matrix.  A declared comodule or morphism has
+its laws checked at construction (``Comodule``, ``ComoduleMorphism``); one
+derived from certified inputs (the regular, cofree, zero, dual,
+conjugated and summed comodules, cotensors, composites) inherits its
+certificate through ``_implied``, which keeps the shape check, and the
+docstring of each such constructor derives the laws it skips.
+
+The monoidal product is the cotensor V (x)_C W: the kernel of the two
+natural maps V (x) W -> V (x) C (x) W, carrying the coaction induced by
+restricting id_V (x) rho_W.  ``coherence`` computes its structural
+isomorphisms (associators, unitors, braiding) on explicit bases and
+verifies the coherence diagrams (pentagon, triangle, symmetry hexagon) as
+exact matrix identities, building each cotensor once per distinct pair of
+module values in a call.  The structure maps' intertwining is implied by
+the certificates they are read through (the cotensors' restriction
+equations and A B = 0, and ``coords``' exact E x = y), so only the unitors'
+forward maps check it again.  The structure maps multiply no matrices: each
+is read as coordinate columns by ``Chart.coords`` or ``Subspace.coords``
 from column dicts (a chart's ``columns``, a cotensor basis's ``columns``
-with its keys permuted for the transposition, ``_kron_cols`` of f and g
-for ``tensor_morphism``, and ``_rho_cols`` for the unitor inverses), and
-the diagrams and the unitors' inverse pairs compose those columns with
+with its keys permuted for the transposition, ``_kron_cols`` of f and g for
+``tensor_morphism``, and ``_rho_cols`` for the unitor inverses), and the
+diagrams and the unitors' inverse pairs compose those columns with
 ``_kron_cols`` (``_composite``) and compare them with ``_difference``.
 
 Hom spaces are cotensors too: the base is cocommutative, so the dual V*
@@ -98,6 +103,18 @@ class Comodule:
         self._rho_cols = rcols
         self._retraction = None
 
+    @classmethod
+    def _implied(cls, base: Coalgebra, dim: int, rho_cols):
+        """A comodule whose axioms its caller's certificates imply: the
+        columns get the shape check of ``_checked_columns`` and neither
+        the counit nor the coassociativity equation.  Each caller states
+        why they hold."""
+        mod = cls.__new__(cls)
+        mod.base, mod.dim, mod._retraction = base, dim, None
+        mod._rho_cols = _checked_columns(rho_cols, dim, dim * base.dim,
+                                         base.field.char, "rho")
+        return mod
+
     @property
     def field(self):
         return self.base.field
@@ -169,10 +186,14 @@ class ComoduleMorphism:
                               self.columns)
 
     def __matmul__(self, other: "ComoduleMorphism") -> "ComoduleMorphism":
+        """The composite, built by ``ComoduleMorphism._implied``: its
+        intertwining is implied by the factors', (f g (x) id) rho_U =
+        (f (x) id) rho_V g = rho_W f g."""
         if other.target != self.source:
             raise BaseMismatchError("morphisms do not compose")
-        return ComoduleMorphism(other.source, self.target, _kron_cols(
-            self.columns, 1, 1, other.columns))
+        return ComoduleMorphism._implied(other.source, self.target,
+                                         _kron_cols(self.columns, 1, 1,
+                                                    other.columns))
 
     def is_isomorphism(self) -> bool:
         return _invertible(self.source.field, self.target.dim, self.columns)
@@ -190,23 +211,29 @@ class ComoduleMorphism:
 # -- constructors ------------------------------------------------------------
 
 def regular_comodule(c: Coalgebra) -> Comodule:
-    """C over itself, coaction = comultiplication."""
-    return Comodule(c, c.dim, c._delta_cols)
+    """C over itself, coaction = comultiplication.  Its axioms are implied
+    (``Comodule._implied``): with rho = delta they are C's counit and
+    coassociativity laws on the same dicts, checked when C was built."""
+    return Comodule._implied(c, c.dim, c._delta_cols)
 
 
 def cofree_comodule(c: Coalgebra, d: int) -> Comodule:
     """V0 (x) C with coaction id (x) delta; injective for every d: column
-    i*n + j is delta(e_j) with its keys moved up by i*n^2."""
+    i*n + j is delta(e_j) with its keys moved up by i*n^2.  Its axioms are
+    implied (``Comodule._implied``): block i is the regular comodule, so
+    each block's equations are C's counit and coassociativity laws."""
     if d < 0:
         raise ShapeError("dimension must be nonnegative")
     nn = c.dim * c.dim
-    return Comodule(c, d * c.dim, [{i * nn + k: x for k, x in col.items()}
-                                   for i in range(d)
-                                   for col in c._delta_cols])
+    return Comodule._implied(c, d * c.dim,
+                             [{i * nn + k: x for k, x in col.items()}
+                              for i in range(d) for col in c._delta_cols])
 
 
 def zero_comodule(c: Coalgebra) -> Comodule:
-    return Comodule(c, 0, [])
+    """The zero comodule, built by ``Comodule._implied``: its axioms are
+    implied, being equations between maps out of the zero space."""
+    return Comodule._implied(c, 0, [])
 
 
 def graded_comodule(c: Coalgebra, dims) -> Comodule:
@@ -225,24 +252,33 @@ def graded_comodule(c: Coalgebra, dims) -> Comodule:
 
 def direct_sum(v: Comodule, w: Comodule) -> Comodule:
     """Block coaction on the concatenated space: key a*n + c of rho_W
-    moves to (m_V + a)*n + c."""
+    moves to (m_V + a)*n + c.  Its axioms are implied
+    (``Comodule._implied``): each equation is block diagonal, and its two
+    blocks are V's and W's, both certified comodules."""
     if v.base != w.base:
         raise BaseMismatchError("direct sum needs a common base")
     off = v.dim * v.base.dim
-    return Comodule(v.base, v.dim + w.dim, v._rho_cols + [
+    return Comodule._implied(v.base, v.dim + w.dim, v._rho_cols + [
         {k + off: x for k, x in col.items()} for col in w._rho_cols])
 
 
 def conjugate(v: Comodule, s) -> Comodule:
     """Transport the coaction along an invertible change of basis S, given
     by its {row: value} columns: (S (x) I_n) rho S^-1, applied to the
-    columns of S^-1 (``exactlin._inverse``)."""
+    columns of S^-1 (``exactlin._inverse``).
+
+    Its axioms are implied (``Comodule._implied``): ``_inverse`` certifies
+    S^-1 S = I exactly and S is square, so S S^-1 = I too.  For
+    rho' = (S (x) I) rho S^-1, V's counit law gives (id (x) eps) rho' =
+    S S^-1 = I, and V's coassociativity with S^-1 S = I gives
+    (id (x) delta) rho' = (S (x) I (x) I)(rho (x) id) rho S^-1 =
+    (rho' (x) id) rho'."""
     m, n = v.dim, v.base.dim
     s = _checked_columns(s, m, m, v.field.char, "change of basis")
     s_inv = _inverse(v.field, m, s)
     if s_inv is None:
         raise ShapeError("change of basis must be invertible")
-    return Comodule(v.base, m, _kron_cols(
+    return Comodule._implied(v.base, m, _kron_cols(
         s, n, n, _kron_cols(v._rho_cols, 1, 1, s_inv)))
 
 
@@ -325,15 +361,21 @@ def _annihilated(v: Comodule, w: Comodule, columns) -> bool:
 
 def dual_comodule(v: Comodule) -> Comodule:
     """V^vee: the dual space V* with coaction components rho_c^T, where
-    rho_V(e_j) = sum_c rho_c e_j (x) c.  It is a comodule because the base
-    is cocommutative; the constructor certifies the axioms."""
+    rho_V(e_j) = sum_c rho_c e_j (x) c.
+
+    Its axioms are implied (``Comodule._implied``): V's laws read
+    sum_c eps(c) rho_c = I and sum_c delta(c)_ab rho_c = rho_a rho_b, for
+    delta(c) = sum delta(c)_ab a (x) b.  Transposed, they give sum_c
+    eps(c) rho_c^T = I and sum_c delta(c)_ab rho_c^T = rho_b^T rho_a^T,
+    which is V^vee's coassociativity once delta(c)_ab = delta(c)_ba: the
+    base's cocommutativity, checked when the base was built."""
     m, n = v.dim, v.base.dim
     cols = [{} for _ in range(m)]
     for i, col in enumerate(v._rho_cols):
         for idx, x in col.items():
             j, c = divmod(idx, n)
             cols[j][i * n + c] = x
-    return Comodule(v.base, m, cols)
+    return Comodule._implied(v.base, m, cols)
 
 
 def hom_space(v: Comodule, w: Comodule) -> Subspace:
@@ -366,9 +408,8 @@ def _restricted_coaction(base: Coalgebra, right_cols, sub: Subspace,
     the coordinates rho_t, and (B (x) I_n) rho = image is checked exactly
     (else ``AxiomError(name)``).  As B is injective and
     id (x) right is a coaction, that equation implies counit and
-    coassociativity of rho, so the result is built without the
-    ``Comodule`` axiom checks, and the checked columns rho_t are its
-    ``_rho_cols``.
+    coassociativity of rho, so the result is built by
+    ``Comodule._implied`` and returned once that equation holds.
     """
     n, mm, p = base.dim, len(right_cols), base.field.char
     columns = sub.columns
@@ -376,13 +417,11 @@ def _restricted_coaction(base: Coalgebra, right_cols, sub: Subspace,
              for c in range(n)}
     left = sub.ambient // mm if mm else 0
     img = _kron_cols(left, right_cols, mm * n, columns)
-    rho_cols = [{slots[k]: r for k, y in col.items()
-                 if k in slots and (r := y % p if p else y)} for col in img]
-    if _difference(_kron_cols(columns, n, n, rho_cols), img, p) is not None:
+    mod = Comodule._implied(base, sub.dim, [
+        {slots[k]: y for k, y in col.items() if k in slots} for col in img])
+    if _difference(_kron_cols(columns, n, n, mod._rho_cols), img,
+                   p) is not None:
         raise AxiomError(name, "induced coaction does not restrict")
-    mod = Comodule.__new__(Comodule)
-    mod.base, mod.dim = base, sub.dim
-    mod._rho_cols, mod._retraction = rho_cols, None
     return mod
 
 

@@ -185,7 +185,8 @@ def parse(text: str) -> Document:
             if doc is not None:
                 raise ParseError("duplicate field declaration", line_no)
             spec = re.sub(r"\s+", " ", m.group(1))
-            field = QQ if spec == "Q" else GF(int(spec.split()[1]))
+            with _at_line(line_no):
+                field = QQ if spec == "Q" else GF(int(spec.split()[1]))
             doc = Document(spec, field)
             continue
         if doc is None:

@@ -130,4 +130,8 @@ QQ = Field(0)
 
 
 def GF(p: int) -> Field:
+    """The prime field F_p for a prime p < 2**31.  p < 2 raises
+    ``FieldError``: ``Field(0)`` is Q, but ``GF(0)`` names no field."""
+    if p < 2:
+        raise FieldError(f"a prime field needs p >= 2, got {p}")
     return Field(p)

@@ -302,6 +302,13 @@ def hyperdoctrine_condition2_check(f: CoalgebraMorphism, src: BasePower,
     verifies f^* forall_I ~ forall_J (f x id)^* by inverting the canonical
     Beck-Chevalley mate, with the companion exists-square instance.
     Both squares share the pullback of V along f x id.
+
+    f x id = f (x) id_C: J x C -> I x C is built by
+    ``CoalgebraMorphism._implied``: its laws are implied by f's, as the
+    steps are the products J x C and I x C (``BasePower``):
+    delta (f (x) id) = (id (x) tau (x) id)((f (x) f) delta_J (x) delta_C) =
+    (f (x) id (x) f (x) id) delta_{J x C}, and (eps_I (x) eps_C)(f (x) id)
+    = eps_J (x) eps_C.
     """
     prod_i, pi_i, _ = tgt.step
     prod_j, pi_j, _ = src.step
@@ -310,7 +317,7 @@ def hyperdoctrine_condition2_check(f: CoalgebraMorphism, src: BasePower,
     if v.base != prod_i:
         raise BaseMismatchError("comodule is not based on I x C")
     n = tgt.base.dim
-    f_times_id = CoalgebraMorphism(prod_j, prod_i, _kron_cols(
+    f_times_id = CoalgebraMorphism._implied(prod_j, prod_i, _kron_cols(
         f.columns, n, n, [{t: 1} for t in range(f.source.dim * n)]))
     square = PullbackSquare(delta=f_times_id, gamma=pi_j, beta=pi_i,
                             alpha=f)

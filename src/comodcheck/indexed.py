@@ -3,7 +3,12 @@
 A morphism phi: D -> C induces the corestriction Sigma_phi: Vec^D -> Vec^C
 (same space, coaction (id (x) phi) rho) and the pullback
 phi^*(W) = W (x)_C U(phi), realized as the subspace of W (x) D cut by the
-equalizer condition, with coaction the restriction of id (x) delta_D.  The
+equalizer condition, with coaction the restriction of id (x) delta_D.
+These derived objects inherit their certificates: Sigma_phi V, U(phi),
+Sigma_phi f and phi^* f are built by the ``_implied`` constructors, whose
+skipped laws follow from phi's, V's and f's and from the pullbacks'
+restriction equations (each docstring gives the derivation); the maps a
+law check verifies keep their full check.  The
 adjunction Sigma_phi -| phi^* is witnessed by the explicit transposes
 hat(f) = (f (x) id) rho  and  tilde(g) = (id (x) eps_D) g.
 ``adjunction_certificate`` applies them to the whole bases L and B of the
@@ -74,26 +79,37 @@ __all__ = [
 # -- Sigma and phi^* ----------------------------------------------------------
 
 def sigma(phi: CoalgebraMorphism, v: Comodule) -> Comodule:
-    """Corestriction along phi: same space, coaction (id (x) phi) rho."""
+    """Corestriction along phi: same space, coaction (id (x) phi) rho.
+
+    Its axioms are implied (``Comodule._implied``) by phi's laws and V's:
+    (id (x) eps_C)(id (x) phi) rho = (id (x) eps_D) rho = id, and
+    (id (x) delta_C)(id (x) phi) rho = (id (x) phi (x) phi)(id (x) delta_D)
+    rho = (id (x) phi (x) phi)(rho (x) id) rho, which is
+    ((id (x) phi) rho (x) id)(id (x) phi) rho."""
     if v.base != phi.source:
         raise BaseMismatchError("comodule is not based on the source of phi")
-    return Comodule(phi.target, v.dim, _kron_cols(
+    return Comodule._implied(phi.target, v.dim, _kron_cols(
         v.dim, phi.columns, phi.target.dim, v._rho_cols))
 
 
 def sigma_map(phi: CoalgebraMorphism,
               f: ComoduleMorphism) -> ComoduleMorphism:
-    """Sigma is the identity on underlying linear maps."""
-    return ComoduleMorphism(sigma(phi, f.source), sigma(phi, f.target),
-                            f.columns)
+    """Sigma is the identity on underlying linear maps.  The intertwining
+    is implied (``ComoduleMorphism._implied``) by f's: (f (x) id)
+    (id (x) phi) rho_V = (id (x) phi)(f (x) id) rho_V = (id (x) phi)
+    rho_W f."""
+    return ComoduleMorphism._implied(sigma(phi, f.source),
+                                     sigma(phi, f.target), f.columns)
 
 
 def coaction_comodule(phi: CoalgebraMorphism) -> Comodule:
     """U(phi): the source space over the target, coaction (id (x) phi) delta,
-    built once per morphism object and kept on it (``phi._u``)."""
+    built once per morphism object and kept on it (``phi._u``).  Its
+    axioms are implied (``Comodule._implied``): U(phi) is Sigma_phi of the
+    regular comodule of D, whose laws are D's (see ``sigma``)."""
     if phi._u is None:
         d = phi.source
-        phi._u = Comodule(phi.target, d.dim, _kron_cols(
+        phi._u = Comodule._implied(phi.target, d.dim, _kron_cols(
             d.dim, phi.columns, phi.target.dim, d._delta_cols))
     return phi._u
 
@@ -124,7 +140,14 @@ def _pullback_obj(phi: CoalgebraMorphism, x: _Obj, px) -> _Obj:
 
 def pullback_map(phi: CoalgebraMorphism, f: ComoduleMorphism,
                  src=None, tgt=None) -> ComoduleMorphism:
-    """phi^* on morphisms: restriction of f (x) id_D."""
+    """phi^* on morphisms: restriction of f (x) id_D.
+
+    Its intertwining is implied (``ComoduleMorphism._implied``), as for
+    ``comod.tensor_morphism``: ``coords`` certifies B_t M = (f (x) id) B_s
+    exactly, and both pullbacks' restriction equations (B (x) I) rho =
+    (id (x) delta_D) B give (B_t (x) I)(M (x) I) rho_src =
+    (f (x) id (x) id)(id (x) delta_D) B_s = (id (x) delta_D)(f (x) id) B_s =
+    (B_t (x) I) rho_tgt M, and B_t (x) I is injective."""
     if src is None:
         src = pullback_functor(phi, f.source)
     if tgt is None:
@@ -135,7 +158,7 @@ def pullback_map(phi: CoalgebraMorphism, f: ComoduleMorphism,
     if cols is None:
         raise AxiomError("pullback-functor",
                          "f (x) id does not preserve the equalizer")
-    return ComoduleMorphism(src_mod, tgt_mod, cols)
+    return ComoduleMorphism._implied(src_mod, tgt_mod, cols)
 
 
 # -- the adjunction Sigma_phi -| phi^* ----------------------------------------

@@ -164,6 +164,28 @@ def intertwines(mor):
             == matmul(mor.target.rho, mor.matrix))
 
 
+def comodule_axioms_hold(v):
+    """(id (x) eps) rho = id and (id (x) delta) rho = (rho (x) id) rho for
+    a comodule V, as dense products: the equations ``Comodule._implied``
+    does not evaluate, a test-only reference."""
+    f, m, n = v.field, v.dim, v.base.dim
+    ident = Matrix.identity
+    return (matmul(kron(ident(f, m), v.base.epsilon), v.rho) == ident(f, m)
+            and matmul(kron(ident(f, m), v.base.delta), v.rho)
+            == matmul(kron(v.rho, ident(f, n)), v.rho))
+
+
+def coalgebra_morphism_laws_hold(mor):
+    """delta_D f = (f (x) f) delta_C and eps_D f = eps_C for a coalgebra
+    map f: C -> D, as dense products: the equations
+    ``CoalgebraMorphism._implied`` does not evaluate, a test-only
+    reference."""
+    a = mor.matrix
+    return (matmul(mor.target.delta, a)
+            == matmul(kron(a, a), mor.source.delta)
+            and matmul(mor.target.epsilon, a) == mor.source.epsilon)
+
+
 def kron_apply(a, b, x):
     """(a (x) b) @ x without building a (x) b; an int n stands for I_n.
 

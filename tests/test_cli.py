@@ -4,6 +4,8 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import pytest
+
 from comodcheck import cli, runner
 
 CLI = [sys.executable, "-m", "comodcheck.cli"]
@@ -118,3 +120,51 @@ def test_internal_fault_is_exit_three_without_a_traceback(monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith("internal error: KeyError: ")
     assert "line " not in err and "Traceback" not in err
+
+
+def _without_millis(text: str) -> str:
+    """Output with every ``millis`` value zeroed: the JSON records' field
+    and the ``millis:`` line of ``--verbose``."""
+    if text.startswith("["):
+        payload = json.loads(text)
+        for rec in payload:
+            rec["millis"] = 0.0
+        return json.dumps(payload, sort_keys=True)
+    return "\n".join("    millis: 0" if line.startswith("    millis: ")
+                     else line for line in text.splitlines())
+
+
+def test_consecutive_in_process_calls_match_fresh_runs(capsys):
+    # the parser is built once per process; a flag of one call must not
+    # leak into the next
+    path = corpus_path("06_adjunction.cd")
+    for first, second in ((["--verbose"], ["--json"]),
+                          (["--max-dim", "2", "--json"], ["--json"])):
+        outputs = []
+        for flags in (first, second):
+            assert cli.main(["check", path, *flags]) == 0
+            outputs.append(capsys.readouterr().out)
+        fresh = [run_cli("check", path, *flags).stdout
+                 for flags in (first, second)]
+        assert [_without_millis(o) for o in outputs] \
+            == [_without_millis(o) for o in fresh]
+
+
+def test_an_in_process_usage_error_still_exits_two(capsys):
+    path = corpus_path("02_cosemisimple.cd")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", path, "--max-dim", "-1"])
+    assert exc.value.code == 2
+    assert "--max-dim" in capsys.readouterr().err
+    assert cli.main(["check", path]) == 0
+    assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("spec", ["Fp 9", "Fp 1", "Fp 2147483659", "Fp 0"])
+def test_a_bad_field_declaration_is_exit_two(tmp_path: Path, spec):
+    doc = tmp_path / "field.cd"
+    doc.write_text(f"field {spec}\ncoalg C = grouplike {{a, b}}\n"
+                   "check cosemisimple C\n")
+    out = run_cli("check", str(doc))
+    assert out.returncode == 2, out.stderr
+    assert "line 1" in out.stderr and "internal error" not in out.stderr

@@ -261,3 +261,12 @@ def test_check_arguments_are_validated_at_parse_time(directive, col,
         parse(ARGS_DOCUMENT + directive + "\n")
     assert (err.value.line, err.value.col) == (4, col)
     assert str(err.value) == f"line 4, col {col}: {expected}"
+
+
+@pytest.mark.parametrize("spec", ["Fp 9", "Fp 1", "Fp 2147483659", "Fp 0"])
+def test_a_bad_field_declaration_is_a_parse_error(spec):
+    # a composite, a unit, a prime too large and zero; Fp 0 must not
+    # silently run over Q
+    with pytest.raises(ParseError) as err:
+        parse(f"field {spec}\ncoalg C = grouplike {{a, b}}\n")
+    assert err.value.line == 1 and "line 1" in str(err.value)

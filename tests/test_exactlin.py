@@ -286,6 +286,26 @@ def test_inverse():
     assert _inverse(GF(7), 1, [{0: 3}]) == [{0: 5}]
 
 
+def test_inverse_rejects_a_planted_wrong_solve(monkeypatch):
+    # inv A = I is the certificate the implied axioms of a conjugated
+    # comodule rest on: a solve that returns an X off by one entry must
+    # give no inverse, and so no comodule
+    from comodcheck import exactlin as el
+    real = el._solve
+
+    def off_by_one(*args):
+        x = real(*args)
+        x[0][0] = x[0].get(0, 0) + 1
+        return x
+
+    monkeypatch.setattr(el, "_solve", off_by_one)
+    s = columns(F, [[2, 1], [1, 1]])
+    assert _inverse(F, 2, s) is None
+    g = ca.grouplike_coalgebra(F, "ab")
+    with pytest.raises(ShapeError, match="invertible"):
+        cm.conjugate(cm.graded_comodule(g, [1, 1]), s)
+
+
 # -- charts ----------------------------------------------------------------------
 
 def test_chart_kron_coords_roundtrip():

@@ -44,6 +44,13 @@ def test_gf_rejects_composite_and_large():
         GF(2 ** 31 + 11)
 
 
+@pytest.mark.parametrize("p", [0, 1, -7])
+def test_gf_rejects_p_below_two(p):
+    # Field(0) is Q, but GF(0) names no prime field
+    with pytest.raises(FieldError):
+        GF(p)
+
+
 def test_of_parses_literals():
     assert QQ.of("3/2") == Fraction(3, 2)
     assert GF(7).of(Fraction(1, 2)) == 4  # 2 * 4 = 8 = 1 mod 7
